@@ -111,15 +111,16 @@ def trim_cfg(cfg):
                    (isinstance(r, CfgBinary) and r.left in productive
                     and r.right in productive) or
                    (isinstance(r, CfgUnary) and r.rhs in productive))]
+    live_by_lhs = {}
+    for r in live_rules:
+        live_by_lhs.setdefault(r.lhs, []).append(r)
     reachable = set()
     if cfg.start in productive:
         queue = [cfg.start]
         reachable.add(cfg.start)
         while queue:
             nt = queue.pop()
-            for r in live_rules:
-                if r.lhs != nt:
-                    continue
+            for r in live_by_lhs.get(nt, ()):
                 kids = ([r.left, r.right] if isinstance(r, CfgBinary)
                         else [r.rhs] if isinstance(r, CfgUnary) else [])
                 for k in kids:

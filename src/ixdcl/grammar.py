@@ -210,7 +210,8 @@ def parse_grammar(text):
         elif toks[0] == "stack":
             stack_syms.extend(toks[1:])
         elif toks[0] == "dfa":
-            dfas[toks[1]] = _parse_dfa(line)
+            dfa = _parse_dfa(line)
+            dfas[dfa.name] = dfa
         else:
             raw_rules.append(line)
 
@@ -300,8 +301,11 @@ def parse_grammar(text):
 
 def _parse_dfa(line):
     # dfa name { states q0 q1; init q0; final q1; q0 f q1; }
-    head, rest = line.split("{", 1)
-    name = head.split()[1]
+    head, brace, rest = line.partition("{")
+    name_toks = head.split()[1:]
+    if not brace or len(name_toks) != 1:
+        raise GrammarError(f"malformed dfa header: {line!r}")
+    name = name_toks[0]
     body = rest.rsplit("}", 1)[0]
     states = []
     init = None
@@ -314,6 +318,8 @@ def _parse_dfa(line):
         if toks[0] == "states":
             states.extend(toks[1:])
         elif toks[0] == "init":
+            if len(toks) != 2:
+                raise GrammarError(f"malformed dfa clause: {part!r}")
             init = toks[1]
         elif toks[0] == "final":
             finals.extend(toks[1:])

@@ -90,22 +90,29 @@ class StackMonoid:
                    self.analysis.matrix(f, X), g.alpha(f), X)
 
     def product(self, x2, x1):
-        """x2 . x1 where x2 abstracts the part of the stack above x1."""
+        """x2 . x1 where x2 abstracts the part of the stack above x1.
+
+        The memo is keyed by the identities of the operands, which is
+        exact because every element this monoid hands out is interned by
+        `_mk`.  Each entry keeps both operands alive, so an id in a key is
+        never reused by another object.
+        """
         if x2 is ONE:
             return x1
         if x1 is ONE:
             return x2
         if x2 is ZERO or x1 is ZERO:
             return ZERO
-        key = (x2, x1)
-        if key not in self._prod:
+        key = (id(x2), id(x1))
+        hit = self._prod.get(key)
+        if hit is None:
             if x2.x == x1.y and (x1.b, x2.a) in self.analysis.reach(x2.x):
                 out = self._mk(Seg(x2.b, x2.y, mat_mul(x2.m, x1.m),
                                    x1.a, x1.x))
             else:
                 out = ZERO
-            self._prod[key] = out
-        return self._prod[key]
+            hit = self._prod[key] = (out, x2, x1)
+        return hit[0]
 
     def phi(self, word):
         """Image of an annotated stack word (topmost letter first)."""

@@ -120,6 +120,7 @@ class SummaryFactory:
         self._atoms = {}
         self._blocks = {}
         self._summaries = {}
+        self._rows = {}
         self.empty = Summary(None, (), (), ONE, 0)
         self._summaries[self.empty.key()] = self.empty
 
@@ -188,13 +189,13 @@ class SummaryFactory:
         blocks = sigma.blocks
         for j in range(len(blocks), 0, -1):
             bj = blocks[j - 1]
-            if bj.e != e:
+            if bj.e is not e:
                 continue
             infix = ([a.phi for g in vs for a in g] +
                      [a.phi for a in w] +
                      [b.phi for b in blocks[:j - 1]] +
                      [a.phi for g in bj.us for a in g])
-            if m.phi_seq(infix) == e:
+            if m.phi_seq(infix) is e:
                 if trace is not None:
                     trace.append(f"merge@{j}")
                 merged = self.block(us, e, bj.vs, bj.w)
@@ -217,43 +218,48 @@ class SummaryFactory:
         Among admissible splits the group lengths are chosen shortest
         first, left to right; ties between idempotents are broken by a
         canonical element order.
+
+        Positions of s are bits of ints, position p being bit n - p (its
+        distance from the right end).  ends[p] maps each element, by
+        identity, to the set of ends q > p with phi(s[p:q]) equal to it.
+        For a candidate idempotent e, can[k] holds p iff s[p:] starts
+        with k groups of image e, that is iff ends[p][e] meets can[k - 1].
+        The shortest first group from p ends at the highest bit of that
+        intersection.
         """
         m = self.monoid
         n = len(s)
         k_groups = 2 * self.n_groups + 1
+        # rows of a short s too: the next push extends it by one atom
+        ends = self._segment_rows(s)
         if n < k_groups:
             return None
-        seg = {}
-        for i in range(n):
-            acc = ONE
-            for j in range(i + 1, n + 1):
-                acc = m.product(acc, s[j - 1].phi)
-                seg[(i, j)] = acc
         cands = []
         seen = set()
-        for j in range(1, n + 1):
-            e = seg[(0, j)]
-            if e is ONE or id(e) in seen:
+        acc = ONE
+        for a in s:
+            acc = m.product(acc, a.phi)
+            if acc is ONE or id(acc) in seen:
                 continue
-            seen.add(id(e))
-            if m.product(e, e) == e:
-                cands.append(e)
+            seen.add(id(acc))
+            if m.product(acc, acc) is acc:
+                cands.append(acc)
         best = None
         for e in cands:
-            can = [[False] * (n + 1) for _ in range(k_groups + 1)]
-            can[0] = [True] * (n + 1)
-            for k in range(1, k_groups + 1):
-                for pos in range(n - 1, -1, -1):
-                    can[k][pos] = any(
-                        seg[(pos, end)] == e and can[k - 1][end]
-                        for end in range(pos + 1, n + 1))
-            if not can[k_groups][0]:
+            ends_e = [row.get(id(e), 0) for row in ends]
+            starts = [(pos, 1 << (n - pos)) for pos in range(n)
+                      if ends_e[pos]]
+            can = [(1 << (n + 1)) - 1]
+            for _ in range(k_groups):
+                prev = can[-1]
+                can.append(sum(bit for pos, bit in starts
+                               if ends_e[pos] & prev))
+            if not can[k_groups] >> n:
                 continue
             bounds = []
             pos = 0
             for k in range(k_groups, 0, -1):
-                end = next(end for end in range(pos + 1, n + 1)
-                           if seg[(pos, end)] == e and can[k - 1][end])
+                end = n + 1 - (ends_e[pos] & can[k - 1]).bit_length()
                 bounds.append(end - pos)
                 pos = end
             cand = (tuple(bounds), element_key(e), e, pos)
@@ -268,6 +274,32 @@ class SummaryFactory:
             groups.append(tuple(s[pos:pos + ln]))
             pos += ln
         return e, tuple(groups), tuple(s[end:])
+
+    def _segment_rows(self, s):
+        """ends[p] of `_decompose` for every position p of s.
+
+        A row depends only on the suffix it starts, so the rows of each
+        suffix are kept: a push prepends one atom to a word whose rows are
+        known, and only the row of the new first position is computed.
+        Suffixes are keyed by atom identities, which is exact because
+        atoms are hash-consed and live as long as the factory.
+        """
+        m = self.monoid
+        n = len(s)
+        key = tuple(map(id, s))
+        known = n
+        while known > 0 and key[n - known:] not in self._rows:
+            known -= 1
+        rows = self._rows.get(key[n - known:], [])
+        for pos in range(n - known - 1, -1, -1):
+            row = {}
+            acc = ONE
+            for end in range(pos + 1, n + 1):
+                acc = m.product(acc, s[end - 1].phi)
+                row[id(acc)] = row.get(id(acc), 0) | (1 << (n - end))
+            rows = [row] + rows
+            self._rows[key[pos:]] = rows
+        return rows
 
     # -- validation ---------------------------------------------------------
 

@@ -38,6 +38,12 @@ def test_parse_errors():
         parse_grammar("start S\nS - f\n")                    # no arrow
     with pytest.raises(GrammarError):
         parse_grammar("start S\ndfa D { states q;\nS -> \"\"\n")  # open block
+    with pytest.raises(GrammarError):
+        parse_grammar("start S\ndfa {}\n")                  # unnamed dfa
+    with pytest.raises(GrammarError):
+        parse_grammar("start S\ndfa D { states q; init; }\n")  # no init state
+    with pytest.raises(GrammarError):
+        parse_grammar("start S\ndfa D }\n")                 # no open brace
 
 
 def test_desugar_core_kinds_only():

@@ -1,5 +1,6 @@
 """The finite stack-abstraction monoid and its Green's-relation structure."""
 
+import dataclasses
 import itertools
 import random
 
@@ -54,6 +55,20 @@ def test_associativity(fixtures):
         for x, y, z in itertools.product(m.elements, repeat=3):
             assert m.product(m.product(x, y), z) == \
                 m.product(x, m.product(y, z))
+
+
+def test_product_of_fresh_copies(fixtures):
+    # The product memo is keyed by operand identity.  Copies made and
+    # dropped one after another tend to reuse one address, so a memo that
+    # let its keys die would answer a copy of x with the product of an
+    # earlier copy of another element.
+    rng = random.Random(0)
+    for st_ in fixtures.values():
+        m = st_.monoid
+        segs = [x for x in m.elements if isinstance(x, Seg)]
+        for _ in range(200):
+            x, y = rng.choice(segs), rng.choice(segs)
+            assert m.product(dataclasses.replace(x), y) is m.product(x, y)
 
 
 def test_phi_is_a_morphism(fixtures):

@@ -1,12 +1,39 @@
 """Stack summaries: push cases, decomposition, graph closure, validation."""
 
+import hashlib
+from itertools import combinations
+
 import pytest
 
 from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.annotate import build_annotated
-from ixdcl.families import g_loop_grammar
-from ixdcl.monoid import StackMonoid, ZERO
+from ixdcl.families import g_loop_grammar, grammar_gn
+from ixdcl.grammar import grammar_from_text
+from ixdcl.monoid import ONE, StackMonoid, ZERO, element_key
 from ixdcl.summaries import SummaryFactory, build_summary_graph
+
+# a drawn grammar whose summary graph has 361 nodes
+RANDOM_361_TEXT = """\
+start V
+terminals a b
+stack k
+Z -> V + k
+Z - k -> b b
+A - k -> Z
+V -> Z + k
+N - k -> b
+V - k -> b b
+N -> a
+"""
+
+# (nodes, edges, sha256 prefix of graph_fingerprint)
+GRAPH_GOLDENS = {
+    "g1": (2, 1, "f491a9c7015edded"),
+    "loop": (10, 10, "bf7eb762fef9b5b6"),
+    "square": (281, 282, "1ab66ca99c5bc9f6"),
+    "G_1": (16, 15, "a2e5077ce9484d4b"),
+    "random": (361, 363, "d6d48e69d0809b17"),
+}
 
 
 def fresh_loop_factory():
@@ -15,6 +42,73 @@ def fresh_loop_factory():
     ag = build_annotated(g, an)
     m = StackMonoid(an, ag.letters)
     return SummaryFactory(m), sorted(ag.letters, key=str)
+
+
+def summary_graph(g):
+    an = Analysis(g)
+    ag = build_annotated(g, an)
+    return build_summary_graph(SummaryFactory(StackMonoid(an, ag.letters)),
+                               ag.letters)
+
+
+def canonical(x):
+    """Render a key or letter; frozensets sorted, so that the text does
+    not depend on PYTHONHASHSEED."""
+    if isinstance(x, frozenset):
+        return "{" + ",".join(sorted(map(canonical, x))) + "}"
+    if isinstance(x, tuple):
+        return "(" + ",".join(map(canonical, x)) + ")"
+    return repr(x)
+
+
+def graph_fingerprint(graph):
+    """Node count, edge count and a digest of every node in order (index,
+    size, depth, hash-cons key) and every edge (src, letter, tgt)."""
+    lines = [f"{i} {s.size} {s.depth} {canonical(s.key())}"
+             for i, s in enumerate(graph.nodes)]
+    lines += [f"{graph.ids[src]} {canonical(letter)} {graph.ids[tgt]}"
+              for (src, letter), tgt in graph.edges.items()]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return len(graph.nodes), len(graph.edges), digest[:16]
+
+
+def recorded_atom_words(stages):
+    """A fresh factory on the stages' monoid, and every atom word it is
+    asked to decompose while rebuilding the summary graph."""
+    factory = SummaryFactory(stages.monoid)
+    words = {}
+    decompose = factory._decompose
+
+    def record(s):
+        words[tuple(map(id, s))] = s
+        return decompose(s)
+
+    factory._decompose = record
+    build_summary_graph(factory, stages.annotated.letters)
+    del factory._decompose
+    return factory, list(words.values())
+
+
+def brute_force_decompose(m, s, k):
+    """The least split of s into k groups with one idempotent image e plus
+    a remainder, by (group lengths, element_key(e)), found by enumerating
+    every choice of group ends: (lengths, e, end of the last group)."""
+    best = None
+    for ends in combinations(range(1, len(s) + 1), k):
+        starts = (0,) + ends[:-1]
+        images = [m.phi_seq(a.phi for a in s[i:j])
+                  for i, j in zip(starts, ends)]
+        e = images[0]
+        if e is ONE or m.product(e, e) is not e or \
+                any(x is not e for x in images):
+            continue
+        cand = (tuple(j - i for i, j in zip(starts, ends)), element_key(e))
+        if best is None or cand < best[0]:
+            best = (cand, e, ends[-1])
+    if best is None:
+        return None
+    (lengths, _), e, end = best
+    return lengths, e, end
 
 
 def test_graph_goldens(fixtures):
@@ -28,6 +122,46 @@ def test_graph_goldens(fixtures):
     for gr in (g1, loop, square):
         assert gr.nodes[0].is_empty()
         assert gr.complete
+
+
+def test_graph_fingerprint_goldens(fixtures):
+    graphs = {name: st_.graph for name, st_ in fixtures.items()}
+    graphs["G_1"] = summary_graph(grammar_gn(1))
+    graphs["random"] = summary_graph(grammar_from_text(RANDOM_361_TEXT))
+    assert {name: graph_fingerprint(gr) for name, gr in graphs.items()} == \
+        GRAPH_GOLDENS
+
+
+@pytest.mark.parametrize("name", ["loop", "square"])
+def test_decompose_matches_brute_force(fixtures, name):
+    # Every window of a recorded atom word, short enough to enumerate, is
+    # split with the factory's own group count and with 1 and 2 groups on
+    # each side of e+, which makes short words decompose.
+    factory, words = recorded_atom_words(fixtures[name])
+    m = factory.monoid
+    found = 0
+    for n_groups, slack in ((1, 8), (2, 8), (factory.n_groups, 2)):
+        factory.n_groups = n_groups
+        k = 2 * n_groups + 1
+        windows = {}
+        for s in words:
+            for ln in range(1, min(len(s), k + slack) + 1):
+                for i in range(len(s) - ln + 1):
+                    windows[tuple(map(id, s[i:i + ln]))] = s[i:i + ln]
+        for w in windows.values():
+            ref = brute_force_decompose(m, w, k)
+            got = factory._decompose(w)
+            if ref is None:
+                assert got is None
+                continue
+            lengths, e, end = ref
+            starts = [sum(lengths[:j]) for j in range(k)]
+            groups = tuple(tuple(w[i:i + ln])
+                           for i, ln in zip(starts, lengths))
+            assert got[0] is e
+            assert got[1:] == (groups, tuple(w[end:]))
+            found += 1
+    assert found >= 5
 
 
 def test_loop_push_cases_and_plateau():
@@ -112,9 +246,7 @@ def test_hash_consing_identity():
 
 
 def test_rebuild_determinism(fixtures):
-    for name, st_ in fixtures.items():
-        if name == "square":
-            continue   # covered structurally by the goldens above
+    for st_ in fixtures.values():
         m = StackMonoid(st_.analysis, st_.annotated.letters)
         factory = SummaryFactory(m)
         graph = build_summary_graph(factory, st_.annotated.letters)
