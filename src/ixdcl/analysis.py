@@ -15,11 +15,19 @@ and the per-set reachability relations used by the stack abstraction:
 
     A ~X~ B  iff  (A, X) derives u (B, X) v in the annotated grammar.
 
-Everything is a demand-driven least fixpoint; each lookup key grows
-monotonically, and the driver iterates rounds until no key changes.
+Everything is one demand-driven least fixpoint over keys ("cl", X),
+("act", f, X), ("efoc", X), ("foc", f, X) and ("reach", X).  Reading a
+missing key creates and queues it; each read made while a key is
+evaluated records that key as a reader.  A worklist evaluates each
+queued key's local rule from its current value, and when the value
+grows it re-queues the key's readers, so only keys whose inputs grew
+are evaluated again (a local solver in the sense of Fecht & Seidl,
+"A faster solver for general systems of equations", SCP 1999).
 """
 
 from __future__ import annotations
+
+from collections import defaultdict, deque
 
 from .grammar import BinaryRule, PopRule, PushRule, TerminalRule
 
@@ -36,34 +44,69 @@ class Analysis:
         for p in g.productions:
             self.by_lhs.setdefault(p.lhs, []).append(p)
         self.nts = sorted(g.symbols.nonterminals, key=str)
-        self._act = {}    # (f, X) -> set
-        self._cl = {}     # X -> set
-        self._stale = False
-        self._foc = {}    # (f, X) -> set of pairs
-        self._efoc = {}   # X -> set of pairs
-        self._stale_foc = False
+        self._val = {}      # key -> set, only grows
+        # key -> the keys that read it; a dict keeps them in order, so the
+        # evaluation order (and the number of act keys tried on the way)
+        # does not depend on PYTHONHASHSEED
+        self._readers = defaultdict(dict)
+        self._todo = deque()    # queued keys, first in first out
+        self._queued = set()
+        self._current = None    # the key under evaluation
+        self._n_act = 0
         self._reach = None
         self._universe = None
         self._fold = {}   # stack tuple -> frozenset (action on empty set)
 
+    # -- the worklist solver -------------------------------------------------
+
+    def _push(self, key):
+        if key not in self._queued:
+            self._queued.add(key)
+            self._todo.append(key)
+
+    def _need(self, key, init):
+        """The current value of key, created by init() and queued when
+        missing; the key under evaluation becomes one of its readers."""
+        val = self._val.get(key)
+        if val is None:
+            val = self._val[key] = init()
+            self._push(key)
+        if self._current is not None:
+            self._readers[key][self._current] = None
+        return val
+
+    def _solve(self):
+        while self._todo:
+            key = self._todo.popleft()
+            self._queued.discard(key)
+            val = self._val[key]
+            size = len(val)
+            self._current = key
+            getattr(self, "_eval_" + key[0])(val, *key[1:])
+            self._current = None
+            if len(val) > size:
+                for r in self._readers.get(key, ()):
+                    self._push(r)
+
+    def _solved(self, val):
+        self._solve()
+        return frozenset(val)
+
     # -- actions -----------------------------------------------------------
 
     def _need_cl(self, X):
-        if X not in self._cl:
-            self._cl[X] = set(X)
-            self._stale = True
-        return self._cl[X]
+        return self._need(("cl", X), lambda: set(X))
 
     def _need_act(self, f, X):
-        if (f, X) not in self._act:
-            if len(self._act) >= self.universe_cap:
-                raise CapExceeded("action table cap exceeded")
-            self._act[(f, X)] = set()
-            self._stale = True
-        return self._act[(f, X)]
+        return self._need(("act", f, X), self._new_act)
 
-    def _cl_round(self, X):
-        cur = self._cl[X]
+    def _new_act(self):
+        if self._n_act >= self.universe_cap:
+            raise CapExceeded("action table cap exceeded")
+        self._n_act += 1
+        return set()
+
+    def _eval_cl(self, cur, X):
         changed = True
         while changed:
             changed = False
@@ -84,8 +127,7 @@ class Analysis:
                         changed = True
                         break
 
-    def _act_round(self, f, X):
-        cur = self._act[(f, X)]
+    def _eval_act(self, cur, f, X):
         cl = self._need_cl(X)
         changed = True
         while changed:
@@ -108,32 +150,13 @@ class Analysis:
                         changed = True
                         break
 
-    def _settle(self):
-        while self._stale:
-            self._stale = False
-            snapshot = {k: frozenset(v) for k, v in self._act.items()}
-            snap_cl = {k: frozenset(v) for k, v in self._cl.items()}
-            for X in list(self._cl):
-                self._cl_round(X)
-            for (f, X) in list(self._act):
-                self._act_round(f, X)
-            if any(frozenset(v) != snapshot.get(k) for k, v in self._act.items()) \
-                    or any(frozenset(v) != snap_cl.get(k) for k, v in self._cl.items()):
-                self._stale = True
-
     def cl(self, X):
         """Nonterminals A with A[empty stack] deriving into (X union T)*."""
-        X = frozenset(X)
-        self._need_cl(X)
-        self._settle()
-        return frozenset(self._cl[X])
+        return self._solved(self._need_cl(frozenset(X)))
 
     def act(self, f, X):
         """The one-letter action f . X."""
-        X = frozenset(X)
-        self._need_act(f, X)
-        self._settle()
-        return frozenset(self._act[(f, X)])
+        return self._solved(self._need_act(f, frozenset(X)))
 
     def act_word(self, z, X):
         """z . X for a stack word z given topmost-first."""
@@ -184,19 +207,12 @@ class Analysis:
     # -- focus matrices -----------------------------------------------------
 
     def _need_foc(self, f, X):
-        if (f, X) not in self._foc:
-            self._foc[(f, X)] = set()
-            self._stale_foc = True
-        return self._foc[(f, X)]
+        return self._need(("foc", f, X), set)
 
     def _need_efoc(self, X):
-        if X not in self._efoc:
-            self._efoc[X] = {(B, B) for B in self.nts}
-            self._stale_foc = True
-        return self._efoc[X]
+        return self._need(("efoc", X), lambda: {(B, B) for B in self.nts})
 
-    def _efoc_round(self, X):
-        cur = self._efoc[X]
+    def _eval_efoc(self, cur, X):
         cl = self._need_cl(X)
         changed = True
         while changed:
@@ -216,8 +232,7 @@ class Analysis:
                         cur |= new
                         changed = True
 
-    def _foc_round(self, f, X):
-        cur = self._foc[(f, X)]
+    def _eval_foc(self, cur, f, X):
         ef = self._need_efoc(X)
         gen = self._need_act(f, X)
         changed = True
@@ -241,69 +256,47 @@ class Analysis:
                         cur |= new
                         changed = True
 
-    def _settle_foc(self):
-        self._settle()
-        while self._stale_foc:
-            self._stale_foc = False
-            snap_f = {k: frozenset(v) for k, v in self._foc.items()}
-            snap_e = {k: frozenset(v) for k, v in self._efoc.items()}
-            for X in list(self._efoc):
-                self._efoc_round(X)
-            for (f, X) in list(self._foc):
-                self._foc_round(f, X)
-            self._settle()
-            if any(frozenset(v) != snap_f.get(k) for k, v in self._foc.items()) \
-                    or any(frozenset(v) != snap_e.get(k) for k, v in self._efoc.items()):
-                self._stale_foc = True
-
     def matrix(self, f, X):
         """Boolean matrix of focus pairs for the letter f under X."""
-        X = frozenset(X)
-        self._need_foc(f, X)
-        self._settle_foc()
-        return frozenset(self._foc[(f, X)])
+        return self._solved(self._need_foc(f, frozenset(X)))
 
     # -- reachability within the annotated grammar --------------------------
 
-    def reach_all(self):
-        """For each X in the universe, the relation A ~X~ B (see module doc)."""
-        if self._reach is not None:
-            return self._reach
-        uni = self.universe()
-        letters = sorted(self.g.symbols.stack_symbols, key=str)
-        rel = {X: {(A, A) for A in X} for X in uni}
-        uni_set = set(uni)
+    def _need_reach(self, X):
+        return self._need(("reach", X), lambda: {(A, A) for A in X})
+
+    def _eval_reach(self, cur, X):
+        uni_set = set(self._universe)
         changed = True
         while changed:
-            changed = False
-            for X in uni:
-                cur = rel[X]
-                new = set()
-                for p in self.g.productions:
-                    if isinstance(p, BinaryRule):
-                        if p.lhs in X and p.left in X and p.right in X:
-                            new.add((p.lhs, p.left))
-                            new.add((p.lhs, p.right))
-                    elif isinstance(p, PushRule):
-                        Y = self.act(p.sym, X)
-                        if p.lhs in X and p.rhs in Y and Y in uni_set:
-                            m = self.matrix(p.sym, X)
-                            for (B, D) in rel[Y]:
-                                if B != p.rhs:
-                                    continue
-                                for (D2, C) in m:
-                                    if D2 == D and C in X:
-                                        new.add((p.lhs, C))
-                if not new <= cur:
-                    cur |= new
-                    changed = True
-                # transitive closure step
-                extra = {(a, c) for (a, b) in cur for (b2, c) in cur
-                         if b == b2} - cur
-                if extra:
-                    cur |= extra
-                    changed = True
-        self._reach = {X: frozenset(r) for X, r in rel.items()}
+            new = set()
+            for p in self.g.productions:
+                if isinstance(p, BinaryRule):
+                    if p.lhs in X and p.left in X and p.right in X:
+                        new.add((p.lhs, p.left))
+                        new.add((p.lhs, p.right))
+                elif isinstance(p, PushRule):
+                    Y = frozenset(self._need_act(p.sym, X))
+                    if p.lhs in X and p.rhs in Y and Y in uni_set:
+                        m = self._need_foc(p.sym, X)
+                        for (B, D) in self._need_reach(Y):
+                            if B != p.rhs:
+                                continue
+                            for (D2, C) in m:
+                                if D2 == D and C in X:
+                                    new.add((p.lhs, C))
+            # transitive closure step
+            new |= {(a, c) for (a, b) in cur for (b2, c) in cur if b == b2}
+            changed = not new <= cur
+            cur |= new
+
+    def reach_all(self):
+        """For each X in the universe, the relation A ~X~ B (see module doc)."""
+        if self._reach is None:
+            uni = self.universe()
+            vals = [self._need_reach(X) for X in uni]
+            self._solve()
+            self._reach = {X: frozenset(v) for X, v in zip(uni, vals)}
         return self._reach
 
     def reach(self, X):

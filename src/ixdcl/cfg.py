@@ -88,29 +88,37 @@ def build_cfg(ag, graph):
     return Cfg(triples, g.symbols.terminals, start, tuple(rules))
 
 
+def rule_kids(r):
+    """The right-hand nonterminals of a CFG rule, in order."""
+    if isinstance(r, CfgBinary):
+        return [r.left, r.right]
+    return [r.rhs] if isinstance(r, CfgUnary) else []
+
+
 def trim_cfg(cfg):
     """Restrict to productive and reachable nonterminals."""
+    # productive pass: per rule, count its right-hand nonterminals not yet
+    # known productive; a rule whose count reaches 0 makes its lhs productive
+    waiting = []
+    by_kid = {}
     productive = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in cfg.rules:
-            if r.lhs in productive:
-                continue
-            if isinstance(r, CfgTerminal):
-                ok = True
-            elif isinstance(r, CfgBinary):
-                ok = r.left in productive and r.right in productive
-            else:
-                ok = r.rhs in productive
-            if ok:
-                productive.add(r.lhs)
-                changed = True
-    live_rules = [r for r in cfg.rules if r.lhs in productive and
-                  (isinstance(r, CfgTerminal) or
-                   (isinstance(r, CfgBinary) and r.left in productive
-                    and r.right in productive) or
-                   (isinstance(r, CfgUnary) and r.rhs in productive))]
+    queue = []
+    for i, r in enumerate(cfg.rules):
+        kids = rule_kids(r)
+        waiting.append(len(kids))
+        for k in kids:
+            by_kid.setdefault(k, []).append(i)
+        if not kids and r.lhs not in productive:
+            productive.add(r.lhs)
+            queue.append(r.lhs)
+    while queue:
+        for i in by_kid.get(queue.pop(), ()):
+            waiting[i] -= 1
+            lhs = cfg.rules[i].lhs
+            if not waiting[i] and lhs not in productive:
+                productive.add(lhs)
+                queue.append(lhs)
+    live_rules = [r for r, n in zip(cfg.rules, waiting) if not n]
     live_by_lhs = {}
     for r in live_rules:
         live_by_lhs.setdefault(r.lhs, []).append(r)
@@ -121,9 +129,7 @@ def trim_cfg(cfg):
         while queue:
             nt = queue.pop()
             for r in live_by_lhs.get(nt, ()):
-                kids = ([r.left, r.right] if isinstance(r, CfgBinary)
-                        else [r.rhs] if isinstance(r, CfgUnary) else [])
-                for k in kids:
+                for k in rule_kids(r):
                     if k not in reachable:
                         reachable.add(k)
                         queue.append(k)
@@ -136,9 +142,7 @@ def cfg_bounded_words(cfg, max_len):
     """All words of L(cfg) of length <= max_len (exact)."""
     val = {nt: set() for nt in cfg.nonterminals}
     for r in cfg.rules:
-        val.setdefault(r.lhs, set())
-        for k in ([r.left, r.right] if isinstance(r, CfgBinary)
-                  else [r.rhs] if isinstance(r, CfgUnary) else []):
+        for k in [r.lhs] + rule_kids(r):
             val.setdefault(k, set())
     changed = True
     while changed:
@@ -171,9 +175,7 @@ def cfg_dcl_bounded(cfg, max_len):
     """
     val = {nt: set() for nt in cfg.nonterminals}
     for r in cfg.rules:
-        val.setdefault(r.lhs, set())
-        for k in ([r.left, r.right] if isinstance(r, CfgBinary)
-                  else [r.rhs] if isinstance(r, CfgUnary) else []):
+        for k in [r.lhs] + rule_kids(r):
             val.setdefault(k, set())
     changed = True
     while changed:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .cfg import CfgBinary, CfgTerminal, CfgUnary, trim_cfg
+from .cfg import CfgBinary, CfgTerminal, CfgUnary, rule_kids, trim_cfg
 
 INFINITE = "infinite"
 
@@ -78,11 +78,8 @@ def nfa_from_dict(d):
     return nfa
 
 
-def _eps_closure(nfa, states):
-    adj = {}
-    for (s, a, t) in nfa.transitions:
-        if a is None:
-            adj.setdefault(s, []).append(t)
+def _closure(adj, states):
+    """States reachable from states along the adjacency adj."""
     out = set(states)
     queue = list(states)
     while queue:
@@ -94,17 +91,27 @@ def _eps_closure(nfa, states):
     return out
 
 
-def nfa_member(nfa, word):
-    cur = _eps_closure(nfa, nfa.initial)
+def _step_and_eps(nfa):
+    """The letter steps (state, letter) -> set of states, and the epsilon
+    adjacency state -> list of states."""
     step = {}
+    eps = {}
     for (s, a, t) in nfa.transitions:
         if a is not None:
             step.setdefault((s, a), set()).add(t)
+        else:
+            eps.setdefault(s, []).append(t)
+    return step, eps
+
+
+def nfa_member(nfa, word):
+    step, eps = _step_and_eps(nfa)
+    cur = _closure(eps, nfa.initial)
     for c in word:
         nxt = set()
         for s in cur:
             nxt |= step.get((s, c), set())
-        cur = _eps_closure(nfa, nxt)
+        cur = _closure(eps, nxt)
         if not cur:
             return False
     return bool(cur & nfa.final)
@@ -151,26 +158,8 @@ def determinize(nfa, cap=100000):
     from .analysis import CapExceeded
 
     alphabet = sorted(nfa.alphabet)
-    step = {}
-    eps = {}
-    for (s, a, t) in nfa.transitions:
-        if a is not None:
-            step.setdefault((s, a), set()).add(t)
-        else:
-            eps.setdefault(s, []).append(t)
-
-    def close(states):
-        out = set(states)
-        queue = list(states)
-        while queue:
-            s = queue.pop()
-            for t in eps.get(s, ()):
-                if t not in out:
-                    out.add(t)
-                    queue.append(t)
-        return out
-
-    start = frozenset(close(nfa.initial))
+    step, eps = _step_and_eps(nfa)
+    start = frozenset(_closure(eps, nfa.initial))
     ids = {start: 0}
     order = [start]
     delta = {}
@@ -182,7 +171,7 @@ def determinize(nfa, cap=100000):
             nxt = set()
             for s in cur:
                 nxt |= step.get((s, a), set())
-            nxt = frozenset(close(nxt))
+            nxt = frozenset(_closure(eps, nxt))
             if nxt not in ids:
                 if len(order) >= cap:
                     raise CapExceeded("determinization cap exceeded")
@@ -290,61 +279,32 @@ def longest_word_or_infinite(nfa):
     fwd = {}
     bwd = {}
     for (s, a, t) in nfa.transitions:
-        fwd.setdefault(s, []).append((a, t))
-        bwd.setdefault(t, []).append((a, s))
-    def closure(starts, adj):
-        out = set(starts)
-        queue = list(starts)
-        while queue:
-            s = queue.pop()
-            for (_, t) in adj.get(s, ()):
-                if t not in out:
-                    out.add(t)
-                    queue.append(t)
-        return out
-    live = closure(nfa.initial, fwd) & closure(nfa.final, bwd)
+        fwd.setdefault(s, []).append(t)
+        bwd.setdefault(t, []).append(s)
+    live = _closure(fwd, nfa.initial) & _closure(bwd, nfa.final)
     if not live:
         return None
-    edges = [(s, a, t) for (s, a, t) in nfa.transitions
-             if s in live and t in live]
-    # contract epsilon-connected components, then longest path in the DAG
-    # over letter edges; a letter edge within a cycle means unbounded.
-    n = nfa.n_states
-    index = {}
-    order = []
-    comp = {}
-    # Tarjan over ALL live edges to find cycles
-    import sys
-    sys.setrecursionlimit(10000)
-    adj = {}
-    for (s, a, t) in edges:
-        adj.setdefault(s, []).append(t)
-    sccs = _tarjan(sorted(live), adj)
-    for i, c in enumerate(sccs):
-        for q in c:
-            comp[q] = i
-    for (s, a, t) in edges:
-        if a is not None and comp[s] == comp[t]:
-            return INFINITE
-    # condensation DAG: longest letter-path
+    # every state on a cycle through a live state is live, so the
+    # components of live states are those of the whole graph; a letter
+    # edge within a component means unbounded
+    sccs = _tarjan(sorted(live), fwd)
+    comp = {q: i for i, c in enumerate(sccs) for q in c}
+    # longest letter path in the condensation DAG; _tarjan emits each
+    # component after every component it reaches, so one pass suffices
     cadj = {}
-    for (s, a, t) in edges:
-        if comp[s] != comp[t] or a is not None:
-            cadj.setdefault(comp[s], []).append((1 if a is not None else 0,
-                                                 comp[t]))
-    memo = {}
-    def longest(c):
-        if c not in memo:
-            memo[c] = 0
-            best = 0
-            for (w, c2) in cadj.get(c, ()):
-                if c2 == c:
-                    continue
-                best = max(best, w + longest(c2))
-            memo[c] = best
-        return memo[c]
-    starts = {comp[q] for q in nfa.initial if q in live}
-    return max(longest(c) for c in starts)
+    for (s, a, t) in nfa.transitions:
+        if s not in live or t not in live:
+            continue
+        if comp[s] != comp[t]:
+            cadj.setdefault(comp[s], []).append(
+                (0 if a is None else 1, comp[t]))
+        elif a is not None:
+            return INFINITE
+    longest = []
+    for i in range(len(sccs)):
+        longest.append(max((w + longest[c] for (w, c) in cadj.get(i, ())),
+                           default=0))
+    return max(longest[comp[q]] for q in nfa.initial if q in live)
 
 
 def _tarjan(nodes, adj):
@@ -497,9 +457,7 @@ def cfg_dcl_nfa(cfg, cap=100000):
 
     dep = {nt: set() for nt in by_lhs}
     for r in cfg.rules:
-        kids = ([r.left, r.right] if isinstance(r, CfgBinary)
-                else [r.rhs] if isinstance(r, CfgUnary) else [])
-        dep[r.lhs].update(k for k in kids if k in by_lhs)
+        dep[r.lhs].update(k for k in rule_kids(r) if k in by_lhs)
     order = {nt: i for i, nt in enumerate(by_lhs)}
     sccs = _tarjan(sorted(by_lhs, key=lambda nt: order[nt]),
                    {nt: sorted(dep[nt], key=lambda k: order[k])

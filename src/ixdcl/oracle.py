@@ -252,42 +252,6 @@ def term_routes(g, X, start, goal, max_height, max_steps=1000000):
     return False
 
 
-def find_context_derivation(g, start, goal, budget, others_ok=None):
-    """Bounded search for a derivation  start => ... => u goal v.
-
-    Looks for a sentential form containing the term `goal` in which every
-    other item satisfies `others_ok` (by default anything is allowed).
-    The search starts from the single-term form (start,).  Returns True
-    when such a form is found; False means none was found within the
-    budget, which is conclusive only if the budget covers the search
-    space.
-    """
-    if others_ok is None:
-        others_ok = lambda item: True
-    form = (start,)
-    seen = {form}
-    queue = deque([form])
-    steps = 0
-    while queue and steps < budget.max_steps:
-        cur = queue.popleft()
-        steps += 1
-        for i, item in enumerate(cur):
-            if item == goal and all(others_ok(x) for j, x in enumerate(cur)
-                                    if j != i):
-                return True
-        for nxt in derive_successors(cur, g):
-            if nxt in seen:
-                continue
-            if sum(1 for x in nxt if isinstance(x, str)) > budget.max_word_len:
-                continue
-            if any(isinstance(x, Term)
-                   and len(x.stack) > budget.max_stack_height for x in nxt):
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-    return False
-
-
 def is_subword(u, v):
     """Scattered-subword order: u embeds into v preserving letter order."""
     it = iter(v)

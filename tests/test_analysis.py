@@ -1,11 +1,54 @@
 """Productiveness analysis: actions, closures, universe, matrices, reach."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ixdcl.analysis import Analysis, CapExceeded
-from ixdcl.families import g1_grammar, square_grammar
+from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
+                            square_grammar)
 from ixdcl.grammar import grammar_from_text
+from test_summaries import RANDOM_361_TEXT, canonical
+
+# (universe size, sha256 prefix of analysis_fingerprint)
+ANALYSIS_GOLDENS = {
+    "g1": (2, "57473591d4832c0f"),
+    "loop": (1, "1fffee1bf0265e53"),
+    "square": (2, "88ebdbd062ac16e7"),
+    "G_1": (5, "b621ffd97b3fbfb6"),
+    "G_2": (15, "71d53c65a3e90cfe"),
+    "random": (2, "093436b50984e830"),
+}
+
+
+def analysis_fingerprint(an):
+    """Universe size and a digest of useful(), the universe in order, and
+    per universe set X: act(f, X) and matrix(f, X) for every stack letter
+    f, then reach(X).  Sets are rendered sorted, so the digest does not
+    depend on PYTHONHASHSEED."""
+    uni = an.universe()
+    letters = sorted(an.g.symbols.stack_symbols, key=str)
+    lines = ["useful " + canonical(an.useful())]
+    lines += ["universe " + canonical(X) for X in uni]
+    for X in uni:
+        for f in letters:
+            lines.append(f"act {canonical(f)} {canonical(X)} "
+                         f"{canonical(an.act(f, X))}")
+            lines.append(f"matrix {canonical(f)} {canonical(X)} "
+                         f"{canonical(an.matrix(f, X))}")
+        lines.append(f"reach {canonical(X)} {canonical(an.reach(X))}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return len(uni), digest[:16]
+
+
+def test_analysis_fingerprint_goldens():
+    grammars = {"g1": g1_grammar(), "loop": g_loop_grammar(),
+                "square": square_grammar(), "G_1": grammar_gn(1),
+                "G_2": grammar_gn(2),
+                "random": grammar_from_text(RANDOM_361_TEXT)}
+    assert {name: analysis_fingerprint(Analysis(g))
+            for name, g in grammars.items()} == ANALYSIS_GOLDENS
 
 
 def test_useful_goldens(fixtures):

@@ -1,9 +1,12 @@
 """The context-free cover over (annotated nonterminal, summary) triples."""
 
+import random
+
 from ixdcl.cfg import (Cfg, CfgBinary, CfgTerminal, CfgUnary,
                        cfg_bounded_words, cfg_dcl_bounded, cfg_member,
                        trim_cfg)
 from ixdcl.oracle import OracleBudget, subwords, term_language_dp
+from test_nfa import random_cfg
 
 
 def test_cfg_goldens(fixtures):
@@ -110,3 +113,55 @@ def test_trim_empty_language():
     out = trim_cfg(cfg)
     assert out.rules == ()
     assert cfg_bounded_words(out, 5) == frozenset()
+
+
+def round_robin_trim(cfg):
+    """Reference trim: the productive pass rescans every rule each round
+    until nothing changes."""
+    productive = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in cfg.rules:
+            if r.lhs in productive:
+                continue
+            if isinstance(r, CfgTerminal):
+                ok = True
+            elif isinstance(r, CfgBinary):
+                ok = r.left in productive and r.right in productive
+            else:
+                ok = r.rhs in productive
+            if ok:
+                productive.add(r.lhs)
+                changed = True
+    live_rules = [r for r in cfg.rules if r.lhs in productive and
+                  (isinstance(r, CfgTerminal) or
+                   (isinstance(r, CfgBinary) and r.left in productive
+                    and r.right in productive) or
+                   (isinstance(r, CfgUnary) and r.rhs in productive))]
+    reachable = set()
+    if cfg.start in productive:
+        queue = [cfg.start]
+        reachable.add(cfg.start)
+        while queue:
+            nt = queue.pop()
+            for r in live_rules:
+                if r.lhs != nt:
+                    continue
+                kids = ([r.left, r.right] if isinstance(r, CfgBinary)
+                        else [r.rhs] if isinstance(r, CfgUnary) else [])
+                for k in kids:
+                    if k not in reachable:
+                        reachable.add(k)
+                        queue.append(k)
+    rules = tuple(r for r in live_rules if r.lhs in reachable)
+    nts = [n for n in cfg.nonterminals if n in reachable]
+    return Cfg(nts, cfg.terminals, cfg.start, rules)
+
+
+def test_trim_matches_round_robin(fixtures):
+    cfgs = [st_.cfg for st_ in fixtures.values()]
+    rng = random.Random(1)
+    cfgs += [random_cfg(rng) for _ in range(200)]
+    for cfg in cfgs:
+        assert trim_cfg(cfg) == round_robin_trim(cfg)

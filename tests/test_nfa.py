@@ -92,6 +92,11 @@ def test_longest_word_finite_infinite_empty():
     assert longest_word_or_infinite(n) == 1
 
 
+def test_longest_word_of_a_long_chain():
+    # 20000 states in a row: no recursion on the length of the chain
+    assert longest_word_or_infinite(word_subword_nfa("a" * 20000)) == 20000
+
+
 def test_to_dict_round_trip():
     n = astar_bstar_nfa()
     again = nfa_from_dict(n.to_dict())
