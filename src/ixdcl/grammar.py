@@ -406,19 +406,38 @@ def desugar(sg):
         core.append(BinaryRule(b_names[k - 1], occs[k - 1], w_names[k]))
 
     def dfa_state_nt(dfa, q):
-        name = f"E.{dfa.name}.{q}"
-        if name not in nts:
-            fresh(name)
-            for (p, a, r) in dfa.transitions:
-                if a not in stacks:
-                    raise GrammarError(
-                        f"dfa {dfa.name}: letter {a!r} is not a stack symbol")
-            for (p, a, r) in dfa.transitions:
-                if p == q:
-                    core.append(PopRule(name, a, f"E.{dfa.name}.{r}"))
-                    dfa_state_nt(dfa, r)
-            if q in dfa.finals:
-                core.append(TerminalRule(name, ""))
+        """The nonterminal that pops along the DFA from state q.  An
+        explicit stack walks the DFA depth first and emits rules in the
+        order of a recursive walk: each pop rule, then the rules of the
+        state it reaches if that state is new, and a state's final rule
+        after all of its pop rules."""
+        def nt(q):
+            return f"E.{dfa.name}.{q}"
+
+        name = nt(q)
+        if name in nts:
+            return name
+        for (p, a, r) in dfa.transitions:
+            if a not in stacks:
+                raise GrammarError(
+                    f"dfa {dfa.name}: letter {a!r} is not a stack symbol")
+        out = {}
+        for (p, a, r) in dfa.transitions:
+            out.setdefault(p, []).append((a, r))
+        fresh(name)
+        stack = [(q, iter(out.get(q, ())))]
+        while stack:
+            p, moves = stack[-1]
+            for (a, r) in moves:
+                core.append(PopRule(nt(p), a, nt(r)))
+                if nt(r) not in nts:
+                    fresh(nt(r))
+                    stack.append((r, iter(out.get(r, ()))))
+                    break
+            else:
+                stack.pop()
+                if p in dfa.finals:
+                    core.append(TerminalRule(nt(p), ""))
         return name
 
     for idx, prod in enumerate(sg.productions):

@@ -20,7 +20,12 @@ time, bottom-up:
     leaving the component.
 
 The final expression for the start symbol is then unfolded into a small
-NFA.
+NFA, which keeps the expression in `Nfa.ideals`.  Membership and the
+longest word read those ideals when they are present, by greedy
+matching, in time linear in the word and the ideals; NFAs without them
+(built by hand, read back by `nfa_from_dict`, or edited after the
+construction) are simulated state by state.  Inclusion and equivalence
+always determinize.
 """
 
 from __future__ import annotations
@@ -40,16 +45,21 @@ class Nfa:
     transitions: list = field(default_factory=list)  # (src, letter|None, dst)
     initial: set = field(default_factory=set)
     final: set = field(default_factory=set)
+    # The antichain of ideals whose union is the language, or None.  Set
+    # by cfg_dcl_nfa; an edit through add_edge or embed clears it.
+    ideals: frozenset | None = None
 
     def add_state(self):
         self.n_states += 1
         return self.n_states - 1
 
     def add_edge(self, src, letter, dst):
+        self.ideals = None
         self.transitions.append((src, letter, dst))
 
     def embed(self, other):
         """Copy another NFA into this one; returns its state offset."""
+        self.ideals = None
         off = self.n_states
         self.n_states += other.n_states
         for (s, a, t) in other.transitions:
@@ -105,6 +115,9 @@ def _step_and_eps(nfa):
 
 
 def nfa_member(nfa, word):
+    if nfa.ideals is not None:
+        small = _word_ideal(word)
+        return any(_ideal_le(small, ideal) for ideal in nfa.ideals)
     step, eps = _step_and_eps(nfa)
     cur = _closure(eps, nfa.initial)
     for c in word:
@@ -275,6 +288,12 @@ def nfa_equivalence(n1, n2, cap=100000):
 def longest_word_or_infinite(nfa):
     """Length of a longest accepted word, INFINITE if unbounded, or None
     for the empty language.  Epsilon-only cycles do not pump length."""
+    if nfa.ideals is not None:
+        if not nfa.ideals:
+            return None
+        if any(kind == "s" for ideal in nfa.ideals for kind, _ in ideal):
+            return INFINITE
+        return max(map(len, nfa.ideals))
     # trim to states on an accepting path
     fwd = {}
     bwd = {}
@@ -415,7 +434,10 @@ def _ideal_key(ideal):
 
 
 def _antichain(ideals):
-    items = sorted(set(ideals), key=_ideal_key)
+    items = set(ideals)
+    if len(items) < 2:
+        return frozenset(items)
+    items = sorted(items, key=_ideal_key)
     out = []
     for i, small in enumerate(items):
         dominated = False
@@ -449,6 +471,7 @@ def cfg_dcl_nfa(cfg, cap=100000):
     if not cfg.rules or cfg.start not in {r.lhs for r in cfg.rules}:
         s = out.add_state()
         out.initial = {s}
+        out.ideals = frozenset()
         return out   # empty language, no final state
 
     by_lhs = {}
@@ -506,38 +529,36 @@ def cfg_dcl_nfa(cfg, cap=100000):
                 for r in by_lhs[nt]:
                     ideals |= rule_sre(r)
                 sre[nt] = _antichain(ideals)
-                if len(sre[nt]) > cap:
-                    from .analysis import CapExceeded
-                    raise CapExceeded("closure expression cap exceeded")
-            continue
-        expansive = any(
-            isinstance(r, CfgBinary) and r.left in members
-            and r.right in members
-            for nt in members for r in by_lhs[nt])
-        if expansive:
+        elif any(isinstance(r, CfgBinary) and r.left in members
+                 and r.right in members
+                 for nt in members for r in by_lhs[nt]):
+            # expansive component
             gamma = frozenset().union(*(alph[nt] for nt in members))
             value = frozenset([_norm_ideal((("s", gamma),))])
             for nt in members:
                 sre[nt] = value
-            continue
-        # linear component: U* E V*, shared by every member
-        up, down = set(), set()
-        exits = frozenset()
-        for nt in members:
-            for r in by_lhs[nt]:
-                if isinstance(r, CfgBinary) and r.left in members:
-                    down |= alph[r.right]
-                elif isinstance(r, CfgBinary) and r.right in members:
-                    up |= alph[r.left]
-                elif isinstance(r, CfgUnary) and r.rhs in members:
-                    pass
-                else:
-                    exits |= rule_sre(r)
-        pre = (("s", frozenset(up)),)
-        post = (("s", frozenset(down)),)
-        value = _antichain(_norm_ideal(pre + e + post) for e in exits)
-        for nt in members:
-            sre[nt] = value
+        else:
+            # linear component: U* E V*, shared by every member
+            up, down = set(), set()
+            exits = frozenset()
+            for nt in members:
+                for r in by_lhs[nt]:
+                    if isinstance(r, CfgBinary) and r.left in members:
+                        down |= alph[r.right]
+                    elif isinstance(r, CfgBinary) and r.right in members:
+                        up |= alph[r.left]
+                    elif isinstance(r, CfgUnary) and r.rhs in members:
+                        pass
+                    else:
+                        exits |= rule_sre(r)
+            pre = (("s", frozenset(up)),)
+            post = (("s", frozenset(down)),)
+            value = _antichain(_norm_ideal(pre + e + post) for e in exits)
+            for nt in members:
+                sre[nt] = value
+        if any(len(sre[nt]) > cap for nt in members):
+            from .analysis import CapExceeded
+            raise CapExceeded("closure expression cap exceeded")
 
     init = out.add_state()
     fin = out.add_state()
@@ -558,4 +579,5 @@ def cfg_dcl_nfa(cfg, cap=100000):
         out.add_edge(cur, None, fin)
     if not sre[cfg.start]:
         out.final = set()
+    out.ideals = sre[cfg.start]
     return out

@@ -14,7 +14,9 @@ from .analysis import Analysis, CapExceeded
 from .annotate import build_annotated
 from .cfg import build_cfg, trim_cfg
 from .monoid import StackMonoid
-from .nfa import cfg_dcl_nfa, dcl_close
+from .nfa import cfg_dcl_nfa
+# Not called: the closure NFA is subword-closed; perfbench/spans.py rebinds it.
+from .nfa import dcl_close  # noqa: F401
 from .summaries import SummaryFactory, build_summary_graph
 
 
@@ -54,7 +56,6 @@ def run_pipeline(g, caps=None):
         raise CapExceeded("cfg triple cap exceeded")
     trimmed = trim_cfg(cfg)
     nfa = cfg_dcl_nfa(trimmed)
-    nfa = dcl_close(nfa)
     stats = {
         "grammar_size": g.size(),
         "nonterminals": len(g.symbols.nonterminals),

@@ -9,9 +9,11 @@ import pytest
 from ixdcl.analysis import Analysis
 from ixdcl.annotate import build_annotated
 from ixdcl.cfg import build_cfg, trim_cfg
-from ixdcl.families import g1_grammar, g_loop_grammar, square_grammar
+from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
+                            square_grammar)
 from ixdcl.monoid import StackMonoid
 from ixdcl.nfa import cfg_dcl_nfa
+from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
 
 
@@ -48,3 +50,9 @@ def square():
 @pytest.fixture(scope="session")
 def fixtures(g1, loop, square):
     return {"g1": g1, "loop": loop, "square": square}
+
+
+@pytest.fixture(scope="session")
+def gn_nfas():
+    """The closure NFAs of the lower-bound grammars G_1 and G_2."""
+    return {n: run_pipeline(grammar_gn(n)).nfa for n in (1, 2)}

@@ -134,6 +134,15 @@ def test_member(capsys, paths):
     assert run_json(capsys, ["member", paths["square"], '""'])["member"]
 
 
+def test_member_of_g2_closure(capsys, tmp_path):
+    code, text, _ = run(capsys, ["gen", "gn", "2"])
+    assert code == 0
+    path = tmp_path / "g2.ix"
+    path.write_text(text)
+    data = run_json(capsys, ["member", str(path), "a" * 65536])
+    assert data["member"] is True
+
+
 def test_oracle(capsys, paths):
     data = run_json(capsys, ["oracle", "--len", "8", "--height", "4",
                              paths["g1"]])

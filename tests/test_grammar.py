@@ -163,6 +163,22 @@ def test_check_rule_blocks_rejected_stack():
     assert res.words == set()
 
 
+def test_check_rule_over_a_long_chain_dfa():
+    # 1500 states in a row: desugaring walks the DFA without recursion
+    n = 1500
+    states = " ".join(f"q{i}" for i in range(n))
+    moves = " ".join(f"q{i} f q{i + 1};" for i in range(n - 1))
+    text = ("start S\nterminals a\nstack f\n"
+            f"dfa D {{ states {states}; init q0; final q{n - 1}; {moves} }}\n"
+            "S -> T + f\nT -> U check D\nU -> \"a\"\n")
+    g = grammar_from_text(text)
+    assert not validate(g)
+    chain = [(p.lhs, p.rhs) for p in g.productions
+             if isinstance(p, PopRule) and p.lhs.startswith("E.D.")]
+    assert chain == [(f"E.D.q{i}", f"E.D.q{i + 1}") for i in range(n - 1)]
+    assert TerminalRule(f"E.D.q{n - 1}", "") in g.productions
+
+
 @st.composite
 def small_grammars(draw):
     """Random core grammars over fixed small symbol pools."""

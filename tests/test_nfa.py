@@ -1,10 +1,14 @@
 """NFA algebra, ideal arithmetic, and the downward-closure construction."""
 
+import dataclasses
 import itertools
 import random
 
+import pytest
+
 from hypothesis import given, strategies as st
 
+from ixdcl.analysis import CapExceeded
 from ixdcl.cfg import (Cfg, CfgBinary, CfgTerminal, CfgUnary,
                        cfg_dcl_bounded)
 from ixdcl.nfa import (INFINITE, Nfa, _antichain, _ideal_le, _norm_ideal,
@@ -97,6 +101,17 @@ def test_longest_word_of_a_long_chain():
     assert longest_word_or_infinite(word_subword_nfa("a" * 20000)) == 20000
 
 
+def test_edits_clear_the_ideals():
+    n = word_subword_nfa("ab")
+    n.ideals = frozenset([_word_ideal("ab")])
+    n.add_edge(0, "b", 0)
+    assert n.ideals is None
+    assert nfa_member(n, "bbab")
+    n.ideals = frozenset([_word_ideal("ab")])
+    n.embed(astar_bstar_nfa())
+    assert n.ideals is None
+
+
 def test_to_dict_round_trip():
     n = astar_bstar_nfa()
     again = nfa_from_dict(n.to_dict())
@@ -184,11 +199,25 @@ def test_dcl_nfa_linear_component():
         cfg_dcl_bounded(cfg, 4)
 
 
+EMPTY_CFG = Cfg(["S"], frozenset("a"), "S", (CfgUnary("S", "S", ""),))
+
+
 def test_dcl_nfa_empty_language():
-    cfg = Cfg(["S"], frozenset("a"), "S", (CfgUnary("S", "S", ""),))
-    nfa = cfg_dcl_nfa(cfg)
+    nfa = cfg_dcl_nfa(EMPTY_CFG)
+    assert nfa.ideals == frozenset()
     assert not nfa_member(nfa, "")
     assert longest_word_or_infinite(nfa) is None
+
+
+def test_dcl_nfa_cap_bounds_linear_components():
+    # S -> a S | c | d | e: the closure a*(c + d + e) needs three ideals
+    cfg = Cfg(["S", "A"], frozenset("acde"), "S",
+              (CfgBinary("S", "A", "S"), CfgTerminal("A", "a"),
+               CfgTerminal("S", "c"), CfgTerminal("S", "d"),
+               CfgTerminal("S", "e")))
+    assert len(cfg_dcl_nfa(cfg, cap=3).ideals) == 3
+    with pytest.raises(CapExceeded):
+        cfg_dcl_nfa(cfg, cap=2)
 
 
 def random_cfg(rng):
@@ -235,3 +264,26 @@ def test_fixture_nfa_longest(fixtures):
 
 def test_square_nfa_is_astar_bstar(square):
     assert nfa_equivalence(square.nfa, astar_bstar_nfa())[0]
+
+
+def test_ideal_queries_match_simulation(fixtures, gn_nfas):
+    # the same NFA with its ideals dropped is simulated state by state
+    rng = random.Random(3)
+    nfas = ([st_.nfa for st_ in fixtures.values()] + list(gn_nfas.values())
+            + [cfg_dcl_nfa(EMPTY_CFG)]
+            + [cfg_dcl_nfa(random_cfg(rng)) for _ in range(200)])
+    for nfa in nfas:
+        assert nfa.ideals is not None
+        plain = dataclasses.replace(nfa, ideals=None)
+        assert longest_word_or_infinite(nfa) == \
+            longest_word_or_infinite(plain)
+        for w in words_upto(sorted(nfa.alphabet), 4):
+            assert nfa_member(nfa, w) == nfa_member(plain, w), (nfa, w)
+
+
+def test_g2_closure_is_the_subwords_of_a_65536(gn_nfas):
+    nfa = gn_nfas[2]
+    assert nfa_member(nfa, "a" * 65536)
+    assert not nfa_member(nfa, "a" * 65537)
+    assert longest_word_or_infinite(nfa) == 65536
+    assert "ideals" not in nfa.to_dict()
