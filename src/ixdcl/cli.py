@@ -42,7 +42,6 @@ def _caps(args):
         max_monoid=args.max_monoid,
         max_summaries=args.max_summaries,
         max_triples=args.max_triples,
-        max_dfa_states=args.max_dfa_states,
     )
 
 

@@ -9,13 +9,21 @@ The product multiplies the topmost segment on the left.  A morphism phi
 maps annotated stack letters (topmost letter leftmost) into the monoid;
 a stack is feasible exactly when its image is not the zero.
 
-The module also computes Green's relations, idempotents and the regular
-J-depth on the generated submonoid, which bound how summaries grow.
+The submonoid generated by the letter images is enumerated breadth-first
+by multiplying with generators on both sides, which yields its left and
+right Cayley graphs (Froidure & Pin, "Algorithms for computing finite
+semigroups", 1997).  x is J-above y exactly when y is reachable from x in
+their union, so the J-classes are its strongly connected components.  One
+pass over them gives the regular J-depth of every element, which bounds
+how summaries grow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .analysis import CapExceeded
+from .nfa import sccs
 
 
 class _Unit:
@@ -76,8 +84,8 @@ class StackMonoid:
         self.gens = {}
         for letter in sorted(letters, key=str):
             self.gens[letter] = self._mk(self._phi_letter(letter))
-        self.elements = self._closure()
-        self._green = None
+        self.elements, below = self._closure()
+        self._idempotents, self._depth, self._j_length = self._j_data(below)
 
     def _mk(self, seg):
         """Intern elements so structural equality is object identity."""
@@ -129,28 +137,37 @@ class StackMonoid:
         return out
 
     def _closure(self):
+        """The elements, breadth-first from ONE, and the two-sided Cayley
+        graph: below[i] holds the indices of g.x and x.g for x =
+        elements[i] and every generator g.
+
+        ZERO is J-below every element, being ZERO.x, even when no product
+        of generators is ZERO; it is then appended, and every element gets
+        an edge to it.  Elements are interned, so they are indexed by id.
+        """
+        gens = list(dict.fromkeys(self.gens.values()))
         elems = [ONE]
-        seen = {ONE}
-        queue = list(dict.fromkeys(self.gens.values()))
-        for x in queue:
-            if x not in seen:
-                seen.add(x)
-                elems.append(x)
-        i = 1
-        while i < len(elems):
-            x = elems[i]
-            i += 1
-            for y in list(elems):
-                for z in (self.product(x, y), self.product(y, x)):
-                    if z not in seen:
+        index = {id(ONE): 0}
+        below = []
+        for x in elems:   # elems grows while it is scanned
+            succ = set()
+            for g in gens:
+                for z in (self.product(g, x), self.product(x, g)):
+                    i = index.get(id(z))
+                    if i is None:
                         if len(elems) >= self.cap:
-                            from .analysis import CapExceeded
                             raise CapExceeded("stack monoid cap exceeded")
-                        seen.add(z)
+                        i = index[id(z)] = len(elems)
                         elems.append(z)
-        if ZERO not in seen:
+                    succ.add(i)
+            below.append(succ)
+        if id(ZERO) not in index:
+            index[id(ZERO)] = len(elems)
             elems.append(ZERO)
-        return elems
+            below.append(set())
+        for succ in below:
+            succ.add(index[id(ZERO)])
+        return elems, below
 
     # -- feasibility --------------------------------------------------------
 
@@ -171,86 +188,40 @@ class StackMonoid:
 
     # -- Green's relations and regular J-depth ------------------------------
 
-    def _green_data(self):
-        if self._green is not None:
-            return self._green
+    def _j_data(self, below):
+        """The idempotents, the depth of every element and the J-length.
+
+        The J-classes are the components of the Cayley graph `below`.
+        `sccs` emits a component after every component it reaches, so the
+        reversed list visits each class after all classes above it.
+        above[i] is the longest chain of idempotent J-classes strictly
+        above the class of elements[i]; a class passes that chain, plus
+        itself if it holds an idempotent, down its outgoing edges.
+        """
         elems = self.elements
-        ideal = {}    # y -> set of elements a.y.b (the two-sided ideal)
-        for y in elems:
-            left = {self.product(a, y) for a in elems}
-            ideal[y] = {self.product(v, b) for v in left for b in elems}
-        def j_below(x, y):
-            return x in ideal[y]
-        j_class = {}
-        for x in elems:
-            j_class[x] = frozenset(z for z in elems
-                                   if j_below(x, z) and j_below(z, x))
-        idem = [x for x in elems if self.product(x, x) == x]
-        idem_classes = sorted({j_class[e] for e in idem},
-                              key=lambda c: sorted(map(element_key, c)))
-        # longest chain of idempotent J-classes ending at each class
-        chain = {}
-        def chain_len(c):
-            if c not in chain:
-                chain[c] = 0   # break cycles defensively; order is strict
-                best = 1
-                x = next(iter(c))
-                for c2 in idem_classes:
-                    if c2 == c:
-                        continue
-                    y = next(iter(c2))
-                    if j_below(x, y) and not j_below(y, x):
-                        best = max(best, 1 + chain_len(c2))
-                chain[c] = best
-            return chain[c]
-        for c in idem_classes:
-            chain_len(c)
+        idem = [self.product(x, x) is x for x in elems]
+        above = [0] * len(elems)
         depth = {}
-        for x in elems:
-            best = 0
-            for c in idem_classes:
-                y = next(iter(c))
-                if j_below(x, y) and not j_below(y, x):
-                    best = max(best, chain[c])
-            depth[x] = best
-        self._green = {
-            "ideal": ideal,
-            "j_class": j_class,
-            "idempotents": idem,
-            "idem_classes": idem_classes,
-            "chain": chain,
-            "depth": depth,
-        }
-        return self._green
+        j_length = 0
+        for comp in reversed(sccs(range(len(elems)), dict(enumerate(below)))):
+            d = max(above[i] for i in comp)
+            chain = d + any(idem[i] for i in comp)
+            j_length = max(j_length, chain)
+            for i in comp:
+                depth[elems[i]] = d
+                # an edge inside comp is harmless: d is already read
+                for j in below[i]:
+                    above[j] = max(above[j], chain)
+        return [x for x, e in zip(elems, idem) if e], depth, j_length
 
     def idempotents(self):
-        return list(self._green_data()["idempotents"])
+        return list(self._idempotents)
 
     def depth(self, x):
         """Regular J-depth: the longest chain of idempotent J-classes
         strictly above x."""
-        return self._green_data()["depth"][x]
+        return self._depth[x]
 
     def j_length(self):
-        g = self._green_data()
-        return max(g["chain"].values(), default=0)
-
-    def h_classes(self):
-        elems = self.elements
-        lset = {y: frozenset(self.product(a, y) for a in elems)
-                for y in elems}
-        rset = {y: frozenset(self.product(y, b) for b in elems)
-                for y in elems}
-        def l_eq(x, y):
-            return x in lset[y] and y in lset[x]
-        def r_eq(x, y):
-            return x in rset[y] and y in rset[x]
-        out = []
-        done = set()
-        for x in elems:
-            if x in done:
-                continue
-            h = frozenset(y for y in elems if l_eq(x, y) and r_eq(x, y))
-            done |= h
-            out.append(h)
-        return out
+        """The longest chain of idempotent J-classes."""
+        return self._j_length

@@ -306,9 +306,9 @@ def longest_word_or_infinite(nfa):
     # every state on a cycle through a live state is live, so the
     # components of live states are those of the whole graph; a letter
     # edge within a component means unbounded
-    sccs = _tarjan(sorted(live), fwd)
-    comp = {q: i for i, c in enumerate(sccs) for q in c}
-    # longest letter path in the condensation DAG; _tarjan emits each
+    comps = sccs(sorted(live), fwd)
+    comp = {q: i for i, c in enumerate(comps) for q in c}
+    # longest letter path in the condensation DAG; sccs emits each
     # component after every component it reaches, so one pass suffices
     cadj = {}
     for (s, a, t) in nfa.transitions:
@@ -320,13 +320,16 @@ def longest_word_or_infinite(nfa):
         elif a is not None:
             return INFINITE
     longest = []
-    for i in range(len(sccs)):
+    for i in range(len(comps)):
         longest.append(max((w + longest[c] for (w, c) in cadj.get(i, ())),
                            default=0))
     return max(longest[comp[q]] for q in nfa.initial if q in live)
 
 
-def _tarjan(nodes, adj):
+def sccs(nodes, adj):
+    """Tarjan's strongly connected components of the graph adj (a dict
+    of successor lists) from the roots nodes, without recursion.  Each
+    component is emitted after every component it reaches."""
     index = {}
     low = {}
     on = set()
@@ -482,11 +485,11 @@ def cfg_dcl_nfa(cfg, cap=100000):
     for r in cfg.rules:
         dep[r.lhs].update(k for k in rule_kids(r) if k in by_lhs)
     order = {nt: i for i, nt in enumerate(by_lhs)}
-    sccs = _tarjan(sorted(by_lhs, key=lambda nt: order[nt]),
-                   {nt: sorted(dep[nt], key=lambda k: order[k])
-                    for nt in dep})
+    comps = sccs(sorted(by_lhs, key=lambda nt: order[nt]),
+                 {nt: sorted(dep[nt], key=lambda k: order[k])
+                  for nt in dep})
     comp_of = {}
-    for i, c in enumerate(sccs):
+    for i, c in enumerate(comps):
         for nt in c:
             comp_of[nt] = i
 
@@ -516,8 +519,8 @@ def cfg_dcl_nfa(cfg, cap=100000):
             return _sre_concat(sre[r.left], sre[r.right])
         return sre[r.rhs]
 
-    # Tarjan emits components dependencies-first.
-    for members in map(set, sccs):
+    # sccs emits components dependencies-first.
+    for members in map(set, comps):
         recursive = any(
             (isinstance(r, CfgBinary) and (r.left in members
                                            or r.right in members)) or

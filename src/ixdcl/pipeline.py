@@ -26,7 +26,6 @@ class PipelineCaps:
     max_monoid: int = 4096
     max_summaries: int = 4096
     max_triples: int = 100000
-    max_dfa_states: int = 100000
 
 
 @dataclass

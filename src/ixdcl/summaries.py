@@ -216,8 +216,8 @@ class SummaryFactory:
         image followed by a remainder, if possible.
 
         Among admissible splits the group lengths are chosen shortest
-        first, left to right; ties between idempotents are broken by a
-        canonical element order.
+        first, left to right.  Two idempotents never tie: equal lengths
+        give the same first group, which has only one image.
 
         Positions of s are bits of ints, position p being bit n - p (its
         distance from the right end).  ends[p] maps each element, by
@@ -262,12 +262,11 @@ class SummaryFactory:
                 end = n + 1 - (ends_e[pos] & can[k - 1]).bit_length()
                 bounds.append(end - pos)
                 pos = end
-            cand = (tuple(bounds), element_key(e), e, pos)
-            if best is None or cand[:2] < best[:2]:
-                best = cand
+            if best is None or tuple(bounds) < best[0]:
+                best = (tuple(bounds), e, pos)
         if best is None:
             return None
-        bounds, _, e, end = best
+        bounds, e, end = best
         groups = []
         pos = 0
         for ln in bounds:

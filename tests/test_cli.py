@@ -167,7 +167,10 @@ def test_stats(capsys, paths):
 
 
 def test_cap_exceeded_exit_code(capsys, paths):
-    code, _, err = run(capsys, ["--max-summaries", "3",
-                                "summaries", paths["loop"]])
-    assert code == 3
-    assert "cap" in err
+    for argv in (["--max-summaries", "3", "summaries", paths["loop"]],
+                 ["--max-monoid", "2", "monoid", paths["square"]],
+                 ["--max-dfa-states", "1", "compare",
+                  paths["g1"], paths["loop"]]):
+        code, _, err = run(capsys, argv)
+        assert code == 3, argv
+        assert "cap" in err

@@ -1,10 +1,55 @@
 """The finite stack-abstraction monoid and its Green's-relation structure."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
-from ixdcl.monoid import ONE, ZERO, Seg, element_key, mat_mul
+import pytest
+
+from ixdcl.analysis import Analysis, CapExceeded
+from ixdcl.annotate import build_annotated
+from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
+                            square_grammar)
+from ixdcl.grammar import grammar_from_text
+from ixdcl.monoid import ONE, ZERO, Seg, StackMonoid, element_key, mat_mul
+from test_summaries import RANDOM_361_TEXT
+
+# (elements, j_length, sha256 prefix of monoid_fingerprint)
+MONOID_GOLDENS = {
+    "g1": (3, 2, "8107f23cd9876ba0"),
+    "loop": (3, 3, "8a6cb42237338aa2"),
+    "square": (6, 3, "243cd5ecbdefbbed"),
+    "G_1": (14, 2, "3a4a2faa9cfc2d2a"),
+    "G_2": (37, 2, "e33f1594c066ea73"),
+    "G_3": (127, 2, "0b24cf65931f1a9b"),
+    "random": (14, 3, "65573c62e19d99ae"),
+}
+
+
+def monoid_fingerprint(m):
+    """Element count, J-length and a digest of the sorted element keys of
+    the idempotents and of every element's key with its depth."""
+    lines = sorted("idempotent " + repr(element_key(e))
+                   for e in m.idempotents())
+    lines += sorted(f"depth {element_key(x)!r} {m.depth(x)}"
+                    for x in m.elements)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return len(m.elements), m.j_length(), digest[:16]
+
+
+def fresh_monoid(g, **kw):
+    an = Analysis(g)
+    return StackMonoid(an, build_annotated(g, an).letters, **kw)
+
+
+def test_monoid_fingerprint_goldens():
+    grammars = {"g1": g1_grammar(), "loop": g_loop_grammar(),
+                "square": square_grammar(), "G_1": grammar_gn(1),
+                "G_2": grammar_gn(2), "G_3": grammar_gn(3),
+                "random": grammar_from_text(RANDOM_361_TEXT)}
+    assert {name: monoid_fingerprint(fresh_monoid(g))
+            for name, g in grammars.items()} == MONOID_GOLDENS
 
 
 def test_g1_monoid_golden(g1):
@@ -37,6 +82,17 @@ def test_square_monoid_golden(square):
     assert len(m.idempotents()) == 3
     assert m.j_length() == 3
     assert sorted(m.depth(x) for x in m.elements) == [0, 1, 1, 1, 2, 2]
+
+
+def test_cap_bounds_the_generated_monoid():
+    # both monoids generate ZERO, so every element counts against the cap
+    for g in (square_grammar(), grammar_gn(2)):
+        n = len(fresh_monoid(g).elements)
+        with pytest.raises(CapExceeded, match="stack monoid cap"):
+            fresh_monoid(g, cap=n - 1)
+        m = fresh_monoid(g, cap=n)
+        assert len(m.elements) == n
+        assert ZERO in m.elements
 
 
 def test_unit_and_zero_laws(fixtures):
@@ -136,17 +192,6 @@ def test_depth_zero_iff_top(fixtures):
     # always does
     for st_ in fixtures.values():
         assert st_.monoid.depth(ONE) == 0
-
-
-def test_h_classes_partition_with_single_idempotent(fixtures):
-    for st_ in fixtures.values():
-        m = st_.monoid
-        hs = m.h_classes()
-        assert sorted(map(element_key, (x for h in hs for x in h))) == \
-            sorted(map(element_key, m.elements))
-        idem = set(map(id, m.idempotents()))
-        for h in hs:
-            assert sum(1 for x in h if id(x) in idem) <= 1
 
 
 def test_j_length_bound(fixtures):

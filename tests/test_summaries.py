@@ -2,6 +2,7 @@
 
 import hashlib
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,7 @@ from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.annotate import build_annotated
 from ixdcl.families import g_loop_grammar, grammar_gn
 from ixdcl.grammar import grammar_from_text
-from ixdcl.monoid import ONE, StackMonoid, ZERO, element_key
+from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, element_key, mat_mul
 from ixdcl.summaries import SummaryFactory, build_summary_graph
 
 # a drawn grammar whose summary graph has 361 nodes
@@ -162,6 +163,45 @@ def test_decompose_matches_brute_force(fixtures, name):
             assert got[1:] == (groups, tuple(w[end:]))
             found += 1
     assert found >= 5
+
+
+class TransformationMonoid:
+    """A stub monoid of transformations t of {0, 1, 2}, each a Seg whose
+    matrix is the graph {(i, t(i))}, so that `mat_mul` composes them.
+    It has one nonterminal, so a decomposition has three groups."""
+
+    def __init__(self, **gens):
+        self.analysis = SimpleNamespace(g=SimpleNamespace(
+            symbols=SimpleNamespace(nonterminals={"S"})))
+        self._intern = {}
+        self.gens = {name: self._mk(frozenset(enumerate(t)))
+                     for name, t in gens.items()}
+
+    def _mk(self, m):
+        seg = Seg(None, frozenset(), m, None, frozenset())
+        return self._intern.setdefault(seg, seg)
+
+    def product(self, x2, x1):
+        if x2 is ONE:
+            return x1
+        if x1 is ONE:
+            return x2
+        return self._mk(mat_mul(x2.m, x1.m))
+
+    def depth(self, x):
+        return 0
+
+
+def test_decompose_picks_the_idempotent_with_shorter_groups():
+    # c and d are idempotents and c absorbs d on either side, so d d d c c c
+    # splits over d as [d][d][d] c c c and over c as [d d d c][c][c].
+    m = TransformationMonoid(c=(0, 0, 0), d=(0, 0, 2))
+    factory = SummaryFactory(m)
+    s = tuple(factory.atom(x, factory.empty) for x in "dddccc")
+    e, groups, w = factory._decompose(s)
+    assert e is m.gens["d"]
+    assert [len(g) for g in groups] == [1, 1, 1]
+    assert w == s[3:]
 
 
 def test_loop_push_cases_and_plateau():
