@@ -10,6 +10,7 @@ import argparse
 from ixdcl.analysis import Analysis
 from ixdcl.annotate import build_annotated
 from ixdcl.families import g1_grammar, g_loop_grammar, square_grammar
+from ixdcl.grammar import sort_key
 from ixdcl.monoid import StackMonoid
 from ixdcl.summaries import SummaryFactory, build_summary_graph
 
@@ -29,7 +30,7 @@ def main():
     ag = build_annotated(g, analysis)
     monoid = StackMonoid(analysis, ag.letters)
     factory = SummaryFactory(monoid)
-    letters = sorted(ag.letters, key=str)
+    letters = sorted(ag.letters, key=sort_key)
 
     print(f"{args.fixture}: {len(letters)} annotated letter(s), "
           f"monoid of {len(monoid.elements)} elements")
@@ -44,7 +45,7 @@ def main():
             note = f"  (same as after push {seen[id(sigma)]})"
         else:
             seen[id(sigma)] = i
-        print(f"push {i:2d}  {str(letter):<24s} case={trace[0]:<8s} "
+        print(f"push {i:2d}  {sort_key(letter):<24s} case={trace[0]:<8s} "
               f"size={sigma.size:3d} depth={sigma.depth}{note}")
 
     graph = build_summary_graph(factory, ag.letters)

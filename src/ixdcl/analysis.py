@@ -23,27 +23,51 @@ queued key's local rule from its current value, and when the value
 grows it re-queues the key's readers, so only keys whose inputs grew
 are evaluated again (a local solver in the sense of Fecht & Seidl,
 "A faster solver for general systems of equations", SCP 1999).
+
+A local rule is a single pass over the grammar's rules, indexed once by
+kind.  A rule that reads its own value (a binary rule, or the
+transitive step of reach) may need another pass; the solver re-queues a
+key whose value grew together with its readers, so that pass runs
+through the worklist too and no rule loops on its own.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 
-from .grammar import BinaryRule, PopRule, PushRule, TerminalRule
+from .grammar import BinaryRule, PushRule, TerminalRule, sort_key
 
 
 class CapExceeded(RuntimeError):
     """A configurable resource cap was hit; the result would be partial."""
 
 
+def _rows(rel):
+    """A relation (a set of pairs) as a dict: source -> its targets."""
+    rows = {}
+    for (a, b) in rel:
+        rows.setdefault(a, []).append(b)
+    return rows
+
+
 class Analysis:
     def __init__(self, g, universe_cap=4096):
         self.g = g
         self.universe_cap = universe_cap
-        self.by_lhs = {}
+        # the rules indexed once by kind; each local rule reads its lists
+        self.term_lhs = set()
+        self.binary = []
+        self.push = []
+        self.pops = {}   # stack symbol -> its pop rules
         for p in g.productions:
-            self.by_lhs.setdefault(p.lhs, []).append(p)
-        self.nts = sorted(g.symbols.nonterminals, key=str)
+            if isinstance(p, TerminalRule):
+                self.term_lhs.add(p.lhs)
+            elif isinstance(p, BinaryRule):
+                self.binary.append(p)
+            elif isinstance(p, PushRule):
+                self.push.append(p)
+            else:
+                self.pops.setdefault(p.sym, []).append(p)
         self._val = {}      # key -> set, only grows
         # key -> the keys that read it; a dict keeps them in order, so the
         # evaluation order (and the number of act keys tried on the way)
@@ -85,6 +109,8 @@ class Analysis:
             getattr(self, "_eval_" + key[0])(val, *key[1:])
             self._current = None
             if len(val) > size:
+                # a rule may read its own value, so the key runs again
+                self._push(key)
                 for r in self._readers.get(key, ()):
                     self._push(r)
 
@@ -95,7 +121,7 @@ class Analysis:
     # -- actions -----------------------------------------------------------
 
     def _need_cl(self, X):
-        return self._need(("cl", X), lambda: set(X))
+        return self._need(("cl", X), lambda: set(X) | self.term_lhs)
 
     def _need_act(self, f, X):
         return self._need(("act", f, X), self._new_act)
@@ -104,51 +130,26 @@ class Analysis:
         if self._n_act >= self.universe_cap:
             raise CapExceeded("action table cap exceeded")
         self._n_act += 1
-        return set()
+        return set(self.term_lhs)
 
     def _eval_cl(self, cur, X):
-        changed = True
-        while changed:
-            changed = False
-            for A in self.nts:
-                if A in cur:
-                    continue
-                for p in self.by_lhs.get(A, ()):
-                    if isinstance(p, TerminalRule):
-                        ok = True
-                    elif isinstance(p, BinaryRule):
-                        ok = p.left in cur and p.right in cur
-                    elif isinstance(p, PushRule):
-                        ok = p.rhs in self._need_act(p.sym, X)
-                    else:
-                        ok = False
-                    if ok:
-                        cur.add(A)
-                        changed = True
-                        break
+        for p in self.binary:
+            if p.left in cur and p.right in cur:
+                cur.add(p.lhs)
+        for p in self.push:
+            if p.lhs not in cur and p.rhs in self._need_act(p.sym, X):
+                cur.add(p.lhs)
 
     def _eval_act(self, cur, f, X):
         cl = self._need_cl(X)
-        changed = True
-        while changed:
-            changed = False
-            for A in self.nts:
-                if A in cur:
-                    continue
-                for p in self.by_lhs.get(A, ()):
-                    if isinstance(p, TerminalRule):
-                        ok = True
-                    elif isinstance(p, PopRule):
-                        ok = p.sym == f and p.rhs in cl
-                    elif isinstance(p, BinaryRule):
-                        ok = p.left in cur and p.right in cur
-                    else:
-                        ok = p.rhs in self._need_act(
-                            p.sym, frozenset(cur))
-                    if ok:
-                        cur.add(A)
-                        changed = True
-                        break
+        cur.update(p.lhs for p in self.pops.get(f, ()) if p.rhs in cl)
+        for p in self.binary:
+            if p.left in cur and p.right in cur:
+                cur.add(p.lhs)
+        for p in self.push:
+            if p.lhs not in cur and \
+                    p.rhs in self._need_act(p.sym, frozenset(cur)):
+                cur.add(p.lhs)
 
     def cl(self, X):
         """Nonterminals A with A[empty stack] deriving into (X union T)*."""
@@ -187,13 +188,10 @@ class Analysis:
     def universe(self):
         """All sets reachable from Useful under the one-letter actions."""
         if self._universe is None:
-            letters = sorted(self.g.symbols.stack_symbols, key=str)
+            letters = sorted(self.g.symbols.stack_symbols, key=sort_key)
             seen = [self.useful()]
-            seen_set = {seen[0]}
-            i = 0
-            while i < len(seen):
-                X = seen[i]
-                i += 1
+            seen_set = set(seen)
+            for X in seen:   # seen grows while it is scanned
                 for f in letters:
                     Y = self.act(f, X)
                     if Y not in seen_set:
@@ -201,7 +199,7 @@ class Analysis:
                             raise CapExceeded("annotation universe cap exceeded")
                         seen_set.add(Y)
                         seen.append(Y)
-            self._universe = seen
+            self._universe = dict.fromkeys(seen)   # ordered, fast lookup
         return list(self._universe)
 
     # -- focus matrices -----------------------------------------------------
@@ -210,51 +208,35 @@ class Analysis:
         return self._need(("foc", f, X), set)
 
     def _need_efoc(self, X):
-        return self._need(("efoc", X), lambda: {(B, B) for B in self.nts})
+        nts = self.g.symbols.nonterminals
+        return self._need(("efoc", X), lambda: {(B, B) for B in nts})
 
     def _eval_efoc(self, cur, X):
         cl = self._need_cl(X)
-        changed = True
-        while changed:
-            changed = False
-            for A in self.nts:
-                for p in self.by_lhs.get(A, ()):
-                    new = set()
-                    if isinstance(p, BinaryRule):
-                        if p.right in cl:
-                            new |= {(A, B) for (C, B) in cur if C == p.left}
-                        if p.left in cl:
-                            new |= {(A, B) for (C, B) in cur if C == p.right}
-                    elif isinstance(p, PushRule):
-                        new |= {(A, B) for (C, B)
-                                in self._need_foc(p.sym, X) if C == p.rhs}
-                    if not new <= cur:
-                        cur |= new
-                        changed = True
+        rows = _rows(cur)
+        for p in self.binary:
+            for C, D in ((p.left, p.right), (p.right, p.left)):
+                if D in cl:
+                    cur.update((p.lhs, B) for B in rows.get(C, ()))
+        for p in self.push:
+            cur.update((p.lhs, B) for (C, B) in self._need_foc(p.sym, X)
+                       if C == p.rhs)
 
     def _eval_foc(self, cur, f, X):
         ef = self._need_efoc(X)
         gen = self._need_act(f, X)
-        changed = True
-        while changed:
-            changed = False
-            for A in self.nts:
-                for p in self.by_lhs.get(A, ()):
-                    new = set()
-                    if isinstance(p, PopRule) and p.sym == f:
-                        new |= {(A, B) for (C, B) in ef if C == p.rhs}
-                    elif isinstance(p, BinaryRule):
-                        if p.right in gen:
-                            new |= {(A, B) for (C, B) in cur if C == p.left}
-                        if p.left in gen:
-                            new |= {(A, B) for (C, B) in cur if C == p.right}
-                    elif isinstance(p, PushRule):
-                        inner = self._need_foc(p.sym, frozenset(gen))
-                        mids = {C for (D, C) in inner if D == p.rhs}
-                        new |= {(A, B) for (C, B) in cur if C in mids}
-                    if not new <= cur:
-                        cur |= new
-                        changed = True
+        rows = _rows(cur)
+        for p in self.pops.get(f, ()):
+            cur.update((p.lhs, B) for (C, B) in ef if C == p.rhs)
+        for p in self.binary:
+            for C, D in ((p.left, p.right), (p.right, p.left)):
+                if D in gen:
+                    cur.update((p.lhs, B) for B in rows.get(C, ()))
+        Y = frozenset(gen)
+        for p in self.push:
+            # a list first: the key read may be this one
+            mids = [C for (D, C) in self._need_foc(p.sym, Y) if D == p.rhs]
+            cur.update((p.lhs, B) for C in mids for B in rows.get(C, ()))
 
     def matrix(self, f, X):
         """Boolean matrix of focus pairs for the letter f under X."""
@@ -266,29 +248,22 @@ class Analysis:
         return self._need(("reach", X), lambda: {(A, A) for A in X})
 
     def _eval_reach(self, cur, X):
-        uni_set = set(self._universe)
-        changed = True
-        while changed:
-            new = set()
-            for p in self.g.productions:
-                if isinstance(p, BinaryRule):
-                    if p.lhs in X and p.left in X and p.right in X:
-                        new.add((p.lhs, p.left))
-                        new.add((p.lhs, p.right))
-                elif isinstance(p, PushRule):
-                    Y = frozenset(self._need_act(p.sym, X))
-                    if p.lhs in X and p.rhs in Y and Y in uni_set:
-                        m = self._need_foc(p.sym, X)
-                        for (B, D) in self._need_reach(Y):
-                            if B != p.rhs:
-                                continue
-                            for (D2, C) in m:
-                                if D2 == D and C in X:
-                                    new.add((p.lhs, C))
-            # transitive closure step
-            new |= {(a, c) for (a, b) in cur for (b2, c) in cur if b == b2}
-            changed = not new <= cur
-            cur |= new
+        for p in self.binary:
+            if p.lhs in X and p.left in X and p.right in X:
+                cur.update(((p.lhs, p.left), (p.lhs, p.right)))
+        for p in self.push:
+            if p.lhs not in X:
+                continue
+            Y = frozenset(self._need_act(p.sym, X))
+            if p.rhs in Y and Y in self._universe:
+                m = _rows(self._need_foc(p.sym, X))
+                # a list first: Y may be X
+                ends = [D for (B, D) in self._need_reach(Y) if B == p.rhs]
+                cur.update((p.lhs, C) for D in ends for C in m.get(D, ())
+                           if C in X)
+        # one transitive step
+        rows = _rows(cur)
+        cur.update({(a, c) for (a, b) in cur for c in rows.get(b, ())})
 
     def reach_all(self):
         """For each X in the universe, the relation A ~X~ B (see module doc)."""

@@ -33,67 +33,66 @@ class AnnotatedGrammar:
 
 
 def build_annotated(g, analysis):
-    """The annotated grammar, restricted to its reachable part."""
+    """The annotated grammar, restricted to its reachable part.
+
+    Items (A, X) are scanned once each, in the order they are found from
+    the start item.  A pop rule (B, f.X) -> (C, X) under the letter
+    (f, X) needs both the letter and its item (B, f.X), so it is made
+    when the later of the two appears: a scanned item takes the letters
+    over its set known so far, and a new letter takes the items over its
+    set scanned so far.
+    """
+    by_lhs = {}
+    pops = {}   # (lhs, stack symbol) -> pop rules
+    for p in g.productions:
+        if isinstance(p, PopRule):
+            pops.setdefault((p.lhs, p.sym), []).append(p)
+        else:
+            by_lhs.setdefault(p.lhs, []).append(p)
     start = (g.start, analysis.useful())
-    nts = {start} if g.start in start[1] else set()
-    letters = set()
-    rules = []
-    rule_set = set()
-    labels = {}
+    items = [start] if g.start in start[1] else []
+    seen = set(items)
+    rules = {}    # a dict keeps the rules unique and in order
+    labels = {}   # letter -> (item, child) of its push rule
+    letters_over = {}   # Y -> letters (f, X) with f.X = Y
+    scanned = {}        # Y -> items (B, Y) scanned so far
 
-    def add_rule(r):
-        if r not in rule_set:
-            rule_set.add(r)
-            rules.append(r)
-            return True
-        return False
+    def item(t):
+        if t not in seen:
+            seen.add(t)
+            items.append(t)
+        return t
 
-    changed = bool(nts)
-    while changed:
-        changed = False
-        for item in sorted(nts, key=str):
-            A, X = item
-            for p in g.productions:
-                if p.lhs != A:
-                    continue
-                if isinstance(p, TerminalRule):
-                    changed |= add_rule(TerminalRule(item, p.word))
-                elif isinstance(p, BinaryRule):
-                    if p.left in X and p.right in X:
-                        for child in ((p.left, X), (p.right, X)):
-                            if child not in nts:
-                                nts.add(child)
-                                changed = True
-                        changed |= add_rule(
-                            BinaryRule(item, (p.left, X), (p.right, X)))
-                elif isinstance(p, PushRule):
-                    Y = analysis.act(p.sym, X)
-                    if p.rhs in Y:
-                        child, letter = (p.rhs, Y), (p.sym, X)
-                        if child not in nts:
-                            nts.add(child)
-                            changed = True
-                        if letter not in letters:
-                            letters.add(letter)
-                            changed = True
-                        labels[letter] = (item, child)
-                        changed |= add_rule(PushRule(item, child, letter))
-        for letter in sorted(letters, key=str):
-            f, X = letter
-            Y = analysis.act(f, X)
-            for q in g.productions:
-                if isinstance(q, PopRule) and q.sym == f \
-                        and q.lhs in Y and q.rhs in X and (q.lhs, Y) in nts:
-                    tgt = (q.rhs, X)
-                    if tgt not in nts:
-                        nts.add(tgt)
-                        changed = True
-                    changed |= add_rule(PopRule((q.lhs, Y), letter, tgt))
+    def pop(top, letter):
+        for q in pops.get((top[0], letter[0]), ()):
+            if q.rhs in letter[1]:
+                rules[PopRule(top, letter, item((q.rhs, letter[1])))] = None
 
-    if not nts:
-        nts = {start}   # empty language: keep a bare start symbol
-    table = SymbolTable(frozenset(nts), g.symbols.terminals,
-                        frozenset(letters))
+    for cur in items:   # items grows while it is scanned
+        A, X = cur
+        scanned.setdefault(X, []).append(cur)
+        for letter in letters_over.get(X, ()):
+            pop(cur, letter)
+        for p in by_lhs.get(A, ()):
+            if isinstance(p, TerminalRule):
+                rules[TerminalRule(cur, p.word)] = None
+            elif isinstance(p, BinaryRule):
+                if p.left in X and p.right in X:
+                    rules[BinaryRule(cur, item((p.left, X)),
+                                     item((p.right, X)))] = None
+            else:
+                Y = analysis.act(p.sym, X)
+                if p.rhs in Y:
+                    child, letter = item((p.rhs, Y)), (p.sym, X)
+                    if letter not in labels:
+                        letters_over.setdefault(Y, []).append(letter)
+                        for top in scanned.get(Y, ()):
+                            pop(top, letter)
+                    labels[letter] = (cur, child)
+                    rules[PushRule(cur, child, letter)] = None
+
+    table = SymbolTable(frozenset(items or [start]), g.symbols.terminals,
+                        frozenset(labels))
     ag = IndexedGrammar(table, start, tuple(rules), labels)
     return AnnotatedGrammar(ag, g, analysis)
 
@@ -105,17 +104,6 @@ def annotate_stack(z, X, analysis):
         out.append((f, X))
         X = analysis.act(f, X)
     return tuple(reversed(out))
-
-
-def project_form(form):
-    """Erase annotations from a sentential form of the annotated grammar."""
-    out = []
-    for item in form:
-        if isinstance(item, Term):
-            out.append(Term(item.nt[0], tuple(f for (f, _) in item.stack)))
-        else:
-            out.append(item)
-    return tuple(out)
 
 
 def check_productive_sample(ag, depth=8, samples=200, seed=0):

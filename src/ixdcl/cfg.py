@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grammar import BinaryRule, PopRule, PushRule, TerminalRule
-from .oracle import is_subword, subwords
+from .oracle import subwords
 
 
 @dataclass(frozen=True)
@@ -162,34 +162,16 @@ def cfg_bounded_words(cfg, max_len):
     return frozenset(val.get(cfg.start, set()))
 
 
-def cfg_member(cfg, word):
-    return word in cfg_bounded_words(cfg, len(word))
-
-
 def cfg_dcl_bounded(cfg, max_len):
     """The downward closure of L(cfg) restricted to length <= max_len.
 
-    Exact: per nonterminal the set of short scattered subwords of its
-    words is a finite least fixpoint, with no length assumptions on the
-    witnessing words.
+    Subword closure distributes over concatenation and union, so this is
+    the bounded language of the same grammar with each terminal rule
+    A -> w replaced by A -> u for every subword u of w.
     """
-    val = {nt: set() for nt in cfg.nonterminals}
-    for r in cfg.rules:
-        for k in [r.lhs] + rule_kids(r):
-            val.setdefault(k, set())
-    changed = True
-    while changed:
-        changed = False
-        for r in cfg.rules:
-            cur = val[r.lhs]
-            if isinstance(r, CfgTerminal):
-                new = {u for u in subwords(r.word) if len(u) <= max_len}
-            elif isinstance(r, CfgBinary):
-                new = {u + v for u in val[r.left] for v in val[r.right]
-                       if len(u) + len(v) <= max_len}
-            else:
-                new = val[r.rhs]
-            if not new <= cur:
-                cur |= new
-                changed = True
-    return frozenset(val.get(cfg.start, set()))
+    rules = [r for r in cfg.rules if not isinstance(r, CfgTerminal)]
+    rules += [CfgTerminal(r.lhs, u) for r in cfg.rules
+              if isinstance(r, CfgTerminal) for u in subwords(r.word)]
+    return cfg_bounded_words(
+        Cfg(cfg.nonterminals, cfg.terminals, cfg.start, tuple(rules)),
+        max_len)

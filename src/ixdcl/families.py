@@ -8,7 +8,7 @@ exponential length: L(G_1) = { a^16 }.
 
 from __future__ import annotations
 
-from .grammar import CheckDfa, grammar_from_text, parse_grammar
+from .grammar import CheckDfa, grammar_from_text
 
 G1_TEXT = """\
 start S
@@ -189,7 +189,3 @@ def grammar_gn_text(n):
 def grammar_gn(n):
     """The desugared, push-labeled lower-bound grammar G_n."""
     return grammar_from_text(grammar_gn_text(n))
-
-
-def grammar_gn_sugared(n):
-    return parse_grammar(grammar_gn_text(n))

@@ -151,6 +151,20 @@ class GrammarError(ValueError):
     """Raised on unusable grammar input (parse errors, failed validation)."""
 
 
+def sort_key(sym):
+    """A string for sorting symbols: str(sym), except that tuples and
+    frozensets are rendered member by member, and a frozenset's members
+    in sorted order.  Annotated symbols hold frozensets, whose str
+    follows the hash order of their members, so this key keeps sorted
+    symbols in the same order under every PYTHONHASHSEED.
+    """
+    if isinstance(sym, frozenset):
+        return "{" + ",".join(sorted(map(sort_key, sym))) + "}"
+    if isinstance(sym, tuple):
+        return "(" + ",".join(map(sort_key, sym)) + ")"
+    return str(sym)
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -466,28 +480,24 @@ def desugar(sg):
         else:
             raise GrammarError(f"unknown production kind: {prod!r}")
 
-    # unit elimination: transitive closure of unit pairs, then copy rules
+    # unit elimination: each unit source copies the rules of every
+    # nonterminal it reaches along unit pairs
     unit_map = {}
     for (a, b) in units:
         unit_map.setdefault(a, set()).add(b)
-    closure = {a: set(bs) for a, bs in unit_map.items()}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(closure):
-            for b in list(closure[a]):
-                for c in closure.get(b, ()):
-                    if c not in closure[a]:
-                        closure[a].add(c)
-                        changed = True
     by_lhs = {}
     for p in core:
         by_lhs.setdefault(p.lhs, []).append(p)
     final = list(core)
-    for a in sorted(closure):
-        for b in sorted(closure[a]):
-            if b == a:
-                continue
+    for a in sorted(unit_map):
+        reached = set()
+        todo = [a]
+        while todo:
+            for b in unit_map.get(todo.pop(), ()):
+                if b not in reached:
+                    reached.add(b)
+                    todo.append(b)
+        for b in sorted(reached - {a}):
             for p in by_lhs.get(b, ()):
                 final.append(replace(p, lhs=a))
 
@@ -516,7 +526,7 @@ def label_pushes(g):
     rename = {}   # production index -> new symbol for its push
     copies = {}   # old symbol -> list of new symbols
     stack_syms = set()
-    for f in sorted(g.symbols.stack_symbols, key=str):
+    for f in sorted(g.symbols.stack_symbols, key=sort_key):
         idxs = pushes_of.get(f, [])
         if not idxs:
             continue

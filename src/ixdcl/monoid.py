@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import CapExceeded
+from .grammar import sort_key
 from .nfa import sccs
 
 
@@ -82,7 +83,7 @@ class StackMonoid:
         self._prod = {}
         self._intern = {}
         self.gens = {}
-        for letter in sorted(letters, key=str):
+        for letter in sorted(letters, key=sort_key):
             self.gens[letter] = self._mk(self._phi_letter(letter))
         self.elements, below = self._closure()
         self._idempotents, self._depth, self._j_length = self._j_data(below)
@@ -168,23 +169,6 @@ class StackMonoid:
         for succ in below:
             succ.add(index[id(ZERO)])
         return elems, below
-
-    # -- feasibility --------------------------------------------------------
-
-    def feasible_stack(self, word):
-        return bool(word) and self.phi(word) is not ZERO
-
-    def feasible_term(self, nt, word):
-        """May the annotated term nt[word] occur in a derivation?"""
-        A, X = nt
-        if not word:
-            return A in X
-        v = self.phi(word)
-        if v is ZERO:
-            return False
-        f, Xn = word[0]
-        return X == self.analysis.act(f, Xn) and \
-            (self.analysis.g.beta(f), A) in self.analysis.reach(X)
 
     # -- Green's relations and regular J-depth ------------------------------
 

@@ -154,7 +154,7 @@ def dcl_close(nfa):
 
 
 # ---------------------------------------------------------------------------
-# determinization, minimization, comparison
+# determinization and comparison
 
 
 @dataclass
@@ -193,54 +193,6 @@ def determinize(nfa, cap=100000):
             delta[(ids[cur], a)] = ids[nxt]
     final = {ids[st] for st in order if st & nfa.final}
     return Dfa(frozenset(alphabet), len(order), delta, 0, final)
-
-
-def minimize(dfa):
-    """Moore partition refinement; keeps an explicit dead state if present."""
-    alphabet = sorted(dfa.alphabet)
-    part = {q: (q in dfa.final) for q in range(dfa.n_states)}
-    while True:
-        sig = {q: (part[q],) + tuple(part[dfa.delta[(q, a)]]
-                                     for a in alphabet)
-               for q in range(dfa.n_states)}
-        classes = {}
-        for q in range(dfa.n_states):
-            classes.setdefault(sig[q], []).append(q)
-        new = {}
-        for i, (_, qs) in enumerate(sorted(classes.items(),
-                                           key=lambda kv: min(kv[1]))):
-            for q in qs:
-                new[q] = i
-        if new == part:
-            break
-        part = new
-    n = len(set(part.values()))
-    delta = {(part[q], a): part[dfa.delta[(q, a)]]
-             for q in range(dfa.n_states) for a in alphabet}
-    final = {part[q] for q in dfa.final}
-    # drop unreachable classes
-    reach = {part[dfa.initial]}
-    queue = [part[dfa.initial]]
-    while queue:
-        q = queue.pop()
-        for a in alphabet:
-            t = delta[(q, a)]
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
-    keep = sorted(reach)
-    remap = {q: i for i, q in enumerate(keep)}
-    return Dfa(dfa.alphabet, len(keep),
-               {(remap[q], a): remap[delta[(q, a)]]
-                for q in keep for a in alphabet},
-               remap[part[dfa.initial]], {remap[q] for q in final if q in remap})
-
-
-def dfa_member(dfa, word):
-    q = dfa.initial
-    for c in word:
-        q = dfa.delta[(q, c)]
-    return q in dfa.final
 
 
 def nfa_inclusion(n1, n2, cap=100000):
@@ -493,23 +445,6 @@ def cfg_dcl_nfa(cfg, cap=100000):
         for nt in c:
             comp_of[nt] = i
 
-    # letters each nonterminal can ever produce
-    alph = {nt: set() for nt in by_lhs}
-    changed = True
-    while changed:
-        changed = False
-        for r in cfg.rules:
-            cur = alph[r.lhs]
-            if isinstance(r, CfgTerminal):
-                new = set(r.word)
-            elif isinstance(r, CfgBinary):
-                new = alph[r.left] | alph[r.right]
-            else:
-                new = alph[r.rhs]
-            if not new <= cur:
-                cur |= new
-                changed = True
-
     sre = {}   # nt -> frozenset of ideals
 
     def rule_sre(r):
@@ -519,8 +454,21 @@ def cfg_dcl_nfa(cfg, cap=100000):
             return _sre_concat(sre[r.left], sre[r.right])
         return sre[r.rhs]
 
-    # sccs emits components dependencies-first.
+    # sccs emits components dependencies-first.  The members of a
+    # component reach each other, so they share its letters: their own
+    # terminal letters and those of the lower components they use.
+    alph = {}   # nt -> the letters it can ever produce
     for members in map(set, comps):
+        letters = set()
+        for nt in members:
+            for r in by_lhs[nt]:
+                if isinstance(r, CfgTerminal):
+                    letters.update(r.word)
+                else:
+                    letters.update(*(alph[k] for k in rule_kids(r)
+                                     if k not in members))
+        for nt in members:
+            alph[nt] = letters
         recursive = any(
             (isinstance(r, CfgBinary) and (r.left in members
                                            or r.right in members)) or
@@ -536,8 +484,7 @@ def cfg_dcl_nfa(cfg, cap=100000):
                  and r.right in members
                  for nt in members for r in by_lhs[nt]):
             # expansive component
-            gamma = frozenset().union(*(alph[nt] for nt in members))
-            value = frozenset([_norm_ideal((("s", gamma),))])
+            value = frozenset([_norm_ideal((("s", frozenset(letters)),))])
             for nt in members:
                 sre[nt] = value
         else:

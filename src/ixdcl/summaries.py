@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import CapExceeded
+from .grammar import sort_key
 from .monoid import ONE, ZERO, element_key
 
 
@@ -373,7 +374,7 @@ class SummaryGraph:
 
 def build_summary_graph(factory, letters, cap=4096):
     """Breadth-first closure of the empty summary under feasible pushes."""
-    letters = sorted(letters, key=str)
+    letters = sorted(letters, key=sort_key)
     m = factory.monoid
     nodes = [factory.empty]
     ids = {factory.empty: 0}

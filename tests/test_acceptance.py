@@ -40,21 +40,21 @@ def ok(msg):
 
 def test_criterion_01_nfa_membership_matches_oracle(fixtures):
     """The pipeline NFA and the closure oracle agree on all words <= 6."""
-    grammars = {name: st.grammar for name, st in fixtures.items()}
-    grammars["mut1"] = grammar_from_text(MUT1_TEXT)
-    grammars["mut2"] = grammar_from_text(MUT2_TEXT)
+    runs = {name: (st.grammar, st.analysis, st.nfa)
+            for name, st in fixtures.items()}
+    for name, text in (("mut1", MUT1_TEXT), ("mut2", MUT2_TEXT)):
+        res = run_pipeline(grammar_from_text(text))
+        runs[name] = (res.grammar, res.analysis, res.nfa)
     budget = OracleBudget(64, 9, 500000)
     checked = 0
-    for name, g in grammars.items():
-        an = Analysis(g)
-        nfa = run_pipeline(g).nfa
+    for name, (g, an, nfa) in runs.items():
         for w in words_upto(g.symbols.terminals, 6):
             member, _ = dcl_member_oracle(g, w, budget,
                                           emptiness=an.term_empty)
             assert nfa_member(nfa, w) == member, (name, w)
             checked += 1
     ok(f"criterion 1: NFA vs oracle agreement on {checked} words "
-       f"across {len(grammars)} grammars")
+       f"across {len(runs)} grammars")
 
 
 def test_criterion_02_square_closure_is_astar_bstar(square):

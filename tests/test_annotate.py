@@ -1,10 +1,45 @@
 """The productive annotation: structure, stack threading, language, samples."""
 
+import dataclasses
+import hashlib
+
 from ixdcl.analysis import Analysis
 from ixdcl.annotate import (annotate_stack, build_annotated,
-                            check_productive_sample, project_form)
+                            check_productive_sample)
+from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
+                            square_grammar)
 from ixdcl.grammar import grammar_from_text, validate
-from ixdcl.oracle import OracleBudget, Term, term_language_dp
+from ixdcl.oracle import OracleBudget, term_language_dp
+from test_summaries import RANDOM_361_TEXT, canonical
+
+# (nonterminals, letters, rules, sha256 prefix of annotated_fingerprint)
+ANNOTATED_GOLDENS = {
+    "g1": (3, 1, 3, "5ee6ba8969c18cda"),
+    "loop": (2, 1, 5, "e21e01df7da265f5"),
+    "square": (17, 2, 21, "c351ba6a355d7a53"),
+    "G_1": (15, 5, 19, "b3e7a4b33c138c94"),
+    "G_2": (30, 9, 42, "8f2d639f2d1ce970"),
+    "random": (7, 3, 13, "07d4ef141edfcf4c"),
+}
+
+
+def annotated_fingerprint(ag):
+    """Sizes and a digest of the annotated grammar as sets: its start
+    symbol, nonterminals, letters, labels and rules, each rendered
+    canonically and sorted, so that neither PYTHONHASHSEED nor the order
+    in which the rules were found changes it."""
+    g = ag.grammar
+    rules = [canonical((type(r).__name__,) + dataclasses.astuple(r))
+             for r in g.productions]
+    lines = ["start " + canonical(g.start)]
+    lines += sorted("nt " + canonical(A) for A in g.symbols.nonterminals)
+    lines += sorted("letter " + canonical(f) for f in ag.letters)
+    lines += sorted(f"label {canonical(f)} {canonical(lab)}"
+                    for f, lab in g.push_labels.items())
+    lines += sorted("rule " + r for r in set(rules))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return (len(g.symbols.nonterminals), len(ag.letters), len(rules),
+            digest[:16])
 
 
 def test_annotated_g1_golden(g1):
@@ -24,6 +59,15 @@ def test_annotated_shapes(fixtures):
     assert len(sq.grammar.symbols.nonterminals) == 17
     assert len(sq.grammar.productions) == 21
     assert len(sq.letters) == 2
+
+
+def test_annotated_fingerprint_goldens():
+    grammars = {"g1": g1_grammar(), "loop": g_loop_grammar(),
+                "square": square_grammar(), "G_1": grammar_gn(1),
+                "G_2": grammar_gn(2),
+                "random": grammar_from_text(RANDOM_361_TEXT)}
+    assert {name: annotated_fingerprint(build_annotated(g, Analysis(g)))
+            for name, g in grammars.items()} == ANNOTATED_GOLDENS
 
 
 def test_annotated_is_valid_grammar(fixtures):
@@ -52,13 +96,6 @@ def test_annotate_stack_threads_actions(square):
 
 def test_annotate_stack_empty(g1):
     assert annotate_stack((), g1.analysis.useful(), g1.analysis) == ()
-
-
-def test_project_form(g1):
-    ag = g1.annotated
-    X = g1.analysis.useful()
-    form = (Term(("S", X), (("f", X),)), "a")
-    assert project_form(form) == (Term("S", ("f",)), "a")
 
 
 def test_language_preserved(fixtures):

@@ -3,8 +3,7 @@
 import random
 
 from ixdcl.cfg import (Cfg, CfgBinary, CfgTerminal, CfgUnary,
-                       cfg_bounded_words, cfg_dcl_bounded, cfg_member,
-                       trim_cfg)
+                       cfg_bounded_words, cfg_dcl_bounded, trim_cfg)
 from ixdcl.oracle import OracleBudget, subwords, term_language_dp
 from test_nfa import random_cfg
 
@@ -89,12 +88,6 @@ def test_dcl_bounded_matches_subword_closure(fixtures):
     assert len(sq) == 28
     assert {"", "a", "b", "ab", "aabbbb", "aaaaaa", "bbbbbb"} <= sq
     assert "ba" not in sq and all(not w.count("ba") for w in sq)
-
-
-def test_cfg_member(fixtures):
-    assert cfg_member(fixtures["g1"].cfg_trimmed, "ab")
-    assert not cfg_member(fixtures["g1"].cfg_trimmed, "ba")
-    assert cfg_member(fixtures["square"].cfg_trimmed, "")
 
 
 def test_trim_removes_dead_nonterminals():

@@ -150,29 +150,6 @@ def test_phi_seq_matches_phi(fixtures):
                 assert m.phi_seq(m.gens[l] for l in w) == m.phi(w)
 
 
-def test_feasibility(g1, loop):
-    m = g1.monoid
-    (l1,) = sorted(m.gens)
-    assert m.feasible_stack((l1,))
-    assert not m.feasible_stack((l1, l1))
-    assert not m.feasible_stack(())
-    ml = loop.monoid
-    (l2,) = sorted(ml.gens)
-    assert ml.feasible_stack((l2,) * 10)
-
-
-def test_feasible_term(g1):
-    m = g1.monoid
-    an = g1.analysis
-    useful = an.useful()
-    (letter,) = sorted(m.gens)
-    _, X = letter
-    Y = an.act("f", X)
-    assert m.feasible_term(("S", useful), ())
-    assert m.feasible_term(("A", Y), (letter,))
-    assert not m.feasible_term(("A", Y), (letter, letter))
-
-
 def test_element_key_is_injective(fixtures):
     for st_ in fixtures.values():
         keys = [element_key(x) for x in st_.monoid.elements]

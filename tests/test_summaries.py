@@ -1,11 +1,15 @@
 """Stack summaries: push cases, decomposition, graph closure, validation."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 
+import ixdcl
 from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.annotate import build_annotated
 from ixdcl.families import g_loop_grammar, grammar_gn
@@ -131,6 +135,24 @@ def test_graph_fingerprint_goldens(fixtures):
     graphs["random"] = summary_graph(grammar_from_text(RANDOM_361_TEXT))
     assert {name: graph_fingerprint(gr) for name, gr in graphs.items()} == \
         GRAPH_GOLDENS
+
+
+def test_graph_fingerprint_does_not_depend_on_the_hash_seed():
+    """The 361-node graph, built in fresh interpreters under two hash
+    seeds, has the same fingerprint both times."""
+    code = ("from test_summaries import *\n"
+            "print(graph_fingerprint("
+            "summary_graph(grammar_from_text(RANDOM_361_TEXT))))")
+    path = [os.path.dirname(os.path.dirname(ixdcl.__file__)),
+            os.path.dirname(__file__)]
+    outs = set()
+    for seed in ("0", "2228731064"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.add(run.stdout.strip())
+    assert outs == {str(GRAPH_GOLDENS["random"])}
 
 
 @pytest.mark.parametrize("name", ["loop", "square"])
