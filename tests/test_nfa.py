@@ -1,7 +1,9 @@
 """NFA algebra, ideal arithmetic, and the downward-closure construction."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -11,12 +13,16 @@ from hypothesis import given, strategies as st
 from ixdcl.analysis import CapExceeded
 from ixdcl.cfg import (Cfg, CfgBinary, CfgTerminal, CfgUnary,
                        cfg_dcl_bounded)
+from ixdcl.families import g1_grammar, g_loop_grammar, square_grammar
+from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import (INFINITE, Nfa, _antichain, _ideal_le, _norm_ideal,
                        _word_ideal, cfg_dcl_nfa, dcl_close, determinize,
                        longest_word_or_infinite, nfa_equivalence,
                        nfa_from_dict, nfa_inclusion, nfa_member,
                        word_subword_nfa)
 from ixdcl.oracle import is_subword, subwords
+from ixdcl.pipeline import run_pipeline
+from test_summaries import RANDOM_361_TEXT
 
 
 def astar_bstar_nfa():
@@ -290,3 +296,31 @@ def test_g2_closure_is_the_subwords_of_a_65536(gn_nfas):
     assert not nfa_member(nfa, "a" * 65537)
     assert longest_word_or_infinite(nfa) == 65536
     assert "ideals" not in nfa.to_dict()
+
+
+# (states, transitions, longest word, sha256 prefix of the to_dict JSON)
+CLOSURE_GOLDENS = {
+    "g1": (4, 5, 2, "7e229ec5cd4c78ea"),
+    "loop": (3, 3, 1, "2d6f0ab0c99a644b"),
+    "square": (4, 5, INFINITE, "1b3c58aba4a53955"),
+    "G_1": (18, 33, 16, "e581654addaa4a3c"),
+    "G_2": (65538, 131073, 65536, "c14597fb36b23ce7"),
+    "random": (4, 5, 2, "7f323025ac04824a"),
+}
+
+
+def closure_fingerprint(nfa):
+    digest = hashlib.sha256(
+        json.dumps(nfa.to_dict(), sort_keys=True).encode()).hexdigest()
+    return (nfa.n_states, len(nfa.transitions),
+            longest_word_or_infinite(nfa), digest[:16])
+
+
+def test_closure_nfa_goldens(gn_nfas):
+    nfas = {name: run_pipeline(g).nfa for name, g in (
+        ("g1", g1_grammar()), ("loop", g_loop_grammar()),
+        ("square", square_grammar()),
+        ("random", grammar_from_text(RANDOM_361_TEXT)))}
+    nfas["G_1"], nfas["G_2"] = gn_nfas[1], gn_nfas[2]
+    assert {name: closure_fingerprint(nfa)
+            for name, nfa in nfas.items()} == CLOSURE_GOLDENS
