@@ -43,8 +43,8 @@ def main():
             print(f"      oracle word lengths: {lengths} "
                   f"(complete={dp.complete}, {time.time() - t0:.1f}s)")
 
-        # G_3's closure does not fit in memory yet: it spells out an
-        # ideal of length 2^256 (ROADMAP item 2)
+        # G_3's closure is the one ideal (a + eps)^(2^256); unfolding it
+        # into NFA states exceeds the closure state cap (CapExceeded)
         if n <= 2:
             t0 = time.time()
             result = run_pipeline(g)

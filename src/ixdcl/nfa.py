@@ -3,10 +3,14 @@ construction.
 
 The downward closure of any context-free language is regular; this
 module computes it symbolically.  A subword-closed language is a finite
-union of ideals, each a product of atoms: an optional letter (a + eps)
-or a star block B* over a letter set B.  The grammar's nonterminal
-dependency graph is processed one strongly connected component at a
-time, bottom-up:
+union of ideals, each a product of atoms: a run (a + eps)^k of one
+optional letter with an exact int count k, or a star block B* over a
+letter set B (the simple regular expressions of Abdulla et al., FMSD
+2004, with counted letters).  Concatenating two normal ideals changes
+only their junction, so a product costs the number of atoms, not the
+length of the words they spell: the doubling chain of G_n stays one
+atom a^(2^(2^(2^n))).  The grammar's nonterminal dependency graph is
+processed one strongly connected component at a time, bottom-up:
 
   * a non-recursive nonterminal takes the union over its productions of
     products of child ideals;
@@ -19,10 +23,12 @@ time, bottom-up:
     the letters of left and right factors and E joins the productions
     leaving the component.
 
-The final expression for the start symbol is then unfolded into a small
-NFA, which keeps the expression in `Nfa.ideals`.  Membership and the
-longest word read those ideals when they are present, by greedy
-matching, in time linear in the word and the ideals; NFAs without them
+The final expression for the start symbol is then unfolded into an NFA,
+k states per run, which keeps the expression in `Nfa.ideals`; an export
+of more than CLOSURE_STATE_CAP states raises CapExceeded before any
+state is made.  Membership and the longest word (an exact int) read
+those ideals when they are present, by greedy matching, in time linear
+in the word and the number of atoms; NFAs without them
 (built by hand, read back by `nfa_from_dict`, or edited after the
 construction) are simulated state by state.  Inclusion and equivalence
 always determinize.
@@ -36,6 +42,9 @@ from dataclasses import dataclass, field
 from .cfg import CfgBinary, CfgTerminal, CfgUnary, rule_kids, trim_cfg
 
 INFINITE = "infinite"
+# The most states the closure NFA export may have.  G_2's closure needs
+# 65538; G_3's would need more than 2^256.
+CLOSURE_STATE_CAP = 10 ** 6
 
 
 @dataclass
@@ -46,7 +55,7 @@ class Nfa:
     initial: set = field(default_factory=set)
     final: set = field(default_factory=set)
     # The antichain of ideals whose union is the language, or None.  Set
-    # by cfg_dcl_nfa; an edit through add_edge or embed clears it.
+    # by cfg_dcl_nfa; an edit through add_edge clears it.
     ideals: frozenset | None = None
 
     def add_state(self):
@@ -56,15 +65,6 @@ class Nfa:
     def add_edge(self, src, letter, dst):
         self.ideals = None
         self.transitions.append((src, letter, dst))
-
-    def embed(self, other):
-        """Copy another NFA into this one; returns its state offset."""
-        self.ideals = None
-        off = self.n_states
-        self.n_states += other.n_states
-        for (s, a, t) in other.transitions:
-            self.transitions.append((s + off, a, t + off))
-        return off
 
     def to_dict(self):
         return {
@@ -116,8 +116,7 @@ def _step_and_eps(nfa):
 
 def nfa_member(nfa, word):
     if nfa.ideals is not None:
-        small = _word_ideal(word)
-        return any(_ideal_le(small, ideal) for ideal in nfa.ideals)
+        return any(_accepts(ideal, word) for ideal in nfa.ideals)
     step, eps = _step_and_eps(nfa)
     cur = _closure(eps, nfa.initial)
     for c in word:
@@ -243,9 +242,9 @@ def longest_word_or_infinite(nfa):
     if nfa.ideals is not None:
         if not nfa.ideals:
             return None
-        if any(kind == "s" for ideal in nfa.ideals for kind, _ in ideal):
+        if any(atom[0] == "s" for ideal in nfa.ideals for atom in ideal):
             return INFINITE
-        return max(map(len, nfa.ideals))
+        return max(sum(atom[2] for atom in ideal) for ideal in nfa.ideals)
     # trim to states on an accepting path
     fwd = {}
     bwd = {}
@@ -331,61 +330,104 @@ def sccs(nodes, adj):
 # CFG -> downward-closure NFA
 
 
-# Ideals are tuples of atoms ("l", letter) for an optional letter and
-# ("s", frozenset) for a star block; a subword-closed language is a
-# frozenset of ideals kept as an antichain under ideal inclusion.
+# Ideals are tuples of atoms ("l", letter, k) for a run of k optional
+# letters (letter + eps)^k, k >= 1, and ("s", frozenset) for a star
+# block; a subword-closed language is a frozenset of ideals kept as an
+# antichain under ideal inclusion.  In a normal ideal no star block is
+# empty, adjacent runs have different letters, and no atom is absorbed by
+# an adjacent star block: a run of a letter the block contains, or a
+# block whose letters it contains.  Counts are exact ints, so a^(2^256)
+# is one atom.
+
+
+def _push_atom(out, atom):
+    """Append atom to the normal ideal in the list out, merging a run into
+    a run of its letter and dropping what an adjacent star block absorbs;
+    returns whether atom was kept."""
+    if atom[0] == "s":
+        val = atom[1]
+        if not val:
+            return False
+        while out and (out[-1][1] in val if out[-1][0] == "l"
+                       else out[-1][1] <= val):
+            out.pop()
+        if out and out[-1][0] == "s" and val <= out[-1][1]:
+            return False
+    elif out:
+        top = out[-1]
+        if top[0] == "s":
+            if atom[1] in top[1]:
+                return False
+        elif top[1] == atom[1]:
+            out[-1] = ("l", atom[1], top[2] + atom[2])
+            return True
+    out.append(atom)
+    return True
 
 
 def _norm_ideal(atoms):
-    """Drop empty star blocks and atoms absorbed by an adjacent star."""
+    """The normal form of any sequence of atoms."""
     out = []
     for atom in atoms:
-        kind, val = atom
-        if kind == "s":
-            if not val:
-                continue
-            while out:
-                pk, pv = out[-1]
-                if (pk == "l" and pv in val) or (pk == "s" and pv <= val):
-                    out.pop()
-                else:
-                    break
-            if out and out[-1][0] == "s" and val <= out[-1][1]:
-                continue
-        else:
-            if out and out[-1][0] == "s" and val in out[-1][1]:
-                continue
-        out.append(atom)
+        _push_atom(out, atom)
+    return tuple(out)
+
+
+def _join(x, y):
+    """The normal form of x·y for normal x and y.  Only the junction can
+    change: y's atoms are fed onto x until one is kept, and the rest of y
+    follows unchanged."""
+    out = list(x)
+    for i, atom in enumerate(y):
+        if _push_atom(out, atom):
+            return tuple(out) + y[i + 1:]
     return tuple(out)
 
 
 def _ideal_le(small, big):
-    """Ideal inclusion by greedy left-to-right matching."""
+    """Ideal inclusion by greedy left-to-right matching.  Both are normal,
+    so the atom after a run of small is never that run's letter: a run
+    of big that a run of small ends in is of no further use."""
     j = 0
-    for kind, val in small:
-        ok = False
-        while j < len(big):
-            bk, bv = big[j]
-            if bk == "s":
-                if kind == "l" and val in bv:
-                    ok = True
-                    break
-                if kind == "s" and val <= bv:
-                    ok = True
-                    break
+    for atom in small:
+        if atom[0] == "s":
+            val = atom[1]
+            while j < len(big) and not (big[j][0] == "s"
+                                        and val <= big[j][1]):
                 j += 1
-            else:
-                j += 1
-                if kind == "l" and bv == val:
-                    ok = True
+            if j == len(big):
+                return False
+            continue
+        c, k = atom[1], atom[2]
+        while k > 0:
+            if j == len(big):
+                return False
+            bj = big[j]
+            if bj[0] == "s":
+                if c in bj[1]:
                     break
-        if not ok:
-            return False
+            elif bj[1] == c:
+                k -= bj[2]
+            j += 1
     return True
 
 
 def _ideal_key(ideal):
-    return tuple((k, v if k == "l" else tuple(sorted(v))) for k, v in ideal)
+    """A sort key ordering counted ideals as the tuples of their unfolded
+    atoms ("l", c) and ("s", sorted letters) would be ordered.  A run of
+    c that ends earlier meets its successor where the other run still
+    has a c; so more c's sort first if the successor is above ("l", c),
+    later if it is below or absent."""
+    out = []
+    for i, atom in enumerate(ideal):
+        if atom[0] == "s":
+            out.append(("s", tuple(sorted(atom[1]))))
+            continue
+        nxt = ideal[i + 1] if i + 1 < len(ideal) else None
+        up = nxt is not None and (nxt[0] == "s" or nxt[1] > atom[1])
+        out.append(("l", atom[1], 1, -atom[2]) if up
+                   else ("l", atom[1], -1, atom[2]))
+    return tuple(out)
 
 
 def _antichain(ideals):
@@ -410,11 +452,34 @@ def _antichain(ideals):
 
 
 def _sre_concat(xs, ys):
-    return _antichain(_norm_ideal(x + y) for x in xs for y in ys)
+    return _antichain(_join(x, y) for x in xs for y in ys)
 
 
 def _word_ideal(word):
-    return _norm_ideal(tuple(("l", c) for c in word))
+    return _norm_ideal(("l", c, 1) for c in word)
+
+
+def _star(letters):
+    return (("s", frozenset(letters)),) if letters else ()
+
+
+def _accepts(ideal, word):
+    """Is word in the ideal?  Each atom takes the longest prefix it can of
+    what is left; the ideal's language is subword-closed, so that is
+    never worse than a shorter one."""
+    i, n = 0, len(word)
+    for atom in ideal:
+        if i == n:
+            return True
+        if atom[0] == "s":
+            val = atom[1]
+            while i < n and word[i] in val:
+                i += 1
+        else:
+            c, end = atom[1], min(n, i + atom[2])
+            while i < end and word[i] == c:
+                i += 1
+    return i == n
 
 
 def cfg_dcl_nfa(cfg, cap=100000):
@@ -484,7 +549,7 @@ def cfg_dcl_nfa(cfg, cap=100000):
                  and r.right in members
                  for nt in members for r in by_lhs[nt]):
             # expansive component
-            value = frozenset([_norm_ideal((("s", frozenset(letters)),))])
+            value = frozenset([_star(letters)])
             for nt in members:
                 sre[nt] = value
         else:
@@ -501,31 +566,40 @@ def cfg_dcl_nfa(cfg, cap=100000):
                         pass
                     else:
                         exits |= rule_sre(r)
-            pre = (("s", frozenset(up)),)
-            post = (("s", frozenset(down)),)
-            value = _antichain(_norm_ideal(pre + e + post) for e in exits)
+            pre, post = _star(up), _star(down)
+            value = _antichain(_join(_join(pre, e), post) for e in exits)
             for nt in members:
                 sre[nt] = value
         if any(len(sre[nt]) > cap for nt in members):
             from .analysis import CapExceeded
             raise CapExceeded("closure expression cap exceeded")
 
+    # the export unfolds a run of k letters into k states
+    states = 2 + sum(atom[2] if atom[0] == "l" else 1
+                     for ideal in sre[cfg.start] for atom in ideal)
+    if states > CLOSURE_STATE_CAP:
+        from .analysis import CapExceeded
+        raise CapExceeded(f"closure NFA state cap exceeded: {states} "
+                          f"states, limit {CLOSURE_STATE_CAP}")
     init = out.add_state()
     fin = out.add_state()
     out.initial = {init}
     out.final = {fin}
     for ideal in sorted(sre[cfg.start], key=_ideal_key):
         cur = init
-        for kind, val in ideal:
-            nxt = out.add_state()
-            if kind == "l":
-                out.add_edge(cur, val, nxt)
-                out.add_edge(cur, None, nxt)
+        for atom in ideal:
+            if atom[0] == "l":
+                for _ in range(atom[2]):
+                    nxt = out.add_state()
+                    out.add_edge(cur, atom[1], nxt)
+                    out.add_edge(cur, None, nxt)
+                    cur = nxt
             else:
+                nxt = out.add_state()
                 out.add_edge(cur, None, nxt)
-                for c in sorted(val):
+                for c in sorted(atom[1]):
                     out.add_edge(nxt, c, nxt)
-            cur = nxt
+                cur = nxt
         out.add_edge(cur, None, fin)
     if not sre[cfg.start]:
         out.final = set()

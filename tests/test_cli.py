@@ -166,11 +166,17 @@ def test_stats(capsys, paths):
     assert data["nfa_states"] > 0
 
 
-def test_cap_exceeded_exit_code(capsys, paths):
+def test_cap_exceeded_exit_code(capsys, paths, tmp_path):
+    # G_3's closure would unfold a^(2^256) into states
+    code, text, _ = run(capsys, ["gen", "gn", "3"])
+    assert code == 0
+    g3 = tmp_path / "g3.ix"
+    g3.write_text(text)
     for argv in (["--max-summaries", "3", "summaries", paths["loop"]],
                  ["--max-monoid", "2", "monoid", paths["square"]],
                  ["--max-dfa-states", "1", "compare",
-                  paths["g1"], paths["loop"]]):
+                  paths["g1"], paths["loop"]],
+                 ["dcl-nfa", str(g3)]):
         code, _, err = run(capsys, argv)
         assert code == 3, argv
         assert "cap" in err

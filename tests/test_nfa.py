@@ -15,13 +15,15 @@ from ixdcl.cfg import (Cfg, CfgBinary, CfgTerminal, CfgUnary,
                        cfg_dcl_bounded)
 from ixdcl.families import g1_grammar, g_loop_grammar, square_grammar
 from ixdcl.grammar import grammar_from_text
-from ixdcl.nfa import (INFINITE, Nfa, _antichain, _ideal_le, _norm_ideal,
-                       _word_ideal, cfg_dcl_nfa, dcl_close, determinize,
+from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _accepts, _antichain,
+                       _ideal_key, _ideal_le, _join, _norm_ideal, _word_ideal,
+                       cfg_dcl_nfa, dcl_close, determinize,
                        longest_word_or_infinite, nfa_equivalence,
                        nfa_from_dict, nfa_inclusion, nfa_member,
                        word_subword_nfa)
 from ixdcl.oracle import is_subword, subwords
 from ixdcl.pipeline import run_pipeline
+import ideal_reference as ref
 from test_summaries import RANDOM_361_TEXT
 
 
@@ -116,9 +118,6 @@ def test_edits_clear_the_ideals():
     n.add_edge(0, "b", 0)
     assert n.ideals is None
     assert nfa_member(n, "bbab")
-    n.ideals = frozenset([_word_ideal("ab")])
-    n.embed(astar_bstar_nfa())
-    assert n.ideals is None
 
 
 def test_to_dict_round_trip():
@@ -132,28 +131,79 @@ def test_to_dict_round_trip():
 # -- ideal arithmetic -------------------------------------------------------
 
 
+A1, B1, C1 = ("l", "a", 1), ("l", "b", 1), ("l", "c", 1)
+
+
 def test_norm_ideal_absorption():
     s = ("s", frozenset("ab"))
-    assert _norm_ideal((("l", "a"), s)) == (s,)
-    assert _norm_ideal((s, ("l", "a"))) == (s,)
+    assert _norm_ideal((A1, s)) == (s,)
+    assert _norm_ideal((s, A1)) == (s,)
     assert _norm_ideal((s, ("s", frozenset("a")))) == (s,)
     assert _norm_ideal((("s", frozenset()),)) == ()
-    assert _norm_ideal((("l", "c"), s)) == (("l", "c"), s)
+    assert _norm_ideal((C1, s)) == (C1, s)
+    # runs of one letter merge by adding their counts: a^2 a^3 = a^5
+    assert _norm_ideal((("l", "a", 2), ("l", "a", 3))) == (("l", "a", 5),)
+    assert _join((("l", "a", 2),), (("l", "a", 3),)) == (("l", "a", 5),)
+    # a star block absorbs a whole run of a letter it contains
+    big = ("l", "a", 2 ** 256)
+    assert _norm_ideal((big, ("s", frozenset("a")))) == \
+        (("s", frozenset("a")),)
 
 
 def test_ideal_le_examples():
     s_ab = ("s", frozenset("ab"))
-    assert _ideal_le((("l", "a"),), (s_ab,))
-    assert _ideal_le((("l", "a"), ("l", "b")), (s_ab,))
-    assert not _ideal_le((s_ab,), (("l", "a"), ("l", "b")))
+    assert _ideal_le((A1,), (s_ab,))
+    assert _ideal_le((A1, B1), (s_ab,))
+    assert not _ideal_le((s_ab,), (A1, B1))
     assert _ideal_le((("s", frozenset("a")),), (s_ab,))
-    assert not _ideal_le((("l", "b"), ("l", "a")),
-                         (("l", "a"), ("l", "b")))
+    assert not _ideal_le((B1, A1), (A1, B1))
+    # a count carries across a run of another letter: a^3 <= a^2 b a
+    a2ba = (("l", "a", 2), B1, A1)
+    assert _ideal_le((("l", "a", 3),), a2ba)
+    assert not _ideal_le((("l", "a", 4),), a2ba)
+    assert not _ideal_le((("l", "a", 3),), (A1, B1, A1))
+    # a^k under {a}*, for any k
+    assert _ideal_le((("l", "a", 2 ** 256),), (("s", frozenset("a")),))
 
 
 @given(st.text("ab", max_size=5), st.text("ab", max_size=5))
 def test_word_ideal_le_is_subword_order(u, v):
     assert _ideal_le(_word_ideal(u), _word_ideal(v)) == is_subword(u, v)
+
+
+# raw counted atoms over {a, b}; `normal` normalizes them by the reference
+raw_atoms = st.lists(st.one_of(
+    st.tuples(st.just("l"), st.sampled_from("ab"), st.integers(1, 4)),
+    st.tuples(st.just("s"), st.sampled_from(
+        [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]))),
+    max_size=6).map(tuple)
+normal = raw_atoms.map(lambda atoms: ref.fold(ref.norm_ideal(
+    ref.unfold(atoms))))
+
+
+@given(raw_atoms)
+def test_norm_ideal_matches_reference(atoms):
+    assert _norm_ideal(atoms) == ref.fold(ref.norm_ideal(ref.unfold(atoms)))
+
+
+@given(normal, normal)
+def test_join_is_full_normalization(x, y):
+    assert _join(x, y) == _norm_ideal(x + y) == \
+        ref.fold(ref.norm_ideal(ref.unfold(x) + ref.unfold(y)))
+
+
+@given(st.lists(normal, max_size=8))
+def test_counted_order_matches_reference(ideals):
+    for x, y in itertools.product(ideals, repeat=2):
+        assert _ideal_le(x, y) == ref.ideal_le(ref.unfold(x), ref.unfold(y))
+    assert sorted(set(ideals), key=_ideal_key) == \
+        sorted(set(ideals), key=lambda i: ref.ideal_key(ref.unfold(i)))
+
+
+@given(normal, st.text("ab", max_size=8))
+def test_accepts_matches_reference(ideal, word):
+    letters = tuple(("l", c) for c in word)
+    assert _accepts(ideal, word) == ref.ideal_le(letters, ref.unfold(ideal))
 
 
 def test_antichain_drops_dominated():
@@ -227,6 +277,29 @@ def test_dcl_nfa_cap_bounds_linear_components():
     assert len(cfg_dcl_nfa(cfg, cap=3).ideals) == 3
     with pytest.raises(CapExceeded):
         cfg_dcl_nfa(cfg, cap=2)
+
+
+def doubling_cfg(k):
+    # S_i -> S_{i-1} S_{i-1}, S_0 -> a: the single word a^(2^k)
+    rules = [CfgTerminal("S0", "a")] + [
+        CfgBinary(f"S{i}", f"S{i - 1}", f"S{i - 1}") for i in range(1, k + 1)]
+    return Cfg([f"S{i}" for i in range(k + 1)], frozenset("a"), f"S{k}",
+               tuple(rules))
+
+
+def test_dcl_nfa_counts_runs():
+    nfa = cfg_dcl_nfa(doubling_cfg(4))
+    assert nfa.ideals == frozenset([(("l", "a", 16),)])
+    assert nfa.n_states == 18
+    assert longest_word_or_infinite(nfa) == 16
+
+
+def test_dcl_nfa_state_cap():
+    k = (CLOSURE_STATE_CAP - 2).bit_length()
+    assert 2 + 2 ** k > CLOSURE_STATE_CAP
+    for n in (k, 256):
+        with pytest.raises(CapExceeded, match="closure NFA state cap"):
+            cfg_dcl_nfa(doubling_cfg(n))
 
 
 def random_cfg(rng):
