@@ -24,6 +24,7 @@ from ixdcl.oracle import (OracleBudget, Term, dcl_member_oracle,
                           term_language_dp, term_reachable, term_routes)
 from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
+from summary_keys import summary_key
 
 MUT1_TEXT = G1_TEXT.replace('B -> "ab"', 'B -> "ba"\nB -> "b"')
 MUT2_TEXT = SQUARE_TEXT.replace("B - g -> b", "B - g -> a b")
@@ -171,7 +172,8 @@ def test_criterion_06_summary_invariants(fixtures):
         # rebuilding is deterministic
         m2 = StackMonoid(st.analysis, st.annotated.letters)
         gr2 = build_summary_graph(SummaryFactory(m2), st.annotated.letters)
-        assert [s.key() for s in gr2.nodes] == [s.key() for s in gr.nodes]
+        assert list(map(summary_key, gr2.nodes)) == \
+            list(map(summary_key, gr.nodes))
     # the single-loop example plateaus at 10 nodes of size <= 9
     loop = fixtures["loop"].graph
     assert len(loop.nodes) == 10

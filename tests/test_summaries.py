@@ -16,6 +16,7 @@ from ixdcl.families import g_loop_grammar, grammar_gn
 from ixdcl.grammar import grammar_from_text
 from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, element_key, mat_mul
 from ixdcl.summaries import SummaryFactory, build_summary_graph
+from summary_keys import summary_key
 
 # a drawn grammar whose summary graph has 361 nodes
 RANDOM_361_TEXT = """\
@@ -40,6 +41,40 @@ GRAPH_GOLDENS = {
     "random": (361, 363, "d6d48e69d0809b17"),
 }
 
+# the two drawn grammars of the benchmark's `random` population whose
+# summary graphs exceed the default cap of 4096 nodes
+CAPPED_TEXTS = {
+    "push_pair": """\
+start A
+terminals a b
+stack l
+D -> a
+A -> N + l
+N -> A + l
+D -> A
+A -> D b
+dfa K0 { states q0; init q0; final q0; }
+""",
+    "check": """\
+start U
+terminals a b
+stack s x
+U -> K + x
+S -> K check K0
+S -> b b U
+K -> S + s
+U -> b b S
+K -> a
+dfa K0 { states q0; init q0; final q0; q0 x q0; }
+""",
+}
+
+# (summaries created before the cap, sha256 prefix of summaries_fingerprint)
+CAP_GOLDENS = {
+    "push_pair": (4096, "0e031972ccd450bb"),
+    "check": (4096, "07f381f9fffe3d76"),
+}
+
 
 def fresh_loop_factory():
     g = g_loop_grammar()
@@ -49,11 +84,15 @@ def fresh_loop_factory():
     return SummaryFactory(m), sorted(ag.letters, key=str)
 
 
-def summary_graph(g):
+def monoid_and_letters(g):
     an = Analysis(g)
     ag = build_annotated(g, an)
-    return build_summary_graph(SummaryFactory(StackMonoid(an, ag.letters)),
-                               ag.letters)
+    return StackMonoid(an, ag.letters), ag.letters
+
+
+def summary_graph(g):
+    m, letters = monoid_and_letters(g)
+    return build_summary_graph(SummaryFactory(m), letters)
 
 
 def canonical(x):
@@ -69,7 +108,7 @@ def canonical(x):
 def graph_fingerprint(graph):
     """Node count, edge count and a digest of every node in order (index,
     size, depth, hash-cons key) and every edge (src, letter, tgt)."""
-    lines = [f"{i} {s.size} {s.depth} {canonical(s.key())}"
+    lines = [f"{i} {s.size} {s.depth} {canonical(summary_key(s))}"
              for i, s in enumerate(graph.nodes)]
     lines += [f"{graph.ids[src]} {canonical(letter)} {graph.ids[tgt]}"
               for (src, letter), tgt in graph.edges.items()]
@@ -77,10 +116,18 @@ def graph_fingerprint(graph):
     return len(graph.nodes), len(graph.edges), digest[:16]
 
 
-def recorded_atom_words(stages):
-    """A fresh factory on the stages' monoid, and every atom word it is
-    asked to decompose while rebuilding the summary graph."""
-    factory = SummaryFactory(stages.monoid)
+def summaries_fingerprint(summaries):
+    """Count and a digest of every summary in order (size, depth, key)."""
+    lines = [f"{s.size} {s.depth} {canonical(summary_key(s))}"
+             for s in summaries]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return len(lines), digest[:16]
+
+
+def recorded_atom_words(monoid, letters):
+    """A fresh factory on the monoid, and every atom word it is asked to
+    decompose while building the summary graph."""
+    factory = SummaryFactory(monoid)
     words = {}
     decompose = factory._decompose
 
@@ -89,7 +136,7 @@ def recorded_atom_words(stages):
         return decompose(s)
 
     factory._decompose = record
-    build_summary_graph(factory, stages.annotated.letters)
+    build_summary_graph(factory, letters)
     del factory._decompose
     return factory, list(words.values())
 
@@ -160,7 +207,8 @@ def test_decompose_matches_brute_force(fixtures, name):
     # Every window of a recorded atom word, short enough to enumerate, is
     # split with the factory's own group count and with 1 and 2 groups on
     # each side of e+, which makes short words decompose.
-    factory, words = recorded_atom_words(fixtures[name])
+    st_ = fixtures[name]
+    factory, words = recorded_atom_words(st_.monoid, st_.annotated.letters)
     m = factory.monoid
     found = 0
     for n_groups, slack in ((1, 8), (2, 8), (factory.n_groups, 2)):
@@ -185,6 +233,25 @@ def test_decompose_matches_brute_force(fixtures, name):
             assert got[1:] == (groups, tuple(w[end:]))
             found += 1
     assert found >= 5
+
+
+@pytest.mark.parametrize("name", ["square", "random"])
+def test_decompose_is_the_same_cold_and_warm(fixtures, name):
+    # The warm factory has decomposed every word before, and the group
+    # count changes under it; each cold factory sees one word only.
+    if name == "square":
+        m, letters = fixtures["square"].monoid, \
+            fixtures["square"].annotated.letters
+    else:
+        m, letters = monoid_and_letters(grammar_from_text(RANDOM_361_TEXT))
+    warm, words = recorded_atom_words(m, letters)
+    full = warm.n_groups
+    for n_groups in (full, 1, 2, 1, 2, full):
+        warm.n_groups = n_groups
+        for s in words:
+            cold = SummaryFactory(m)
+            cold.n_groups = n_groups
+            assert cold._decompose(s) == warm._decompose(s)
 
 
 class TransformationMonoid:
@@ -304,7 +371,7 @@ def test_hash_consing_identity():
     a = factory.push_word((letter,) * 3, factory.empty)
     b = factory.push_word((letter,) * 3, factory.empty)
     assert a is b
-    assert a.key() == b.key()
+    assert summary_key(a) == summary_key(b)
 
 
 def test_rebuild_determinism(fixtures):
@@ -312,8 +379,8 @@ def test_rebuild_determinism(fixtures):
         m = StackMonoid(st_.analysis, st_.annotated.letters)
         factory = SummaryFactory(m)
         graph = build_summary_graph(factory, st_.annotated.letters)
-        assert [s.key() for s in graph.nodes] == \
-            [s.key() for s in st_.graph.nodes]
+        assert list(map(summary_key, graph.nodes)) == \
+            list(map(summary_key, st_.graph.nodes))
 
 
 def test_depth_stratification(fixtures):
@@ -331,3 +398,13 @@ def test_summary_graph_cap():
     factory, letters = fresh_loop_factory()
     with pytest.raises(CapExceeded):
         build_summary_graph(factory, letters, cap=3)
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_TEXTS))
+def test_cap_exit_goldens(name):
+    m, letters = monoid_and_letters(grammar_from_text(CAPPED_TEXTS[name]))
+    factory = SummaryFactory(m)
+    with pytest.raises(CapExceeded):
+        build_summary_graph(factory, letters)
+    created = [s for s in factory._summaries.values() if not s.is_empty()]
+    assert summaries_fingerprint(created) == CAP_GOLDENS[name]
