@@ -581,26 +581,24 @@ def cfg_dcl_nfa(cfg, cap=100000):
         from .analysis import CapExceeded
         raise CapExceeded(f"closure NFA state cap exceeded: {states} "
                           f"states, limit {CLOSURE_STATE_CAP}")
-    init = out.add_state()
-    fin = out.add_state()
-    out.initial = {init}
-    out.final = {fin}
+    # state 0 is initial, 1 final, then one per unfolded atom in order
+    out.n_states = states
+    out.initial, out.final = {0}, {1}
+    edges = out.transitions
+    nxt = 2
     for ideal in sorted(sre[cfg.start], key=_ideal_key):
-        cur = init
+        cur = 0
         for atom in ideal:
             if atom[0] == "l":
-                for _ in range(atom[2]):
-                    nxt = out.add_state()
-                    out.add_edge(cur, atom[1], nxt)
-                    out.add_edge(cur, None, nxt)
-                    cur = nxt
+                for q in range(nxt, nxt + atom[2]):
+                    edges += ((cur, atom[1], q), (cur, None, q))
+                    cur = q
             else:
-                nxt = out.add_state()
-                out.add_edge(cur, None, nxt)
-                for c in sorted(atom[1]):
-                    out.add_edge(nxt, c, nxt)
+                edges.append((cur, None, nxt))
+                edges += ((nxt, c, nxt) for c in sorted(atom[1]))
                 cur = nxt
-        out.add_edge(cur, None, fin)
+            nxt = cur + 1
+        edges.append((cur, None, 1))
     if not sre[cfg.start]:
         out.final = set()
     out.ideals = sre[cfg.start]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .analysis import CapExceeded
 from .grammar import sort_key
-from .monoid import ONE, ZERO, element_key
+from .monoid import ONE, ZERO
 
 
 class Atom:
@@ -41,9 +41,6 @@ class Atom:
         self.phi = phi
         self.depth = depth
         self.size = 1 + tail.size
-
-    def key(self):
-        return ("atom", self.letter, self.tail.key())
 
     def __repr__(self):
         return f"Atom({self.letter!r}, {self.tail!r})"
@@ -61,13 +58,6 @@ class Block:
         self.size = (sum(a.size for g in us for a in g) + 1 +
                      sum(a.size for g in vs for a in g) +
                      sum(a.size for a in w))
-
-    def key(self):
-        return ("block",
-                tuple(tuple(a.key() for a in g) for g in self.us),
-                element_key(self.e),
-                tuple(tuple(a.key() for a in g) for g in self.vs),
-                tuple(a.key() for a in self.w))
 
     def __repr__(self):
         return f"Block(us={self.us!r}, vs={self.vs!r}, w={self.w!r})"
@@ -89,27 +79,23 @@ class Summary:
     def is_empty(self):
         return self.sub is None and not self.atoms and not self.blocks
 
-    def key(self):
-        return ("summary",
-                self.sub.key() if self.sub is not None else None,
-                tuple(a.key() for a in self.atoms),
-                tuple(b.key() for b in self.blocks))
-
-    def top_letter(self):
-        """The leftmost (topmost) annotated letter of the summarized stack."""
-        if self.sub is not None and not self.sub.is_empty():
-            return self.sub.top_letter()
-        if self.atoms:
-            return self.atoms[0].letter
-        if self.blocks:
-            return self.blocks[0].us[0][0].letter
-        return None
-
     def __repr__(self):
         if self.is_empty():
             return "Summary(empty)"
         return (f"Summary(sub={self.sub!r}, atoms={self.atoms!r}, "
                 f"blocks={self.blocks!r})")
+
+
+class _Suffix:
+    """One suffix of an atom word for `_decompose`: the row of its first
+    position, the levels `can` per idempotent id, and its tail or None."""
+
+    __slots__ = ("row", "can", "tail")
+
+    def __init__(self, row, tail):
+        self.row = row
+        self.can = {}
+        self.tail = tail
 
 
 class SummaryFactory:
@@ -121,9 +107,9 @@ class SummaryFactory:
         self._atoms = {}
         self._blocks = {}
         self._summaries = {}
-        self._rows = {}
+        self._suffixes = {}   # atom identities of a suffix -> its _Suffix
+        self._elems = {}      # id -> monoid element, for the row keys
         self.empty = Summary(None, (), (), ONE, 0)
-        self._summaries[self.empty.key()] = self.empty
 
     # -- constructors -------------------------------------------------------
 
@@ -144,17 +130,14 @@ class SummaryFactory:
             self._blocks[k] = Block(us, e, vs, w, self.monoid.phi_seq(seq))
         return self._blocks[k]
 
-    def summary(self, sub, atoms, blocks):
+    def summary(self, sub, atoms, blocks, phi):
+        """The summary sub atoms blocks; the caller knows its image phi."""
         if not atoms and not blocks:
             return sub if sub is not None else self.empty
         if sub is not None and sub.is_empty():
             sub = None
-        k = (id(sub), tuple(id(a) for a in atoms),
-             tuple(id(b) for b in blocks))
+        k = (id(sub), tuple(map(id, atoms)), tuple(map(id, blocks)))
         if k not in self._summaries:
-            seq = ([sub.phi] if sub is not None else []) + \
-                  [a.phi for a in atoms] + [b.phi for b in blocks]
-            phi = self.monoid.phi_seq(seq)
             self._summaries[k] = Summary(sub, tuple(atoms), tuple(blocks),
                                          phi, self.monoid.depth(phi))
         return self._summaries[k]
@@ -170,20 +153,21 @@ class SummaryFactory:
         if d_new > d:
             if trace is not None:
                 trace.append("deepen")
-            return self.summary(None, (self.atom(letter, sigma),), ())
+            return self.summary(None, (self.atom(letter, sigma),), (),
+                                new_phi)
         sub = sigma.sub if sigma.sub is not None else self.empty
         sub_phi = m.product(phi_l, sub.phi)
         if m.depth(sub_phi) < d:
             if trace is not None:
                 trace.append("recurse")
             return self.summary(self.push_letter(letter, sub, trace),
-                                sigma.atoms, sigma.blocks)
+                                sigma.atoms, sigma.blocks, new_phi)
         s = (self.atom(letter, sub),) + sigma.atoms
         dec = self._decompose(s)
         if dec is None:
             if trace is not None:
                 trace.append("atom")
-            return self.summary(None, s, sigma.blocks)
+            return self.summary(None, s, sigma.blocks, new_phi)
         e, groups, w = dec
         n = self.n_groups
         us, vs = groups[:n], groups[n + 1:]
@@ -200,17 +184,14 @@ class SummaryFactory:
                 if trace is not None:
                     trace.append(f"merge@{j}")
                 merged = self.block(us, e, bj.vs, bj.w)
-                return self.summary(None, (), (merged,) + blocks[j:])
+                return self.summary(None, (), (merged,) + blocks[j:],
+                                    new_phi)
         if trace is not None:
             trace.append("block")
+        # e+ keeps the image, so the pushed stack's image is new_phi in
+        # every case
         return self.summary(None, (),
-                            (self.block(us, e, vs, w),) + blocks)
-
-    def push_word(self, word, sigma, trace=None):
-        """Push an annotated stack word (topmost letter first)."""
-        for letter in reversed(word):
-            sigma = self.push_letter(letter, sigma, trace)
-        return sigma
+                            (self.block(us, e, vs, w),) + blocks, new_phi)
 
     def _decompose(self, s):
         """Split the atom word s into 2N+1 groups with a common idempotent
@@ -221,85 +202,104 @@ class SummaryFactory:
         give the same first group, which has only one image.
 
         Positions of s are bits of ints, position p being bit n - p (its
-        distance from the right end).  ends[p] maps each element, by
+        distance from the right end).  The row of p maps each element, by
         identity, to the set of ends q > p with phi(s[p:q]) equal to it.
-        For a candidate idempotent e, can[k] holds p iff s[p:] starts
-        with k groups of image e, that is iff ends[p][e] meets can[k - 1].
-        The shortest first group from p ends at the highest bit of that
+        The candidates are the idempotents in the row of 0, the prefix
+        images.  For a candidate e, can[k] holds p iff s[p:] starts with
+        k groups of image e, that is iff row(p)[e] meets can[k - 1].  The
+        shortest first group from p ends at the highest bit of that
         intersection.
         """
         m = self.monoid
         n = len(s)
-        k_groups = 2 * self.n_groups + 1
         # rows of a short s too: the next push extends it by one atom
-        ends = self._segment_rows(s)
+        top = self._segment_rows(s)
+        k_groups = 2 * self.n_groups + 1
         if n < k_groups:
             return None
-        cands = []
-        seen = set()
-        acc = ONE
-        for a in s:
-            acc = m.product(acc, a.phi)
-            if acc is ONE or id(acc) in seen:
-                continue
-            seen.add(id(acc))
-            if m.product(acc, acc) is acc:
-                cands.append(acc)
         best = None
-        for e in cands:
-            ends_e = [row.get(id(e), 0) for row in ends]
-            starts = [(pos, 1 << (n - pos)) for pos in range(n)
-                      if ends_e[pos]]
-            can = [(1 << (n + 1)) - 1]
-            for _ in range(k_groups):
-                prev = can[-1]
-                can.append(sum(bit for pos, bit in starts
-                               if ends_e[pos] & prev))
-            if not can[k_groups] >> n:
+        for eid in top.row:
+            e = self._elems[eid]
+            if e is ONE or m.product(e, e) is not e:
                 continue
-            bounds = []
-            pos = 0
+            can = self._levels(top, n, eid)
+            if len(can) <= k_groups or not can[k_groups] >> n:
+                continue
+            # group ends in order compare as the group lengths do
+            cuts = [0]
+            suffix = top
             for k in range(k_groups, 0, -1):
-                end = n + 1 - (ends_e[pos] & can[k - 1]).bit_length()
-                bounds.append(end - pos)
-                pos = end
-            if best is None or tuple(bounds) < best[0]:
-                best = (tuple(bounds), e, pos)
+                end = n + 1 - (suffix.row[eid] & can[k - 1]).bit_length()
+                for _ in range(end - cuts[-1]):
+                    suffix = suffix.tail
+                cuts.append(end)
+            if best is None or cuts < best[0]:
+                best = (cuts, e)
         if best is None:
             return None
-        bounds, e, end = best
-        groups = []
-        pos = 0
-        for ln in bounds:
-            groups.append(tuple(s[pos:pos + ln]))
-            pos += ln
-        return e, tuple(groups), tuple(s[end:])
+        cuts, e = best
+        return (e, tuple(tuple(s[i:j]) for i, j in zip(cuts, cuts[1:])),
+                tuple(s[cuts[-1]:]))
 
     def _segment_rows(self, s):
-        """ends[p] of `_decompose` for every position p of s.
+        """The `_Suffix` of s, whose tails hold the row of every position.
 
-        A row depends only on the suffix it starts, so the rows of each
-        suffix are kept: a push prepends one atom to a word whose rows are
-        known, and only the row of the new first position is computed.
-        Suffixes are keyed by atom identities, which is exact because
-        atoms are hash-consed and live as long as the factory.
+        A row depends only on the suffix it starts, since bits count from
+        the right end, so the tables of each suffix are kept: a push
+        prepends one atom a to a word whose suffix is known, and the row
+        of the new first position maps a.phi.x for each element x of the
+        old first row to the same ends, plus a.phi to the end 1.  Suffixes
+        are keyed by atom identities, which is exact because atoms are
+        hash-consed and live as long as the factory.
         """
         m = self.monoid
+        elems = self._elems
         n = len(s)
         key = tuple(map(id, s))
         known = n
-        while known > 0 and key[n - known:] not in self._rows:
+        while known and key[n - known:] not in self._suffixes:
             known -= 1
-        rows = self._rows.get(key[n - known:], [])
+        suffix = self._suffixes.get(key[n - known:])   # None for ()
         for pos in range(n - known - 1, -1, -1):
-            row = {}
-            acc = ONE
-            for end in range(pos + 1, n + 1):
-                acc = m.product(acc, s[end - 1].phi)
-                row[id(acc)] = row.get(id(acc), 0) | (1 << (n - end))
-            rows = [row] + rows
-            self._rows[key[pos:]] = rows
-        return rows
+            a = s[pos].phi
+            elems[id(a)] = a
+            row = {id(a): 1 << (n - pos - 1)}
+            if suffix is not None:
+                for xid, ends in suffix.row.items():
+                    y = m.product(a, elems[xid])
+                    yid = id(y)
+                    elems[yid] = y
+                    row[yid] = row.get(yid, 0) | ends
+            suffix = self._suffixes[key[pos:]] = _Suffix(row, suffix)
+        return suffix
+
+    def _levels(self, suffix, n, eid):
+        """can[0], can[1], .. of `_decompose` up to the last nonzero one,
+        for the suffix of length n and the idempotent with identity eid.
+
+        A suffix's levels are its tail's plus its first position, which
+        is in can[0] and is in can[k] iff its row[e] meets can[k - 1].
+        They are kept per suffix and idempotent, and an unknown suffix is
+        extended up from the longest known one below it.  Every nonzero
+        level is kept, so the levels do not depend on the group count.
+        """
+        chain = []
+        while suffix is not None and eid not in suffix.can:
+            chain.append(suffix)
+            suffix = suffix.tail
+        levels = suffix.can[eid] if suffix is not None else [1]
+        bit = 1 << (n - len(chain))
+        for suffix in reversed(chain):
+            bit <<= 1
+            ends = suffix.row.get(eid, 0)
+            new = [levels[0] | bit]
+            for k in range(1, len(levels)):
+                new.append(levels[k] | bit if ends & levels[k - 1]
+                           else levels[k])
+            if ends & levels[-1]:
+                new.append(bit)
+            suffix.can[eid] = levels = new
+        return levels
 
     # -- validation ---------------------------------------------------------
 

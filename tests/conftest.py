@@ -2,9 +2,15 @@
 
 Expensive stages (notably the square-example pipeline) are computed once
 per session and shared read-only across test modules.
+
+The hypothesis profile named by HYPOTHESIS_PROFILE is loaded; the `ci`
+profile derandomizes, so that every CI run checks the same examples.
 """
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from ixdcl.analysis import Analysis
 from ixdcl.annotate import build_annotated
@@ -15,6 +21,9 @@ from ixdcl.monoid import StackMonoid
 from ixdcl.nfa import cfg_dcl_nfa
 from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 class Stages:

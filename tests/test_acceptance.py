@@ -24,7 +24,7 @@ from ixdcl.oracle import (OracleBudget, Term, dcl_member_oracle,
                           term_language_dp, term_reachable, term_routes)
 from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
-from summary_keys import summary_key
+from summary_helpers import summary_key, top_letter
 
 MUT1_TEXT = G1_TEXT.replace('B -> "ab"', 'B -> "ba"\nB -> "b"')
 MUT2_TEXT = SQUARE_TEXT.replace("B - g -> b", "B - g -> a b")
@@ -166,7 +166,7 @@ def test_criterion_06_summary_invariants(fixtures):
         for (src, letter), tgt in gr.edges.items():
             assert tgt.phi is m.product(m.gens[letter], src.phi)
             assert src in gr.pop(letter, tgt)
-            assert tgt.top_letter() == letter
+            assert top_letter(tgt) == letter
         for sigma in gr.nodes:
             assert st.factory.validate(sigma) == []
         # rebuilding is deterministic

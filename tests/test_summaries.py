@@ -16,7 +16,7 @@ from ixdcl.families import g_loop_grammar, grammar_gn
 from ixdcl.grammar import grammar_from_text
 from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, element_key, mat_mul
 from ixdcl.summaries import SummaryFactory, build_summary_graph
-from summary_keys import summary_key
+from summary_helpers import push_word, summary_key, top_letter
 
 # a drawn grammar whose summary graph has 361 nodes
 RANDOM_361_TEXT = """\
@@ -313,7 +313,7 @@ def test_loop_push_cases_and_plateau():
 
 def test_loop_block_shape():
     factory, (letter,) = fresh_loop_factory()
-    sigma = factory.push_word((letter,) * 5, factory.empty)
+    sigma = push_word(factory, (letter,) * 5, factory.empty)
     assert sigma.sub is None and sigma.atoms == ()
     (block,) = sigma.blocks
     n = factory.n_groups
@@ -330,13 +330,17 @@ def test_phi_preserved_on_all_edges(fixtures):
         for (src, letter), tgt in st_.graph.edges.items():
             assert tgt.phi is m.product(m.gens[letter], src.phi)
             assert tgt.phi is not ZERO
+            # the push hands the summary its image; its parts agree
+            parts = [x.phi for x in (tgt.sub,) + tgt.atoms + tgt.blocks
+                     if x is not None]
+            assert m.phi_seq(parts) is tgt.phi
 
 
 def test_top_letter_after_push(fixtures):
     for st_ in fixtures.values():
         for (src, letter), tgt in st_.graph.edges.items():
-            assert tgt.top_letter() == letter
-    assert next(iter(fixtures["g1"].graph.nodes)).top_letter() is None
+            assert top_letter(tgt) == letter
+    assert top_letter(next(iter(fixtures["g1"].graph.nodes))) is None
 
 
 def test_push_pop_round_trip(fixtures):
@@ -368,8 +372,8 @@ def test_validator_clean_on_all_nodes(fixtures):
 
 def test_hash_consing_identity():
     factory, (letter,) = fresh_loop_factory()
-    a = factory.push_word((letter,) * 3, factory.empty)
-    b = factory.push_word((letter,) * 3, factory.empty)
+    a = push_word(factory, (letter,) * 3, factory.empty)
+    b = push_word(factory, (letter,) * 3, factory.empty)
     assert a is b
     assert summary_key(a) == summary_key(b)
 
