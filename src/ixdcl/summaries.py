@@ -16,7 +16,9 @@ depth d are built from three layers:
 Pushing a letter either starts a deeper summary, recurses into sub,
 prepends an atom, folds a long atom word into a block, or merges two
 blocks over the same idempotent.  Popping is the inverse relation and
-is answered from the edge index of the summary graph.
+is answered from the edge index of the summary graph.  The tables that
+find a fold are kept per suffix of an atom word, so a push extends them
+by its one new position.
 
 All summaries are hash-consed: structurally equal summaries are the
 same object, so equality is identity and the monoid image, depth and
@@ -147,6 +149,7 @@ class SummaryFactory:
     def push_letter(self, letter, sigma, trace=None):
         m = self.monoid
         phi_l = m.gens[letter]
+        # the image of the pushed stack in every case, as e+ keeps images
         new_phi = m.product(phi_l, sigma.phi)
         d_new = m.depth(new_phi)
         d = sigma.depth
@@ -188,8 +191,6 @@ class SummaryFactory:
                                     new_phi)
         if trace is not None:
             trace.append("block")
-        # e+ keeps the image, so the pushed stack's image is new_phi in
-        # every case
         return self.summary(None, (),
                             (self.block(us, e, vs, w),) + blocks, new_phi)
 
@@ -292,10 +293,9 @@ class SummaryFactory:
         for suffix in reversed(chain):
             bit <<= 1
             ends = suffix.row.get(eid, 0)
-            new = [levels[0] | bit]
-            for k in range(1, len(levels)):
-                new.append(levels[k] | bit if ends & levels[k - 1]
-                           else levels[k])
+            new = [levels[0] | bit] + [
+                level | bit if ends & below else level
+                for below, level in zip(levels, levels[1:])]
             if ends & levels[-1]:
                 new.append(bit)
             suffix.can[eid] = levels = new
