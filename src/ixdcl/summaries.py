@@ -123,9 +123,8 @@ class SummaryFactory:
         return self._atoms[k]
 
     def block(self, us, e, vs, w):
-        k = (tuple(tuple(id(a) for a in g) for g in us), id(e),
-             tuple(tuple(id(a) for a in g) for g in vs),
-             tuple(id(a) for a in w))
+        k = (tuple(tuple(map(id, g)) for g in us), id(e),
+             tuple(tuple(map(id, g)) for g in vs), tuple(map(id, w)))
         if k not in self._blocks:
             seq = [a.phi for g in us for a in g] + [e] + \
                   [a.phi for g in vs for a in g] + [a.phi for a in w]
