@@ -35,23 +35,23 @@ def main():
         expected = 2 ** (2 ** (2 ** n))
         if expected <= 70000:
             an = Analysis(g)
-            t0 = time.time()
+            t0 = time.perf_counter()
             dp = term_language_dp(g, OracleBudget(expected + 1, n + 4,
                                                   10 ** 6),
                                   emptiness=an.term_empty, lengths=True)
             lengths = sorted(dp.table[(g.start, ())])
             print(f"      oracle word lengths: {lengths} "
-                  f"(complete={dp.complete}, {time.time() - t0:.1f}s)")
+                  f"(complete={dp.complete}, {time.perf_counter() - t0:.1f}s)")
 
         # G_3's closure is the one ideal (a + eps)^(2^256); unfolding it
         # into NFA states exceeds the closure state cap (CapExceeded)
         if n <= 2:
-            t0 = time.time()
+            t0 = time.perf_counter()
             result = run_pipeline(g)
             print(f"      pipeline: {result.stats['nfa_states']} NFA "
                   f"states, longest word "
                   f"{longest_word_or_infinite(result.nfa)} "
-                  f"({time.time() - t0:.2f}s)")
+                  f"({time.perf_counter() - t0:.2f}s)")
 
 
 if __name__ == "__main__":

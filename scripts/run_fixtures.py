@@ -28,11 +28,11 @@ def main():
     header = ["grammar"] + COLUMNS + ["longest", "time"]
     rows = []
     for name, g in grammars:
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = run_pipeline(g)
         longest = longest_word_or_infinite(result.nfa)
         rows.append([name] + [str(result.stats[c]) for c in COLUMNS] +
-                    [str(longest), f"{time.time() - t0:.2f}s"])
+                    [str(longest), f"{time.perf_counter() - t0:.2f}s"])
 
     widths = [max(len(r[i]) for r in [header] + rows)
               for i in range(len(header))]

@@ -35,16 +35,16 @@ def main():
     print(f"{args.fixture}: {len(letters)} annotated letter(s), "
           f"monoid of {len(monoid.elements)} elements")
     sigma = factory.empty
-    seen = {id(sigma): 0}
+    seen = {sigma: 0}
     for i in range(1, args.pushes + 1):
         letter = letters[(i - 1) % len(letters)]
         trace = []
         sigma = factory.push_letter(letter, sigma, trace=trace)
         note = ""
-        if id(sigma) in seen:
-            note = f"  (same as after push {seen[id(sigma)]})"
+        if sigma in seen:
+            note = f"  (same as after push {seen[sigma]})"
         else:
-            seen[id(sigma)] = i
+            seen[sigma] = i
         print(f"push {i:2d}  {sort_key(letter):<24s} case={trace[0]:<8s} "
               f"size={sigma.size:3d} depth={sigma.depth}{note}")
 

@@ -7,7 +7,9 @@ matrix M records which nonterminal pairs the segment can route between.
 
 The product multiplies the topmost segment on the left.  A morphism phi
 maps annotated stack letters (topmost letter leftmost) into the monoid;
-a stack is feasible exactly when its image is not the zero.
+a stack is feasible exactly when its image is not the zero.  A monoid
+interns its elements, so equality of elements is identity and every
+table keys them by the objects themselves.
 
 The submonoid generated by the letter images is enumerated breadth-first
 by multiplying with generators on both sides, which yields its left and
@@ -45,9 +47,13 @@ ONE = _Unit()
 ZERO = _Zero()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Seg:
-    """A non-trivial monoid element (B, Y, M, A, X)."""
+    """A non-trivial monoid element (B, Y, M, A, X).
+
+    Elements are interned by their fields (`StackMonoid._mk`), so they
+    compare and hash by identity.
+    """
 
     b: object
     y: frozenset
@@ -84,44 +90,40 @@ class StackMonoid:
         self._intern = {}
         self.gens = {}
         for letter in sorted(letters, key=sort_key):
-            self.gens[letter] = self._mk(self._phi_letter(letter))
+            self.gens[letter] = self._phi_letter(letter)
         self.elements, below = self._closure()
         self._idempotents, self._depth, self._j_length = self._j_data(below)
 
-    def _mk(self, seg):
-        """Intern elements so structural equality is object identity."""
-        return self._intern.setdefault(seg, seg)
+    def _mk(self, *fields):
+        """The interned element with these fields."""
+        x = self._intern.get(fields)
+        if x is None:
+            x = self._intern[fields] = Seg(*fields)
+        return x
 
     def _phi_letter(self, letter):
         f, X = letter
         g = self.analysis.g
-        return Seg(g.beta(f), self.analysis.act(f, X),
-                   self.analysis.matrix(f, X), g.alpha(f), X)
+        return self._mk(g.beta(f), self.analysis.act(f, X),
+                        self.analysis.matrix(f, X), g.alpha(f), X)
 
     def product(self, x2, x1):
-        """x2 . x1 where x2 abstracts the part of the stack above x1.
-
-        The memo is keyed by the identities of the operands, which is
-        exact because every element this monoid hands out is interned by
-        `_mk`.  Each entry keeps both operands alive, so an id in a key is
-        never reused by another object.
-        """
+        """x2 . x1 where x2 abstracts the part of the stack above x1."""
         if x2 is ONE:
             return x1
         if x1 is ONE:
             return x2
         if x2 is ZERO or x1 is ZERO:
             return ZERO
-        key = (id(x2), id(x1))
-        hit = self._prod.get(key)
-        if hit is None:
+        key = (x2, x1)
+        out = self._prod.get(key)
+        if out is None:
             if x2.x == x1.y and (x1.b, x2.a) in self.analysis.reach(x2.x):
-                out = self._mk(Seg(x2.b, x2.y, mat_mul(x2.m, x1.m),
-                                   x1.a, x1.x))
+                out = self._mk(x2.b, x2.y, mat_mul(x2.m, x1.m), x1.a, x1.x)
             else:
                 out = ZERO
-            hit = self._prod[key] = (out, x2, x1)
-        return hit[0]
+            self._prod[key] = out
+        return out
 
     def phi(self, word):
         """Image of an annotated stack word (topmost letter first)."""
@@ -144,30 +146,30 @@ class StackMonoid:
 
         ZERO is J-below every element, being ZERO.x, even when no product
         of generators is ZERO; it is then appended, and every element gets
-        an edge to it.  Elements are interned, so they are indexed by id.
+        an edge to it.
         """
         gens = list(dict.fromkeys(self.gens.values()))
         elems = [ONE]
-        index = {id(ONE): 0}
+        index = {ONE: 0}
         below = []
         for x in elems:   # elems grows while it is scanned
             succ = set()
             for g in gens:
                 for z in (self.product(g, x), self.product(x, g)):
-                    i = index.get(id(z))
+                    i = index.get(z)
                     if i is None:
                         if len(elems) >= self.cap:
                             raise CapExceeded("stack monoid cap exceeded")
-                        i = index[id(z)] = len(elems)
+                        i = index[z] = len(elems)
                         elems.append(z)
                     succ.add(i)
             below.append(succ)
-        if id(ZERO) not in index:
-            index[id(ZERO)] = len(elems)
+        if ZERO not in index:
+            index[ZERO] = len(elems)
             elems.append(ZERO)
             below.append(set())
         for succ in below:
-            succ.add(index[id(ZERO)])
+            succ.add(index[ZERO])
         return elems, below
 
     # -- Green's relations and regular J-depth ------------------------------

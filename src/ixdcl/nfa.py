@@ -12,16 +12,15 @@ length of the words they spell: the doubling chain of G_n stays one
 atom a^(2^(2^(2^n))).  The grammar's nonterminal dependency graph is
 processed one strongly connected component at a time, bottom-up:
 
-  * a non-recursive nonterminal takes the union over its productions of
-    products of child ideals;
   * an expansive component (some binary production stays entirely inside
     the component) can pump every letter it can ever produce, so each
     member denotes Gamma* over the component's reachable letters;
-  * a non-expansive recursive component is linear: one derivation path
-    can visit every in-component production arbitrarily often, so under
-    subword closure every member denotes U* E V*, where U and V collect
-    the letters of left and right factors and E joins the productions
-    leaving the component.
+  * any other component is linear: one derivation path can visit every
+    in-component production arbitrarily often, so under subword closure
+    every member denotes U* E V*, where U and V collect the letters of
+    left and right factors and E joins the productions leaving the
+    component.  For a nonterminal outside every cycle U and V are empty
+    and E is the union over its productions.
 
 The final expression for the start symbol is then unfolded into an NFA,
 k states per run, which keeps the expression in `Nfa.ideals`; an export
@@ -39,6 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .analysis import CapExceeded
 from .cfg import CfgBinary, CfgTerminal, CfgUnary, rule_kids, trim_cfg
 
 INFINITE = "infinite"
@@ -167,8 +167,6 @@ class Dfa:
 
 def determinize(nfa, cap=100000):
     """Subset construction; the result is total (has a sink if needed)."""
-    from .analysis import CapExceeded
-
     alphabet = sorted(nfa.alphabet)
     step, eps = _step_and_eps(nfa)
     start = frozenset(_closure(eps, nfa.initial))
@@ -505,10 +503,6 @@ def cfg_dcl_nfa(cfg, cap=100000):
     comps = sccs(sorted(by_lhs, key=lambda nt: order[nt]),
                  {nt: sorted(dep[nt], key=lambda k: order[k])
                   for nt in dep})
-    comp_of = {}
-    for i, c in enumerate(comps):
-        for nt in c:
-            comp_of[nt] = i
 
     sre = {}   # nt -> frozenset of ideals
 
@@ -534,20 +528,9 @@ def cfg_dcl_nfa(cfg, cap=100000):
                                      if k not in members))
         for nt in members:
             alph[nt] = letters
-        recursive = any(
-            (isinstance(r, CfgBinary) and (r.left in members
-                                           or r.right in members)) or
-            (isinstance(r, CfgUnary) and r.rhs in members)
-            for nt in members for r in by_lhs[nt])
-        if not recursive:
-            for nt in members:
-                ideals = frozenset()
-                for r in by_lhs[nt]:
-                    ideals |= rule_sre(r)
-                sre[nt] = _antichain(ideals)
-        elif any(isinstance(r, CfgBinary) and r.left in members
-                 and r.right in members
-                 for nt in members for r in by_lhs[nt]):
+        if any(isinstance(r, CfgBinary) and r.left in members
+               and r.right in members
+               for nt in members for r in by_lhs[nt]):
             # expansive component
             value = frozenset([_star(letters)])
             for nt in members:
@@ -571,14 +554,12 @@ def cfg_dcl_nfa(cfg, cap=100000):
             for nt in members:
                 sre[nt] = value
         if any(len(sre[nt]) > cap for nt in members):
-            from .analysis import CapExceeded
             raise CapExceeded("closure expression cap exceeded")
 
     # the export unfolds a run of k letters into k states
     states = 2 + sum(atom[2] if atom[0] == "l" else 1
                      for ideal in sre[cfg.start] for atom in ideal)
     if states > CLOSURE_STATE_CAP:
-        from .analysis import CapExceeded
         raise CapExceeded(f"closure NFA state cap exceeded: {states} "
                           f"states, limit {CLOSURE_STATE_CAP}")
     # state 0 is initial, 1 final, then one per unfolded atom in order

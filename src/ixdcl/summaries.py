@@ -90,7 +90,7 @@ class Summary:
 
 class _Suffix:
     """One suffix of an atom word for `_decompose`: the row of its first
-    position, the levels `can` per idempotent id, and its tail or None."""
+    position, the levels `can` per idempotent, and its tail or None."""
 
     __slots__ = ("row", "can", "tail")
 
@@ -109,22 +109,20 @@ class SummaryFactory:
         self._atoms = {}
         self._blocks = {}
         self._summaries = {}
-        self._suffixes = {}   # atom identities of a suffix -> its _Suffix
-        self._elems = {}      # id -> monoid element, for the row keys
+        self._suffixes = {}   # atoms of a suffix -> its _Suffix
         self.empty = Summary(None, (), (), ONE, 0)
 
     # -- constructors -------------------------------------------------------
 
     def atom(self, letter, tail):
-        k = ("atom", letter, id(tail))
+        k = (letter, tail)
         if k not in self._atoms:
             phi = self.monoid.product(self.monoid.gens[letter], tail.phi)
             self._atoms[k] = Atom(letter, tail, phi, self.monoid.depth(phi))
         return self._atoms[k]
 
     def block(self, us, e, vs, w):
-        k = (tuple(tuple(map(id, g)) for g in us), id(e),
-             tuple(tuple(map(id, g)) for g in vs), tuple(map(id, w)))
+        k = (us, e, vs, w)
         if k not in self._blocks:
             seq = [a.phi for g in us for a in g] + [e] + \
                   [a.phi for g in vs for a in g] + [a.phi for a in w]
@@ -135,12 +133,10 @@ class SummaryFactory:
         """The summary sub atoms blocks; the caller knows its image phi."""
         if not atoms and not blocks:
             return sub if sub is not None else self.empty
-        if sub is not None and sub.is_empty():
-            sub = None
-        k = (id(sub), tuple(map(id, atoms)), tuple(map(id, blocks)))
+        k = (sub, atoms, blocks)
         if k not in self._summaries:
-            self._summaries[k] = Summary(sub, tuple(atoms), tuple(blocks),
-                                         phi, self.monoid.depth(phi))
+            self._summaries[k] = Summary(sub, atoms, blocks, phi,
+                                         self.monoid.depth(phi))
         return self._summaries[k]
 
     # -- push ---------------------------------------------------------------
@@ -202,8 +198,8 @@ class SummaryFactory:
         give the same first group, which has only one image.
 
         Positions of s are bits of ints, position p being bit n - p (its
-        distance from the right end).  The row of p maps each element, by
-        identity, to the set of ends q > p with phi(s[p:q]) equal to it.
+        distance from the right end).  The row of p maps each element to
+        the set of ends q > p with phi(s[p:q]) equal to it.
         The candidates are the idempotents in the row of 0, the prefix
         images.  For a candidate e, can[k] holds p iff s[p:] starts with
         k groups of image e, that is iff row(p)[e] meets can[k - 1].  The
@@ -218,18 +214,17 @@ class SummaryFactory:
         if n < k_groups:
             return None
         best = None
-        for eid in top.row:
-            e = self._elems[eid]
+        for e in top.row:
             if e is ONE or m.product(e, e) is not e:
                 continue
-            can = self._levels(top, n, eid)
+            can = self._levels(top, n, e)
             if len(can) <= k_groups or not can[k_groups] >> n:
                 continue
             # group ends in order compare as the group lengths do
             cuts = [0]
             suffix = top
             for k in range(k_groups, 0, -1):
-                end = n + 1 - (suffix.row[eid] & can[k - 1]).bit_length()
+                end = n + 1 - (suffix.row[e] & can[k - 1]).bit_length()
                 for _ in range(end - cuts[-1]):
                     suffix = suffix.tail
                 cuts.append(end)
@@ -248,34 +243,27 @@ class SummaryFactory:
         the right end, so the tables of each suffix are kept: a push
         prepends one atom a to a word whose suffix is known, and the row
         of the new first position maps a.phi.x for each element x of the
-        old first row to the same ends, plus a.phi to the end 1.  Suffixes
-        are keyed by atom identities, which is exact because atoms are
-        hash-consed and live as long as the factory.
+        old first row to the same ends, plus a.phi to the end 1.
         """
         m = self.monoid
-        elems = self._elems
         n = len(s)
-        key = tuple(map(id, s))
         known = n
-        while known and key[n - known:] not in self._suffixes:
+        while known and s[n - known:] not in self._suffixes:
             known -= 1
-        suffix = self._suffixes.get(key[n - known:])   # None for ()
+        suffix = self._suffixes.get(s[n - known:])   # None for ()
         for pos in range(n - known - 1, -1, -1):
             a = s[pos].phi
-            elems[id(a)] = a
-            row = {id(a): 1 << (n - pos - 1)}
+            row = {a: 1 << (n - pos - 1)}
             if suffix is not None:
-                for xid, ends in suffix.row.items():
-                    y = m.product(a, elems[xid])
-                    yid = id(y)
-                    elems[yid] = y
-                    row[yid] = row.get(yid, 0) | ends
-            suffix = self._suffixes[key[pos:]] = _Suffix(row, suffix)
+                for x, ends in suffix.row.items():
+                    y = m.product(a, x)
+                    row[y] = row.get(y, 0) | ends
+            suffix = self._suffixes[s[pos:]] = _Suffix(row, suffix)
         return suffix
 
-    def _levels(self, suffix, n, eid):
+    def _levels(self, suffix, n, e):
         """can[0], can[1], .. of `_decompose` up to the last nonzero one,
-        for the suffix of length n and the idempotent with identity eid.
+        for the suffix of length n and the idempotent e.
 
         A suffix's levels are its tail's plus its first position, which
         is in can[0] and is in can[k] iff its row[e] meets can[k - 1].
@@ -284,20 +272,20 @@ class SummaryFactory:
         level is kept, so the levels do not depend on the group count.
         """
         chain = []
-        while suffix is not None and eid not in suffix.can:
+        while suffix is not None and e not in suffix.can:
             chain.append(suffix)
             suffix = suffix.tail
-        levels = suffix.can[eid] if suffix is not None else [1]
+        levels = suffix.can[e] if suffix is not None else [1]
         bit = 1 << (n - len(chain))
         for suffix in reversed(chain):
             bit <<= 1
-            ends = suffix.row.get(eid, 0)
+            ends = suffix.row.get(e, 0)
             new = [levels[0] | bit] + [
                 level | bit if ends & below else level
                 for below, level in zip(levels, levels[1:])]
             if ends & levels[-1]:
                 new.append(bit)
-            suffix.can[eid] = levels = new
+            suffix.can[e] = levels = new
         return levels
 
     # -- validation ---------------------------------------------------------
@@ -355,13 +343,11 @@ class SummaryFactory:
 
 @dataclass
 class SummaryGraph:
-    factory: SummaryFactory
     letters: list
     nodes: list            # summaries in construction order; nodes[0] empty
     ids: dict              # summary -> index
     edges: dict            # (src summary, letter) -> target summary
     inverse: dict          # (letter, target summary) -> list of sources
-    complete: bool
 
     def push(self, letter, sigma):
         return self.edges.get((sigma, letter))
@@ -394,4 +380,4 @@ def build_summary_graph(factory, letters, cap=4096):
                     raise CapExceeded("summary graph cap exceeded")
                 ids[tgt] = len(nodes)
                 nodes.append(tgt)
-    return SummaryGraph(factory, letters, nodes, ids, edges, inverse, True)
+    return SummaryGraph(letters, nodes, ids, edges, inverse)

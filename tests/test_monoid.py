@@ -103,6 +103,11 @@ def test_unit_and_zero_laws(fixtures):
             assert m.product(x, ONE) is x
             assert m.product(ZERO, x) is ZERO
             assert m.product(x, ZERO) is ZERO
+        # equality of elements is identity, so every product must be one
+        # of the enumerated elements itself, not a structural copy
+        ids = {id(x) for x in m.elements}
+        for x, y in itertools.product(m.elements, repeat=2):
+            assert id(m.product(x, y)) in ids
 
 
 def test_associativity(fixtures):

@@ -277,6 +277,13 @@ def test_dcl_nfa_cap_bounds_linear_components():
     assert len(cfg_dcl_nfa(cfg, cap=3).ideals) == 3
     with pytest.raises(CapExceeded):
         cfg_dcl_nfa(cfg, cap=2)
+    # S -> c | d | e lies on no cycle and takes the same rule, U and V empty
+    acyclic = Cfg(["S"], frozenset("cde"), "S",
+                  (CfgTerminal("S", "c"), CfgTerminal("S", "d"),
+                   CfgTerminal("S", "e")))
+    assert len(cfg_dcl_nfa(acyclic, cap=3).ideals) == 3
+    with pytest.raises(CapExceeded):
+        cfg_dcl_nfa(acyclic, cap=2)
 
 
 def doubling_cfg(k):
