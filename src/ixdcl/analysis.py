@@ -16,19 +16,21 @@ and the per-set reachability relations used by the stack abstraction:
     A ~X~ B  iff  (A, X) derives u (B, X) v in the annotated grammar.
 
 Everything is one demand-driven least fixpoint over keys ("cl", X),
-("act", f, X), ("efoc", X), ("foc", f, X) and ("reach", X).  Reading a
-missing key creates and queues it; each read made while a key is
-evaluated records that key as a reader.  A worklist evaluates each
-queued key's local rule from its current value, and when the value
-grows it re-queues the key's readers, so only keys whose inputs grew
-are evaluated again (a local solver in the sense of Fecht & Seidl,
-"A faster solver for general systems of equations", SCP 1999).
+("act", f, X), ("efoc", X), ("foc", f, X) and ("reach", X).  A cl or
+act value is a set; a relation is kept as rows, a dict from each A to
+the set of B with (A, B), the form every rule reads.  Reading a missing
+key creates and queues it; each read made while a key is evaluated
+records that key as a reader.  A worklist evaluates each queued key's
+local rule from its current value, and when the value grows it
+re-queues the key's readers, so only keys whose inputs grew are
+evaluated again (a local solver in the sense of Fecht & Seidl, "A
+faster solver for general systems of equations", SCP 1999).
 
 A local rule is a single pass over the grammar's rules, indexed once by
-kind.  A rule that reads its own value (a binary rule, or the
-transitive step of reach) may need another pass; the solver re-queues a
-key whose value grew together with its readers, so that pass runs
-through the worklist too and no rule loops on its own.
+kind; a relation's rule adds whole rows.  A rule that reads its own
+value (a binary rule, or the transitive step of reach) may need another
+pass; the solver re-queues a key whose value grew together with its
+readers, so that pass runs through the worklist too and no rule loops.
 """
 
 from __future__ import annotations
@@ -42,12 +44,9 @@ class CapExceeded(RuntimeError):
     """A configurable resource cap was hit; the result would be partial."""
 
 
-def _rows(rel):
-    """A relation (a set of pairs) as a dict: source -> its targets."""
-    rows = {}
-    for (a, b) in rel:
-        rows.setdefault(a, []).append(b)
-    return rows
+def _size(val):
+    """A set's size, or the number of pairs in a relation's rows."""
+    return len(val) if isinstance(val, set) else sum(map(len, val.values()))
 
 
 class Analysis:
@@ -68,7 +67,7 @@ class Analysis:
                 self.push.append(p)
             else:
                 self.pops.setdefault(p.sym, []).append(p)
-        self._val = {}      # key -> set, only grows
+        self._val = {}      # key -> set or rows, only grows
         # key -> the keys that read it; a dict keeps them in order, so the
         # evaluation order (and the number of act keys tried on the way)
         # does not depend on PYTHONHASHSEED
@@ -77,8 +76,8 @@ class Analysis:
         self._queued = set()
         self._current = None    # the key under evaluation
         self._n_act = 0
-        self._reach = None
         self._universe = None
+        self._reached = {}   # X -> reach(X) as a frozenset of pairs
         self._fold = {}   # stack tuple -> frozenset (action on empty set)
 
     # -- the worklist solver -------------------------------------------------
@@ -104,11 +103,11 @@ class Analysis:
             key = self._todo.popleft()
             self._queued.discard(key)
             val = self._val[key]
-            size = len(val)
+            size = _size(val)
             self._current = key
             getattr(self, "_eval_" + key[0])(val, *key[1:])
             self._current = None
-            if len(val) > size:
+            if _size(val) > size:
                 # a rule may read its own value, so the key runs again
                 self._push(key)
                 for r in self._readers.get(key, ()):
@@ -117,6 +116,10 @@ class Analysis:
     def _solved(self, val):
         self._solve()
         return frozenset(val)
+
+    def _solved_pairs(self, rows):
+        self._solve()
+        return frozenset((a, b) for a, row in rows.items() for b in row)
 
     # -- actions -----------------------------------------------------------
 
@@ -146,9 +149,11 @@ class Analysis:
         for p in self.binary:
             if p.left in cur and p.right in cur:
                 cur.add(p.lhs)
+        # one snapshot per pass: a grown value is queued again and its
+        # next pass reads the inner actions at the larger set
+        S = frozenset(cur)
         for p in self.push:
-            if p.lhs not in cur and \
-                    p.rhs in self._need_act(p.sym, frozenset(cur)):
+            if p.lhs not in cur and p.rhs in self._need_act(p.sym, S):
                 cur.add(p.lhs)
 
     def cl(self, X):
@@ -199,80 +204,74 @@ class Analysis:
                             raise CapExceeded("annotation universe cap exceeded")
                         seen_set.add(Y)
                         seen.append(Y)
-            self._universe = dict.fromkeys(seen)   # ordered, fast lookup
+            self._universe = seen
         return list(self._universe)
 
     # -- focus matrices -----------------------------------------------------
 
     def _need_foc(self, f, X):
-        return self._need(("foc", f, X), set)
+        nts = self.g.symbols.nonterminals
+        return self._need(("foc", f, X), lambda: {B: set() for B in nts})
 
     def _need_efoc(self, X):
         nts = self.g.symbols.nonterminals
-        return self._need(("efoc", X), lambda: {(B, B) for B in nts})
+        return self._need(("efoc", X), lambda: {B: {B} for B in nts})
 
     def _eval_efoc(self, cur, X):
         cl = self._need_cl(X)
-        rows = _rows(cur)
         for p in self.binary:
             for C, D in ((p.left, p.right), (p.right, p.left)):
                 if D in cl:
-                    cur.update((p.lhs, B) for B in rows.get(C, ()))
+                    cur[p.lhs] |= cur[C]
         for p in self.push:
-            cur.update((p.lhs, B) for (C, B) in self._need_foc(p.sym, X)
-                       if C == p.rhs)
+            cur[p.lhs] |= self._need_foc(p.sym, X)[p.rhs]
 
     def _eval_foc(self, cur, f, X):
         ef = self._need_efoc(X)
         gen = self._need_act(f, X)
-        rows = _rows(cur)
         for p in self.pops.get(f, ()):
-            cur.update((p.lhs, B) for (C, B) in ef if C == p.rhs)
+            cur[p.lhs] |= ef[p.rhs]
         for p in self.binary:
             for C, D in ((p.left, p.right), (p.right, p.left)):
                 if D in gen:
-                    cur.update((p.lhs, B) for B in rows.get(C, ()))
+                    cur[p.lhs] |= cur[C]
         Y = frozenset(gen)
         for p in self.push:
             # a list first: the key read may be this one
-            mids = [C for (D, C) in self._need_foc(p.sym, Y) if D == p.rhs]
-            cur.update((p.lhs, B) for C in mids for B in rows.get(C, ()))
+            for C in list(self._need_foc(p.sym, Y)[p.rhs]):
+                cur[p.lhs] |= cur[C]
 
     def matrix(self, f, X):
         """Boolean matrix of focus pairs for the letter f under X."""
-        return self._solved(self._need_foc(f, frozenset(X)))
+        return self._solved_pairs(self._need_foc(f, frozenset(X)))
 
     # -- reachability within the annotated grammar --------------------------
 
     def _need_reach(self, X):
-        return self._need(("reach", X), lambda: {(A, A) for A in X})
+        return self._need(("reach", X), lambda: {A: {A} for A in X})
 
     def _eval_reach(self, cur, X):
         for p in self.binary:
             if p.lhs in X and p.left in X and p.right in X:
-                cur.update(((p.lhs, p.left), (p.lhs, p.right)))
+                cur[p.lhs].update((p.left, p.right))
         for p in self.push:
             if p.lhs not in X:
                 continue
             Y = frozenset(self._need_act(p.sym, X))
-            if p.rhs in Y and Y in self._universe:
-                m = _rows(self._need_foc(p.sym, X))
+            if p.rhs in Y:
+                m = self._need_foc(p.sym, X)
                 # a list first: Y may be X
-                ends = [D for (B, D) in self._need_reach(Y) if B == p.rhs]
-                cur.update((p.lhs, C) for D in ends for C in m.get(D, ())
-                           if C in X)
+                for D in list(self._need_reach(Y)[p.rhs]):
+                    cur[p.lhs] |= m[D] & X
         # one transitive step
-        rows = _rows(cur)
-        cur.update({(a, c) for (a, b) in cur for c in rows.get(b, ())})
-
-    def reach_all(self):
-        """For each X in the universe, the relation A ~X~ B (see module doc)."""
-        if self._reach is None:
-            uni = self.universe()
-            vals = [self._need_reach(X) for X in uni]
-            self._solve()
-            self._reach = {X: frozenset(v) for X, v in zip(uni, vals)}
-        return self._reach
+        for row in cur.values():
+            for b in list(row):
+                row |= cur[b]
 
     def reach(self, X):
-        return self.reach_all()[frozenset(X)]
+        """The relation A ~X~ B (see module doc), solved on first use."""
+        X = frozenset(X)
+        out = self._reached.get(X)
+        if out is None:
+            out = self._reached[X] = self._solved_pairs(self._need_reach(X))
+        return out

@@ -16,7 +16,7 @@ from .analysis import Analysis, CapExceeded
 from .annotate import build_annotated, check_productive_sample
 from .grammar import (GrammarError, desugar, label_pushes, parse_grammar,
                       print_grammar, validate)
-from .monoid import StackMonoid, element_key
+from .monoid import StackMonoid
 from .nfa import Nfa, nfa_member
 from .oracle import OracleBudget, term_language_dp
 from .pipeline import PipelineCaps, run_pipeline

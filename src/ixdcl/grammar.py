@@ -455,7 +455,7 @@ def desugar(sg):
         return name
 
     for idx, prod in enumerate(sg.productions):
-        if isinstance(prod, (TerminalRule, BinaryRule, PushRule, PopRule)):
+        if isinstance(prod, CORE_KINDS):
             core.append(prod)
         elif isinstance(prod, PlainSugarRule):
             add_general(prod.lhs, prod.rhs, idx)

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .analysis import CapExceeded
-from .cfg import CfgBinary, CfgTerminal, CfgUnary, rule_kids, trim_cfg
+from .cfg import CfgBinary, CfgTerminal, rule_kids, trim_cfg
 
 INFINITE = "infinite"
 # The most states the closure NFA export may have.  G_2's closure needs
@@ -486,7 +486,7 @@ def cfg_dcl_nfa(cfg, cap=100000):
     alphabet = frozenset(c for r in cfg.rules
                          if isinstance(r, CfgTerminal) for c in r.word)
     out = Nfa(frozenset(cfg.terminals) | alphabet)
-    if not cfg.rules or cfg.start not in {r.lhs for r in cfg.rules}:
+    if not cfg.rules:   # trimmed away: the start is unproductive
         s = out.add_state()
         out.initial = {s}
         out.ideals = frozenset()
@@ -495,14 +495,9 @@ def cfg_dcl_nfa(cfg, cap=100000):
     by_lhs = {}
     for r in cfg.rules:
         by_lhs.setdefault(r.lhs, []).append(r)
-
-    dep = {nt: set() for nt in by_lhs}
-    for r in cfg.rules:
-        dep[r.lhs].update(k for k in rule_kids(r) if k in by_lhs)
-    order = {nt: i for i, nt in enumerate(by_lhs)}
-    comps = sccs(sorted(by_lhs, key=lambda nt: order[nt]),
-                 {nt: sorted(dep[nt], key=lambda k: order[k])
-                  for nt in dep})
+    # after the trim every kid is some rule's lhs
+    comps = sccs(by_lhs, {nt: [k for r in rs for k in rule_kids(r)]
+                          for nt, rs in by_lhs.items()})
 
     sre = {}   # nt -> frozenset of ideals
 
@@ -513,48 +508,42 @@ def cfg_dcl_nfa(cfg, cap=100000):
             return _sre_concat(sre[r.left], sre[r.right])
         return sre[r.rhs]
 
-    # sccs emits components dependencies-first.  The members of a
-    # component reach each other, so they share its letters: their own
-    # terminal letters and those of the lower components they use.
+    # sccs emits components dependencies-first, so a component's value
+    # reads only lower ones.  The members of a component reach each
+    # other, so they share its letters: their own terminal letters and
+    # those of the lower components they use.  A component is expansive
+    # if a binary rule stays inside it, else linear: U* E V*, with U and
+    # V the letters beside a recursive rule and E the exit rules.
     alph = {}   # nt -> the letters it can ever produce
     for members in map(set, comps):
-        letters = set()
-        for nt in members:
-            for r in by_lhs[nt]:
-                if isinstance(r, CfgTerminal):
-                    letters.update(r.word)
+        letters, up, down, exits = set(), set(), set(), []
+        expansive = False
+        for r in (r for nt in members for r in by_lhs[nt]):
+            kids = rule_kids(r)
+            outer = [k for k in kids if k not in members]
+            letters.update(*(alph[k] for k in outer))
+            if isinstance(r, CfgTerminal):
+                letters.update(r.word)
+            if len(outer) == len(kids):
+                exits.append(r)
+            elif isinstance(r, CfgBinary):
+                if not outer:
+                    expansive = True
+                elif r.left in members:
+                    down |= alph[r.right]
                 else:
-                    letters.update(*(alph[k] for k in rule_kids(r)
-                                     if k not in members))
+                    up |= alph[r.left]
+        if expansive:
+            value = frozenset([_star(letters)])
+        else:
+            pre, post = _star(up), _star(down)
+            value = _antichain(_join(_join(pre, e), post)
+                               for r in exits for e in rule_sre(r))
+        if len(value) > cap:
+            raise CapExceeded("closure expression cap exceeded")
         for nt in members:
             alph[nt] = letters
-        if any(isinstance(r, CfgBinary) and r.left in members
-               and r.right in members
-               for nt in members for r in by_lhs[nt]):
-            # expansive component
-            value = frozenset([_star(letters)])
-            for nt in members:
-                sre[nt] = value
-        else:
-            # linear component: U* E V*, shared by every member
-            up, down = set(), set()
-            exits = frozenset()
-            for nt in members:
-                for r in by_lhs[nt]:
-                    if isinstance(r, CfgBinary) and r.left in members:
-                        down |= alph[r.right]
-                    elif isinstance(r, CfgBinary) and r.right in members:
-                        up |= alph[r.left]
-                    elif isinstance(r, CfgUnary) and r.rhs in members:
-                        pass
-                    else:
-                        exits |= rule_sre(r)
-            pre, post = _star(up), _star(down)
-            value = _antichain(_join(_join(pre, e), post) for e in exits)
-            for nt in members:
-                sre[nt] = value
-        if any(len(sre[nt]) > cap for nt in members):
-            raise CapExceeded("closure expression cap exceeded")
+            sre[nt] = value
 
     # the export unfolds a run of k letters into k states
     states = 2 + sum(atom[2] if atom[0] == "l" else 1
@@ -580,7 +569,5 @@ def cfg_dcl_nfa(cfg, cap=100000):
                 cur = nxt
             nxt = cur + 1
         edges.append((cur, None, 1))
-    if not sre[cfg.start]:
-        out.final = set()
     out.ideals = sre[cfg.start]
     return out

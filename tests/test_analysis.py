@@ -90,8 +90,11 @@ def test_universe_goldens(fixtures):
 
 
 def test_universe_closed_under_actions(fixtures):
-    for st_ in fixtures.values():
-        an = st_.analysis
+    # reach(X) reads reach(act(f, X)) and relies on this closure
+    analyses = [st_.analysis for st_ in fixtures.values()]
+    analyses += [Analysis(g) for g in (grammar_gn(1), grammar_gn(2),
+                                       grammar_from_text(RANDOM_361_TEXT))]
+    for an in analyses:
         uni = set(an.universe())
         for X in list(uni):
             for f in an.g.symbols.stack_symbols:

@@ -184,11 +184,15 @@ def test_graph_fingerprint_goldens(fixtures):
 
 
 def test_graph_fingerprint_does_not_depend_on_the_hash_seed():
-    """The 361-node graph, built in fresh interpreters under two hash
-    seeds, has the same fingerprint both times."""
+    """The 361-node graph and its grammar's closure NFA, built in fresh
+    interpreters under two hash seeds, have the same fingerprints both
+    times."""
+    from test_nfa import CLOSURE_GOLDENS
     code = ("from test_summaries import *\n"
-            "print(graph_fingerprint("
-            "summary_graph(grammar_from_text(RANDOM_361_TEXT))))")
+            "from test_nfa import closure_fingerprint, run_pipeline\n"
+            "g = grammar_from_text(RANDOM_361_TEXT)\n"
+            "print(graph_fingerprint(summary_graph(g)))\n"
+            "print(closure_fingerprint(run_pipeline(g).nfa))")
     path = [os.path.dirname(os.path.dirname(ixdcl.__file__)),
             os.path.dirname(__file__)]
     outs = set()
@@ -198,7 +202,8 @@ def test_graph_fingerprint_does_not_depend_on_the_hash_seed():
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         outs.add(run.stdout.strip())
-    assert outs == {str(GRAPH_GOLDENS["random"])}
+    assert outs == {f"{GRAPH_GOLDENS['random']}\n"
+                    f"{CLOSURE_GOLDENS['random']}"}
 
 
 @pytest.mark.parametrize("name", ["loop", "square"])
