@@ -12,7 +12,7 @@ from ixdcl.pipeline import run_pipeline
 
 COLUMNS = ["nonterminals", "productions", "universe", "letters",
            "monoid_elements", "monoid_j_length", "summary_nodes",
-           "max_summary_size", "cfg_trimmed_triples", "nfa_states"]
+           "max_summary_size", "nfa_states"]
 
 
 def main():

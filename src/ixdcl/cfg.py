@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grammar import BinaryRule, PopRule, PushRule, TerminalRule
-from .oracle import subwords
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,10 @@ def rule_kids(r):
     return [r.rhs] if isinstance(r, CfgUnary) else []
 
 
-def trim_cfg(cfg):
-    """Restrict to productive and reachable nonterminals."""
-    # productive pass: per rule, count its right-hand nonterminals not yet
-    # known productive; a rule whose count reaches 0 makes its lhs productive
+def live_rules(cfg):
+    """The rules whose right-hand nonterminals are all productive.  Per
+    rule, count its right-hand nonterminals not yet known productive; a
+    rule whose count reaches 0 makes its lhs productive."""
     waiting = []
     by_kid = {}
     productive = set()
@@ -118,60 +117,26 @@ def trim_cfg(cfg):
             if not waiting[i] and lhs not in productive:
                 productive.add(lhs)
                 queue.append(lhs)
-    live_rules = [r for r, n in zip(cfg.rules, waiting) if not n]
+    return [r for r, n in zip(cfg.rules, waiting) if not n]
+
+
+def trim_cfg(cfg):
+    """Restrict to productive and reachable nonterminals."""
+    live = live_rules(cfg)
     live_by_lhs = {}
-    for r in live_rules:
+    for r in live:
         live_by_lhs.setdefault(r.lhs, []).append(r)
     reachable = set()
-    if cfg.start in productive:
+    if cfg.start in live_by_lhs:
         queue = [cfg.start]
         reachable.add(cfg.start)
         while queue:
             nt = queue.pop()
-            for r in live_by_lhs.get(nt, ()):
+            for r in live_by_lhs[nt]:
                 for k in rule_kids(r):
                     if k not in reachable:
                         reachable.add(k)
                         queue.append(k)
-    rules = tuple(r for r in live_rules if r.lhs in reachable)
+    rules = tuple(r for r in live if r.lhs in reachable)
     nts = [n for n in cfg.nonterminals if n in reachable]
     return Cfg(nts, cfg.terminals, cfg.start, rules)
-
-
-def cfg_bounded_words(cfg, max_len):
-    """All words of L(cfg) of length <= max_len (exact)."""
-    val = {nt: set() for nt in cfg.nonterminals}
-    for r in cfg.rules:
-        for k in [r.lhs] + rule_kids(r):
-            val.setdefault(k, set())
-    changed = True
-    while changed:
-        changed = False
-        for r in cfg.rules:
-            cur = val[r.lhs]
-            if isinstance(r, CfgTerminal):
-                new = {r.word} if len(r.word) <= max_len else set()
-            elif isinstance(r, CfgBinary):
-                new = {u + v for u in val[r.left] for v in val[r.right]
-                       if len(u) + len(v) <= max_len}
-            else:
-                new = val[r.rhs]
-            if not new <= cur:
-                cur |= new
-                changed = True
-    return frozenset(val.get(cfg.start, set()))
-
-
-def cfg_dcl_bounded(cfg, max_len):
-    """The downward closure of L(cfg) restricted to length <= max_len.
-
-    Subword closure distributes over concatenation and union, so this is
-    the bounded language of the same grammar with each terminal rule
-    A -> w replaced by A -> u for every subword u of w.
-    """
-    rules = [r for r in cfg.rules if not isinstance(r, CfgTerminal)]
-    rules += [CfgTerminal(r.lhs, u) for r in cfg.rules
-              if isinstance(r, CfgTerminal) for u in subwords(r.word)]
-    return cfg_bounded_words(
-        Cfg(cfg.nonterminals, cfg.terminals, cfg.start, tuple(rules)),
-        max_len)

@@ -14,6 +14,7 @@ import sys
 from . import families
 from .analysis import Analysis, CapExceeded
 from .annotate import build_annotated, check_productive_sample
+from .cfg import trim_cfg
 from .grammar import (GrammarError, desugar, label_pushes, parse_grammar,
                       print_grammar, validate)
 from .monoid import StackMonoid
@@ -166,12 +167,13 @@ def cmd_summaries(args):
 
 def cmd_to_cfg(args):
     g = _load(args.grammar)
-    result = run_pipeline(g, _caps(args))
+    cfg = run_pipeline(g, _caps(args)).cfg
+    trimmed = trim_cfg(cfg)
     _emit({
-        "triples": len(result.cfg.nonterminals),
-        "rules": len(result.cfg.rules),
-        "trimmed_triples": len(result.cfg_trimmed.nonterminals),
-        "trimmed_rules": len(result.cfg_trimmed.rules),
+        "triples": len(cfg.nonterminals),
+        "rules": len(cfg.rules),
+        "trimmed_triples": len(trimmed.nonterminals),
+        "trimmed_rules": len(trimmed.rules),
     })
     return 0
 

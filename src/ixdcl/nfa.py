@@ -9,8 +9,11 @@ letter set B (the simple regular expressions of Abdulla et al., FMSD
 2004, with counted letters).  Concatenating two normal ideals changes
 only their junction, so a product costs the number of atoms, not the
 length of the words they spell: the doubling chain of G_n stays one
-atom a^(2^(2^(2^n))).  The grammar's nonterminal dependency graph is
-processed one strongly connected component at a time, bottom-up:
+atom a^(2^(2^(2^n))).  The grammar is read untrimmed: one linear count
+over the rules finds the productive nonterminals, and the dependency
+graph of the productive rules (a dead rule must not join two
+components) is processed from the start symbol one strongly connected
+component at a time, bottom-up:
 
   * an expansive component (some binary production stays entirely inside
     the component) can pump every letter it can ever produce, so each
@@ -22,7 +25,8 @@ processed one strongly connected component at a time, bottom-up:
     component.  For a nonterminal outside every cycle U and V are empty
     and E is the union over its productions.
 
-The final expression for the start symbol is then unfolded into an NFA,
+Few distinct values arise, so each is interned and computed once per
+distinct input.  The final expression for the start symbol is then unfolded into an NFA,
 k states per run, which keeps the expression in `Nfa.ideals`; an export
 of more than CLOSURE_STATE_CAP states raises CapExceeded before any
 state is made.  Membership and the longest word (an exact int) read
@@ -39,7 +43,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .analysis import CapExceeded
-from .cfg import CfgBinary, CfgTerminal, rule_kids, trim_cfg
+from .cfg import CfgBinary, CfgTerminal, live_rules, rule_kids
+# Not called: perfbench/spans.py rebinds it.
+from .cfg import trim_cfg  # noqa: F401
 
 INFINITE = "infinite"
 # The most states the closure NFA export may have.  G_2's closure needs
@@ -482,68 +488,77 @@ def _accepts(ideal, word):
 
 def cfg_dcl_nfa(cfg, cap=100000):
     """An NFA for the downward closure of a context-free language."""
-    cfg = trim_cfg(cfg)
-    alphabet = frozenset(c for r in cfg.rules
-                         if isinstance(r, CfgTerminal) for c in r.word)
-    out = Nfa(frozenset(cfg.terminals) | alphabet)
-    if not cfg.rules:   # trimmed away: the start is unproductive
-        s = out.add_state()
-        out.initial = {s}
+    by_lhs, adj = {}, {}
+    for r in live_rules(cfg):
+        by_lhs.setdefault(r.lhs, []).append(r)
+        adj.setdefault(r.lhs, []).extend(rule_kids(r))
+    out = Nfa(frozenset(cfg.terminals))
+    if cfg.start not in by_lhs:   # the start is unproductive
+        out.initial = {out.add_state()}
         out.ideals = frozenset()
         return out   # empty language, no final state
-
-    by_lhs = {}
-    for r in cfg.rules:
-        by_lhs.setdefault(r.lhs, []).append(r)
-    # after the trim every kid is some rule's lhs
-    comps = sccs(by_lhs, {nt: [k for r in rs for k in rule_kids(r)]
-                          for nt, rs in by_lhs.items()})
-
-    sre = {}   # nt -> frozenset of ideals
-
-    def rule_sre(r):
-        if isinstance(r, CfgTerminal):
-            return frozenset([_word_ideal(r.word)])
-        if isinstance(r, CfgBinary):
-            return _sre_concat(sre[r.left], sre[r.right])
-        return sre[r.rhs]
 
     # sccs emits components dependencies-first, so a component's value
     # reads only lower ones.  The members of a component reach each
     # other, so they share its letters: their own terminal letters and
     # those of the lower components they use.  A component is expansive
     # if a binary rule stays inside it, else linear: U* E V*, with U and
-    # V the letters beside a recursive rule and E the exit rules.
+    # V the letters beside a recursive rule and E the exit rules' values.
+    sre = {}    # nt -> frozenset of ideals
     alph = {}   # nt -> the letters it can ever produce
-    for members in map(set, comps):
-        letters, up, down, exits = set(), set(), set(), []
+    vals = {}   # each distinct value, interned
+    # a terminal word, a pair to concatenate, the letters of an expansive
+    # component, or (U*, V*, the exit values) -> its value
+    memo = {}
+
+    def once(key, make):
+        if key not in memo:
+            value = make()
+            memo[key] = vals.setdefault(value, value)
+        return memo[key]
+
+    for members in sccs([cfg.start], adj):
+        inside = set(members)
+        letters, up, down, exits = set(), set(), set(), set()
         expansive = False
         for r in (r for nt in members for r in by_lhs[nt]):
-            kids = rule_kids(r)
-            outer = [k for k in kids if k not in members]
-            letters.update(*(alph[k] for k in outer))
             if isinstance(r, CfgTerminal):
-                letters.update(r.word)
-            if len(outer) == len(kids):
-                exits.append(r)
+                w = r.word
+                letters.update(w)
+                exits.add(once(w, lambda: frozenset([_word_ideal(w)])))
             elif isinstance(r, CfgBinary):
-                if not outer:
+                left, right = r.left in inside, r.right in inside
+                if not left:
+                    letters |= alph[r.left]
+                if not right:
+                    letters |= alph[r.right]
+                if left and right:
                     expansive = True
-                elif r.left in members:
+                elif left:
                     down |= alph[r.right]
-                else:
+                elif right:
                     up |= alph[r.left]
+                else:
+                    key = (sre[r.left], sre[r.right])
+                    exits.add(once(key, lambda: _sre_concat(*key)))
+            elif r.rhs not in inside:
+                letters |= alph[r.rhs]
+                exits.add(sre[r.rhs])
         if expansive:
-            value = frozenset([_star(letters)])
+            value = once(frozenset(letters),
+                         lambda: frozenset([_star(letters)]))
+        elif not up and not down and len(exits) == 1:
+            value = exits.pop()
         else:
             pre, post = _star(up), _star(down)
-            value = _antichain(_join(_join(pre, e), post)
-                               for r in exits for e in rule_sre(r))
+            value = once((pre, post, frozenset(exits)), lambda: _antichain(
+                _join(_join(pre, e), post) for x in exits for e in x))
         if len(value) > cap:
             raise CapExceeded("closure expression cap exceeded")
         for nt in members:
             alph[nt] = letters
             sre[nt] = value
+    out.alphabet |= alph[cfg.start]
 
     # the export unfolds a run of k letters into k states
     states = 2 + sum(atom[2] if atom[0] == "l" else 1

@@ -1,9 +1,10 @@
 """End-to-end pipeline: indexed grammar -> downward-closure NFA.
 
 Stages: productiveness analysis, annotation, stack monoid, summary
-graph, context-free cover, downward-closure NFA.  Each stage has a
-configurable cap; hitting one raises CapExceeded with a report of how
-far the pipeline got.
+graph, context-free cover, downward-closure NFA.  The closure reads the
+cover untrimmed.  Each stage has a configurable cap; hitting one raises
+CapExceeded with a message naming the cap, and the statistics of the
+stages that finished are not kept.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from dataclasses import dataclass, field
 
 from .analysis import Analysis, CapExceeded
 from .annotate import build_annotated
-from .cfg import build_cfg, trim_cfg
+from .cfg import build_cfg
 from .monoid import StackMonoid
 from .nfa import cfg_dcl_nfa
-# Not called: the closure NFA is subword-closed; perfbench/spans.py rebinds it.
+# Not called: the closure NFA is subword-closed, and the closure reads the
+# cover untrimmed; perfbench/spans.py rebinds both.
+from .cfg import trim_cfg  # noqa: F401
 from .nfa import dcl_close  # noqa: F401
 from .summaries import SummaryFactory, build_summary_graph
 
@@ -36,7 +39,6 @@ class PipelineResult:
     monoid: StackMonoid
     graph: object
     cfg: object
-    cfg_trimmed: object
     nfa: object
     stats: dict = field(default_factory=dict)
 
@@ -53,8 +55,7 @@ def run_pipeline(g, caps=None):
     cfg = build_cfg(ag, graph)
     if len(cfg.nonterminals) > caps.max_triples:
         raise CapExceeded("cfg triple cap exceeded")
-    trimmed = trim_cfg(cfg)
-    nfa = cfg_dcl_nfa(trimmed)
+    nfa = cfg_dcl_nfa(cfg)
     stats = {
         "grammar_size": g.size(),
         "nonterminals": len(g.symbols.nonterminals),
@@ -70,9 +71,7 @@ def run_pipeline(g, caps=None):
         "max_summary_size": max((s.size for s in graph.nodes), default=0),
         "cfg_triples": len(cfg.nonterminals),
         "cfg_rules": len(cfg.rules),
-        "cfg_trimmed_triples": len(trimmed.nonterminals),
         "nfa_states": nfa.n_states,
         "nfa_transitions": len(nfa.transitions),
     }
-    return PipelineResult(g, analysis, ag, monoid, graph, cfg, trimmed,
-                          nfa, stats)
+    return PipelineResult(g, analysis, ag, monoid, graph, cfg, nfa, stats)

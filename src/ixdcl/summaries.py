@@ -21,8 +21,8 @@ find a fold are kept per suffix of an atom word, so a push extends them
 by its one new position.
 
 All summaries are hash-consed: structurally equal summaries are the
-same object, so equality is identity and the monoid image, depth and
-size are computed once.
+same object, so equality is identity and the monoid image and depth
+are computed once; the size is computed on its first read.
 """
 
 from __future__ import annotations
@@ -34,22 +34,37 @@ from .grammar import sort_key
 from .monoid import ONE, ZERO
 
 
-class Atom:
-    __slots__ = ("letter", "tail", "phi", "depth", "size")
+class _Sized:
+    """`size` is summed over the parts on its first read: a push builds
+    many summaries, and few of their readers ask for a size."""
+
+    __slots__ = ("_size",)
+
+    @property
+    def size(self):
+        if not hasattr(self, "_size"):
+            self._size = self._sum_size()
+        return self._size
+
+
+class Atom(_Sized):
+    __slots__ = ("letter", "tail", "phi", "depth")
 
     def __init__(self, letter, tail, phi, depth):
         self.letter = letter
         self.tail = tail
         self.phi = phi
         self.depth = depth
-        self.size = 1 + tail.size
+
+    def _sum_size(self):
+        return 1 + self.tail.size
 
     def __repr__(self):
         return f"Atom({self.letter!r}, {self.tail!r})"
 
 
-class Block:
-    __slots__ = ("us", "e", "vs", "w", "phi", "size")
+class Block(_Sized):
+    __slots__ = ("us", "e", "vs", "w", "phi")
 
     def __init__(self, us, e, vs, w, phi):
         self.us = us
@@ -57,16 +72,18 @@ class Block:
         self.vs = vs
         self.w = w
         self.phi = phi
-        self.size = (sum(a.size for g in us for a in g) + 1 +
-                     sum(a.size for g in vs for a in g) +
-                     sum(a.size for a in w))
+
+    def _sum_size(self):
+        return (sum(a.size for g in self.us for a in g) + 1 +
+                sum(a.size for g in self.vs for a in g) +
+                sum(a.size for a in self.w))
 
     def __repr__(self):
         return f"Block(us={self.us!r}, vs={self.vs!r}, w={self.w!r})"
 
 
-class Summary:
-    __slots__ = ("sub", "atoms", "blocks", "phi", "depth", "size")
+class Summary(_Sized):
+    __slots__ = ("sub", "atoms", "blocks", "phi", "depth")
 
     def __init__(self, sub, atoms, blocks, phi, depth):
         self.sub = sub
@@ -74,9 +91,11 @@ class Summary:
         self.blocks = blocks
         self.phi = phi
         self.depth = depth
-        self.size = ((sub.size if sub is not None else 0) +
-                     sum(a.size for a in atoms) +
-                     sum(b.size for b in blocks))
+
+    def _sum_size(self):
+        return ((self.sub.size if self.sub is not None else 0) +
+                sum(a.size for a in self.atoms) +
+                sum(b.size for b in self.blocks))
 
     def is_empty(self):
         return self.sub is None and not self.atoms and not self.blocks

@@ -38,7 +38,7 @@ class Stages:
         self.graph = build_summary_graph(self.factory, self.annotated.letters)
         self.cfg = build_cfg(self.annotated, self.graph)
         self.cfg_trimmed = trim_cfg(self.cfg)
-        self.nfa = cfg_dcl_nfa(self.cfg_trimmed)
+        self.nfa = cfg_dcl_nfa(self.cfg)
 
 
 @pytest.fixture(scope="session")

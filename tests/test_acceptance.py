@@ -12,8 +12,7 @@ import pytest
 
 from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.annotate import annotate_stack, check_productive_sample
-from ixdcl.cfg import (Cfg, CfgBinary, CfgTerminal, CfgUnary,
-                       cfg_bounded_words, cfg_dcl_bounded)
+from ixdcl.cfg import Cfg, CfgBinary, CfgTerminal, CfgUnary
 from ixdcl.families import (G1_TEXT, SQUARE_TEXT, counter_intersection_words,
                             g1_grammar, grammar_gn)
 from ixdcl.grammar import grammar_from_text
@@ -24,6 +23,7 @@ from ixdcl.oracle import (OracleBudget, Term, dcl_member_oracle,
                           term_language_dp, term_reachable, term_routes)
 from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
+from cfg_reference import cfg_bounded_words, cfg_dcl_bounded
 from summary_helpers import summary_key, top_letter
 
 MUT1_TEXT = G1_TEXT.replace('B -> "ab"', 'B -> "ba"\nB -> "b"')

@@ -2,9 +2,9 @@
 
 import random
 
-from ixdcl.cfg import (Cfg, CfgBinary, CfgTerminal, CfgUnary,
-                       cfg_bounded_words, cfg_dcl_bounded, trim_cfg)
+from ixdcl.cfg import Cfg, CfgBinary, CfgTerminal, CfgUnary, trim_cfg
 from ixdcl.oracle import OracleBudget, subwords, term_language_dp
+from cfg_reference import cfg_bounded_words, cfg_dcl_bounded
 from test_nfa import random_cfg
 
 

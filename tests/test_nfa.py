@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ixdcl.analysis import CapExceeded
-from ixdcl.cfg import (Cfg, CfgBinary, CfgTerminal, CfgUnary,
-                       cfg_dcl_bounded)
+from ixdcl.cfg import Cfg, CfgBinary, CfgTerminal, CfgUnary, trim_cfg
 from ixdcl.families import g1_grammar, g_loop_grammar, square_grammar
 from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _accepts, _antichain,
@@ -24,6 +23,7 @@ from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _accepts, _antichain,
 from ixdcl.oracle import is_subword, subwords
 from ixdcl.pipeline import run_pipeline
 import ideal_reference as ref
+from cfg_reference import cfg_dcl_bounded
 from test_summaries import RANDOM_361_TEXT
 
 
@@ -309,33 +309,58 @@ def test_dcl_nfa_state_cap():
             cfg_dcl_nfa(doubling_cfg(n))
 
 
-def random_cfg(rng):
-    n = rng.randint(1, 4)
+def random_cfg(rng, max_nts=4, max_rules=8, letters="ab"):
+    n = rng.randint(1, max_nts)
     nts = [f"N{i}" for i in range(n)]
     rules = []
-    for _ in range(rng.randint(1, 8)):
+    for _ in range(rng.randint(1, max_rules)):
         lhs = rng.choice(nts)
         k = rng.random()
         if k < 0.4:
-            w = "".join(rng.choice("ab")
+            w = "".join(rng.choice(letters)
                         for _ in range(rng.randint(0, 3)))
             rules.append(CfgTerminal(lhs, w))
         elif k < 0.8:
             rules.append(CfgBinary(lhs, rng.choice(nts), rng.choice(nts)))
         else:
             rules.append(CfgUnary(lhs, rng.choice(nts), "push"))
-    return Cfg(nts, frozenset("ab"), "N0", tuple(rules))
+    return Cfg(nts, frozenset(letters), "N0", tuple(rules))
 
 
 def test_dcl_nfa_random_cfgs_match_exact_closure():
     rng = random.Random(1)
     allw = words_upto("ab", 8)
-    for _ in range(20):
+    for _ in range(150):   # about 2 s
         cfg = random_cfg(rng)
         nfa = cfg_dcl_nfa(cfg)
         expect = cfg_dcl_bounded(cfg, 8)
         got = {w for w in allw if nfa_member(nfa, w)}
         assert got == expect
+
+
+def test_dcl_nfa_dead_rule_does_not_join_components():
+    # N0 reaches N3 only through the dead rule N0 -> N2 N3, so b never
+    # enters N0's closure, although {N0, N3} is one component of the
+    # untrimmed graph
+    n0, n1, n2, n3 = "N0", "N1", "N2", "N3"
+    cfg = Cfg([n0, n1, n2, n3], frozenset("abc"), n0,
+              (CfgTerminal(n0, ""), CfgTerminal(n0, "aca"),
+               CfgBinary(n0, n0, n0), CfgBinary(n0, n2, n3),
+               CfgBinary(n0, n2, n2), CfgTerminal(n3, "b"),
+               CfgBinary(n3, n3, n0), CfgUnary(n2, n1),
+               CfgBinary(n1, n1, n2)))
+    nfa = cfg_dcl_nfa(cfg)
+    assert nfa.ideals == frozenset([(("s", frozenset("ac")),)])
+    assert nfa.alphabet == frozenset("abc")
+
+
+def test_dcl_nfa_untrimmed_matches_trimmed():
+    rng = random.Random(7)
+    for _ in range(2000):
+        cfg = random_cfg(rng, max_nts=6, max_rules=10, letters="abc")
+        a, b = cfg_dcl_nfa(cfg), cfg_dcl_nfa(trim_cfg(cfg))
+        assert a.to_dict() == b.to_dict(), cfg
+        assert a.ideals == b.ideals, cfg
 
 
 def test_dcl_nfa_is_deterministic(fixtures):
