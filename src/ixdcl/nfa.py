@@ -25,8 +25,8 @@ component at a time, bottom-up:
     component.  For a nonterminal outside every cycle U and V are empty
     and E is the union over its productions.
 
-Few distinct values arise, so each is interned and computed once per
-distinct input.  The final expression for the start symbol is then unfolded into an NFA,
+Few distinct values arise, so each is computed once per distinct
+input.  The final expression for the start symbol is then unfolded into an NFA,
 k states per run, which keeps the expression in `Nfa.ideals`; an export
 of more than CLOSURE_STATE_CAP states raises CapExceeded before any
 state is made.  Membership and the longest word (an exact int) read
@@ -506,15 +506,13 @@ def cfg_dcl_nfa(cfg, cap=100000):
     # V the letters beside a recursive rule and E the exit rules' values.
     sre = {}    # nt -> frozenset of ideals
     alph = {}   # nt -> the letters it can ever produce
-    vals = {}   # each distinct value, interned
     # a terminal word, a pair to concatenate, the letters of an expansive
     # component, or (U*, V*, the exit values) -> its value
     memo = {}
 
     def once(key, make):
         if key not in memo:
-            value = make()
-            memo[key] = vals.setdefault(value, value)
+            memo[key] = make()
         return memo[key]
 
     for members in sccs([cfg.start], adj):
@@ -548,7 +546,7 @@ def cfg_dcl_nfa(cfg, cap=100000):
             value = once(frozenset(letters),
                          lambda: frozenset([_star(letters)]))
         elif not up and not down and len(exits) == 1:
-            value = exits.pop()
+            value = exits.pop()   # U* E V* is E: most components
         else:
             pre, post = _star(up), _star(down)
             value = once((pre, post, frozenset(exits)), lambda: _antichain(
