@@ -1,38 +1,29 @@
 """Context-free cover of an annotated indexed grammar via stack summaries.
 
 Nonterminals of the CFG are triples (A, X, sigma): an annotated
-nonterminal together with a summary of the stack below it.  Terminal
-and binary rules copy the annotated grammar at a fixed summary; a push
-rule moves to the pushed summary; a pop rule moves to any push-preimage
-recorded in the summary graph.  The resulting context-free language
-contains the indexed language and has the same downward closure.
+nonterminal together with a summary of the stack below it.  Every rule
+is a `CfgRule` that carries its right-hand triples, its kids, and has
+one of three shapes: with no kids it derives its terminal word; with
+two it copies a binary rule of the annotated grammar at a fixed
+summary; with one it is a push rule, which moves to the pushed summary,
+or a pop rule, which moves to any push-preimage recorded in the summary
+graph.  The resulting context-free language contains the indexed
+language and has the same downward closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grammar import BinaryRule, PopRule, PushRule, TerminalRule
+from .analysis import CapExceeded
+from .grammar import BinaryRule, PopRule, TerminalRule
 
 
 @dataclass(frozen=True)
-class CfgTerminal:
+class CfgRule:
     lhs: object
-    word: str
-
-
-@dataclass(frozen=True)
-class CfgBinary:
-    lhs: object
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class CfgUnary:
-    lhs: object
-    rhs: object
-    tag: str = ""
+    kids: tuple
+    word: str = ""
 
 
 @dataclass
@@ -43,8 +34,9 @@ class Cfg:
     rules: tuple
 
 
-def build_cfg(ag, graph):
-    """The context-free grammar over feasible (A, X, summary) triples."""
+def build_cfg(ag, graph, cap=None):
+    """The context-free grammar over feasible (A, X, summary) triples.
+    Raises CapExceeded as soon as there are more than cap triples."""
     g = ag.grammar
     by_lhs = {}
     pops_by_lhs = {}
@@ -54,60 +46,51 @@ def build_cfg(ag, graph):
         else:
             by_lhs.setdefault(p.lhs, []).append(p)
 
-    start = (g.start, graph.nodes[0])
-    triples = [start]
-    seen = {start}
+    triples = []
+    seen = set()
     rules = []
-    i = 0
-    while i < len(triples):
-        nt, sigma = triples[i]
-        cur = triples[i]
-        i += 1
 
-        def child(t):
-            if t not in seen:
-                seen.add(t)
-                triples.append(t)
-            return t
+    def child(t):
+        if t not in seen:
+            seen.add(t)
+            triples.append(t)
+            if cap is not None and len(triples) > cap:
+                raise CapExceeded("cfg triple cap exceeded")
+        return t
 
+    start = child((g.start, graph.nodes[0]))
+    for cur in triples:   # grows while it is read
+        nt, sigma = cur
         for p in by_lhs.get(nt, ()):
             if isinstance(p, TerminalRule):
-                rules.append(CfgTerminal(cur, p.word))
+                rules.append(CfgRule(cur, (), p.word))
             elif isinstance(p, BinaryRule):
-                rules.append(CfgBinary(cur, child((p.left, sigma)),
-                                       child((p.right, sigma))))
-            elif isinstance(p, PushRule):
+                rules.append(CfgRule(cur, (child((p.left, sigma)),
+                                           child((p.right, sigma)))))
+            else:
                 tgt = graph.push(p.sym, sigma)
                 if tgt is not None:
-                    rules.append(CfgUnary(cur, child((p.rhs, tgt)), "push"))
+                    rules.append(CfgRule(cur, (child((p.rhs, tgt)),)))
         for p in pops_by_lhs.get(nt, ()):
             for src in graph.pop(p.sym, sigma):
-                rules.append(CfgUnary(cur, child((p.rhs, src)), "pop"))
+                rules.append(CfgRule(cur, (child((p.rhs, src)),)))
 
     return Cfg(triples, g.symbols.terminals, start, tuple(rules))
 
 
-def rule_kids(r):
-    """The right-hand nonterminals of a CFG rule, in order."""
-    if isinstance(r, CfgBinary):
-        return [r.left, r.right]
-    return [r.rhs] if isinstance(r, CfgUnary) else []
-
-
 def live_rules(cfg):
-    """The rules whose right-hand nonterminals are all productive.  Per
-    rule, count its right-hand nonterminals not yet known productive; a
-    rule whose count reaches 0 makes its lhs productive."""
+    """The rules whose kids are all productive.  Per rule, count its kids
+    not yet known productive; a rule whose count reaches 0 makes its lhs
+    productive."""
     waiting = []
     by_kid = {}
     productive = set()
     queue = []
     for i, r in enumerate(cfg.rules):
-        kids = rule_kids(r)
-        waiting.append(len(kids))
-        for k in kids:
+        waiting.append(len(r.kids))
+        for k in r.kids:
             by_kid.setdefault(k, []).append(i)
-        if not kids and r.lhs not in productive:
+        if not r.kids and r.lhs not in productive:
             productive.add(r.lhs)
             queue.append(r.lhs)
     while queue:
@@ -133,7 +116,7 @@ def trim_cfg(cfg):
         while queue:
             nt = queue.pop()
             for r in live_by_lhs[nt]:
-                for k in rule_kids(r):
+                for k in r.kids:
                     if k not in reachable:
                         reachable.add(k)
                         queue.append(k)

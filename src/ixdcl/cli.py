@@ -14,7 +14,7 @@ import sys
 from . import families
 from .analysis import Analysis, CapExceeded
 from .annotate import build_annotated, check_productive_sample
-from .cfg import trim_cfg
+from .cfg import build_cfg, trim_cfg
 from .grammar import (GrammarError, desugar, label_pushes, parse_grammar,
                       print_grammar, validate)
 from .monoid import StackMonoid
@@ -138,13 +138,21 @@ def cmd_monoid(args):
     return 0
 
 
-def cmd_summaries(args):
+def _summary_graph(args):
+    """The stages up to the summary graph, as `run_pipeline` runs them;
+    returns the annotated grammar, the summary factory and the graph."""
     g = _load(args.grammar)
     analysis = Analysis(g, universe_cap=args.max_universe)
+    analysis.universe()
     ag = build_annotated(g, analysis)
     m = StackMonoid(analysis, ag.letters, cap=args.max_monoid)
     factory = SummaryFactory(m)
     graph = build_summary_graph(factory, ag.letters, cap=args.max_summaries)
+    return ag, factory, graph
+
+
+def cmd_summaries(args):
+    _, factory, graph = _summary_graph(args)
     out = {
         "nodes": len(graph.nodes),
         "edges": len(graph.edges),
@@ -166,8 +174,8 @@ def cmd_summaries(args):
 
 
 def cmd_to_cfg(args):
-    g = _load(args.grammar)
-    cfg = run_pipeline(g, _caps(args)).cfg
+    ag, _, graph = _summary_graph(args)
+    cfg = build_cfg(ag, graph, cap=args.max_triples)
     trimmed = trim_cfg(cfg)
     _emit({
         "triples": len(cfg.nonterminals),

@@ -34,16 +34,17 @@ those ideals when they are present, by greedy matching, in time linear
 in the word and the number of atoms; NFAs without them
 (built by hand, read back by `nfa_from_dict`, or edited after the
 construction) are simulated state by state.  Inclusion and equivalence
-always determinize.
+determinize each side once and search their product breadth-first.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
 from .analysis import CapExceeded
-from .cfg import CfgBinary, CfgTerminal, live_rules, rule_kids
+from .cfg import live_rules
 # Not called: perfbench/spans.py rebinds it.
 from .cfg import trim_cfg  # noqa: F401
 
@@ -51,6 +52,8 @@ INFINITE = "infinite"
 # The most states the closure NFA export may have.  G_2's closure needs
 # 65538; G_3's would need more than 2^256.
 CLOSURE_STATE_CAP = 10 ** 6
+# The most ideals the closure of one component may have.
+CLOSURE_IDEAL_CAP = 100000
 
 
 @dataclass
@@ -198,46 +201,49 @@ def determinize(nfa, cap=100000):
     return Dfa(frozenset(alphabet), len(order), delta, 0, final)
 
 
-def nfa_inclusion(n1, n2, cap=100000):
-    """Is L(n1) a subset of L(n2)?  Returns (bool, counterexample|None)
-    with a shortest counterexample on failure."""
-    alphabet = sorted(n1.alphabet | n2.alphabet)
-    d1 = determinize(Nfa(frozenset(alphabet), n1.n_states,
-                         list(n1.transitions), set(n1.initial),
-                         set(n1.final)), cap)
-    d2 = determinize(Nfa(frozenset(alphabet), n2.n_states,
-                         list(n2.transitions), set(n2.initial),
-                         set(n2.final)), cap)
+def _first_difference(n1, n2, cap, differs):
+    """The shortest word, then the alphabetically least, that leads the
+    determinized n1 and n2 to states whose acceptance (a1, a2) makes
+    differs(a1, a2) true, or None if there is none.  Each side is
+    determinized once, and the product is searched breadth-first with
+    the letters in sorted order."""
+    alphabet = frozenset(n1.alphabet | n2.alphabet)
+    d1, d2 = (determinize(Nfa(alphabet, n.n_states, n.transitions,
+                              n.initial, n.final), cap) for n in (n1, n2))
+    letters = sorted(alphabet)
     start = (d1.initial, d2.initial)
     seen = {start: None}
     queue = deque([start])
     while queue:
-        (q1, q2) = queue.popleft()
-        if q1 in d1.final and q2 not in d2.final:
+        pair = queue.popleft()
+        q1, q2 = pair
+        if differs(q1 in d1.final, q2 in d2.final):
             # rebuild the witness word
             word = []
-            cur = (q1, q2)
-            while seen[cur] is not None:
-                cur, a = seen[cur]
+            while seen[pair] is not None:
+                pair, a = seen[pair]
                 word.append(a)
-            return False, "".join(reversed(word))
-        for a in alphabet:
+            return "".join(reversed(word))
+        for a in letters:
             nxt = (d1.delta[(q1, a)], d2.delta[(q2, a)])
             if nxt not in seen:
-                seen[nxt] = ((q1, q2), a)
+                seen[nxt] = (pair, a)
                 queue.append(nxt)
-    return True, None
+    return None
+
+
+def nfa_inclusion(n1, n2, cap=100000):
+    """Is L(n1) a subset of L(n2)?  Returns (bool, counterexample|None)
+    with a shortest counterexample on failure."""
+    cex = _first_difference(n1, n2, cap, lambda a1, a2: a1 and not a2)
+    return cex is None, cex
 
 
 def nfa_equivalence(n1, n2, cap=100000):
     """Returns (equal, counterexample|None); the counterexample is a
     shortest word in the symmetric difference."""
-    ok12, cex12 = nfa_inclusion(n1, n2, cap)
-    ok21, cex21 = nfa_inclusion(n2, n1, cap)
-    if ok12 and ok21:
-        return True, None
-    cands = [c for c in (cex12, cex21) if c is not None]
-    return False, min(cands, key=lambda w: (len(w), w))
+    cex = _first_difference(n1, n2, cap, operator.ne)
+    return cex is None, cex
 
 
 def longest_word_or_infinite(nfa):
@@ -486,12 +492,12 @@ def _accepts(ideal, word):
     return i == n
 
 
-def cfg_dcl_nfa(cfg, cap=100000):
+def cfg_dcl_nfa(cfg):
     """An NFA for the downward closure of a context-free language."""
     by_lhs, adj = {}, {}
     for r in live_rules(cfg):
         by_lhs.setdefault(r.lhs, []).append(r)
-        adj.setdefault(r.lhs, []).extend(rule_kids(r))
+        adj.setdefault(r.lhs, []).extend(r.kids)
     out = Nfa(frozenset(cfg.terminals))
     if cfg.start not in by_lhs:   # the start is unproductive
         out.initial = {out.add_state()}
@@ -520,28 +526,30 @@ def cfg_dcl_nfa(cfg, cap=100000):
         letters, up, down, exits = set(), set(), set(), set()
         expansive = False
         for r in (r for nt in members for r in by_lhs[nt]):
-            if isinstance(r, CfgTerminal):
+            kids = r.kids
+            if not kids:
                 w = r.word
                 letters.update(w)
                 exits.add(once(w, lambda: frozenset([_word_ideal(w)])))
-            elif isinstance(r, CfgBinary):
-                left, right = r.left in inside, r.right in inside
+            elif len(kids) == 2:
+                lk, rk = kids
+                left, right = lk in inside, rk in inside
                 if not left:
-                    letters |= alph[r.left]
+                    letters |= alph[lk]
                 if not right:
-                    letters |= alph[r.right]
+                    letters |= alph[rk]
                 if left and right:
                     expansive = True
                 elif left:
-                    down |= alph[r.right]
+                    down |= alph[rk]
                 elif right:
-                    up |= alph[r.left]
+                    up |= alph[lk]
                 else:
-                    key = (sre[r.left], sre[r.right])
+                    key = (sre[lk], sre[rk])
                     exits.add(once(key, lambda: _sre_concat(*key)))
-            elif r.rhs not in inside:
-                letters |= alph[r.rhs]
-                exits.add(sre[r.rhs])
+            elif kids[0] not in inside:
+                letters |= alph[kids[0]]
+                exits.add(sre[kids[0]])
         if expansive:
             value = once(frozenset(letters),
                          lambda: frozenset([_star(letters)]))
@@ -551,7 +559,7 @@ def cfg_dcl_nfa(cfg, cap=100000):
             pre, post = _star(up), _star(down)
             value = once((pre, post, frozenset(exits)), lambda: _antichain(
                 _join(_join(pre, e), post) for x in exits for e in x))
-        if len(value) > cap:
+        if len(value) > CLOSURE_IDEAL_CAP:
             raise CapExceeded("closure expression cap exceeded")
         for nt in members:
             alph[nt] = letters

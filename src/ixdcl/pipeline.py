@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis import Analysis, CapExceeded
+# CapExceeded is raised by the stages and re-exported for callers.
+from .analysis import Analysis, CapExceeded  # noqa: F401
 from .annotate import build_annotated
 from .cfg import build_cfg
 from .monoid import StackMonoid
@@ -52,9 +53,7 @@ def run_pipeline(g, caps=None):
     monoid = StackMonoid(analysis, ag.letters, cap=caps.max_monoid)
     factory = SummaryFactory(monoid)
     graph = build_summary_graph(factory, ag.letters, cap=caps.max_summaries)
-    cfg = build_cfg(ag, graph)
-    if len(cfg.nonterminals) > caps.max_triples:
-        raise CapExceeded("cfg triple cap exceeded")
+    cfg = build_cfg(ag, graph, cap=caps.max_triples)
     nfa = cfg_dcl_nfa(cfg)
     stats = {
         "grammar_size": g.size(),

@@ -2,7 +2,7 @@
 closure construction: words are enumerated up to a length, not
 summarised."""
 
-from ixdcl.cfg import Cfg, CfgBinary, CfgTerminal, rule_kids
+from ixdcl.cfg import Cfg, CfgRule
 from ixdcl.oracle import subwords
 
 
@@ -10,20 +10,21 @@ def cfg_bounded_words(cfg, max_len):
     """All words of L(cfg) of length <= max_len (exact)."""
     val = {nt: set() for nt in cfg.nonterminals}
     for r in cfg.rules:
-        for k in [r.lhs] + rule_kids(r):
+        for k in (r.lhs,) + r.kids:
             val.setdefault(k, set())
     changed = True
     while changed:
         changed = False
         for r in cfg.rules:
             cur = val[r.lhs]
-            if isinstance(r, CfgTerminal):
+            if not r.kids:
                 new = {r.word} if len(r.word) <= max_len else set()
-            elif isinstance(r, CfgBinary):
-                new = {u + v for u in val[r.left] for v in val[r.right]
+            elif len(r.kids) == 2:
+                left, right = r.kids
+                new = {u + v for u in val[left] for v in val[right]
                        if len(u) + len(v) <= max_len}
             else:
-                new = val[r.rhs]
+                new = val[r.kids[0]]
             if not new <= cur:
                 cur |= new
                 changed = True
@@ -37,9 +38,9 @@ def cfg_dcl_bounded(cfg, max_len):
     the bounded language of the same grammar with each terminal rule
     A -> w replaced by A -> u for every subword u of w.
     """
-    rules = [r for r in cfg.rules if not isinstance(r, CfgTerminal)]
-    rules += [CfgTerminal(r.lhs, u) for r in cfg.rules
-              if isinstance(r, CfgTerminal) for u in subwords(r.word)]
+    rules = [r for r in cfg.rules if r.kids]
+    rules += [CfgRule(r.lhs, (), u) for r in cfg.rules
+              if not r.kids for u in subwords(r.word)]
     return cfg_bounded_words(
         Cfg(cfg.nonterminals, cfg.terminals, cfg.start, tuple(rules)),
         max_len)

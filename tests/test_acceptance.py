@@ -12,7 +12,7 @@ import pytest
 
 from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.annotate import annotate_stack, check_productive_sample
-from ixdcl.cfg import Cfg, CfgBinary, CfgTerminal, CfgUnary
+from ixdcl.cfg import Cfg, CfgRule
 from ixdcl.families import (G1_TEXT, SQUARE_TEXT, counter_intersection_words,
                             g1_grammar, grammar_gn)
 from ixdcl.grammar import grammar_from_text
@@ -216,11 +216,11 @@ def random_cfg(rng):
         k = rng.random()
         if k < 0.4:
             w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
-            rules.append(CfgTerminal(lhs, w))
+            rules.append(CfgRule(lhs, (), w))
         elif k < 0.8:
-            rules.append(CfgBinary(lhs, rng.choice(nts), rng.choice(nts)))
+            rules.append(CfgRule(lhs, (rng.choice(nts), rng.choice(nts))))
         else:
-            rules.append(CfgUnary(lhs, rng.choice(nts), "push"))
+            rules.append(CfgRule(lhs, (rng.choice(nts),)))
     return Cfg(nts, frozenset("ab"), "N0", tuple(rules))
 
 
@@ -237,14 +237,14 @@ def test_criterion_08_cfg_closure_construction():
     canonical = [
         # a^n b^n
         Cfg(["S", "T", "A", "B"], frozenset("ab"), "S",
-            (CfgTerminal("S", ""), CfgBinary("S", "A", "T"),
-             CfgBinary("T", "S", "B"), CfgTerminal("A", "a"),
-             CfgTerminal("B", "b"))),
+            (CfgRule("S", (), ""), CfgRule("S", ("A", "T")),
+             CfgRule("T", ("S", "B")), CfgRule("A", (), "a"),
+             CfgRule("B", (), "b"))),
         # S -> S S | a
         Cfg(["S"], frozenset("a"), "S",
-            (CfgBinary("S", "S", "S"), CfgTerminal("S", "a"))),
+            (CfgRule("S", ("S", "S")), CfgRule("S", (), "a"))),
         # finite
-        Cfg(["S"], frozenset("ab"), "S", (CfgTerminal("S", "abab"),)),
+        Cfg(["S"], frozenset("ab"), "S", (CfgRule("S", (), "abab"),)),
     ]
     for cfg in canonical:
         nfa = cfg_dcl_nfa(cfg)

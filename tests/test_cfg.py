@@ -2,7 +2,10 @@
 
 import random
 
-from ixdcl.cfg import Cfg, CfgBinary, CfgTerminal, CfgUnary, trim_cfg
+import pytest
+
+from ixdcl.analysis import CapExceeded
+from ixdcl.cfg import Cfg, CfgRule, build_cfg, trim_cfg
 from ixdcl.oracle import OracleBudget, subwords, term_language_dp
 from cfg_reference import cfg_bounded_words, cfg_dcl_bounded
 from test_nfa import random_cfg
@@ -17,6 +20,13 @@ def test_cfg_goldens(fixtures):
                 len(st_.cfg_trimmed.rules)) == shapes[name]
 
 
+def test_cfg_triple_cap(square):
+    cfg = build_cfg(square.annotated, square.graph, cap=1977)
+    assert len(cfg.nonterminals) == 1977
+    with pytest.raises(CapExceeded, match="cfg triple cap"):
+        build_cfg(square.annotated, square.graph, cap=1976)
+
+
 def test_cfg_start_triple(fixtures):
     for st_ in fixtures.values():
         assert st_.cfg.start == (st_.annotated.grammar.start,
@@ -28,28 +38,23 @@ def test_cfg_rule_sanity(fixtures):
         nts = set(st_.cfg.nonterminals)
         for r in st_.cfg.rules:
             assert r.lhs in nts
-            if isinstance(r, CfgBinary):
-                assert r.left in nts and r.right in nts
+            assert all(k in nts for k in r.kids)
+            assert len(r.kids) in (0, 1, 2)
+            if len(r.kids) == 2:
                 # binary rules keep the summary of the parent
-                assert r.left[1] is r.lhs[1] and r.right[1] is r.lhs[1]
-            elif isinstance(r, CfgUnary):
-                assert r.rhs in nts
-                assert r.tag in ("push", "pop")
-            else:
-                assert isinstance(r, CfgTerminal)
+                assert all(k[1] is r.lhs[1] for k in r.kids)
+            if r.kids:
+                assert r.word == ""
 
 
 def test_cfg_push_pop_follow_graph(fixtures):
     for st_ in fixtures.values():
         gr = st_.graph
         for r in st_.cfg.rules:
-            if isinstance(r, CfgUnary) and r.tag == "push":
-                (_, sigma), (_, tgt) = r.lhs, r.rhs
-                assert any(gr.push(letter, sigma) is tgt
-                           for letter in gr.letters)
-            elif isinstance(r, CfgUnary) and r.tag == "pop":
-                (_, sigma), (_, src) = r.lhs, r.rhs
-                assert any(src in gr.pop(letter, sigma)
+            if len(r.kids) == 1:
+                (_, sigma), ((_, other),) = r.lhs, r.kids
+                assert any(gr.push(letter, sigma) is other or
+                           other in gr.pop(letter, sigma)
                            for letter in gr.letters)
 
 
@@ -92,17 +97,17 @@ def test_dcl_bounded_matches_subword_closure(fixtures):
 
 def test_trim_removes_dead_nonterminals():
     cfg = Cfg(["S", "Dead", "Loop", "Unreach"], frozenset("a"), "S",
-              (CfgTerminal("S", "a"),
-               CfgBinary("S", "S", "Dead"),      # Dead is unproductive
-               CfgUnary("Loop", "Loop", ""),     # Loop never terminates
-               CfgTerminal("Unreach", "a")))     # productive, unreachable
+              (CfgRule("S", (), "a"),
+               CfgRule("S", ("S", "Dead")),      # Dead is unproductive
+               CfgRule("Loop", ("Loop",)),       # Loop never terminates
+               CfgRule("Unreach", (), "a")))     # productive, unreachable
     out = trim_cfg(cfg)
     assert out.nonterminals == ["S"]
-    assert out.rules == (CfgTerminal("S", "a"),)
+    assert out.rules == (CfgRule("S", (), "a"),)
 
 
 def test_trim_empty_language():
-    cfg = Cfg(["S"], frozenset("a"), "S", (CfgUnary("S", "S", ""),))
+    cfg = Cfg(["S"], frozenset("a"), "S", (CfgRule("S", ("S",)),))
     out = trim_cfg(cfg)
     assert out.rules == ()
     assert cfg_bounded_words(out, 5) == frozenset()
@@ -118,20 +123,11 @@ def round_robin_trim(cfg):
         for r in cfg.rules:
             if r.lhs in productive:
                 continue
-            if isinstance(r, CfgTerminal):
-                ok = True
-            elif isinstance(r, CfgBinary):
-                ok = r.left in productive and r.right in productive
-            else:
-                ok = r.rhs in productive
-            if ok:
+            if all(k in productive for k in r.kids):
                 productive.add(r.lhs)
                 changed = True
     live_rules = [r for r in cfg.rules if r.lhs in productive and
-                  (isinstance(r, CfgTerminal) or
-                   (isinstance(r, CfgBinary) and r.left in productive
-                    and r.right in productive) or
-                   (isinstance(r, CfgUnary) and r.rhs in productive))]
+                  all(k in productive for k in r.kids)]
     reachable = set()
     if cfg.start in productive:
         queue = [cfg.start]
@@ -141,9 +137,7 @@ def round_robin_trim(cfg):
             for r in live_rules:
                 if r.lhs != nt:
                     continue
-                kids = ([r.left, r.right] if isinstance(r, CfgBinary)
-                        else [r.rhs] if isinstance(r, CfgUnary) else [])
-                for k in kids:
+                for k in r.kids:
                     if k not in reachable:
                         reachable.add(k)
                         queue.append(k)

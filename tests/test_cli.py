@@ -88,10 +88,17 @@ def test_summaries_with_trace(capsys, paths):
     assert any(s.startswith("merge@") for s in steps) or "block" in steps
 
 
-def test_to_cfg(capsys, paths):
+def test_to_cfg(capsys, paths, tmp_path):
     data = run_json(capsys, ["to-cfg", paths["square"]])
     assert data["triples"] == 1977
     assert data["trimmed_triples"] == 1977
+    # to-cfg builds no closure, so G_3, whose closure NFA passes the
+    # state cap, reports its cover
+    code, text, _ = run(capsys, ["gen", "gn", "3"])
+    assert code == 0
+    g3 = tmp_path / "g3.ix"
+    g3.write_text(text)
+    assert run_json(capsys, ["to-cfg", str(g3)])["triples"] == 3583
 
 
 def test_dcl_nfa_json_and_dot(capsys, paths):
@@ -176,6 +183,7 @@ def test_cap_exceeded_exit_code(capsys, paths, tmp_path):
                  ["--max-monoid", "2", "monoid", paths["square"]],
                  ["--max-dfa-states", "1", "compare",
                   paths["g1"], paths["loop"]],
+                 ["--max-triples", "10", "to-cfg", paths["square"]],
                  ["dcl-nfa", str(g3)]):
         code, _, err = run(capsys, argv)
         assert code == 3, argv

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ixdcl.analysis import CapExceeded
-from ixdcl.cfg import Cfg, CfgBinary, CfgTerminal, CfgUnary, trim_cfg
+from ixdcl.cfg import Cfg, CfgRule, trim_cfg
 from ixdcl.families import g1_grammar, g_loop_grammar, square_grammar
 from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _accepts, _antichain,
@@ -89,6 +89,34 @@ def test_inclusion_and_equivalence():
     assert eq and cex is None
     eq, cex = nfa_equivalence(ab, sub)
     assert not eq and len(cex) == 2
+
+
+def random_nfa(rng, letters="abc"):
+    n = Nfa(frozenset(letters))
+    states = [n.add_state() for _ in range(rng.randint(1, 4))]
+    n.initial = {rng.choice(states)}
+    n.final = {q for q in states if rng.random() < 0.4}
+    for _ in range(rng.randint(0, 7)):
+        a = rng.choice([None, *letters])
+        n.add_edge(rng.choice(states), a, rng.choice(states))
+    return n
+
+
+def test_counterexamples_are_shortlex_least():
+    # the witness is the shortest word, then the alphabetically least,
+    # in the difference of the two languages
+    rng = random.Random(5)
+    words = sorted(words_upto("abc", 4), key=lambda w: (len(w), w))
+    for _ in range(300):
+        n1, n2 = random_nfa(rng), random_nfa(rng)
+        in1 = {w for w in words if nfa_member(n1, w)}
+        in2 = {w for w in words if nfa_member(n2, w)}
+        for (ok, cex), diff in ((nfa_inclusion(n1, n2), in1 - in2),
+                                (nfa_equivalence(n1, n2), in1 ^ in2)):
+            assert ok == (cex is None)
+            first = next((w for w in words if w in diff), None)
+            if first is not None or cex is not None and len(cex) <= 4:
+                assert cex == first
 
 
 def test_longest_word_finite_infinite_empty():
@@ -222,11 +250,11 @@ def nfa_language_upto(nfa, alphabet, k):
 def test_dcl_nfa_anbn():
     # S -> a S b | eps: the closure is a* b*
     cfg = Cfg(["S", "T", "A", "B"], frozenset("ab"), "S",
-              (CfgTerminal("S", ""),
-               CfgBinary("S", "A", "T"),
-               CfgBinary("T", "S", "B"),
-               CfgTerminal("A", "a"),
-               CfgTerminal("B", "b")))
+              (CfgRule("S", (), ""),
+               CfgRule("S", ("A", "T")),
+               CfgRule("T", ("S", "B")),
+               CfgRule("A", (), "a"),
+               CfgRule("B", (), "b")))
     nfa = cfg_dcl_nfa(cfg)
     assert nfa_equivalence(nfa, astar_bstar_nfa())[0]
 
@@ -234,13 +262,13 @@ def test_dcl_nfa_anbn():
 def test_dcl_nfa_expansive():
     # S -> S S | a: the closure is a*
     cfg = Cfg(["S"], frozenset("a"), "S",
-              (CfgBinary("S", "S", "S"), CfgTerminal("S", "a")))
+              (CfgRule("S", ("S", "S")), CfgRule("S", (), "a")))
     nfa = cfg_dcl_nfa(cfg)
     assert nfa_language_upto(nfa, "a", 5) == {"a" * i for i in range(6)}
 
 
 def test_dcl_nfa_finite():
-    cfg = Cfg(["S"], frozenset("abc"), "S", (CfgTerminal("S", "abc"),))
+    cfg = Cfg(["S"], frozenset("abc"), "S", (CfgRule("S", (), "abc"),))
     nfa = cfg_dcl_nfa(cfg)
     assert nfa_language_upto(nfa, "abc", 4) == subwords("abc")
 
@@ -248,17 +276,17 @@ def test_dcl_nfa_finite():
 def test_dcl_nfa_linear_component():
     # S -> a S | S b | c: the closure is a* (c + eps) b*
     cfg = Cfg(["S", "A", "B"], frozenset("abc"), "S",
-              (CfgBinary("S", "A", "S"),
-               CfgBinary("S", "S", "B"),
-               CfgTerminal("S", "c"),
-               CfgTerminal("A", "a"),
-               CfgTerminal("B", "b")))
+              (CfgRule("S", ("A", "S")),
+               CfgRule("S", ("S", "B")),
+               CfgRule("S", (), "c"),
+               CfgRule("A", (), "a"),
+               CfgRule("B", (), "b")))
     nfa = cfg_dcl_nfa(cfg)
     assert nfa_language_upto(nfa, "abc", 4) == \
         cfg_dcl_bounded(cfg, 4)
 
 
-EMPTY_CFG = Cfg(["S"], frozenset("a"), "S", (CfgUnary("S", "S", ""),))
+EMPTY_CFG = Cfg(["S"], frozenset("a"), "S", (CfgRule("S", ("S",)),))
 
 
 def test_dcl_nfa_empty_language():
@@ -268,28 +296,28 @@ def test_dcl_nfa_empty_language():
     assert longest_word_or_infinite(nfa) is None
 
 
-def test_dcl_nfa_cap_bounds_linear_components():
+def test_dcl_nfa_cap_bounds_linear_components(monkeypatch):
     # S -> a S | c | d | e: the closure a*(c + d + e) needs three ideals
     cfg = Cfg(["S", "A"], frozenset("acde"), "S",
-              (CfgBinary("S", "A", "S"), CfgTerminal("A", "a"),
-               CfgTerminal("S", "c"), CfgTerminal("S", "d"),
-               CfgTerminal("S", "e")))
-    assert len(cfg_dcl_nfa(cfg, cap=3).ideals) == 3
-    with pytest.raises(CapExceeded):
-        cfg_dcl_nfa(cfg, cap=2)
+              (CfgRule("S", ("A", "S")), CfgRule("A", (), "a"),
+               CfgRule("S", (), "c"), CfgRule("S", (), "d"),
+               CfgRule("S", (), "e")))
     # S -> c | d | e lies on no cycle and takes the same rule, U and V empty
     acyclic = Cfg(["S"], frozenset("cde"), "S",
-                  (CfgTerminal("S", "c"), CfgTerminal("S", "d"),
-                   CfgTerminal("S", "e")))
-    assert len(cfg_dcl_nfa(acyclic, cap=3).ideals) == 3
-    with pytest.raises(CapExceeded):
-        cfg_dcl_nfa(acyclic, cap=2)
+                  (CfgRule("S", (), "c"), CfgRule("S", (), "d"),
+                   CfgRule("S", (), "e")))
+    for c in (cfg, acyclic):
+        monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", 3)
+        assert len(cfg_dcl_nfa(c).ideals) == 3
+        monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", 2)
+        with pytest.raises(CapExceeded, match="closure expression cap"):
+            cfg_dcl_nfa(c)
 
 
 def doubling_cfg(k):
     # S_i -> S_{i-1} S_{i-1}, S_0 -> a: the single word a^(2^k)
-    rules = [CfgTerminal("S0", "a")] + [
-        CfgBinary(f"S{i}", f"S{i - 1}", f"S{i - 1}") for i in range(1, k + 1)]
+    rules = [CfgRule("S0", (), "a")] + [
+        CfgRule(f"S{i}", (f"S{i - 1}", f"S{i - 1}")) for i in range(1, k + 1)]
     return Cfg([f"S{i}" for i in range(k + 1)], frozenset("a"), f"S{k}",
                tuple(rules))
 
@@ -319,11 +347,11 @@ def random_cfg(rng, max_nts=4, max_rules=8, letters="ab"):
         if k < 0.4:
             w = "".join(rng.choice(letters)
                         for _ in range(rng.randint(0, 3)))
-            rules.append(CfgTerminal(lhs, w))
+            rules.append(CfgRule(lhs, (), w))
         elif k < 0.8:
-            rules.append(CfgBinary(lhs, rng.choice(nts), rng.choice(nts)))
+            rules.append(CfgRule(lhs, (rng.choice(nts), rng.choice(nts))))
         else:
-            rules.append(CfgUnary(lhs, rng.choice(nts), "push"))
+            rules.append(CfgRule(lhs, (rng.choice(nts),)))
     return Cfg(nts, frozenset(letters), "N0", tuple(rules))
 
 
@@ -344,11 +372,11 @@ def test_dcl_nfa_dead_rule_does_not_join_components():
     # untrimmed graph
     n0, n1, n2, n3 = "N0", "N1", "N2", "N3"
     cfg = Cfg([n0, n1, n2, n3], frozenset("abc"), n0,
-              (CfgTerminal(n0, ""), CfgTerminal(n0, "aca"),
-               CfgBinary(n0, n0, n0), CfgBinary(n0, n2, n3),
-               CfgBinary(n0, n2, n2), CfgTerminal(n3, "b"),
-               CfgBinary(n3, n3, n0), CfgUnary(n2, n1),
-               CfgBinary(n1, n1, n2)))
+              (CfgRule(n0, (), ""), CfgRule(n0, (), "aca"),
+               CfgRule(n0, (n0, n0)), CfgRule(n0, (n2, n3)),
+               CfgRule(n0, (n2, n2)), CfgRule(n3, (), "b"),
+               CfgRule(n3, (n3, n0)), CfgRule(n2, (n1,)),
+               CfgRule(n1, (n1, n2))))
     nfa = cfg_dcl_nfa(cfg)
     assert nfa.ideals == frozenset([(("s", frozenset("ac")),)])
     assert nfa.alphabet == frozenset("abc")
