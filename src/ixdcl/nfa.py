@@ -39,7 +39,6 @@ determinize each side once and search their product breadth-first.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -242,7 +241,7 @@ def nfa_inclusion(n1, n2, cap=100000):
 def nfa_equivalence(n1, n2, cap=100000):
     """Returns (equal, counterexample|None); the counterexample is a
     shortest word in the symmetric difference."""
-    cex = _first_difference(n1, n2, cap, operator.ne)
+    cex = _first_difference(n1, n2, cap, lambda a1, a2: a1 != a2)
     return cex is None, cex
 
 

@@ -24,6 +24,7 @@ from ixdcl.oracle import (OracleBudget, Term, dcl_member_oracle,
 from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
 from cfg_reference import cfg_bounded_words, cfg_dcl_bounded
+from test_nfa import random_cfg
 from summary_helpers import summary_key, top_letter
 
 MUT1_TEXT = G1_TEXT.replace('B -> "ab"', 'B -> "ba"\nB -> "b"')
@@ -205,23 +206,6 @@ def test_criterion_07_cover_language(fixtures):
             assert (w in closure) == member, (name, w)
     ok("criterion 7: CFG cover contains the language and matches its "
        "closure up to length 6")
-
-
-def random_cfg(rng):
-    n = rng.randint(1, 4)
-    nts = [f"N{i}" for i in range(n)]
-    rules = []
-    for _ in range(rng.randint(1, 8)):
-        lhs = rng.choice(nts)
-        k = rng.random()
-        if k < 0.4:
-            w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
-            rules.append(CfgRule(lhs, (), w))
-        elif k < 0.8:
-            rules.append(CfgRule(lhs, (rng.choice(nts), rng.choice(nts))))
-        else:
-            rules.append(CfgRule(lhs, (rng.choice(nts),)))
-    return Cfg(nts, frozenset("ab"), "N0", tuple(rules))
 
 
 def test_criterion_08_cfg_closure_construction():
