@@ -24,8 +24,6 @@ from .oracle import Term
 @dataclass
 class AnnotatedGrammar:
     grammar: IndexedGrammar   # symbols are (A, X) and (f, X) tuples
-    base: IndexedGrammar
-    analysis: object
 
     @property
     def letters(self):
@@ -94,16 +92,7 @@ def build_annotated(g, analysis):
     table = SymbolTable(frozenset(items or [start]), g.symbols.terminals,
                         frozenset(labels))
     ag = IndexedGrammar(table, start, tuple(rules), labels)
-    return AnnotatedGrammar(ag, g, analysis)
-
-
-def annotate_stack(z, X, analysis):
-    """Annotate a stack word (topmost-first) with base annotation X."""
-    out = []
-    for f in reversed(z):
-        out.append((f, X))
-        X = analysis.act(f, X)
-    return tuple(reversed(out))
+    return AnnotatedGrammar(ag)
 
 
 def check_productive_sample(ag, depth=8, samples=200, seed=0):

@@ -16,21 +16,25 @@ from .analysis import Analysis, CapExceeded
 from .annotate import build_annotated, check_productive_sample
 from .cfg import build_cfg, trim_cfg
 from .grammar import (GrammarError, desugar, label_pushes, parse_grammar,
-                      print_grammar, validate)
+                      validate)
 from .monoid import StackMonoid
-from .nfa import Nfa, nfa_member
+from .nfa import nfa_member
 from .oracle import OracleBudget, term_language_dp
 from .pipeline import PipelineCaps, run_pipeline
 from .summaries import SummaryFactory, build_summary_graph
 
 
-def _load(path):
+def _parse(path):
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise GrammarError(f"cannot read {path}: {exc}")
-    g = label_pushes(desugar(parse_grammar(text)))
+    return label_pushes(desugar(parse_grammar(text)))
+
+
+def _load(path):
+    g = _parse(path)
     problems = validate(g)
     if problems:
         raise GrammarError("; ".join(problems))
@@ -72,17 +76,7 @@ def _nfa_dot(nfa):
 
 
 def cmd_validate(args):
-    try:
-        with open(args.grammar) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        g = label_pushes(desugar(parse_grammar(text)))
-    except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = _parse(args.grammar)
     problems = validate(g)
     _emit({"valid": not problems, "diagnostics": problems,
            "size": g.size(),
@@ -188,18 +182,6 @@ def cmd_to_cfg(args):
 
 def cmd_dcl_nfa(args):
     g = _load(args.grammar)
-    if args.empty_check:
-        analysis = Analysis(g, universe_cap=args.max_universe)
-        if analysis.is_empty():
-            nfa = Nfa(frozenset(g.symbols.terminals))
-            nfa.initial = {nfa.add_state()}
-            if args.format == "dot":
-                sys.stdout.write(_nfa_dot(nfa))
-            else:
-                out = nfa.to_dict()
-                out["note"] = "empty language short-circuit"
-                _emit(out)
-            return 0
     result = run_pipeline(g, _caps(args))
     if args.format == "dot":
         sys.stdout.write(_nfa_dot(result.nfa))
@@ -232,8 +214,7 @@ def cmd_oracle(args):
     g = _load(args.grammar)
     analysis = Analysis(g, universe_cap=args.max_universe)
     budget = OracleBudget(max_word_len=args.len,
-                          max_stack_height=args.height,
-                          max_steps=args.steps)
+                          max_stack_height=args.height)
     res = term_language_dp(g, budget, emptiness=analysis.term_empty)
     _emit({"words": sorted(res.table[(g.start, ())]),
            "complete": res.complete})
@@ -285,8 +266,7 @@ def build_parser():
     p = grammar_cmd("summaries", cmd_summaries)
     p.add_argument("--trace", action="store_true")
     grammar_cmd("to-cfg", cmd_to_cfg)
-    p = grammar_cmd("dcl-nfa", cmd_dcl_nfa)
-    p.add_argument("--empty-check", action="store_true")
+    grammar_cmd("dcl-nfa", cmd_dcl_nfa)
     p = grammar_cmd("compare", cmd_compare)
     p.add_argument("other")
     p.add_argument("--mode", choices=["subset", "equal"], default="equal")
@@ -295,7 +275,6 @@ def build_parser():
     p = grammar_cmd("oracle", cmd_oracle)
     p.add_argument("--len", type=int, default=16)
     p.add_argument("--height", type=int, default=8)
-    p.add_argument("--steps", type=int, default=100000)
     p = sub.add_parser("gen")
     p.set_defaults(fn=cmd_gen)
     p.add_argument("family", choices=["gn", "square", "loop", "g1"])

@@ -97,15 +97,6 @@ class CheckDfa:
     def delta(self):
         return {(p, a): q for (p, a, q) in self.transitions}
 
-    def accepts(self, word):
-        d = self.delta()
-        q = self.init
-        for a in word:
-            if (q, a) not in d:
-                return False
-            q = d[(q, a)]
-        return q in self.finals
-
 
 # ---------------------------------------------------------------------------
 # grammars
@@ -631,36 +622,6 @@ def validate(g):
                     g.push_labels[f] != (ps[0].lhs, ps[0].rhs):
                 out.append(f"push label of {f!r} disagrees with its push rule")
     return out
-
-
-def _sym_str(s):
-    return s if isinstance(s, str) else repr(s)
-
-
-def print_grammar(g):
-    """Render an IndexedGrammar in the textual format (parse round-trips)."""
-    lines = [f"start {_sym_str(g.start)}"]
-    if g.symbols.terminals:
-        lines.append("terminals " +
-                     " ".join(sorted(map(_sym_str, g.symbols.terminals))))
-    if g.symbols.stack_symbols:
-        lines.append("stack " +
-                     " ".join(sorted(map(_sym_str, g.symbols.stack_symbols))))
-    for p in g.productions:
-        if isinstance(p, TerminalRule):
-            lines.append(f'{_sym_str(p.lhs)} -> "{p.word}"')
-        elif isinstance(p, BinaryRule):
-            lines.append(f"{_sym_str(p.lhs)} -> {_sym_str(p.left)} "
-                         f"{_sym_str(p.right)}")
-        elif isinstance(p, PushRule):
-            lines.append(f"{_sym_str(p.lhs)} -> {_sym_str(p.rhs)} + "
-                         f"{_sym_str(p.sym)}")
-        elif isinstance(p, PopRule):
-            lines.append(f"{_sym_str(p.lhs)} - {_sym_str(p.sym)} -> "
-                         f"{_sym_str(p.rhs)}")
-        else:
-            raise GrammarError(f"cannot print sugared production {p!r}")
-    return "\n".join(lines) + "\n"
 
 
 def grammar_from_text(text):

@@ -70,16 +70,6 @@ def mat_mul(m2, m1):
     return frozenset((d, c) for (d, e) in m2 for c in by_src.get(e, ()))
 
 
-def element_key(x):
-    """A canonical, order-stable sort key for monoid elements."""
-    if x is ONE:
-        return (0,)
-    if x is ZERO:
-        return (2,)
-    return (1, str(x.b), sorted(map(str, x.y)), sorted(map(str, x.m)),
-            str(x.a), sorted(map(str, x.x)))
-
-
 class StackMonoid:
     """The submonoid generated by the images of the annotated letters."""
 
@@ -123,13 +113,6 @@ class StackMonoid:
             else:
                 out = ZERO
             self._prod[key] = out
-        return out
-
-    def phi(self, word):
-        """Image of an annotated stack word (topmost letter first)."""
-        out = ONE
-        for letter in reversed(word):
-            out = self.product(self.gens[letter], out)
         return out
 
     def phi_seq(self, values):

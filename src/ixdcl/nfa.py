@@ -31,10 +31,11 @@ k states per run, which keeps the expression in `Nfa.ideals`; an export
 of more than CLOSURE_STATE_CAP states raises CapExceeded before any
 state is made.  Membership and the longest word (an exact int) read
 those ideals when they are present, by greedy matching, in time linear
-in the word and the number of atoms; NFAs without them
-(built by hand, read back by `nfa_from_dict`, or edited after the
-construction) are simulated state by state.  Inclusion and equivalence
-determinize each side once and search their product breadth-first.
+in the word and the number of atoms; NFAs without them (built by hand,
+or edited after the construction) are simulated state by state.  Normal
+ideals are canonical (see `_antichain`), so an antichain is just the
+maximal ideals of a set.  Inclusion and equivalence determinize each
+side once and search their product breadth-first.
 """
 
 from __future__ import annotations
@@ -84,16 +85,6 @@ class Nfa:
                 [s, a if a is not None else "", t]
                 for (s, a, t) in self.transitions),
         }
-
-
-def nfa_from_dict(d):
-    nfa = Nfa(frozenset(d["alphabet"]))
-    nfa.n_states = len(d["states"])
-    nfa.initial = set(d["initial"])
-    nfa.final = set(d["final"])
-    for (s, a, t) in d["transitions"]:
-        nfa.add_edge(s, a if a != "" else None, t)
-    return nfa
 
 
 def _closure(adj, states):
@@ -174,12 +165,15 @@ class Dfa:
 
 
 def determinize(nfa, cap=100000):
-    """Subset construction; the result is total (has a sink if needed)."""
+    """Subset construction; the result is total (has a sink if needed).
+    The subsets made may hold at most cap NFA states together, an empty
+    one counting as one; more raises CapExceeded."""
     alphabet = sorted(nfa.alphabet)
     step, eps = _step_and_eps(nfa)
     start = frozenset(_closure(eps, nfa.initial))
     ids = {start: 0}
     order = [start]
+    size = len(start) or 1
     delta = {}
     i = 0
     while i < len(order):
@@ -191,7 +185,8 @@ def determinize(nfa, cap=100000):
                 nxt |= step.get((s, a), set())
             nxt = frozenset(_closure(eps, nxt))
             if nxt not in ids:
-                if len(order) >= cap:
+                size += len(nxt) or 1
+                if size > cap:
                     raise CapExceeded("determinization cap exceeded")
                 ids[nxt] = len(order)
                 order.append(nxt)
@@ -422,42 +417,44 @@ def _ideal_le(small, big):
 
 
 def _ideal_key(ideal):
-    """A sort key ordering counted ideals as the tuples of their unfolded
-    atoms ("l", c) and ("s", sorted letters) would be ordered.  A run of
-    c that ends earlier meets its successor where the other run still
-    has a c; so more c's sort first if the successor is above ("l", c),
-    later if it is below or absent."""
-    out = []
-    for i, atom in enumerate(ideal):
-        if atom[0] == "s":
-            out.append(("s", tuple(sorted(atom[1]))))
-            continue
-        nxt = ideal[i + 1] if i + 1 < len(ideal) else None
-        up = nxt is not None and (nxt[0] == "s" or nxt[1] > atom[1])
-        out.append(("l", atom[1], 1, -atom[2]) if up
-                   else ("l", atom[1], -1, atom[2]))
-    return tuple(out)
+    """A deterministic sort key, by which the export numbers its states."""
+    return tuple(("s", tuple(sorted(a[1]))) if a[0] == "s" else a
+                 for a in ideal)
 
 
 def _antichain(ideals):
+    """The maximal ideals of a set of normal ideals.
+
+    Normal ideals are canonical: two different ones never denote the
+    same language L, so they never include each other and no tie needs
+    breaking.  Let W_N(X) spell each run of X out and each star block as
+    N copies of a listing of its letters; L(X) is included in L(Y) iff
+    every W_N(X) is in L(Y).  By induction on the number of atoms:
+      (a) no normal X = x T is included in a proper suffix T' of itself.
+          If x is a run c^k, the first c of W_N(X) lands in T' past T's
+          first atom, which holds no c.  If x is B*, then for large N
+          some copy of B's listing lands in a single star block that
+          contains B, and that is not T's first atom, which would absorb
+          x.  Either way W_N(T) lies in a proper suffix of T.
+      (b) {w : aw in L(X)} is L(X) iff X starts with a star block holding
+          a.  Otherwise it lies in L(X minus its first atom) or, for
+          X = c^k R and a = c, in L(c^(k-1) R), and by (a) neither
+          includes L(X): the k-th c of W_N(X) would land in R past its
+          first atom.
+      (c) So if L(X) = L(Y), both start with the same star block B* or
+          both with a run.  For B* R and B* S, W_N(R) from its first
+          letter outside B on (in the first copy of R's first atom) lies
+          in S, so L(R) is in L(S), by symmetry L(R) = L(S), and R = S.
+          For c^k R and d^j S, c = d, else W_N(X) would lie in S against
+          (a); if k <= j, stripping c^k leaves L(R) = L(c^(j-k) S), so
+          R = c^(j-k) S, and R starts with no run of c, so j = k and
+          R = S.
+    """
     items = set(ideals)
     if len(items) < 2:
         return frozenset(items)
-    items = sorted(items, key=_ideal_key)
-    out = []
-    for i, small in enumerate(items):
-        dominated = False
-        for k, big in enumerate(items):
-            if k == i:
-                continue
-            if _ideal_le(small, big):
-                if k > i and _ideal_le(big, small):
-                    continue   # mutual inclusion: keep the earlier one
-                dominated = True
-                break
-        if not dominated:
-            out.append(small)
-    return frozenset(out)
+    return frozenset(small for small in items if not any(
+        big is not small and _ideal_le(small, big) for big in items))
 
 
 def _sre_concat(xs, ys):

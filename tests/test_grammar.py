@@ -6,8 +6,37 @@ from hypothesis import given, strategies as st
 from ixdcl.families import G1_TEXT, SQUARE_TEXT
 from ixdcl.grammar import (BinaryRule, GrammarError, PopRule, PushRule,
                            TerminalRule, desugar, grammar_from_text,
-                           label_pushes, parse_grammar, print_grammar,
-                           validate)
+                           label_pushes, parse_grammar, validate)
+
+
+def _sym_str(s):
+    return s if isinstance(s, str) else repr(s)
+
+
+def print_grammar(g):
+    """Render an IndexedGrammar in the textual format (parse round-trips)."""
+    lines = [f"start {_sym_str(g.start)}"]
+    if g.symbols.terminals:
+        lines.append("terminals " +
+                     " ".join(sorted(map(_sym_str, g.symbols.terminals))))
+    if g.symbols.stack_symbols:
+        lines.append("stack " +
+                     " ".join(sorted(map(_sym_str, g.symbols.stack_symbols))))
+    for p in g.productions:
+        if isinstance(p, TerminalRule):
+            lines.append(f'{_sym_str(p.lhs)} -> "{p.word}"')
+        elif isinstance(p, BinaryRule):
+            lines.append(f"{_sym_str(p.lhs)} -> {_sym_str(p.left)} "
+                         f"{_sym_str(p.right)}")
+        elif isinstance(p, PushRule):
+            lines.append(f"{_sym_str(p.lhs)} -> {_sym_str(p.rhs)} + "
+                         f"{_sym_str(p.sym)}")
+        elif isinstance(p, PopRule):
+            lines.append(f"{_sym_str(p.lhs)} - {_sym_str(p.sym)} -> "
+                         f"{_sym_str(p.rhs)}")
+        else:
+            raise GrammarError(f"cannot print sugared production {p!r}")
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_g1_structure():
@@ -57,7 +86,8 @@ def test_desugar_mixed_rhs_preserves_language():
     g = grammar_from_text(
         "start S\nterminals a b\nstack f\n"
         "S -> T + f\nT - f -> U\nU -> a V b\nV -> \"ab\"\n")
-    from ixdcl.oracle import OracleBudget, enumerate_words
+    from derivation_reference import enumerate_words
+    from ixdcl.oracle import OracleBudget
     res = enumerate_words(g, OracleBudget(8, 4, 50000))
     assert res.complete
     assert res.words == {"aabb"}
@@ -82,7 +112,8 @@ def test_pop_sugar_general_rhs():
     g = grammar_from_text(
         "start S\nterminals a b\nstack f\n"
         "S -> T + f\nT - f -> a T b\nT -> \"\"\n")
-    from ixdcl.oracle import OracleBudget, enumerate_words
+    from derivation_reference import enumerate_words
+    from ixdcl.oracle import OracleBudget
     res = enumerate_words(g, OracleBudget(6, 4, 50000))
     assert {"", "ab"} <= res.words
     assert all(w.count("a") == w.count("b") for w in res.words)
@@ -145,7 +176,8 @@ def test_check_rule_desugars_to_dfa_gadget():
             "S -> T + f\nT -> U check D\nU -> \"a\"\n")
     g = grammar_from_text(text)
     assert not validate(g)
-    from ixdcl.oracle import OracleBudget, enumerate_words
+    from derivation_reference import enumerate_words
+    from ixdcl.oracle import OracleBudget
     res = enumerate_words(g, OracleBudget(4, 4, 50000))
     assert res.complete
     assert res.words == {"a"}
@@ -157,7 +189,8 @@ def test_check_rule_blocks_rejected_stack():
             "dfa D { states q0 q1; init q0; final q1; q0 f q1; }\n"
             "S -> T + g\nT -> U check D\nU -> \"a\"\nS - f -> S\n")
     g = grammar_from_text(text)
-    from ixdcl.oracle import OracleBudget, enumerate_words
+    from derivation_reference import enumerate_words
+    from ixdcl.oracle import OracleBudget
     res = enumerate_words(g, OracleBudget(4, 4, 50000))
     assert res.complete
     assert res.words == set()

@@ -15,11 +15,10 @@ from ixdcl.cfg import Cfg, CfgRule, trim_cfg
 from ixdcl.families import g1_grammar, g_loop_grammar, square_grammar
 from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _accepts, _antichain,
-                       _ideal_key, _ideal_le, _join, _norm_ideal, _word_ideal,
+                       _ideal_le, _join, _norm_ideal, _word_ideal,
                        cfg_dcl_nfa, dcl_close, determinize,
                        longest_word_or_infinite, nfa_equivalence,
-                       nfa_from_dict, nfa_inclusion, nfa_member,
-                       word_subword_nfa)
+                       nfa_inclusion, nfa_member, word_subword_nfa)
 from ixdcl.oracle import is_subword, subwords
 from ixdcl.pipeline import run_pipeline
 import ideal_reference as ref
@@ -148,14 +147,6 @@ def test_edits_clear_the_ideals():
     assert nfa_member(n, "bbab")
 
 
-def test_to_dict_round_trip():
-    n = astar_bstar_nfa()
-    again = nfa_from_dict(n.to_dict())
-    assert nfa_equivalence(n, again)[0]
-    # serialization is deterministic
-    assert n.to_dict() == nfa_from_dict(n.to_dict()).to_dict()
-
-
 # -- ideal arithmetic -------------------------------------------------------
 
 
@@ -223,9 +214,22 @@ def test_join_is_full_normalization(x, y):
 @given(st.lists(normal, max_size=8))
 def test_counted_order_matches_reference(ideals):
     for x, y in itertools.product(ideals, repeat=2):
-        assert _ideal_le(x, y) == ref.ideal_le(ref.unfold(x), ref.unfold(y))
-    assert sorted(set(ideals), key=_ideal_key) == \
-        sorted(set(ideals), key=lambda i: ref.ideal_key(ref.unfold(i)))
+        le = _ideal_le(x, y)
+        assert le == ref.ideal_le(ref.unfold(x), ref.unfold(y))
+        # normal ideals are canonical
+        if le and _ideal_le(y, x):
+            assert x == y
+
+
+def test_normal_ideals_are_canonical():
+    # every normal ideal from up to four atoms over {a, b}, counts 1-2
+    atoms = [("l", c, k) for c in "ab" for k in (1, 2)] + \
+        [("s", frozenset(b)) for b in ("a", "b", "ab")]
+    ideals = {_norm_ideal(seq) for n in range(5)
+              for seq in itertools.product(atoms, repeat=n)}
+    assert len(ideals) == 418
+    for x, y in itertools.permutations(ideals, 2):
+        assert not (_ideal_le(x, y) and _ideal_le(y, x)), (x, y)
 
 
 @given(normal, st.text("ab", max_size=8))

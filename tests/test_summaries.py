@@ -14,9 +14,10 @@ from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.annotate import build_annotated
 from ixdcl.families import g_loop_grammar, grammar_gn
 from ixdcl.grammar import grammar_from_text
-from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, element_key, mat_mul
+from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, mat_mul
 from ixdcl.summaries import SummaryFactory, build_summary_graph
-from summary_helpers import push_word, summary_key, top_letter
+from summary_helpers import (element_key, push_word, summary_key, top_letter,
+                             validate_summary)
 
 # a drawn grammar whose summary graph has 361 nodes
 RANDOM_361_TEXT = """\
@@ -376,7 +377,7 @@ def test_infeasible_pushes_have_no_edge(fixtures):
 def test_validator_clean_on_all_nodes(fixtures):
     for st_ in fixtures.values():
         for sigma in st_.graph.nodes:
-            assert st_.factory.validate(sigma) == []
+            assert validate_summary(st_.factory, sigma) == []
 
 
 def test_hash_consing_identity():
