@@ -60,6 +60,9 @@ def _set(xs):
 
 
 def _nfa_dot(nfa):
+    # the edges first: a closure too large to export raises CapExceeded
+    # before its states are listed
+    edges = sorted(nfa.transitions, key=lambda e: (e[0], str(e[1]), e[2]))
     lines = ["digraph nfa {", "  rankdir=LR;"]
     for q in range(nfa.n_states):
         shape = "doublecircle" if q in nfa.final else "circle"
@@ -67,8 +70,7 @@ def _nfa_dot(nfa):
     for q in sorted(nfa.initial):
         lines.append(f'  start{q} [shape=point];')
         lines.append(f'  start{q} -> q{q};')
-    for (s, a, t) in sorted(nfa.transitions,
-                            key=lambda e: (e[0], str(e[1]), e[2])):
+    for (s, a, t) in edges:
         label = a if a is not None else "ε"
         lines.append(f'  q{s} -> q{t} [label="{label}"];')
     lines.append("}")

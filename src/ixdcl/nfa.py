@@ -26,16 +26,22 @@ component at a time, bottom-up:
     and E is the union over its productions.
 
 Few distinct values arise, so each is computed once per distinct
-input.  The final expression for the start symbol is then unfolded into an NFA,
-k states per run, which keeps the expression in `Nfa.ideals`; an export
-of more than CLOSURE_STATE_CAP states raises CapExceeded before any
-state is made.  Membership and the longest word (an exact int) read
-those ideals when they are present, by greedy matching, in time linear
-in the word and the number of atoms; NFAs without them (built by hand,
-or edited after the construction) are simulated state by state.  Normal
-ideals are canonical (see `_antichain`), so an antichain is just the
-maximal ideals of a set.  Inclusion and equivalence determinize each
-side once and search their product breadth-first.
+input.  `cfg_dcl_nfa` returns an NFA that keeps the start symbol's
+antichain in `Nfa.ideals` and has its state and edge counts computed
+from it.  Its edges, k states per run, are unfolded only when something
+reads them; an export of more than CLOSURE_STATE_CAP states raises
+CapExceeded then, before any edge is made, so the closure of G_3 exists
+as one ideal while its export does not.  Membership and the longest
+word (an exact int) read the ideals when they are present, by greedy
+matching, in time linear in the word and the number of atoms; NFAs
+without them (built by hand, or edited after the construction) are
+simulated state by state.  Normal ideals are canonical (see
+`_antichain`), so an antichain is just the maximal ideals of a set.
+Inclusion holds when every ideal of one side lies under some ideal of
+the other (an ideal lies in a finite union of downward-closed sets only
+if it lies in one of them), and equivalence when the antichains are
+equal.  Any other case determinizes each side once and searches the
+product breadth-first for a shortest counterexample.
 """
 
 from __future__ import annotations
@@ -64,7 +70,8 @@ class Nfa:
     initial: set = field(default_factory=set)
     final: set = field(default_factory=set)
     # The antichain of ideals whose union is the language, or None.  Set
-    # by cfg_dcl_nfa; an edit through add_edge clears it.
+    # by cfg_dcl_nfa, whose transitions are unfolded from it when first
+    # read; an edit through add_edge clears it.
     ideals: frozenset | None = None
 
     def add_state(self):
@@ -76,14 +83,16 @@ class Nfa:
         self.transitions.append((src, letter, dst))
 
     def to_dict(self):
+        # the edges first: a closure too large to export raises
+        # CapExceeded before its states are listed
+        edges = sorted([s, a if a is not None else "", t]
+                       for (s, a, t) in self.transitions)
         return {
             "states": list(range(self.n_states)),
             "alphabet": sorted(self.alphabet),
             "initial": sorted(self.initial),
             "final": sorted(self.final),
-            "transitions": sorted(
-                [s, a if a is not None else "", t]
-                for (s, a, t) in self.transitions),
+            "transitions": edges,
         }
 
 
@@ -229,6 +238,9 @@ def _first_difference(n1, n2, cap, differs):
 def nfa_inclusion(n1, n2, cap=100000):
     """Is L(n1) a subset of L(n2)?  Returns (bool, counterexample|None)
     with a shortest counterexample on failure."""
+    if n1.ideals is not None and n2.ideals is not None and all(
+            any(_ideal_le(x, y) for y in n2.ideals) for x in n1.ideals):
+        return True, None
     cex = _first_difference(n1, n2, cap, lambda a1, a2: a1 and not a2)
     return cex is None, cex
 
@@ -236,6 +248,8 @@ def nfa_inclusion(n1, n2, cap=100000):
 def nfa_equivalence(n1, n2, cap=100000):
     """Returns (equal, counterexample|None); the counterexample is a
     shortest word in the symmetric difference."""
+    if n1.ideals is not None and n1.ideals == n2.ideals:
+        return True, None
     cex = _first_difference(n1, n2, cap, lambda a1, a2: a1 != a2)
     return cex is None, cex
 
@@ -494,11 +508,10 @@ def cfg_dcl_nfa(cfg):
     for r in live_rules(cfg):
         by_lhs.setdefault(r.lhs, []).append(r)
         adj.setdefault(r.lhs, []).extend(r.kids)
-    out = Nfa(frozenset(cfg.terminals))
     if cfg.start not in by_lhs:   # the start is unproductive
-        out.initial = {out.add_state()}
-        out.ideals = frozenset()
-        return out   # empty language, no final state
+        # empty language: one initial state, no final state
+        return Nfa(frozenset(cfg.terminals), 1, _Edges(frozenset(), 1),
+                   {0}, set(), frozenset())
 
     # sccs emits components dependencies-first, so a component's value
     # reads only lower ones.  The members of a component reach each
@@ -560,20 +573,57 @@ def cfg_dcl_nfa(cfg):
         for nt in members:
             alph[nt] = letters
             sre[nt] = value
-    out.alphabet |= alph[cfg.start]
-
     # the export unfolds a run of k letters into k states
+    value = sre[cfg.start]
     states = 2 + sum(atom[2] if atom[0] == "l" else 1
-                     for ideal in sre[cfg.start] for atom in ideal)
-    if states > CLOSURE_STATE_CAP:
-        raise CapExceeded(f"closure NFA state cap exceeded: {states} "
-                          f"states, limit {CLOSURE_STATE_CAP}")
+                     for ideal in value for atom in ideal)
     # state 0 is initial, 1 final, then one per unfolded atom in order
-    out.n_states = states
-    out.initial, out.final = {0}, {1}
-    edges = out.transitions
+    return Nfa(frozenset(cfg.terminals) | alph[cfg.start], states,
+               _Edges(value, states), {0}, {1}, value)
+
+
+class _Edges:
+    """The edge list of a closure NFA, unfolded from its ideals when it
+    is first read; its length is known before.  Unfolding an export of
+    more than CLOSURE_STATE_CAP states raises CapExceeded."""
+
+    def __init__(self, ideals, states):
+        self.ideals, self.states = ideals, states
+        # a run of k letters has 2k edges; a star block one epsilon edge
+        # and a loop per letter; each ideal one epsilon edge to the end
+        self.size = len(ideals) + sum(
+            2 * atom[2] if atom[0] == "l" else 1 + len(atom[1])
+            for ideal in ideals for atom in ideal)
+        self._list = None
+
+    def _edges(self):
+        if self._list is None:
+            self._check_cap()
+            self._list = _unfold(self.ideals)
+        return self._list
+
+    def _check_cap(self):
+        if self.states > CLOSURE_STATE_CAP:
+            raise CapExceeded(f"closure NFA state cap exceeded: "
+                              f"{self.states} states, "
+                              f"limit {CLOSURE_STATE_CAP}")
+
+    def __len__(self):
+        self._check_cap()   # len() cannot return G_3's count
+        return self.size if self._list is None else len(self._list)
+
+    def __iter__(self):
+        return iter(self._edges())
+
+    def append(self, edge):
+        self._edges().append(edge)
+
+
+def _unfold(ideals):
+    """The export's edges, in the state numbering of cfg_dcl_nfa."""
+    edges = []
     nxt = 2
-    for ideal in sorted(sre[cfg.start], key=_ideal_key):
+    for ideal in sorted(ideals, key=_ideal_key):
         cur = 0
         for atom in ideal:
             if atom[0] == "l":
@@ -586,5 +636,4 @@ def cfg_dcl_nfa(cfg):
                 cur = nxt
             nxt = cur + 1
         edges.append((cur, None, 1))
-    out.ideals = sre[cfg.start]
-    return out
+    return edges

@@ -1,10 +1,13 @@
-"""End-to-end pipeline: indexed grammar -> downward-closure NFA.
+"""End-to-end pipeline: indexed grammar -> downward closure.
 
 Stages: productiveness analysis, annotation, stack monoid, summary
-graph, context-free cover, downward-closure NFA.  The closure reads the
-cover untrimmed.  Each stage has a configurable cap; hitting one raises
-CapExceeded with a message naming the cap, and the statistics of the
-stages that finished are not kept.
+graph, context-free cover, closure.  The closure reads the cover
+untrimmed and yields the antichain of ideals in `Nfa.ideals`; the NFA's
+edges are unfolded only when they are read, so the statistics, the
+longest word and membership are computed from the ideals even when the
+export would pass `CLOSURE_STATE_CAP` (G_3).  Each stage has a
+configurable cap; hitting one raises CapExceeded with a message naming
+the cap, and the statistics of the stages that finished are not kept.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .analysis import Analysis, CapExceeded  # noqa: F401
 from .annotate import build_annotated
 from .cfg import build_cfg
 from .monoid import StackMonoid
-from .nfa import cfg_dcl_nfa
+from .nfa import cfg_dcl_nfa, longest_word_or_infinite
 # Not called: the closure NFA is subword-closed, and the closure reads the
 # cover untrimmed; perfbench/spans.py rebinds both.
 from .cfg import trim_cfg  # noqa: F401
@@ -71,6 +74,8 @@ def run_pipeline(g, caps=None):
         "cfg_triples": len(cfg.nonterminals),
         "cfg_rules": len(cfg.rules),
         "nfa_states": nfa.n_states,
-        "nfa_transitions": len(nfa.transitions),
+        # read from the ideals: len() cannot return G_3's count
+        "nfa_transitions": nfa.transitions.size,
+        "longest_word": longest_word_or_infinite(nfa),
     }
     return PipelineResult(g, analysis, ag, monoid, graph, cfg, nfa, stats)

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from ixdcl.cli import main
-from ixdcl.families import G1_TEXT, G_LOOP_TEXT, SQUARE_TEXT
+from ixdcl.families import (G1_TEXT, G_LOOP_TEXT, SQUARE_TEXT,
+                            grammar_gn_text)
 
 EMPTY_TEXT = "start S\nterminals a\nstack f\nS -> S + f\n"
 
@@ -18,6 +19,17 @@ def paths(tmp_path):
         p = tmp_path / f"{name}.ix"
         p.write_text(text)
         out[name] = str(p)
+    return out
+
+
+@pytest.fixture
+def gn_paths(tmp_path):
+    """Files holding the lower-bound grammars G_1, G_2 and G_3."""
+    out = {}
+    for n in (1, 2, 3):
+        p = tmp_path / f"g{n}.ix"
+        p.write_text(grammar_gn_text(n))
+        out[n] = str(p)
     return out
 
 
@@ -88,17 +100,11 @@ def test_summaries_with_trace(capsys, paths):
     assert any(s.startswith("merge@") for s in steps) or "block" in steps
 
 
-def test_to_cfg(capsys, paths, tmp_path):
+def test_to_cfg(capsys, paths, gn_paths):
     data = run_json(capsys, ["to-cfg", paths["square"]])
     assert data["triples"] == 1977
     assert data["trimmed_triples"] == 1977
-    # to-cfg builds no closure, so G_3, whose closure NFA passes the
-    # state cap, reports its cover
-    code, text, _ = run(capsys, ["gen", "gn", "3"])
-    assert code == 0
-    g3 = tmp_path / "g3.ix"
-    g3.write_text(text)
-    assert run_json(capsys, ["to-cfg", str(g3)])["triples"] == 3583
+    assert run_json(capsys, ["to-cfg", gn_paths[3]])["triples"] == 3583
 
 
 def test_dcl_nfa_json_and_dot(capsys, paths):
@@ -142,12 +148,8 @@ def test_member(capsys, paths):
     assert run_json(capsys, ["member", paths["square"], '""'])["member"]
 
 
-def test_member_of_g2_closure(capsys, tmp_path):
-    code, text, _ = run(capsys, ["gen", "gn", "2"])
-    assert code == 0
-    path = tmp_path / "g2.ix"
-    path.write_text(text)
-    data = run_json(capsys, ["member", str(path), "a" * 65536])
+def test_member_of_g2_closure(capsys, gn_paths):
+    data = run_json(capsys, ["member", gn_paths[2], "a" * 65536])
     assert data["member"] is True
 
 
@@ -172,25 +174,43 @@ def test_stats(capsys, paths):
     assert data["grammar_size"] == 8
     assert data["summary_nodes"] == 2
     assert data["nfa_states"] > 0
+    assert data["longest_word"] == 2
+    assert run_json(capsys, ["stats", paths["square"]])["longest_word"] \
+        == "infinite"
+    assert run_json(capsys, ["stats", paths["empty"]])["longest_word"] \
+        is None
 
 
-def test_cap_exceeded_exit_code(capsys, paths, tmp_path):
-    # G_3's closure would unfold a^(2^256) into states; G_2's closure
-    # NFA has 65538 states, and determinizing it makes subsets of up to
-    # that many states each
-    gn = {}
-    for n in (2, 3):
-        code, text, _ = run(capsys, ["gen", "gn", str(n)])
-        assert code == 0
-        gn[n] = tmp_path / f"g{n}.ix"
-        gn[n].write_text(text)
+def test_cap_exceeded_exit_code(capsys, paths, gn_paths):
+    # G_3's closure export would unfold a^(2^256) into states; G_2's
+    # closure NFA has 65538 states, and determinizing it to search for a
+    # counterexample makes subsets of up to that many states each
     for argv in (["--max-summaries", "3", "summaries", paths["loop"]],
                  ["--max-monoid", "2", "monoid", paths["square"]],
                  ["--max-dfa-states", "1", "compare",
                   paths["g1"], paths["loop"]],
                  ["--max-triples", "10", "to-cfg", paths["square"]],
-                 ["compare", str(gn[2]), str(gn[2])],
-                 ["dcl-nfa", str(gn[3])]):
+                 ["compare", "--mode", "subset", gn_paths[2], gn_paths[1]],
+                 ["dcl-nfa", gn_paths[3]],
+                 ["--format", "dot", "dcl-nfa", gn_paths[3]]):
         code, _, err = run(capsys, argv)
         assert code == 3, argv
         assert "cap" in err
+
+
+def test_compare_on_ideals(capsys, gn_paths):
+    # both closures are the one ideal a^65536: no determinization
+    data = run_json(capsys, ["compare", gn_paths[2], gn_paths[2]])
+    assert data["holds"] is True and data["counterexample"] is None
+    data = run_json(capsys, ["compare", "--mode", "subset",
+                             gn_paths[1], gn_paths[2]])
+    assert data["holds"] is True
+
+
+def test_g3_stats_and_member(capsys, gn_paths):
+    # G_3's closure a^(2^256) is answered from its one ideal
+    data = run_json(capsys, ["stats", gn_paths[3]])
+    assert data["longest_word"] == 2 ** 256
+    assert data["nfa_states"] == 2 + 2 ** 256
+    assert run_json(capsys, ["member", gn_paths[3], "a" * 100])["member"]
+    assert not run_json(capsys, ["member", gn_paths[3], "b"])["member"]

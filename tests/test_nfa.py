@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 
 from ixdcl.analysis import CapExceeded
 from ixdcl.cfg import Cfg, CfgRule, trim_cfg
-from ixdcl.families import g1_grammar, g_loop_grammar, square_grammar
+from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
+                            square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _accepts, _antichain,
                        _ideal_le, _join, _norm_ideal, _word_ideal,
@@ -145,6 +146,11 @@ def test_edits_clear_the_ideals():
     n.add_edge(0, "b", 0)
     assert n.ideals is None
     assert nfa_member(n, "bbab")
+    # a closure's edges are unfolded before the edit
+    n = cfg_dcl_nfa(doubling_cfg(2))
+    n.add_edge(0, "b", 0)
+    assert n.ideals is None
+    assert nfa_member(n, "bbaaaa") and not nfa_member(n, "aaaaa")
 
 
 # -- ideal arithmetic -------------------------------------------------------
@@ -334,11 +340,32 @@ def test_dcl_nfa_counts_runs():
 
 
 def test_dcl_nfa_state_cap():
+    # the closure is built and answers from its ideals; only reading its
+    # export passes the state cap
     k = (CLOSURE_STATE_CAP - 2).bit_length()
     assert 2 + 2 ** k > CLOSURE_STATE_CAP
     for n in (k, 256):
-        with pytest.raises(CapExceeded, match="closure NFA state cap"):
-            cfg_dcl_nfa(doubling_cfg(n))
+        nfa = cfg_dcl_nfa(doubling_cfg(n))
+        assert nfa.n_states == 2 + 2 ** n
+        assert longest_word_or_infinite(nfa) == 2 ** n
+        for read in (nfa.to_dict, lambda: next(iter(nfa.transitions)),
+                     lambda: len(nfa.transitions)):
+            with pytest.raises(CapExceeded, match="closure NFA state cap"):
+                read()
+
+
+def test_g2_pipeline_builds_no_edges(monkeypatch):
+    def unfold(ideals):
+        raise AssertionError("the closure's edges were built")
+
+    monkeypatch.setattr("ixdcl.nfa._unfold", unfold)
+    result = run_pipeline(grammar_gn(2))
+    nfa, stats = result.nfa, result.stats
+    assert stats["nfa_states"] == nfa.n_states == 65538
+    assert stats["nfa_transitions"] == len(nfa.transitions) == 131073
+    assert stats["longest_word"] == longest_word_or_infinite(nfa) == 65536
+    assert nfa_member(nfa, "a" * 4)
+    assert nfa_equivalence(nfa, nfa) == (True, None)
 
 
 def random_cfg(rng, max_nts=4, max_rules=8, letters="ab"):
@@ -368,6 +395,21 @@ def test_dcl_nfa_random_cfgs_match_exact_closure():
         expect = cfg_dcl_bounded(cfg, 8)
         got = {w for w in allw if nfa_member(nfa, w)}
         assert got == expect
+
+
+def test_ideal_comparison_matches_dfa_search():
+    # with ideals on both sides a holding inclusion or equivalence is
+    # answered from them; the verdict is that of the DFA search
+    rng = random.Random(5)
+    held = [0, 0]
+    for _ in range(200):
+        a, b = (cfg_dcl_nfa(random_cfg(rng)) for _ in range(2))
+        plain = [dataclasses.replace(n, ideals=None) for n in (a, b)]
+        for i, compare in enumerate((nfa_inclusion, nfa_equivalence)):
+            got = compare(a, b)
+            assert got == compare(*plain), (a.ideals, b.ideals)
+            held[i] += got[0] and a.ideals != frozenset()
+    assert held[0] > held[1] > 0
 
 
 def test_dcl_nfa_dead_rule_does_not_join_components():
