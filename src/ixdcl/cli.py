@@ -26,9 +26,9 @@ from .summaries import SummaryFactory, build_summary_graph
 
 def _parse(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GrammarError(f"cannot read {path}: {exc}")
     return label_pushes(desugar(parse_grammar(text)))
 

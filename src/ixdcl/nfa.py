@@ -26,22 +26,22 @@ component at a time, bottom-up:
     and E is the union over its productions.
 
 Few distinct values arise, so each is computed once per distinct
-input.  `cfg_dcl_nfa` returns an NFA that keeps the start symbol's
-antichain in `Nfa.ideals` and has its state and edge counts computed
-from it.  Its edges, k states per run, are unfolded only when something
-reads them; an export of more than CLOSURE_STATE_CAP states raises
-CapExceeded then, before any edge is made, so the closure of G_3 exists
-as one ideal while its export does not.  Membership and the longest
-word (an exact int) read the ideals when they are present, by greedy
-matching, in time linear in the word and the number of atoms; NFAs
-without them (built by hand, or edited after the construction) are
-simulated state by state.  Normal ideals are canonical (see
-`_antichain`), so an antichain is just the maximal ideals of a set.
-Inclusion holds when every ideal of one side lies under some ideal of
-the other (an ideal lies in a finite union of downward-closed sets only
-if it lies in one of them), and equivalence when the antichains are
-equal.  Any other case determinizes each side once and searches the
-product breadth-first for a shortest counterexample.
+input.  `cfg_dcl_nfa` returns a read-only NFA that keeps the start
+symbol's antichain in `Nfa.ideals` and has its state and edge counts
+computed from it.  Its edges, k states per run, are unfolded only when
+an export reads them; an export of more than CLOSURE_STATE_CAP states
+raises CapExceeded then, before any edge is made, so the closure of G_3
+exists as one ideal while its export does not.  Every query reads the
+ideals.  Membership and the longest word (an exact int) match greedily,
+in time linear in the word and the number of atoms.  Normal ideals are
+canonical (see `_antichain`), so an antichain is just the maximal ideals
+of a set.  Inclusion holds when every ideal of one side lies under some
+ideal of the other (an ideal lies in a finite union of downward-closed
+sets only if it lies in one of them), and equivalence when the
+antichains are equal.  Any other case searches a product breadth-first
+for a shortest counterexample.  A closure steps there through the tuple
+of its greedy match positions, one per ideal, which is a deterministic
+state; only an NFA built by hand is determinized.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ class Nfa:
     transitions: list = field(default_factory=list)  # (src, letter|None, dst)
     initial: set = field(default_factory=set)
     final: set = field(default_factory=set)
-    # The antichain of ideals whose union is the language, or None.  Set
-    # by cfg_dcl_nfa, whose transitions are unfolded from it when first
-    # read; an edit through add_edge clears it.
+    # The antichain of ideals whose union is the language; None for an
+    # NFA built by hand.  Set by cfg_dcl_nfa, whose NFA is read-only:
+    # every query reads the ideals, and only an export unfolds the edges.
     ideals: frozenset | None = None
 
     def add_state(self):
@@ -79,7 +79,6 @@ class Nfa:
         return self.n_states - 1
 
     def add_edge(self, src, letter, dst):
-        self.ideals = None
         self.transitions.append((src, letter, dst))
 
     def to_dict(self):
@@ -123,30 +122,8 @@ def _step_and_eps(nfa):
 
 
 def nfa_member(nfa, word):
-    if nfa.ideals is not None:
-        return any(_accepts(ideal, word) for ideal in nfa.ideals)
-    step, eps = _step_and_eps(nfa)
-    cur = _closure(eps, nfa.initial)
-    for c in word:
-        nxt = set()
-        for s in cur:
-            nxt |= step.get((s, c), set())
-        cur = _closure(eps, nxt)
-        if not cur:
-            return False
-    return bool(cur & nfa.final)
-
-
-def word_subword_nfa(word, alphabet=None):
-    """An NFA for all scattered subwords of a single word."""
-    nfa = Nfa(frozenset(alphabet if alphabet is not None else set(word)))
-    states = [nfa.add_state() for _ in range(len(word) + 1)]
-    nfa.initial = {states[0]}
-    nfa.final = {states[-1]}
-    for i, c in enumerate(word):
-        nfa.add_edge(states[i], c, states[i + 1])
-        nfa.add_edge(states[i], None, states[i + 1])
-    return nfa
+    """Is word in the closure nfa?"""
+    return any(_accepts(ideal, word) for ideal in nfa.ideals)
 
 
 def dcl_close(nfa):
@@ -204,23 +181,43 @@ def determinize(nfa, cap=100000):
     return Dfa(frozenset(alphabet), len(order), delta, 0, final)
 
 
+def _view(nfa, alphabet, cap):
+    """A deterministic view of nfa over alphabet: a start state, a step
+    function and an accept test.  A closure's state is the tuple of its
+    greedy match positions, one per ideal (see `_step`), and it accepts
+    while one of them is alive; an NFA built by hand is determinized."""
+    if nfa.ideals is None:
+        d = determinize(Nfa(alphabet, nfa.n_states, nfa.transitions,
+                            nfa.initial, nfa.final), cap)
+        return d.initial, lambda q, a: d.delta[(q, a)], d.final.__contains__
+    ideals = tuple(nfa.ideals)
+
+    def step(q, a):
+        return tuple(_step(x, p, a) for x, p in zip(ideals, q))
+
+    def accepts(q):
+        return any(p is not None for p in q)
+
+    return ((0, 0),) * len(ideals), step, accepts
+
+
 def _first_difference(n1, n2, cap, differs):
     """The shortest word, then the alphabetically least, that leads the
-    determinized n1 and n2 to states whose acceptance (a1, a2) makes
-    differs(a1, a2) true, or None if there is none.  Each side is
-    determinized once, and the product is searched breadth-first with
-    the letters in sorted order."""
+    views of n1 and n2 to states whose acceptance (a1, a2) makes
+    differs(a1, a2) true, or None if there is none.  The product is
+    searched breadth-first with the letters in sorted order; visiting
+    more than cap of its states raises CapExceeded."""
     alphabet = frozenset(n1.alphabet | n2.alphabet)
-    d1, d2 = (determinize(Nfa(alphabet, n.n_states, n.transitions,
-                              n.initial, n.final), cap) for n in (n1, n2))
+    (s1, step1, acc1), (s2, step2, acc2) = (_view(n, alphabet, cap)
+                                            for n in (n1, n2))
     letters = sorted(alphabet)
-    start = (d1.initial, d2.initial)
+    start = (s1, s2)
     seen = {start: None}
     queue = deque([start])
     while queue:
         pair = queue.popleft()
         q1, q2 = pair
-        if differs(q1 in d1.final, q2 in d2.final):
+        if differs(acc1(q1), acc2(q2)):
             # rebuild the witness word
             word = []
             while seen[pair] is not None:
@@ -228,8 +225,11 @@ def _first_difference(n1, n2, cap, differs):
                 word.append(a)
             return "".join(reversed(word))
         for a in letters:
-            nxt = (d1.delta[(q1, a)], d2.delta[(q2, a)])
+            nxt = (step1(q1, a), step2(q2, a))
             if nxt not in seen:
+                if len(seen) >= cap:
+                    raise CapExceeded(f"comparison cap exceeded: more than "
+                                      f"{cap} product states")
                 seen[nxt] = (pair, a)
                 queue.append(nxt)
     return None
@@ -255,44 +255,13 @@ def nfa_equivalence(n1, n2, cap=100000):
 
 
 def longest_word_or_infinite(nfa):
-    """Length of a longest accepted word, INFINITE if unbounded, or None
-    for the empty language.  Epsilon-only cycles do not pump length."""
-    if nfa.ideals is not None:
-        if not nfa.ideals:
-            return None
-        if any(atom[0] == "s" for ideal in nfa.ideals for atom in ideal):
-            return INFINITE
-        return max(sum(atom[2] for atom in ideal) for ideal in nfa.ideals)
-    # trim to states on an accepting path
-    fwd = {}
-    bwd = {}
-    for (s, a, t) in nfa.transitions:
-        fwd.setdefault(s, []).append(t)
-        bwd.setdefault(t, []).append(s)
-    live = _closure(fwd, nfa.initial) & _closure(bwd, nfa.final)
-    if not live:
+    """Length of a longest word of the closure nfa, INFINITE if unbounded,
+    or None for the empty language."""
+    if not nfa.ideals:
         return None
-    # every state on a cycle through a live state is live, so the
-    # components of live states are those of the whole graph; a letter
-    # edge within a component means unbounded
-    comps = sccs(sorted(live), fwd)
-    comp = {q: i for i, c in enumerate(comps) for q in c}
-    # longest letter path in the condensation DAG; sccs emits each
-    # component after every component it reaches, so one pass suffices
-    cadj = {}
-    for (s, a, t) in nfa.transitions:
-        if s not in live or t not in live:
-            continue
-        if comp[s] != comp[t]:
-            cadj.setdefault(comp[s], []).append(
-                (0 if a is None else 1, comp[t]))
-        elif a is not None:
-            return INFINITE
-    longest = []
-    for i in range(len(comps)):
-        longest.append(max((w + longest[c] for (w, c) in cadj.get(i, ())),
-                           default=0))
-    return max(longest[comp[q]] for q in nfa.initial if q in live)
+    if any(atom[0] == "s" for ideal in nfa.ideals for atom in ideal):
+        return INFINITE
+    return max(sum(atom[2] for atom in ideal) for ideal in nfa.ideals)
 
 
 def sccs(nodes, adj):
@@ -502,6 +471,25 @@ def _accepts(ideal, word):
     return i == n
 
 
+def _step(ideal, pos, c):
+    """The greedy match position in ideal after one more letter c: the
+    index of the atom that takes c and the letters taken from it, or
+    None once no atom is left that takes c.  Folded over a word from
+    (0, 0), it matches as `_accepts` does."""
+    if pos is None:
+        return None
+    j, t = pos
+    while j < len(ideal):
+        atom = ideal[j]
+        if atom[0] == "s":
+            if c in atom[1]:
+                return j, 0
+        elif atom[1] == c and t < atom[2]:
+            return j, t + 1
+        j, t = j + 1, 0
+    return None
+
+
 def cfg_dcl_nfa(cfg):
     """An NFA for the downward closure of a context-free language."""
     by_lhs, adj = {}, {}
@@ -614,9 +602,6 @@ class _Edges:
 
     def __iter__(self):
         return iter(self._edges())
-
-    def append(self, edge):
-        self._edges().append(edge)
 
 
 def _unfold(ideals):

@@ -197,6 +197,14 @@ class _DclDp(_KeyDp):
     def __init__(self, g, budget, emptiness, target):
         super().__init__(g, budget, emptiness)
         self.domain = subwords(target)
+        self.below = {}    # a terminal word -> its subwords in the domain
+
+    def subwords_in(self, word):
+        """The words of the domain that embed into word, found once."""
+        if word not in self.below:
+            self.below[word] = {u for u in self.domain
+                                if is_subword(u, word)}
+        return self.below[word]
 
     def terminal_value(self, word):
         return None   # handled in step via combine on singletons
@@ -206,7 +214,7 @@ class _DclDp(_KeyDp):
         acc = set(self.val[key])
         for p in self.by_lhs.get(nt, ()):
             if isinstance(p, TerminalRule):
-                acc |= {u for u in self.domain if is_subword(u, p.word)}
+                acc |= self.subwords_in(p.word)
         acc |= super().step(key)
         return frozenset(acc)
 

@@ -58,6 +58,11 @@ def test_validate_bad_input(capsys, tmp_path):
     code, _, err = run(capsys, ["validate", str(bad)])
     assert code == 2
     assert "error" in err
+    # a file that is not UTF-8 cannot be read
+    bad.write_bytes(b'start S\nterminals a\nS -> "\xff"\n')
+    code, _, err = run(capsys, ["validate", str(bad)])
+    assert code == 2
+    assert "cannot read" in err
 
 
 def test_missing_file(capsys):
@@ -182,15 +187,15 @@ def test_stats(capsys, paths):
 
 
 def test_cap_exceeded_exit_code(capsys, paths, gn_paths):
-    # G_3's closure export would unfold a^(2^256) into states; G_2's
-    # closure NFA has 65538 states, and determinizing it to search for a
-    # counterexample makes subsets of up to that many states each
+    # G_3's closure export would unfold a^(2^256) into states; the
+    # search for G_2's counterexample against G_1 visits 18 product states
     for argv in (["--max-summaries", "3", "summaries", paths["loop"]],
                  ["--max-monoid", "2", "monoid", paths["square"]],
                  ["--max-dfa-states", "1", "compare",
                   paths["g1"], paths["loop"]],
                  ["--max-triples", "10", "to-cfg", paths["square"]],
-                 ["compare", "--mode", "subset", gn_paths[2], gn_paths[1]],
+                 ["--max-dfa-states", "17", "compare", "--mode", "subset",
+                  gn_paths[2], gn_paths[1]],
                  ["dcl-nfa", gn_paths[3]],
                  ["--format", "dot", "dcl-nfa", gn_paths[3]]):
         code, _, err = run(capsys, argv)
@@ -205,6 +210,10 @@ def test_compare_on_ideals(capsys, gn_paths):
     data = run_json(capsys, ["compare", "--mode", "subset",
                              gn_paths[1], gn_paths[2]])
     assert data["holds"] is True
+    # a failing inclusion steps through the ideals for its witness
+    data = run_json(capsys, ["compare", "--mode", "subset",
+                             gn_paths[2], gn_paths[1]])
+    assert data["holds"] is False and data["counterexample"] == "a" * 17
 
 
 def test_g3_stats_and_member(capsys, gn_paths):

@@ -16,14 +16,15 @@ from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _accepts, _antichain,
-                       _ideal_le, _join, _norm_ideal, _word_ideal,
+                       _ideal_le, _join, _norm_ideal, _step, _word_ideal,
                        cfg_dcl_nfa, dcl_close, determinize,
                        longest_word_or_infinite, nfa_equivalence,
-                       nfa_inclusion, nfa_member, word_subword_nfa)
+                       nfa_inclusion, nfa_member)
 from ixdcl.oracle import is_subword, subwords
 from ixdcl.pipeline import run_pipeline
 import ideal_reference as ref
 from cfg_reference import cfg_dcl_bounded
+from nfa_reference import longest_path, simulate, word_subword_nfa
 from test_summaries import RANDOM_361_TEXT
 
 
@@ -44,14 +45,14 @@ def words_upto(alphabet, k):
 
 def test_nfa_member():
     n = astar_bstar_nfa()
-    assert nfa_member(n, "")
-    assert nfa_member(n, "aabbb")
-    assert not nfa_member(n, "ba")
+    assert simulate(n, "")
+    assert simulate(n, "aabbb")
+    assert not simulate(n, "ba")
 
 
 def test_word_subword_nfa():
     n = word_subword_nfa("abc")
-    got = {w for w in words_upto("abc", 4) if nfa_member(n, w)}
+    got = {w for w in words_upto("abc", 4) if simulate(n, w)}
     assert got == subwords("abc")
 
 
@@ -62,7 +63,7 @@ def test_dcl_close():
     n.add_edge(p, "a", q)
     n.add_edge(q, "b", r)
     closed = dcl_close(n)
-    assert {w for w in words_upto("ab", 3) if nfa_member(closed, w)} == \
+    assert {w for w in words_upto("ab", 3) if simulate(closed, w)} == \
         subwords("ab")
 
 
@@ -74,7 +75,7 @@ def test_determinize():
         q = d.initial
         for c in w:
             q = d.delta[(q, c)]
-        assert (q in d.final) == nfa_member(astar_bstar_nfa(), w)
+        assert (q in d.final) == simulate(astar_bstar_nfa(), w)
 
 
 def test_inclusion_and_equivalence():
@@ -109,8 +110,8 @@ def test_counterexamples_are_shortlex_least():
     words = sorted(words_upto("abc", 4), key=lambda w: (len(w), w))
     for _ in range(300):
         n1, n2 = random_nfa(rng), random_nfa(rng)
-        in1 = {w for w in words if nfa_member(n1, w)}
-        in2 = {w for w in words if nfa_member(n2, w)}
+        in1 = {w for w in words if simulate(n1, w)}
+        in2 = {w for w in words if simulate(n2, w)}
         for (ok, cex), diff in ((nfa_inclusion(n1, n2), in1 - in2),
                                 (nfa_equivalence(n1, n2), in1 ^ in2)):
             assert ok == (cex is None)
@@ -120,11 +121,11 @@ def test_counterexamples_are_shortlex_least():
 
 
 def test_longest_word_finite_infinite_empty():
-    assert longest_word_or_infinite(word_subword_nfa("abcd")) == 4
-    assert longest_word_or_infinite(astar_bstar_nfa()) == INFINITE
+    assert longest_path(word_subword_nfa("abcd")) == 4
+    assert longest_path(astar_bstar_nfa()) == INFINITE
     empty = Nfa(frozenset("a"))
     empty.initial = {empty.add_state()}
-    assert longest_word_or_infinite(empty) is None
+    assert longest_path(empty) is None
     # epsilon-only cycles do not pump length
     n = Nfa(frozenset("a"))
     p, q, r = (n.add_state() for _ in range(3))
@@ -132,25 +133,12 @@ def test_longest_word_finite_infinite_empty():
     n.add_edge(p, None, q)
     n.add_edge(q, None, p)
     n.add_edge(q, "a", r)
-    assert longest_word_or_infinite(n) == 1
+    assert longest_path(n) == 1
 
 
 def test_longest_word_of_a_long_chain():
     # 20000 states in a row: no recursion on the length of the chain
-    assert longest_word_or_infinite(word_subword_nfa("a" * 20000)) == 20000
-
-
-def test_edits_clear_the_ideals():
-    n = word_subword_nfa("ab")
-    n.ideals = frozenset([_word_ideal("ab")])
-    n.add_edge(0, "b", 0)
-    assert n.ideals is None
-    assert nfa_member(n, "bbab")
-    # a closure's edges are unfolded before the edit
-    n = cfg_dcl_nfa(doubling_cfg(2))
-    n.add_edge(0, "b", 0)
-    assert n.ideals is None
-    assert nfa_member(n, "bbaaaa") and not nfa_member(n, "aaaaa")
+    assert longest_path(word_subword_nfa("a" * 20000)) == 20000
 
 
 # -- ideal arithmetic -------------------------------------------------------
@@ -242,6 +230,11 @@ def test_normal_ideals_are_canonical():
 def test_accepts_matches_reference(ideal, word):
     letters = tuple(("l", c) for c in word)
     assert _accepts(ideal, word) == ref.ideal_le(letters, ref.unfold(ideal))
+    # the comparison's one-letter step, folded over each prefix, agrees
+    pos = (0, 0)
+    for i, c in enumerate(word, 1):
+        pos = _step(ideal, pos, c)
+        assert _accepts(ideal, word[:i]) == (pos is not None)
 
 
 def test_antichain_drops_dominated():
@@ -366,6 +359,21 @@ def test_g2_pipeline_builds_no_edges(monkeypatch):
     assert stats["longest_word"] == longest_word_or_infinite(nfa) == 65536
     assert nfa_member(nfa, "a" * 4)
     assert nfa_equivalence(nfa, nfa) == (True, None)
+    # a failing comparison steps through the ideals too
+    g1 = run_pipeline(grammar_gn(1)).nfa
+    assert nfa_inclusion(nfa, g1) == (False, "a" * 17)
+
+
+def test_doubling_comparison_steps_through_the_ideals():
+    # a^1024 against a^512: the search visits one product state per
+    # prefix of the witness, and cap bounds those states
+    big, small = (cfg_dcl_nfa(doubling_cfg(k)) for k in (10, 9))
+    assert nfa_inclusion(big, small) == (False, "a" * 513)
+    assert nfa_equivalence(big, small) == (False, "a" * 513)
+    big, small = (cfg_dcl_nfa(doubling_cfg(k)) for k in (256, 255))
+    assert nfa_inclusion(small, big) == (True, None)
+    with pytest.raises(CapExceeded, match="comparison cap"):
+        nfa_inclusion(big, small, cap=1000)
 
 
 def random_cfg(rng, max_nts=4, max_rules=8, letters="ab"):
@@ -399,7 +407,8 @@ def test_dcl_nfa_random_cfgs_match_exact_closure():
 
 def test_ideal_comparison_matches_dfa_search():
     # with ideals on both sides a holding inclusion or equivalence is
-    # answered from them; the verdict is that of the DFA search
+    # answered from them, a failing one steps through them; verdict and
+    # witness are those of the DFA search, also against a plain copy
     rng = random.Random(5)
     held = [0, 0]
     for _ in range(200):
@@ -408,6 +417,8 @@ def test_ideal_comparison_matches_dfa_search():
         for i, compare in enumerate((nfa_inclusion, nfa_equivalence)):
             got = compare(a, b)
             assert got == compare(*plain), (a.ideals, b.ideals)
+            assert got == compare(a, plain[1]) == compare(plain[0], b), \
+                (a.ideals, b.ideals)
             held[i] += got[0] and a.ideals != frozenset()
     assert held[0] > held[1] > 0
 
@@ -455,18 +466,16 @@ def test_square_nfa_is_astar_bstar(square):
 
 
 def test_ideal_queries_match_simulation(fixtures, gn_nfas):
-    # the same NFA with its ideals dropped is simulated state by state
+    # the same NFA's edges are simulated state by state
     rng = random.Random(3)
     nfas = ([st_.nfa for st_ in fixtures.values()] + list(gn_nfas.values())
             + [cfg_dcl_nfa(EMPTY_CFG)]
             + [cfg_dcl_nfa(random_cfg(rng)) for _ in range(200)])
     for nfa in nfas:
         assert nfa.ideals is not None
-        plain = dataclasses.replace(nfa, ideals=None)
-        assert longest_word_or_infinite(nfa) == \
-            longest_word_or_infinite(plain)
+        assert longest_word_or_infinite(nfa) == longest_path(nfa)
         for w in words_upto(sorted(nfa.alphabet), 4):
-            assert nfa_member(nfa, w) == nfa_member(plain, w), (nfa, w)
+            assert nfa_member(nfa, w) == simulate(nfa, w), (nfa, w)
 
 
 def test_g2_closure_is_the_subwords_of_a_65536(gn_nfas):
