@@ -15,27 +15,33 @@ and the per-set reachability relations used by the stack abstraction:
 
     A ~X~ B  iff  (A, X) derives u (B, X) v in the annotated grammar.
 
-Everything is one demand-driven least fixpoint over keys ("cl", X),
-("act", f, X), ("efoc", X), ("foc", f, X) and ("reach", X).  A cl or
-act value is a set; a relation is kept as rows, a dict from each A to
-the set of B with (A, B), the form every rule reads.  Reading a missing
-key creates and queues it; each read made while a key is evaluated
-records that key as a reader.  A worklist evaluates each queued key's
-local rule from its current value, and when the value grows it
-re-queues the key's readers, so only keys whose inputs grew are
-evaluated again (a local solver in the sense of Fecht & Seidl, "A
-faster solver for general systems of equations", SCP 1999).
+Inside, a set of nonterminals is an int whose bit i stands for the i-th
+nonterminal in `sort_key` order, and a relation is a tuple of such row
+masks.  The rules are indexed once by kind as tuples of indices and
+bits.  The public methods take and return frozensets (of pairs, for a
+relation); one table maps each mask to a single frozenset.
 
-A local rule is a single pass over the grammar's rules, indexed once by
-kind; a relation's rule adds whole rows.  A rule that reads its own
-value (a binary rule, or the transitive step of reach) may need another
-pass; the solver re-queues a key whose value grew together with its
-readers, so that pass runs through the worklist too and no rule loops.
+Everything is one demand-driven least fixpoint over keys ("cl", X),
+("act", f, X), ("efoc", X), ("foc", f, X) and ("reach", X), X a mask.
+Reading a missing key creates and queues it; the key under evaluation
+is recorded as a reader on its first read.  A worklist evaluates each
+queued key's local rule, which returns the new value; a key whose value
+changed is queued again with its readers, since a rule may read its own
+value (a binary rule, the transitive step of reach).  So only keys whose
+inputs grew are evaluated again, and no rule loops (a local solver in
+the sense of Fecht & Seidl, "A faster solver for general systems of
+equations", SCP 1999).
+
+An act(f, X) pass closes its value under the pop and binary rules, which
+read only cl(X) and the value, before it takes the snapshot S at which
+its push rules read act(g, S), once per letter g.  An earlier snapshot
+is a set the value is about to outgrow, whose act keys are solved, then
+abandoned, and still count against the cap.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 
 from .grammar import BinaryRule, PushRule, TerminalRule, sort_key
 
@@ -44,41 +50,56 @@ class CapExceeded(RuntimeError):
     """A configurable resource cap was hit; the result would be partial."""
 
 
-def _size(val):
-    """A set's size, or the number of pairs in a relation's rows."""
-    return len(val) if isinstance(val, set) else sum(map(len, val.values()))
+def _gather(rows, mask):
+    """The union of rows[i] over the bits i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 class Analysis:
     def __init__(self, g, universe_cap=4096):
         self.g = g
         self.universe_cap = universe_cap
-        # the rules indexed once by kind; each local rule reads its lists
-        self.term_lhs = set()
-        self.binary = []
-        self.push = []
-        self.pops = {}   # stack symbol -> its pop rules
+        self.act_keys = 0   # act keys created; each counts against the cap
+        self._nts = sorted(g.symbols.nonterminals, key=sort_key)
+        self._bit = b = {A: 1 << i for i, A in enumerate(self._nts)}
+        self._unit = tuple(b.values())   # the identity relation
+        i = {A: n for n, A in enumerate(self._nts)}
+        # the rules indexed by kind; a push or pop rule is (lhs index, rhs
+        # index, lhs bit, rhs bit)
+        self._term = 0
+        self._binary = []   # (lhs bit, left bit | right bit)
+        self._split = []    # (lhs, C, bit of D) for kids (C, D) either way
+        self._pushes = {}   # stack symbol -> (lhs mask, its push rules)
+        self._pops = {}     # stack symbol -> its pop rules
         for p in g.productions:
             if isinstance(p, TerminalRule):
-                self.term_lhs.add(p.lhs)
+                self._term |= b[p.lhs]
             elif isinstance(p, BinaryRule):
-                self.binary.append(p)
-            elif isinstance(p, PushRule):
-                self.push.append(p)
+                self._binary.append((b[p.lhs], b[p.left] | b[p.right]))
+                self._split += [(i[p.lhs], i[p.left], b[p.right]),
+                                (i[p.lhs], i[p.right], b[p.left])]
             else:
-                self.pops.setdefault(p.sym, []).append(p)
-        self._val = {}      # key -> set or rows, only grows
-        # key -> the keys that read it; a dict keeps them in order, so the
-        # evaluation order (and the number of act keys tried on the way)
-        # does not depend on PYTHONHASHSEED
-        self._readers = defaultdict(dict)
+                rule = (i[p.lhs], i[p.rhs], b[p.lhs], b[p.rhs])
+                kind = self._pushes if isinstance(p, PushRule) else self._pops
+                kind.setdefault(p.sym, []).append(rule)
+        self._pushes = {f: (sum({r[2] for r in rules}), rules)
+                        for f, rules in self._pushes.items()}
+        self._val = {}      # key -> mask or tuple of row masks
+        # key -> the keys that read it, in a dict kept in order: the order of
+        # evaluation and the act keys made do not depend on PYTHONHASHSEED
+        self._readers = {}
         self._todo = deque()    # queued keys, first in first out
         self._queued = set()
         self._current = None    # the key under evaluation
-        self._n_act = 0
+        self._sets = {}      # mask -> its frozenset
         self._universe = None
         self._reached = {}   # X -> reach(X) as a frozenset of pairs
-        self._fold = {}   # stack tuple -> frozenset (action on empty set)
+        self._fold = {}   # stack tuple -> mask (action on empty set)
 
     # -- the worklist solver -------------------------------------------------
 
@@ -87,93 +108,121 @@ class Analysis:
             self._queued.add(key)
             self._todo.append(key)
 
-    def _need(self, key, init):
-        """The current value of key, created by init() and queued when
-        missing; the key under evaluation becomes one of its readers."""
+    def _init(self, key):
+        """The first value of a new key; an act key counts against the cap."""
+        if key[0] == "act":
+            if self.act_keys >= self.universe_cap:
+                raise CapExceeded(f"action table cap exceeded: "
+                                  f"{self.act_keys + 1} act keys, limit "
+                                  f"{self.universe_cap} (--max-universe)")
+            self.act_keys += 1
+            return self._term
+        if key[0] == "cl":
+            return key[1] | self._term
+        if key[0] == "efoc":
+            return self._unit
+        if key[0] == "reach":
+            return tuple(b & key[1] for b in self._unit)
+        return (0,) * len(self._unit)
+
+    def _need(self, key):
+        """key's current value; a missing key is created and queued."""
         val = self._val.get(key)
         if val is None:
-            val = self._val[key] = init()
+            val = self._val[key] = self._init(key)
+            self._readers[key] = {}
             self._push(key)
         if self._current is not None:
-            self._readers[key][self._current] = None
+            self._readers[key].setdefault(self._current)
         return val
 
     def _solve(self):
         while self._todo:
             key = self._todo.popleft()
             self._queued.discard(key)
-            val = self._val[key]
-            size = _size(val)
+            old = self._val[key]
             self._current = key
-            getattr(self, "_eval_" + key[0])(val, *key[1:])
+            new = getattr(self, "_eval_" + key[0])(old, *key[1:])
             self._current = None
-            if _size(val) > size:
-                # a rule may read its own value, so the key runs again
-                self._push(key)
-                for r in self._readers.get(key, ()):
+            if new != old:
+                self._val[key] = new
+                self._push(key)   # a rule may read its own value
+                for r in self._readers[key]:
                     self._push(r)
 
-    def _solved(self, val):
+    def _solved(self, key):
+        self._need(key)
         self._solve()
-        return frozenset(val)
+        return self._val[key]
 
-    def _solved_pairs(self, rows):
-        self._solve()
-        return frozenset((a, b) for a, row in rows.items() for b in row)
+    def _mask(self, X):
+        return sum(self._bit[A] for A in frozenset(X))
+
+    def _set(self, mask):
+        out = self._sets.get(mask)
+        if out is None:
+            bits = enumerate(bin(mask)[:1:-1])   # lowest bit first
+            out = self._sets[mask] = frozenset(
+                self._nts[i] for i, c in bits if c == "1")
+        return out
+
+    def _pairs(self, rows):
+        return frozenset((self._nts[a], B) for a, row in enumerate(rows)
+                         for B in self._set(row))
 
     # -- actions -----------------------------------------------------------
 
-    def _need_cl(self, X):
-        return self._need(("cl", X), lambda: set(X) | self.term_lhs)
+    def _close(self, cur):
+        """cur closed under the binary rules."""
+        old = None
+        while cur != old:
+            old = cur
+            for lhs, kids in self._binary:
+                if cur & kids == kids:
+                    cur |= lhs
+        return cur
 
-    def _need_act(self, f, X):
-        return self._need(("act", f, X), self._new_act)
-
-    def _new_act(self):
-        if self._n_act >= self.universe_cap:
-            raise CapExceeded("action table cap exceeded")
-        self._n_act += 1
-        return set(self.term_lhs)
+    def _apply_pushes(self, cur, X):
+        """cur with each A of a push rule A -> B + f, B in act(f, X)."""
+        for f, (lhs, rules) in self._pushes.items():
+            if cur & lhs != lhs:
+                gen = self._need(("act", f, X))
+                for _, _, a, r in rules:
+                    if gen & r:
+                        cur |= a
+        return cur
 
     def _eval_cl(self, cur, X):
-        for p in self.binary:
-            if p.left in cur and p.right in cur:
-                cur.add(p.lhs)
-        for p in self.push:
-            if p.lhs not in cur and p.rhs in self._need_act(p.sym, X):
-                cur.add(p.lhs)
+        return self._apply_pushes(self._close(cur), X)
 
     def _eval_act(self, cur, f, X):
-        cl = self._need_cl(X)
-        cur.update(p.lhs for p in self.pops.get(f, ()) if p.rhs in cl)
-        for p in self.binary:
-            if p.left in cur and p.right in cur:
-                cur.add(p.lhs)
-        # one snapshot per pass: a grown value is queued again and its
-        # next pass reads the inner actions at the larger set
-        S = frozenset(cur)
-        for p in self.push:
-            if p.lhs not in cur and p.rhs in self._need_act(p.sym, S):
-                cur.add(p.lhs)
+        cl = self._need(("cl", X))
+        for _, _, a, r in self._pops.get(f, ()):
+            if cl & r:
+                cur |= a
+        cur = self._close(cur)
+        return self._apply_pushes(cur, cur)   # the snapshot S is cur
+
+    def _act_word(self, z, X):
+        for f in reversed(z):
+            X = self._solved(("act", f, X))
+        return X
 
     def cl(self, X):
         """Nonterminals A with A[empty stack] deriving into (X union T)*."""
-        return self._solved(self._need_cl(frozenset(X)))
+        return self._set(self._solved(("cl", self._mask(X))))
 
     def act(self, f, X):
         """The one-letter action f . X."""
-        return self._solved(self._need_act(f, frozenset(X)))
+        return self._set(self._solved(("act", f, self._mask(X))))
 
     def act_word(self, z, X):
         """z . X for a stack word z given topmost-first."""
-        val = frozenset(X)
-        for f in reversed(z):
-            val = self.act(f, val)
-        return val
+        return self._set(self._act_word(z, self._mask(X)))
 
     def useful(self):
         """Nonterminals deriving a terminal word from the empty stack."""
-        return self.cl(frozenset())
+        return self.cl(())
 
     def is_empty(self):
         return self.g.start not in self.useful()
@@ -182,11 +231,9 @@ class Analysis:
         """Exact emptiness of the language of nt[stack]."""
         stack = tuple(stack)
         if stack not in self._fold:
-            if stack:
-                self._fold[stack] = self.act_word(stack, frozenset())
-            else:
-                self._fold[stack] = self.useful()
-        return nt not in self._fold[stack]
+            self._fold[stack] = (self._act_word(stack, 0) if stack
+                                 else self._solved(("cl", 0)))
+        return not self._fold[stack] & self._bit.get(nt, 0)
 
     # -- annotation universe ------------------------------------------------
 
@@ -194,84 +241,77 @@ class Analysis:
         """All sets reachable from Useful under the one-letter actions."""
         if self._universe is None:
             letters = sorted(self.g.symbols.stack_symbols, key=sort_key)
-            seen = [self.useful()]
+            seen = [self._solved(("cl", 0))]
             seen_set = set(seen)
             for X in seen:   # seen grows while it is scanned
                 for f in letters:
-                    Y = self.act(f, X)
+                    Y = self._solved(("act", f, X))
                     if Y not in seen_set:
                         if len(seen) >= self.universe_cap:
-                            raise CapExceeded("annotation universe cap exceeded")
+                            raise CapExceeded(
+                                f"annotation universe cap exceeded: "
+                                f"{len(seen) + 1} sets, limit "
+                                f"{self.universe_cap} (--max-universe)")
                         seen_set.add(Y)
                         seen.append(Y)
-            self._universe = seen
+            self._universe = [self._set(X) for X in seen]
         return list(self._universe)
 
     # -- focus matrices -----------------------------------------------------
 
-    def _need_foc(self, f, X):
-        nts = self.g.symbols.nonterminals
-        return self._need(("foc", f, X), lambda: {B: set() for B in nts})
-
-    def _need_efoc(self, X):
-        nts = self.g.symbols.nonterminals
-        return self._need(("efoc", X), lambda: {B: {B} for B in nts})
-
     def _eval_efoc(self, cur, X):
-        cl = self._need_cl(X)
-        for p in self.binary:
-            for C, D in ((p.left, p.right), (p.right, p.left)):
-                if D in cl:
-                    cur[p.lhs] |= cur[C]
-        for p in self.push:
-            cur[p.lhs] |= self._need_foc(p.sym, X)[p.rhs]
+        cl = self._need(("cl", X))
+        rows = list(cur)
+        for a, c, d in self._split:
+            if cl & d:
+                rows[a] |= rows[c]
+        for f, (_, rules) in self._pushes.items():
+            m = self._need(("foc", f, X))
+            for a, r, _, _ in rules:
+                rows[a] |= m[r]
+        return tuple(rows)
 
     def _eval_foc(self, cur, f, X):
-        ef = self._need_efoc(X)
-        gen = self._need_act(f, X)
-        for p in self.pops.get(f, ()):
-            cur[p.lhs] |= ef[p.rhs]
-        for p in self.binary:
-            for C, D in ((p.left, p.right), (p.right, p.left)):
-                if D in gen:
-                    cur[p.lhs] |= cur[C]
-        Y = frozenset(gen)
-        for p in self.push:
-            # a list first: the key read may be this one
-            for C in list(self._need_foc(p.sym, Y)[p.rhs]):
-                cur[p.lhs] |= cur[C]
+        ef = self._need(("efoc", X))
+        gen = self._need(("act", f, X))
+        rows = list(cur)
+        for a, r, _, _ in self._pops.get(f, ()):
+            rows[a] |= ef[r]
+        for a, c, d in self._split:
+            if gen & d:
+                rows[a] |= rows[c]
+        for g, (_, rules) in self._pushes.items():
+            m = self._need(("foc", g, gen))
+            for a, r, _, _ in rules:
+                rows[a] |= _gather(rows, m[r])
+        return tuple(rows)
 
     def matrix(self, f, X):
         """Boolean matrix of focus pairs for the letter f under X."""
-        return self._solved_pairs(self._need_foc(f, frozenset(X)))
+        return self._pairs(self._solved(("foc", f, self._mask(X))))
 
     # -- reachability within the annotated grammar --------------------------
 
-    def _need_reach(self, X):
-        return self._need(("reach", X), lambda: {A: {A} for A in X})
-
     def _eval_reach(self, cur, X):
-        for p in self.binary:
-            if p.lhs in X and p.left in X and p.right in X:
-                cur[p.lhs].update((p.left, p.right))
-        for p in self.push:
-            if p.lhs not in X:
-                continue
-            Y = frozenset(self._need_act(p.sym, X))
-            if p.rhs in Y:
-                m = self._need_foc(p.sym, X)
-                # a list first: Y may be X
-                for D in list(self._need_reach(Y)[p.rhs]):
-                    cur[p.lhs] |= m[D] & X
+        rows = list(cur)
+        for lhs, kids in self._binary:
+            if X & (lhs | kids) == lhs | kids:
+                rows[lhs.bit_length() - 1] |= kids
+        for f, (_, rules) in self._pushes.items():
+            for a, r, lhs, rhs in rules:
+                Y = self._need(("act", f, X)) if X & lhs else 0
+                if Y & rhs:
+                    m = self._need(("foc", f, X))
+                    rows[a] |= _gather(m, self._need(("reach", Y))[r]) & X
         # one transitive step
-        for row in cur.values():
-            for b in list(row):
-                row |= cur[b]
+        for a, row in enumerate(rows):
+            rows[a] = row | _gather(rows, row)
+        return tuple(rows)
 
     def reach(self, X):
         """The relation A ~X~ B (see module doc), solved on first use."""
-        X = frozenset(X)
+        X = self._mask(X)
         out = self._reached.get(X)
         if out is None:
-            out = self._reached[X] = self._solved_pairs(self._need_reach(X))
+            out = self._reached[X] = self._pairs(self._solved(("reach", X)))
         return out

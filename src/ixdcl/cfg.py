@@ -8,7 +8,8 @@ two it copies a binary rule of the annotated grammar at a fixed
 summary; with one it is a push rule, which moves to the pushed summary,
 or a pop rule, which moves to any push-preimage recorded in the summary
 graph.  The resulting context-free language contains the indexed
-language and has the same downward closure.
+language and has the same downward closure.  The module also holds two
+graph passes that later stages share: `live_rules` and Tarjan's `sccs`.
 """
 
 from __future__ import annotations
@@ -101,6 +102,55 @@ def live_rules(cfg):
                 productive.add(lhs)
                 queue.append(lhs)
     return [r for r, n in zip(cfg.rules, waiting) if not n]
+
+
+def sccs(nodes, adj):
+    """Tarjan's strongly connected components of the graph adj (a dict
+    of successor lists) from the roots nodes, without recursion.  Each
+    component is emitted after every component it reaches."""
+    index = {}
+    low = {}
+    on = set()
+    stack = []
+    out = []
+    counter = [0]
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(adj.get(root, ())))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on.add(w)
+                    work.append((w, iter(adj.get(w, ()))))
+                    advanced = True
+                    break
+                elif w in on:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+    return out
 
 
 def trim_cfg(cfg):

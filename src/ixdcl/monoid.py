@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import CapExceeded
+from .cfg import sccs
 from .grammar import sort_key
-from .nfa import sccs
 
 
 class _Unit:

@@ -50,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .analysis import CapExceeded
-from .cfg import live_rules
+from .cfg import live_rules, sccs
 # Not called: perfbench/spans.py rebinds it.
 from .cfg import trim_cfg  # noqa: F401
 
@@ -262,55 +262,6 @@ def longest_word_or_infinite(nfa):
     if any(atom[0] == "s" for ideal in nfa.ideals for atom in ideal):
         return INFINITE
     return max(sum(atom[2] for atom in ideal) for ideal in nfa.ideals)
-
-
-def sccs(nodes, adj):
-    """Tarjan's strongly connected components of the graph adj (a dict
-    of successor lists) from the roots nodes, without recursion.  Each
-    component is emitted after every component it reaches."""
-    index = {}
-    low = {}
-    on = set()
-    stack = []
-    out = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
-                    break
-                elif w in on:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
 
 
 # ---------------------------------------------------------------------------

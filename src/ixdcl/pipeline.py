@@ -64,6 +64,8 @@ def run_pipeline(g, caps=None):
         "productions": len(g.productions),
         "useful": len(analysis.useful()),
         "universe": len(universe),
+        # every act key the solver made counts against max_universe
+        "act_keys": analysis.act_keys,
         "annotated_nonterminals": len(ag.grammar.symbols.nonterminals),
         "annotated_rules": len(ag.grammar.productions),
         "letters": len(ag.letters),

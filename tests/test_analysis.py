@@ -9,6 +9,7 @@ from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.grammar import grammar_from_text
+from ixdcl.pipeline import PipelineCaps, run_pipeline
 from test_summaries import RANDOM_361_TEXT, canonical
 
 # (universe size, sha256 prefix of analysis_fingerprint)
@@ -19,6 +20,7 @@ ANALYSIS_GOLDENS = {
     "G_1": (5, "b621ffd97b3fbfb6"),
     "G_2": (15, "71d53c65a3e90cfe"),
     "random": (2, "093436b50984e830"),
+    "G_3": (47, "dc7857a66ec4cb76"),
 }
 
 
@@ -46,7 +48,8 @@ def test_analysis_fingerprint_goldens():
     grammars = {"g1": g1_grammar(), "loop": g_loop_grammar(),
                 "square": square_grammar(), "G_1": grammar_gn(1),
                 "G_2": grammar_gn(2),
-                "random": grammar_from_text(RANDOM_361_TEXT)}
+                "random": grammar_from_text(RANDOM_361_TEXT),
+                "G_3": grammar_gn(3)}
     assert {name: analysis_fingerprint(Analysis(g))
             for name, g in grammars.items()} == ANALYSIS_GOLDENS
 
@@ -170,3 +173,16 @@ def test_term_empty(g1):
 def test_universe_cap():
     with pytest.raises(CapExceeded):
         Analysis(square_grammar(), universe_cap=1).universe()
+
+
+@pytest.mark.parametrize("n, before", [(2, 314), (3, 1169)])
+def test_act_keys_counted_and_capped(n, before):
+    # before: the act keys made when each pass read the inner actions at
+    # a snapshot taken before the binary rules had saturated
+    keys = run_pipeline(grammar_gn(n)).stats["act_keys"]
+    assert 0 < keys < before
+    # every act key counts against max_universe, the last one included
+    caps = PipelineCaps(max_universe=keys - 1)
+    with pytest.raises(CapExceeded, match=f"exceeded: {keys} act keys, "
+                       fr"limit {keys - 1} \(--max-universe\)"):
+        run_pipeline(grammar_gn(n), caps)

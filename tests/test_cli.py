@@ -203,6 +203,14 @@ def test_cap_exceeded_exit_code(capsys, paths, gn_paths):
         assert "cap" in err
 
 
+def test_universe_cap_message(capsys, paths):
+    code, _, err = run(capsys, ["--max-universe", "1", "analyze",
+                                paths["square"]])
+    assert code == 3
+    assert "action table cap exceeded: 2 act keys, limit 1 " \
+        "(--max-universe)" in err
+
+
 def test_compare_on_ideals(capsys, gn_paths):
     # both closures are the one ideal a^65536: no determinization
     data = run_json(capsys, ["compare", gn_paths[2], gn_paths[2]])
@@ -220,6 +228,7 @@ def test_g3_stats_and_member(capsys, gn_paths):
     # G_3's closure a^(2^256) is answered from its one ideal
     data = run_json(capsys, ["stats", gn_paths[3]])
     assert data["longest_word"] == 2 ** 256
+    assert 0 < data["act_keys"] < 1169
     assert data["nfa_states"] == 2 + 2 ** 256
     assert run_json(capsys, ["member", gn_paths[3], "a" * 100])["member"]
     assert not run_json(capsys, ["member", gn_paths[3], "b"])["member"]
