@@ -1,15 +1,15 @@
 """Context-free cover of an annotated indexed grammar via stack summaries.
 
 Nonterminals of the CFG are triples (A, X, sigma): an annotated
-nonterminal together with a summary of the stack below it.  Every rule
-is a `CfgRule` that carries its right-hand triples, its kids, and has
-one of three shapes: with no kids it derives its terminal word; with
-two it copies a binary rule of the annotated grammar at a fixed
-summary; with one it is a push rule, which moves to the pushed summary,
-or a pop rule, which moves to any push-preimage recorded in the summary
-graph.  The resulting context-free language contains the indexed
-language and has the same downward closure.  The module also holds two
-graph passes that later stages share: `live_rules` and Tarjan's `sccs`.
+nonterminal together with a summary of the stack below it, numbered when
+first seen, the start triple 0.  `Cfg.rules[i]` lists the right-hand
+sides of triple i, each a terminal word or a tuple of kid numbers: two
+kids copy a binary rule of the annotated grammar at a fixed summary; one
+kid is a push rule, which moves to the pushed summary, or a pop rule,
+which moves to any push-preimage recorded in the summary graph.  The
+resulting context-free language contains the indexed language and has
+the same downward closure.  The module also holds two graph passes over
+numbers that later stages share: `live_rules` and Tarjan's `sccs`.
 """
 
 from __future__ import annotations
@@ -17,159 +17,154 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import CapExceeded
-from .grammar import BinaryRule, PopRule, TerminalRule
-
-
-@dataclass(frozen=True)
-class CfgRule:
-    lhs: object
-    kids: tuple
-    word: str = ""
+from .grammar import BinaryRule, PopRule, PushRule, TerminalRule
 
 
 @dataclass
 class Cfg:
-    nonterminals: list
+    """Read-only once built: `trim_cfg` may share its lists."""
+
+    nonterminals: list   # the triples; nonterminal i is nonterminals[i]
     terminals: frozenset
-    start: object
-    rules: tuple
+    rules: list          # rules[i]: the right-hand sides of nonterminal i
+
+    def n_rules(self):
+        return sum(map(len, self.rules))
 
 
 def build_cfg(ag, graph, cap=None):
     """The context-free grammar over feasible (A, X, summary) triples.
     Raises CapExceeded as soon as there are more than cap triples."""
     g = ag.grammar
-    by_lhs = {}
-    pops_by_lhs = {}
-    for p in g.productions:
-        if isinstance(p, PopRule):
-            pops_by_lhs.setdefault(p.lhs, []).append(p)
-        else:
-            by_lhs.setdefault(p.lhs, []).append(p)
+    by_lhs = {}   # pop rules last
+    for p in sorted(g.productions, key=lambda p: isinstance(p, PopRule)):
+        by_lhs.setdefault(p.lhs, []).append(p)
+    triples, rules = [], []
+    ids = {nt: {} for nt in g.symbols.nonterminals}   # -> {summary -> number}
 
-    triples = []
-    seen = set()
-    rules = []
+    def number(nt, sigma):
+        i = ids[nt].get(sigma)
+        if i is None:
+            i = ids[nt][sigma] = len(triples)
+            triples.append((nt, sigma))
+            if cap is not None and i >= cap:
+                raise CapExceeded(f"cfg triple cap exceeded: {i + 1} "
+                                  f"triples, limit {cap} (--max-triples)")
+        return i
 
-    def child(t):
-        if t not in seen:
-            seen.add(t)
-            triples.append(t)
-            if cap is not None and len(triples) > cap:
-                raise CapExceeded("cfg triple cap exceeded")
-        return t
-
-    start = child((g.start, graph.nodes[0]))
-    for cur in triples:   # grows while it is read
-        nt, sigma = cur
+    number(g.start, graph.nodes[0])
+    for nt, sigma in triples:   # grows while it is read
+        out = []
         for p in by_lhs.get(nt, ()):
-            if isinstance(p, TerminalRule):
-                rules.append(CfgRule(cur, (), p.word))
-            elif isinstance(p, BinaryRule):
-                rules.append(CfgRule(cur, (child((p.left, sigma)),
-                                           child((p.right, sigma)))))
-            else:
+            if p.__class__ is TerminalRule:
+                out.append(p.word)
+            elif p.__class__ is BinaryRule:
+                out.append((number(p.left, sigma), number(p.right, sigma)))
+            elif p.__class__ is PushRule:
                 tgt = graph.push(p.sym, sigma)
                 if tgt is not None:
-                    rules.append(CfgRule(cur, (child((p.rhs, tgt)),)))
-        for p in pops_by_lhs.get(nt, ()):
-            for src in graph.pop(p.sym, sigma):
-                rules.append(CfgRule(cur, (child((p.rhs, src)),)))
-
-    return Cfg(triples, g.symbols.terminals, start, tuple(rules))
+                    out.append((number(p.rhs, tgt),))
+            else:
+                out += [(number(p.rhs, src),)
+                        for src in graph.pop(p.sym, sigma)]
+        rules.append(out)
+    return Cfg(triples, g.symbols.terminals, rules)
 
 
 def live_rules(cfg):
-    """The rules whose kids are all productive.  Per rule, count its kids
-    not yet known productive; a rule whose count reaches 0 makes its lhs
-    productive."""
-    waiting = []
-    by_kid = {}
-    productive = set()
-    queue = []
-    for i, r in enumerate(cfg.rules):
-        waiting.append(len(r.kids))
-        for k in r.kids:
-            by_kid.setdefault(k, []).append(i)
-        if not r.kids and r.lhs not in productive:
-            productive.add(r.lhs)
-            queue.append(r.lhs)
+    """Per nonterminal, its right-hand sides whose kids are all
+    productive: empty exactly for an unproductive nonterminal.  Per rule
+    with kids, count its kids not yet known productive; a rule whose
+    count reaches 0 makes its lhs productive."""
+    rules = cfg.rules
+    productive = [False] * len(rules)
+    queue, waiting, lhs, by_kid = [], [], [], [[] for _ in rules]
+    for i, rs in enumerate(rules):
+        for r in rs:
+            if r.__class__ is str:
+                queue.append(i)
+            else:
+                for k in r:
+                    by_kid[k].append(len(waiting))
+                waiting.append(len(r))
+                lhs.append(i)
     while queue:
-        for i in by_kid.get(queue.pop(), ()):
-            waiting[i] -= 1
-            lhs = cfg.rules[i].lhs
-            if not waiting[i] and lhs not in productive:
-                productive.add(lhs)
-                queue.append(lhs)
-    return [r for r, n in zip(cfg.rules, waiting) if not n]
+        i = queue.pop()
+        if not productive[i]:
+            productive[i] = True
+            for j in by_kid[i]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    queue.append(lhs[j])
+    if all(productive):
+        return rules
+    alive = productive.__getitem__
+    return [[r for r in rs if r.__class__ is str or all(map(alive, r))]
+            if ok else [] for rs, ok in zip(rules, productive)]
 
 
-def sccs(nodes, adj):
-    """Tarjan's strongly connected components of the graph adj (a dict
-    of successor lists) from the roots nodes, without recursion.  Each
-    component is emitted after every component it reaches."""
-    index = {}
-    low = {}
-    on = set()
-    stack = []
-    out = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
+def sccs(adj, roots):
+    """Tarjan's strongly connected components of the graph on 0..n-1
+    whose successors of v are adj[v], from the given roots, without
+    recursion.  Each component is emitted after every component it
+    reaches.  Emitted nodes get index n, so no on-stack flag is kept."""
+    n = len(adj)
+    index, low = [-1] * n, [0] * n
+    stack, out, counter = [], [], 0
+    for root in roots:
+        if index[root] >= 0:
             continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on.add(root)
+        work = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
+                    work.append((w, iter(adj[w])))
                     break
-                elif w in on:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = n
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return out
 
 
 def trim_cfg(cfg):
-    """Restrict to productive and reachable nonterminals."""
+    """Restrict to productive nonterminals reachable from the start,
+    renumbered in their old order."""
     live = live_rules(cfg)
-    live_by_lhs = {}
-    for r in live:
-        live_by_lhs.setdefault(r.lhs, []).append(r)
-    reachable = set()
-    if cfg.start in live_by_lhs:
-        queue = [cfg.start]
-        reachable.add(cfg.start)
-        while queue:
-            nt = queue.pop()
-            for r in live_by_lhs[nt]:
-                for k in r.kids:
-                    if k not in reachable:
-                        reachable.add(k)
+    keep = [False] * len(live)
+    queue = [0] if live and live[0] else []
+    for i in queue:   # grows while it is read
+        keep[i] = True
+        for r in live[i]:
+            if r.__class__ is not str:
+                for k in r:
+                    if not keep[k]:
+                        keep[k] = True
                         queue.append(k)
-    rules = tuple(r for r in live if r.lhs in reachable)
-    nts = [n for n in cfg.nonterminals if n in reachable]
-    return Cfg(nts, cfg.terminals, cfg.start, rules)
+    old = [i for i, ok in enumerate(keep) if ok]
+    rules = [live[i] for i in old]
+    if len(old) < len(live):
+        new = [-1] * len(live)
+        for j, i in enumerate(old):
+            new[i] = j
+        rules = [[r if r.__class__ is str else tuple(map(new.__getitem__, r))
+                  for r in rs] for rs in rules]
+    return Cfg([cfg.nonterminals[i] for i in old], cfg.terminals, rules)

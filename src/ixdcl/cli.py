@@ -126,7 +126,7 @@ def cmd_monoid(args):
     nn = len(g.symbols.nonterminals)
     _emit({
         "elements": len(m.elements),
-        "idempotents": len(m.idempotents()),
+        "idempotents": len(m.idempotents),
         "j_length": m.j_length(),
         "j_length_bound": (nn * nn + nn + 2) // 2 + 2,
         "depths": sorted(m.depth(x) for x in m.elements),
@@ -175,9 +175,9 @@ def cmd_to_cfg(args):
     trimmed = trim_cfg(cfg)
     _emit({
         "triples": len(cfg.nonterminals),
-        "rules": len(cfg.rules),
+        "rules": cfg.n_rules(),
         "trimmed_triples": len(trimmed.nonterminals),
-        "trimmed_rules": len(trimmed.rules),
+        "trimmed_rules": trimmed.n_rules(),
     })
     return 0
 

@@ -82,7 +82,7 @@ class StackMonoid:
         for letter in sorted(letters, key=sort_key):
             self.gens[letter] = self._phi_letter(letter)
         self.elements, below = self._closure()
-        self._idempotents, self._depth, self._j_length = self._j_data(below)
+        self.idempotents, self._depth, self._j_length = self._j_data(below)
 
     def _mk(self, *fields):
         """The interned element with these fields."""
@@ -142,7 +142,10 @@ class StackMonoid:
                     i = index.get(z)
                     if i is None:
                         if len(elems) >= self.cap:
-                            raise CapExceeded("stack monoid cap exceeded")
+                            raise CapExceeded(
+                                f"stack monoid cap exceeded: "
+                                f"{len(elems) + 1} elements, limit "
+                                f"{self.cap} (--max-monoid)")
                         i = index[z] = len(elems)
                         elems.append(z)
                     succ.add(i)
@@ -172,7 +175,7 @@ class StackMonoid:
         above = [0] * len(elems)
         depth = {}
         j_length = 0
-        for comp in reversed(sccs(range(len(elems)), dict(enumerate(below)))):
+        for comp in reversed(sccs(below, range(len(elems)))):
             d = max(above[i] for i in comp)
             chain = d + any(idem[i] for i in comp)
             j_length = max(j_length, chain)
@@ -181,10 +184,7 @@ class StackMonoid:
                 # an edge inside comp is harmless: d is already read
                 for j in below[i]:
                     above[j] = max(above[j], chain)
-        return [x for x, e in zip(elems, idem) if e], depth, j_length
-
-    def idempotents(self):
-        return list(self._idempotents)
+        return frozenset(x for x, e in zip(elems, idem) if e), depth, j_length
 
     def depth(self, x):
         """Regular J-depth: the longest chain of idempotent J-classes

@@ -9,11 +9,11 @@ letter set B (the simple regular expressions of Abdulla et al., FMSD
 2004, with counted letters).  Concatenating two normal ideals changes
 only their junction, so a product costs the number of atoms, not the
 length of the words they spell: the doubling chain of G_n stays one
-atom a^(2^(2^(2^n))).  The grammar is read untrimmed: one linear count
-over the rules finds the productive nonterminals, and the dependency
-graph of the productive rules (a dead rule must not join two
-components) is processed from the start symbol one strongly connected
-component at a time, bottom-up:
+atom a^(2^(2^(2^n))).  The grammar is read untrimmed, in lists indexed
+by nonterminal number: one linear count over the rules finds the
+productive nonterminals, and the dependency graph of the productive
+rules (a dead rule must not join two components) is processed from the
+start, 0, one strongly connected component at a time, bottom-up:
 
   * an expansive component (some binary production stays entirely inside
     the component) can pump every letter it can ever produce, so each
@@ -391,10 +391,6 @@ def _antichain(ideals):
         big is not small and _ideal_le(small, big) for big in items))
 
 
-def _sre_concat(xs, ys):
-    return _antichain(_join(x, y) for x in xs for y in ys)
-
-
 def _word_ideal(word):
     return _norm_ideal(("l", c, 1) for c in word)
 
@@ -441,13 +437,30 @@ def _step(ideal, pos, c):
     return None
 
 
+class _Values(dict):
+    """The values of `cfg_dcl_nfa`, each made on its first lookup from
+    its key: a terminal word, the letters of an expansive component, a
+    pair of values to concatenate, or (U*, V*, the exit values)."""
+
+    def __missing__(self, key):
+        if key.__class__ is str:
+            value = frozenset([_word_ideal(key)])
+        elif key.__class__ is frozenset:
+            value = frozenset([_star(key)])
+        elif len(key) == 2:
+            value = _antichain(_join(x, y) for x in key[0] for y in key[1])
+        else:
+            pre, post, exits = key
+            value = _antichain(_join(_join(pre, e), post)
+                               for x in exits for e in x)
+        self[key] = value
+        return value
+
+
 def cfg_dcl_nfa(cfg):
     """An NFA for the downward closure of a context-free language."""
-    by_lhs, adj = {}, {}
-    for r in live_rules(cfg):
-        by_lhs.setdefault(r.lhs, []).append(r)
-        adj.setdefault(r.lhs, []).extend(r.kids)
-    if cfg.start not in by_lhs:   # the start is unproductive
+    live = live_rules(cfg)
+    if not live or not live[0]:   # the start is unproductive
         # empty language: one initial state, no final state
         return Nfa(frozenset(cfg.terminals), 1, _Edges(frozenset(), 1),
                    {0}, set(), frozenset())
@@ -458,66 +471,59 @@ def cfg_dcl_nfa(cfg):
     # those of the lower components they use.  A component is expansive
     # if a binary rule stays inside it, else linear: U* E V*, with U and
     # V the letters beside a recursive rule and E the exit rules' values.
-    sre = {}    # nt -> frozenset of ideals
-    alph = {}   # nt -> the letters it can ever produce
-    # a terminal word, a pair to concatenate, the letters of an expansive
-    # component, or (U*, V*, the exit values) -> its value
-    memo = {}
-
-    def once(key, make):
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
-
-    for members in sccs([cfg.start], adj):
-        inside = set(members)
+    n = len(live)
+    sre = [None] * n    # nonterminal -> frozenset of ideals
+    alph = [None] * n   # nonterminal -> the letters it can ever produce
+    comp = [-1] * n     # nonterminal -> the number of its component
+    values = _Values()
+    adj = [[k for r in rs if r.__class__ is not str for k in r] for rs in live]
+    for c, members in enumerate(sccs(adj, [0])):
+        for nt in members:
+            comp[nt] = c
         letters, up, down, exits = set(), set(), set(), set()
         expansive = False
-        for r in (r for nt in members for r in by_lhs[nt]):
-            kids = r.kids
-            if not kids:
-                w = r.word
-                letters.update(w)
-                exits.add(once(w, lambda: frozenset([_word_ideal(w)])))
-            elif len(kids) == 2:
-                lk, rk = kids
-                left, right = lk in inside, rk in inside
-                if not left:
-                    letters |= alph[lk]
-                if not right:
-                    letters |= alph[rk]
-                if left and right:
-                    expansive = True
-                elif left:
-                    down |= alph[rk]
-                elif right:
-                    up |= alph[lk]
-                else:
-                    key = (sre[lk], sre[rk])
-                    exits.add(once(key, lambda: _sre_concat(*key)))
-            elif kids[0] not in inside:
-                letters |= alph[kids[0]]
-                exits.add(sre[kids[0]])
+        for nt in members:
+            for r in live[nt]:
+                if r.__class__ is str:
+                    letters.update(r)
+                    exits.add(values[r])
+                elif len(r) == 2:
+                    lk, rk = r
+                    left, right = comp[lk] == c, comp[rk] == c
+                    if not left:
+                        letters |= alph[lk]
+                    if not right:
+                        letters |= alph[rk]
+                    if left and right:
+                        expansive = True
+                    elif left:
+                        down |= alph[rk]
+                    elif right:
+                        up |= alph[lk]
+                    else:
+                        exits.add(values[sre[lk], sre[rk]])
+                elif comp[r[0]] != c:
+                    letters |= alph[r[0]]
+                    exits.add(sre[r[0]])
         if expansive:
-            value = once(frozenset(letters),
-                         lambda: frozenset([_star(letters)]))
+            value = values[frozenset(letters)]
         elif not up and not down and len(exits) == 1:
             value = exits.pop()   # U* E V* is E: most components
         else:
-            pre, post = _star(up), _star(down)
-            value = once((pre, post, frozenset(exits)), lambda: _antichain(
-                _join(_join(pre, e), post) for x in exits for e in x))
+            value = values[_star(up), _star(down), frozenset(exits)]
         if len(value) > CLOSURE_IDEAL_CAP:
-            raise CapExceeded("closure expression cap exceeded")
+            raise CapExceeded(f"closure expression cap exceeded: "
+                              f"{len(value)} ideals, limit "
+                              f"{CLOSURE_IDEAL_CAP} (CLOSURE_IDEAL_CAP)")
         for nt in members:
             alph[nt] = letters
             sre[nt] = value
     # the export unfolds a run of k letters into k states
-    value = sre[cfg.start]
+    value = sre[0]
     states = 2 + sum(atom[2] if atom[0] == "l" else 1
                      for ideal in value for atom in ideal)
     # state 0 is initial, 1 final, then one per unfolded atom in order
-    return Nfa(frozenset(cfg.terminals) | alph[cfg.start], states,
+    return Nfa(frozenset(cfg.terminals) | alph[0], states,
                _Edges(value, states), {0}, {1}, value)
 
 

@@ -74,7 +74,7 @@ def run_pipeline(g, caps=None):
         "summary_nodes": len(graph.nodes),
         "max_summary_size": max((s.size for s in graph.nodes), default=0),
         "cfg_triples": len(cfg.nonterminals),
-        "cfg_rules": len(cfg.rules),
+        "cfg_rules": cfg.n_rules(),
         "nfa_states": nfa.n_states,
         # read from the ideals: len() cannot return G_3's count
         "nfa_transitions": nfa.transitions.size,

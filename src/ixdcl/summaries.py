@@ -17,8 +17,8 @@ Pushing a letter either starts a deeper summary, recurses into sub,
 prepends an atom, folds a long atom word into a block, or merges two
 blocks over the same idempotent.  Popping is the inverse relation and
 is answered from the edge index of the summary graph.  The tables that
-find a fold are kept per suffix of an atom word, so a push extends them
-by its one new position.
+find a fold are built only for atom words long enough to fold, and kept
+per suffix, so a push extends them by its new positions.
 
 All summaries are hash-consed: structurally equal summaries are the
 same object, so equality is identity and the monoid image and depth
@@ -161,6 +161,7 @@ class SummaryFactory:
     # -- push ---------------------------------------------------------------
 
     def push_letter(self, letter, sigma, trace=None):
+        trace = [] if trace is None else trace   # the cases taken
         m = self.monoid
         phi_l = m.gens[letter]
         # the image of the pushed stack in every case, as e+ keeps images
@@ -168,22 +169,19 @@ class SummaryFactory:
         d_new = m.depth(new_phi)
         d = sigma.depth
         if d_new > d:
-            if trace is not None:
-                trace.append("deepen")
+            trace.append("deepen")
             return self.summary(None, (self.atom(letter, sigma),), (),
                                 new_phi)
         sub = sigma.sub if sigma.sub is not None else self.empty
         sub_phi = m.product(phi_l, sub.phi)
         if m.depth(sub_phi) < d:
-            if trace is not None:
-                trace.append("recurse")
+            trace.append("recurse")
             return self.summary(self.push_letter(letter, sub, trace),
                                 sigma.atoms, sigma.blocks, new_phi)
         s = (self.atom(letter, sub),) + sigma.atoms
         dec = self._decompose(s)
         if dec is None:
-            if trace is not None:
-                trace.append("atom")
+            trace.append("atom")
             return self.summary(None, s, sigma.blocks, new_phi)
         e, groups, w = dec
         n = self.n_groups
@@ -198,13 +196,11 @@ class SummaryFactory:
                      [b.phi for b in blocks[:j - 1]] +
                      [a.phi for g in bj.us for a in g])
             if m.phi_seq(infix) is e:
-                if trace is not None:
-                    trace.append(f"merge@{j}")
+                trace.append(f"merge@{j}")
                 merged = self.block(us, e, bj.vs, bj.w)
                 return self.summary(None, (), (merged,) + blocks[j:],
                                     new_phi)
-        if trace is not None:
-            trace.append("block")
+        trace.append("block")
         return self.summary(None, (),
                             (self.block(us, e, vs, w),) + blocks, new_phi)
 
@@ -225,16 +221,15 @@ class SummaryFactory:
         shortest first group from p ends at the highest bit of that
         intersection.
         """
-        m = self.monoid
         n = len(s)
-        # rows of a short s too: the next push extends it by one atom
-        top = self._segment_rows(s)
         k_groups = 2 * self.n_groups + 1
         if n < k_groups:
             return None
+        top = self._segment_rows(s)
+        idempotents = self.monoid.idempotents
         best = None
         for e in top.row:
-            if e is ONE or m.product(e, e) is not e:
+            if e is ONE or e not in idempotents:
                 continue
             can = self._levels(top, n, e)
             if len(can) <= k_groups or not can[k_groups] >> n:
@@ -259,10 +254,10 @@ class SummaryFactory:
         """The `_Suffix` of s, whose tails hold the row of every position.
 
         A row depends only on the suffix it starts, since bits count from
-        the right end, so the tables of each suffix are kept: a push
-        prepends one atom a to a word whose suffix is known, and the row
-        of the new first position maps a.phi.x for each element x of the
-        old first row to the same ends, plus a.phi to the end 1.
+        the right end, so the tables of each suffix are kept, and those of
+        s are extended from its longest known suffix one atom a at a time:
+        the row of the new first position maps a.phi.x for each element x
+        of the old first row to the same ends, plus a.phi to the end 1.
         """
         m = self.monoid
         n = len(s)
@@ -323,8 +318,9 @@ class SummaryGraph:
         return self.edges.get((sigma, letter))
 
     def pop(self, letter, sigma):
-        """All summaries whose push by `letter` yields `sigma`."""
-        return list(self.inverse.get((letter, sigma), ()))
+        """All summaries whose push by `letter` yields `sigma`, in the
+        graph's own list: read it, do not change it."""
+        return self.inverse.get((letter, sigma), ())
 
 
 def build_summary_graph(factory, letters, cap=4096):
@@ -347,7 +343,9 @@ def build_summary_graph(factory, letters, cap=4096):
             inverse.setdefault((letter, tgt), []).append(sigma)
             if tgt not in ids:
                 if len(nodes) >= cap:
-                    raise CapExceeded("summary graph cap exceeded")
+                    raise CapExceeded(
+                        f"summary graph cap exceeded: {len(nodes) + 1} "
+                        f"summaries, limit {cap} (--max-summaries)")
                 ids[tgt] = len(nodes)
                 nodes.append(tgt)
     return SummaryGraph(letters, nodes, ids, edges, inverse)

@@ -38,7 +38,7 @@ def longest_path(nfa):
     # every state on a cycle through a live state is live, so the
     # components of live states are those of the whole graph; a letter
     # edge within a component means unbounded
-    comps = sccs(sorted(live), fwd)
+    comps = sccs([fwd.get(q, ()) for q in range(nfa.n_states)], sorted(live))
     comp = {q: i for i, c in enumerate(comps) for q in c}
     # longest letter path in the condensation DAG; sccs emits each
     # component after every component it reaches, so one pass suffices

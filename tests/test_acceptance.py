@@ -12,7 +12,6 @@ import pytest
 
 from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.annotate import check_productive_sample
-from ixdcl.cfg import Cfg, CfgRule
 from ixdcl.families import (G1_TEXT, SQUARE_TEXT, counter_intersection_words,
                             g1_grammar, grammar_gn)
 from ixdcl.grammar import grammar_from_text
@@ -23,7 +22,8 @@ from ixdcl.oracle import (OracleBudget, Term, dcl_member_oracle,
                           term_language_dp)
 from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
-from cfg_reference import cfg_bounded_words, cfg_dcl_bounded
+from cfg_reference import (cfg_bounded_words, cfg_dcl_bounded,
+                           numbered_cfg)
 from test_nfa import random_cfg
 from derivation_reference import term_reachable, term_routes
 from summary_helpers import phi, summary_key, top_letter, validate_summary
@@ -222,15 +222,14 @@ def test_criterion_08_cfg_closure_construction():
         assert got == expect, (i, cfg.rules)
     canonical = [
         # a^n b^n
-        Cfg(["S", "T", "A", "B"], frozenset("ab"), "S",
-            (CfgRule("S", (), ""), CfgRule("S", ("A", "T")),
-             CfgRule("T", ("S", "B")), CfgRule("A", (), "a"),
-             CfgRule("B", (), "b"))),
+        numbered_cfg(["S", "T", "A", "B"], "ab",
+                     [("S", (), ""), ("S", ("A", "T")),
+                      ("T", ("S", "B")), ("A", (), "a"),
+                      ("B", (), "b")]),
         # S -> S S | a
-        Cfg(["S"], frozenset("a"), "S",
-            (CfgRule("S", ("S", "S")), CfgRule("S", (), "a"))),
+        numbered_cfg(["S"], "a", [("S", ("S", "S")), ("S", (), "a")]),
         # finite
-        Cfg(["S"], frozenset("ab"), "S", (CfgRule("S", (), "abab"),)),
+        numbered_cfg(["S"], "ab", [("S", (), "abab")]),
     ]
     for cfg in canonical:
         nfa = cfg_dcl_nfa(cfg)

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ixdcl.analysis import CapExceeded
-from ixdcl.cfg import Cfg, CfgRule, build_cfg, trim_cfg
+from ixdcl.cfg import build_cfg, sccs, trim_cfg
 from ixdcl.oracle import OracleBudget, subwords, term_language_dp
-from cfg_reference import cfg_bounded_words, cfg_dcl_bounded
+from cfg_reference import (cfg_bounded_words, cfg_dcl_bounded, named_rules,
+                           numbered_cfg)
 from test_nfa import random_cfg
 
 
@@ -15,9 +17,9 @@ def test_cfg_goldens(fixtures):
     shapes = {"g1": (3, 3, 3, 3), "loop": (20, 50, 20, 50),
               "square": (1977, 2121, 1977, 2121)}
     for name, st_ in fixtures.items():
-        assert (len(st_.cfg.nonterminals), len(st_.cfg.rules),
+        assert (len(st_.cfg.nonterminals), st_.cfg.n_rules(),
                 len(st_.cfg_trimmed.nonterminals),
-                len(st_.cfg_trimmed.rules)) == shapes[name]
+                st_.cfg_trimmed.n_rules()) == shapes[name]
 
 
 def test_cfg_triple_cap(square):
@@ -29,30 +31,59 @@ def test_cfg_triple_cap(square):
 
 def test_cfg_start_triple(fixtures):
     for st_ in fixtures.values():
-        assert st_.cfg.start == (st_.annotated.grammar.start,
-                                 st_.graph.nodes[0])
+        assert st_.cfg.nonterminals[0] == (st_.annotated.grammar.start,
+                                           st_.graph.nodes[0])
+
+
+def test_numbered_cover_invariants(fixtures):
+    # one list of right-hand sides per triple, kids numbered below the
+    # count; the trim keeps the start at 0 and the survivors in order,
+    # and renumbers every kid to the same triple (the generated grammars
+    # lose nonterminals to the trim, the fixtures' covers none)
+    rng = random.Random(2)
+    pairs = [(st_.cfg, st_.cfg_trimmed) for st_ in fixtures.values()]
+    pairs += [(cfg, trim_cfg(cfg))
+              for cfg in (random_cfg(rng) for _ in range(200))]
+    for full, trimmed in pairs:
+        for cfg in (full, trimmed):
+            n = len(cfg.nonterminals)
+            assert len(cfg.rules) == n
+            assert len(set(cfg.nonterminals)) == n
+            for rs in cfg.rules:
+                for r in rs:
+                    assert isinstance(r, str) or (
+                        isinstance(r, tuple) and len(r) in (1, 2)
+                        and all(0 <= k < n for k in r))
+        if trimmed.nonterminals:
+            assert trimmed.nonterminals[0] == full.nonterminals[0]
+        old = {t: i for i, t in enumerate(full.nonterminals)}
+        pos = [old[t] for t in trimmed.nonterminals]
+        assert pos == sorted(pos)
+        assert set(named_rules(trimmed)) <= set(named_rules(full))
+    assert sum(len(t.nonterminals) < len(f.nonterminals)
+               for f, t in pairs) > 50
 
 
 def test_cfg_rule_sanity(fixtures):
     for st_ in fixtures.values():
         nts = set(st_.cfg.nonterminals)
-        for r in st_.cfg.rules:
-            assert r.lhs in nts
-            assert all(k in nts for k in r.kids)
-            assert len(r.kids) in (0, 1, 2)
-            if len(r.kids) == 2:
+        for lhs, kids, word in named_rules(st_.cfg):
+            assert lhs in nts
+            assert all(k in nts for k in kids)
+            assert len(kids) in (0, 1, 2)
+            if len(kids) == 2:
                 # binary rules keep the summary of the parent
-                assert all(k[1] is r.lhs[1] for k in r.kids)
-            if r.kids:
-                assert r.word == ""
+                assert all(k[1] is lhs[1] for k in kids)
+            if kids:
+                assert word == ""
 
 
 def test_cfg_push_pop_follow_graph(fixtures):
     for st_ in fixtures.values():
         gr = st_.graph
-        for r in st_.cfg.rules:
-            if len(r.kids) == 1:
-                (_, sigma), ((_, other),) = r.lhs, r.kids
+        for lhs, kids, _ in named_rules(st_.cfg):
+            if len(kids) == 1:
+                (_, sigma), ((_, other),) = lhs, kids
                 assert any(gr.push(letter, sigma) is other or
                            other in gr.pop(letter, sigma)
                            for letter in gr.letters)
@@ -96,54 +127,56 @@ def test_dcl_bounded_matches_subword_closure(fixtures):
 
 
 def test_trim_removes_dead_nonterminals():
-    cfg = Cfg(["S", "Dead", "Loop", "Unreach"], frozenset("a"), "S",
-              (CfgRule("S", (), "a"),
-               CfgRule("S", ("S", "Dead")),      # Dead is unproductive
-               CfgRule("Loop", ("Loop",)),       # Loop never terminates
-               CfgRule("Unreach", (), "a")))     # productive, unreachable
+    cfg = numbered_cfg(["S", "Dead", "Loop", "Unreach"], "a",
+                       [("S", (), "a"),
+                        ("S", ("S", "Dead")),     # Dead is unproductive
+                        ("Loop", ("Loop",)),      # Loop never terminates
+                        ("Unreach", (), "a")])    # productive, unreachable
     out = trim_cfg(cfg)
     assert out.nonterminals == ["S"]
-    assert out.rules == (CfgRule("S", (), "a"),)
+    assert out.rules == [["a"]]
 
 
 def test_trim_empty_language():
-    cfg = Cfg(["S"], frozenset("a"), "S", (CfgRule("S", ("S",)),))
+    cfg = numbered_cfg(["S"], "a", [("S", ("S",))])
     out = trim_cfg(cfg)
-    assert out.rules == ()
+    assert out.nonterminals == [] and out.rules == []
     assert cfg_bounded_words(out, 5) == frozenset()
 
 
 def round_robin_trim(cfg):
-    """Reference trim: the productive pass rescans every rule each round
-    until nothing changes."""
+    """Reference trim over named rules: the productive pass rescans every
+    rule each round until nothing changes."""
+    rules = named_rules(cfg)
     productive = set()
     changed = True
     while changed:
         changed = False
-        for r in cfg.rules:
-            if r.lhs in productive:
+        for lhs, kids, _ in rules:
+            if lhs in productive:
                 continue
-            if all(k in productive for k in r.kids):
-                productive.add(r.lhs)
+            if all(k in productive for k in kids):
+                productive.add(lhs)
                 changed = True
-    live_rules = [r for r in cfg.rules if r.lhs in productive and
-                  all(k in productive for k in r.kids)]
+    live_rules = [r for r in rules if r[0] in productive and
+                  all(k in productive for k in r[1])]
     reachable = set()
-    if cfg.start in productive:
-        queue = [cfg.start]
-        reachable.add(cfg.start)
+    start = cfg.nonterminals[0] if cfg.nonterminals else None
+    if start in productive:
+        queue = [start]
+        reachable.add(start)
         while queue:
             nt = queue.pop()
-            for r in live_rules:
-                if r.lhs != nt:
+            for lhs, kids, _ in live_rules:
+                if lhs != nt:
                     continue
-                for k in r.kids:
+                for k in kids:
                     if k not in reachable:
                         reachable.add(k)
                         queue.append(k)
-    rules = tuple(r for r in live_rules if r.lhs in reachable)
-    nts = [n for n in cfg.nonterminals if n in reachable]
-    return Cfg(nts, cfg.terminals, cfg.start, rules)
+    return numbered_cfg([n for n in cfg.nonterminals if n in reachable],
+                        cfg.terminals,
+                        [r for r in live_rules if r[0] in reachable])
 
 
 def test_trim_matches_round_robin(fixtures):
@@ -152,3 +185,43 @@ def test_trim_matches_round_robin(fixtures):
     cfgs += [random_cfg(rng) for _ in range(200)]
     for cfg in cfgs:
         assert trim_cfg(cfg) == round_robin_trim(cfg)
+
+
+@st.composite
+def digraphs(draw):
+    """A digraph on 0..n-1 as successor lists, and some roots."""
+    n = draw(st.integers(0, 10))
+    nodes = st.integers(0, n - 1)
+    adj = [draw(st.lists(nodes, max_size=4)) for _ in range(n)]
+    roots = draw(st.lists(nodes, max_size=n)) if n else []
+    return adj, roots
+
+
+def reach(adj, sources):
+    seen = set(sources)
+    queue = list(sources)
+    while queue:
+        for w in adj[queue.pop()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+@given(digraphs())
+def test_sccs_partitions_by_mutual_reachability(graph):
+    adj, roots = graph
+    comps = sccs(adj, roots)
+    where = {}
+    for c, members in enumerate(comps):
+        for v in members:
+            assert v not in where
+            where[v] = c
+    assert set(where) == reach(adj, roots)
+    for u in where:
+        from_u = reach(adj, [u])
+        for v in where:
+            assert (where[u] == where[v]) == (
+                v in from_u and u in reach(adj, [v]))
+        # every component u reaches is emitted no later than u's
+        assert all(where[v] <= where[u] for v in from_u)

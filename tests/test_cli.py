@@ -211,6 +211,22 @@ def test_universe_cap_message(capsys, paths):
         "(--max-universe)" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--max-monoid", "2", "monoid"],
+     "stack monoid cap exceeded: 3 elements, limit 2 (--max-monoid)"),
+    (["--max-summaries", "3", "summaries"],
+     "summary graph cap exceeded: 4 summaries, limit 3 (--max-summaries)"),
+    (["--max-triples", "10", "to-cfg"],
+     "cfg triple cap exceeded: 11 triples, limit 10 (--max-triples)"),
+])
+def test_cap_message_names_count_limit_and_flag(capsys, paths, argv,
+                                                message):
+    for cmd in (argv, argv[:2] + ["stats"]):
+        code, _, err = run(capsys, cmd + [paths["square"]])
+        assert code == 3, cmd
+        assert f"cap exceeded: {message}" in err, (cmd, err)
+
+
 def test_compare_on_ideals(capsys, gn_paths):
     # both closures are the one ideal a^65536: no determinization
     data = run_json(capsys, ["compare", gn_paths[2], gn_paths[2]])

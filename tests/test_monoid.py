@@ -32,7 +32,7 @@ def monoid_fingerprint(m):
     """Element count, J-length and a digest of the sorted element keys of
     the idempotents and of every element's key with its depth."""
     lines = sorted("idempotent " + repr(element_key(e))
-                   for e in m.idempotents())
+                   for e in m.idempotents)
     lines += sorted(f"depth {element_key(x)!r} {m.depth(x)}"
                     for x in m.elements)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -63,7 +63,7 @@ def test_g1_monoid_golden(g1):
     assert m.product(q, q) is ZERO
     assert sorted(m.depth(x) for x in m.elements) == [0, 1, 1]
     assert m.j_length() == 2
-    assert len(m.idempotents()) == 2
+    assert len(m.idempotents) == 2
 
 
 def test_loop_monoid_golden(loop):
@@ -80,7 +80,7 @@ def test_loop_monoid_golden(loop):
 def test_square_monoid_golden(square):
     m = square.monoid
     assert len(m.elements) == 6
-    assert len(m.idempotents()) == 3
+    assert len(m.idempotents) == 3
     assert m.j_length() == 3
     assert sorted(m.depth(x) for x in m.elements) == [0, 1, 1, 1, 2, 2]
 

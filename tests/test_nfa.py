@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ixdcl.analysis import CapExceeded
-from ixdcl.cfg import Cfg, CfgRule, trim_cfg
+from ixdcl.cfg import trim_cfg
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.grammar import grammar_from_text
@@ -23,7 +23,7 @@ from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _accepts, _antichain,
 from ixdcl.oracle import is_subword, subwords
 from ixdcl.pipeline import run_pipeline
 import ideal_reference as ref
-from cfg_reference import cfg_dcl_bounded
+from cfg_reference import cfg_dcl_bounded, numbered_cfg
 from nfa_reference import longest_path, simulate, word_subword_nfa
 from test_summaries import RANDOM_361_TEXT
 
@@ -252,44 +252,43 @@ def nfa_language_upto(nfa, alphabet, k):
 
 def test_dcl_nfa_anbn():
     # S -> a S b | eps: the closure is a* b*
-    cfg = Cfg(["S", "T", "A", "B"], frozenset("ab"), "S",
-              (CfgRule("S", (), ""),
-               CfgRule("S", ("A", "T")),
-               CfgRule("T", ("S", "B")),
-               CfgRule("A", (), "a"),
-               CfgRule("B", (), "b")))
+    cfg = numbered_cfg(["S", "T", "A", "B"], "ab",
+                       [("S", (), ""),
+                        ("S", ("A", "T")),
+                        ("T", ("S", "B")),
+                        ("A", (), "a"),
+                        ("B", (), "b")])
     nfa = cfg_dcl_nfa(cfg)
     assert nfa_equivalence(nfa, astar_bstar_nfa())[0]
 
 
 def test_dcl_nfa_expansive():
     # S -> S S | a: the closure is a*
-    cfg = Cfg(["S"], frozenset("a"), "S",
-              (CfgRule("S", ("S", "S")), CfgRule("S", (), "a")))
+    cfg = numbered_cfg(["S"], "a", [("S", ("S", "S")), ("S", (), "a")])
     nfa = cfg_dcl_nfa(cfg)
     assert nfa_language_upto(nfa, "a", 5) == {"a" * i for i in range(6)}
 
 
 def test_dcl_nfa_finite():
-    cfg = Cfg(["S"], frozenset("abc"), "S", (CfgRule("S", (), "abc"),))
+    cfg = numbered_cfg(["S"], "abc", [("S", (), "abc")])
     nfa = cfg_dcl_nfa(cfg)
     assert nfa_language_upto(nfa, "abc", 4) == subwords("abc")
 
 
 def test_dcl_nfa_linear_component():
     # S -> a S | S b | c: the closure is a* (c + eps) b*
-    cfg = Cfg(["S", "A", "B"], frozenset("abc"), "S",
-              (CfgRule("S", ("A", "S")),
-               CfgRule("S", ("S", "B")),
-               CfgRule("S", (), "c"),
-               CfgRule("A", (), "a"),
-               CfgRule("B", (), "b")))
+    cfg = numbered_cfg(["S", "A", "B"], "abc",
+                       [("S", ("A", "S")),
+                        ("S", ("S", "B")),
+                        ("S", (), "c"),
+                        ("A", (), "a"),
+                        ("B", (), "b")])
     nfa = cfg_dcl_nfa(cfg)
     assert nfa_language_upto(nfa, "abc", 4) == \
         cfg_dcl_bounded(cfg, 4)
 
 
-EMPTY_CFG = Cfg(["S"], frozenset("a"), "S", (CfgRule("S", ("S",)),))
+EMPTY_CFG = numbered_cfg(["S"], "a", [("S", ("S",))])
 
 
 def test_dcl_nfa_empty_language():
@@ -301,28 +300,27 @@ def test_dcl_nfa_empty_language():
 
 def test_dcl_nfa_cap_bounds_linear_components(monkeypatch):
     # S -> a S | c | d | e: the closure a*(c + d + e) needs three ideals
-    cfg = Cfg(["S", "A"], frozenset("acde"), "S",
-              (CfgRule("S", ("A", "S")), CfgRule("A", (), "a"),
-               CfgRule("S", (), "c"), CfgRule("S", (), "d"),
-               CfgRule("S", (), "e")))
+    cfg = numbered_cfg(["S", "A"], "acde",
+                       [("S", ("A", "S")), ("A", (), "a"),
+                        ("S", (), "c"), ("S", (), "d"), ("S", (), "e")])
     # S -> c | d | e lies on no cycle and takes the same rule, U and V empty
-    acyclic = Cfg(["S"], frozenset("cde"), "S",
-                  (CfgRule("S", (), "c"), CfgRule("S", (), "d"),
-                   CfgRule("S", (), "e")))
+    acyclic = numbered_cfg(["S"], "cde",
+                           [("S", (), "c"), ("S", (), "d"), ("S", (), "e")])
     for c in (cfg, acyclic):
         monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", 3)
         assert len(cfg_dcl_nfa(c).ideals) == 3
         monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", 2)
-        with pytest.raises(CapExceeded, match="closure expression cap"):
+        with pytest.raises(CapExceeded, match=r"closure expression cap "
+                           r"exceeded: 3 ideals, limit 2 "
+                           r"\(CLOSURE_IDEAL_CAP\)"):
             cfg_dcl_nfa(c)
 
 
 def doubling_cfg(k):
     # S_i -> S_{i-1} S_{i-1}, S_0 -> a: the single word a^(2^k)
-    rules = [CfgRule("S0", (), "a")] + [
-        CfgRule(f"S{i}", (f"S{i - 1}", f"S{i - 1}")) for i in range(1, k + 1)]
-    return Cfg([f"S{i}" for i in range(k + 1)], frozenset("a"), f"S{k}",
-               tuple(rules))
+    rules = [("S0", (), "a")] + [
+        (f"S{i}", (f"S{i - 1}", f"S{i - 1}")) for i in range(1, k + 1)]
+    return numbered_cfg([f"S{i}" for i in range(k, -1, -1)], "a", rules)
 
 
 def test_dcl_nfa_counts_runs():
@@ -386,12 +384,12 @@ def random_cfg(rng, max_nts=4, max_rules=8, letters="ab"):
         if k < 0.4:
             w = "".join(rng.choice(letters)
                         for _ in range(rng.randint(0, 3)))
-            rules.append(CfgRule(lhs, (), w))
+            rules.append((lhs, (), w))
         elif k < 0.8:
-            rules.append(CfgRule(lhs, (rng.choice(nts), rng.choice(nts))))
+            rules.append((lhs, (rng.choice(nts), rng.choice(nts))))
         else:
-            rules.append(CfgRule(lhs, (rng.choice(nts),)))
-    return Cfg(nts, frozenset(letters), "N0", tuple(rules))
+            rules.append((lhs, (rng.choice(nts),)))
+    return numbered_cfg(nts, letters, rules)
 
 
 def test_dcl_nfa_random_cfgs_match_exact_closure():
@@ -428,12 +426,12 @@ def test_dcl_nfa_dead_rule_does_not_join_components():
     # enters N0's closure, although {N0, N3} is one component of the
     # untrimmed graph
     n0, n1, n2, n3 = "N0", "N1", "N2", "N3"
-    cfg = Cfg([n0, n1, n2, n3], frozenset("abc"), n0,
-              (CfgRule(n0, (), ""), CfgRule(n0, (), "aca"),
-               CfgRule(n0, (n0, n0)), CfgRule(n0, (n2, n3)),
-               CfgRule(n0, (n2, n2)), CfgRule(n3, (), "b"),
-               CfgRule(n3, (n3, n0)), CfgRule(n2, (n1,)),
-               CfgRule(n1, (n1, n2))))
+    cfg = numbered_cfg([n0, n1, n2, n3], "abc",
+                       [(n0, (), ""), (n0, (), "aca"),
+                        (n0, (n0, n0)), (n0, (n2, n3)),
+                        (n0, (n2, n2)), (n3, (), "b"),
+                        (n3, (n3, n0)), (n2, (n1,)),
+                        (n1, (n1, n2))])
     nfa = cfg_dcl_nfa(cfg)
     assert nfa.ideals == frozenset([(("s", frozenset("ac")),)])
     assert nfa.alphabet == frozenset("abc")

@@ -274,6 +274,14 @@ class TransformationMonoid:
         self._intern = {}
         self.gens = {name: self._mk(frozenset(enumerate(t)))
                      for name, t in gens.items()}
+        elems = list(self.gens.values())
+        for x in elems:   # grows while it is read
+            for g in self.gens.values():
+                y = self.product(x, g)
+                if y not in elems:
+                    elems.append(y)
+        self.idempotents = frozenset(
+            x for x in elems if self.product(x, x) is x)
 
     def _mk(self, m):
         if m not in self._intern:
