@@ -7,7 +7,6 @@ import time
 
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
-from ixdcl.nfa import longest_word_or_infinite
 from ixdcl.pipeline import run_pipeline
 
 COLUMNS = ["nonterminals", "productions", "universe", "letters",
@@ -29,10 +28,10 @@ def main():
     rows = []
     for name, g in grammars:
         t0 = time.perf_counter()
-        result = run_pipeline(g)
-        longest = longest_word_or_infinite(result.nfa)
-        rows.append([name] + [str(result.stats[c]) for c in COLUMNS] +
-                    [str(longest), f"{time.perf_counter() - t0:.2f}s"])
+        stats = run_pipeline(g).stats
+        rows.append([name] + [str(stats[c]) for c in COLUMNS] +
+                    [str(stats["longest_word"]),
+                     f"{time.perf_counter() - t0:.2f}s"])
 
     widths = [max(len(r[i]) for r in [header] + rows)
               for i in range(len(header))]

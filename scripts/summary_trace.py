@@ -6,13 +6,11 @@ letter walk through deepen/atom/block/merge cases and reach a plateau.
 """
 
 import argparse
+from itertools import islice
 
-from ixdcl.analysis import Analysis
-from ixdcl.annotate import build_annotated
 from ixdcl.families import g1_grammar, g_loop_grammar, square_grammar
 from ixdcl.grammar import sort_key
-from ixdcl.monoid import StackMonoid
-from ixdcl.summaries import SummaryFactory, build_summary_graph
+from ixdcl.pipeline import stages
 
 FIXTURES = {"g1": g1_grammar, "loop": g_loop_grammar,
             "square": square_grammar}
@@ -25,11 +23,9 @@ def main():
     parser.add_argument("--pushes", type=int, default=12)
     args = parser.parse_args()
 
-    g = FIXTURES[args.fixture]()
-    analysis = Analysis(g)
-    ag = build_annotated(g, analysis)
-    monoid = StackMonoid(analysis, ag.letters)
-    factory = SummaryFactory(monoid)
+    # the summary graph, the next stage, is built after the trace
+    pipeline = stages(FIXTURES[args.fixture]())
+    _, ag, monoid, factory = islice(pipeline, 4)
     letters = sorted(ag.letters, key=sort_key)
 
     print(f"{args.fixture}: {len(letters)} annotated letter(s), "
@@ -48,7 +44,7 @@ def main():
         print(f"push {i:2d}  {sort_key(letter):<24s} case={trace[0]:<8s} "
               f"size={sigma.size:3d} depth={sigma.depth}{note}")
 
-    graph = build_summary_graph(factory, ag.letters)
+    graph = next(pipeline)
     print(f"summary graph: {len(graph.nodes)} nodes, "
           f"{len(graph.edges)} edges, "
           f"max size {max(s.size for s in graph.nodes)}")

@@ -10,18 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from itertools import islice
 
 from . import families
 from .analysis import Analysis, CapExceeded
-from .annotate import build_annotated, check_productive_sample
-from .cfg import build_cfg, trim_cfg
+from .annotate import check_productive_sample
+from .cfg import trim_cfg
 from .grammar import (GrammarError, desugar, label_pushes, parse_grammar,
                       validate)
-from .monoid import StackMonoid
 from .nfa import nfa_member
 from .oracle import OracleBudget, term_language_dp
-from .pipeline import PipelineCaps, run_pipeline
-from .summaries import SummaryFactory, build_summary_graph
+from .pipeline import PipelineCaps, run_pipeline, stages
 
 
 def _parse(path):
@@ -42,12 +42,14 @@ def _load(path):
 
 
 def _caps(args):
-    return PipelineCaps(
-        max_universe=args.max_universe,
-        max_monoid=args.max_monoid,
-        max_summaries=args.max_summaries,
-        max_triples=args.max_triples,
-    )
+    return PipelineCaps(**{f.name: getattr(args, f.name)
+                           for f in fields(PipelineCaps)})
+
+
+def _stages(args, n):
+    """The first n stages of the pipeline on the grammar file; the later
+    ones are not built."""
+    return islice(stages(_load(args.grammar), _caps(args)), n)
 
 
 def _emit(obj):
@@ -88,8 +90,7 @@ def cmd_validate(args):
 
 
 def cmd_analyze(args):
-    g = _load(args.grammar)
-    analysis = Analysis(g, universe_cap=args.max_universe)
+    analysis, = _stages(args, 1)
     uni = analysis.universe()
     _emit({
         "useful": _set(analysis.useful()),
@@ -101,9 +102,7 @@ def cmd_analyze(args):
 
 
 def cmd_annotate(args):
-    g = _load(args.grammar)
-    analysis = Analysis(g, universe_cap=args.max_universe)
-    ag = build_annotated(g, analysis)
+    _, ag = _stages(args, 2)
     report = check_productive_sample(ag, seed=args.seed)
     _emit({
         "nonterminals": len(ag.grammar.symbols.nonterminals),
@@ -119,11 +118,8 @@ def cmd_annotate(args):
 
 
 def cmd_monoid(args):
-    g = _load(args.grammar)
-    analysis = Analysis(g, universe_cap=args.max_universe)
-    ag = build_annotated(g, analysis)
-    m = StackMonoid(analysis, ag.letters, cap=args.max_monoid)
-    nn = len(g.symbols.nonterminals)
+    analysis, _, m = _stages(args, 3)
+    nn = len(analysis.g.symbols.nonterminals)
     _emit({
         "elements": len(m.elements),
         "idempotents": len(m.idempotents),
@@ -134,21 +130,8 @@ def cmd_monoid(args):
     return 0
 
 
-def _summary_graph(args):
-    """The stages up to the summary graph, as `run_pipeline` runs them;
-    returns the annotated grammar, the summary factory and the graph."""
-    g = _load(args.grammar)
-    analysis = Analysis(g, universe_cap=args.max_universe)
-    analysis.universe()
-    ag = build_annotated(g, analysis)
-    m = StackMonoid(analysis, ag.letters, cap=args.max_monoid)
-    factory = SummaryFactory(m)
-    graph = build_summary_graph(factory, ag.letters, cap=args.max_summaries)
-    return ag, factory, graph
-
-
 def cmd_summaries(args):
-    _, factory, graph = _summary_graph(args)
+    *_, factory, graph = _stages(args, 5)
     out = {
         "nodes": len(graph.nodes),
         "edges": len(graph.edges),
@@ -170,8 +153,7 @@ def cmd_summaries(args):
 
 
 def cmd_to_cfg(args):
-    ag, _, graph = _summary_graph(args)
-    cfg = build_cfg(ag, graph, cap=args.max_triples)
+    *_, cfg = _stages(args, 6)
     trimmed = trim_cfg(cfg)
     _emit({
         "triples": len(cfg.nonterminals),
@@ -246,10 +228,9 @@ def build_parser():
     top = argparse.ArgumentParser(
         prog="ixdcl",
         description="Regular downward closures of indexed languages.")
-    top.add_argument("--max-universe", type=int, default=4096)
-    top.add_argument("--max-monoid", type=int, default=4096)
-    top.add_argument("--max-summaries", type=int, default=4096)
-    top.add_argument("--max-triples", type=int, default=100000)
+    for f in fields(PipelineCaps):
+        top.add_argument("--" + f.name.replace("_", "-"), type=int,
+                         default=f.default)
     top.add_argument("--max-dfa-states", type=int, default=100000)
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--format", choices=["json", "dot"], default="json")

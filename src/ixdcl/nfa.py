@@ -74,10 +74,6 @@ class Nfa:
     # every query reads the ideals, and only an export unfolds the edges.
     ideals: frozenset | None = None
 
-    def add_state(self):
-        self.n_states += 1
-        return self.n_states - 1
-
     def add_edge(self, src, letter, dst):
         self.transitions.append((src, letter, dst))
 
@@ -122,8 +118,17 @@ def _step_and_eps(nfa):
 
 
 def nfa_member(nfa, word):
-    """Is word in the closure nfa?"""
-    return any(_accepts(ideal, word) for ideal in nfa.ideals)
+    """Is word in the closure nfa?  `_step` is folded over the word for
+    each ideal, and an ideal is dropped once it takes no more letters."""
+    for ideal in nfa.ideals:
+        pos = (0, 0)
+        for c in word:
+            pos = _step(ideal, pos, c)
+            if pos is None:
+                break
+        else:
+            return True
+    return False
 
 
 def dcl_close(nfa):
@@ -399,30 +404,14 @@ def _star(letters):
     return (("s", frozenset(letters)),) if letters else ()
 
 
-def _accepts(ideal, word):
-    """Is word in the ideal?  Each atom takes the longest prefix it can of
-    what is left; the ideal's language is subword-closed, so that is
-    never worse than a shorter one."""
-    i, n = 0, len(word)
-    for atom in ideal:
-        if i == n:
-            return True
-        if atom[0] == "s":
-            val = atom[1]
-            while i < n and word[i] in val:
-                i += 1
-        else:
-            c, end = atom[1], min(n, i + atom[2])
-            while i < end and word[i] == c:
-                i += 1
-    return i == n
-
-
 def _step(ideal, pos, c):
     """The greedy match position in ideal after one more letter c: the
     index of the atom that takes c and the letters taken from it, or
     None once no atom is left that takes c.  Folded over a word from
-    (0, 0), it matches as `_accepts` does."""
+    (0, 0), each atom takes the longest prefix it can of what is left;
+    the ideal's language is subword-closed, so that is never worse than
+    a shorter one, and the word is in the ideal exactly when the fold
+    never gives None."""
     if pos is None:
         return None
     j, t = pos

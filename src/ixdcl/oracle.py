@@ -104,7 +104,7 @@ class _KeyDp:
 
     def seed(self, key):
         if key not in self.val:
-            self.val[key] = self.empty_value()
+            self.val[key] = frozenset()
             self.deps[key] = set()
             self.pruned[key] = False
 
@@ -138,9 +138,7 @@ class _KeyDp:
         acc = set(self.val[key])
         for p in self.by_lhs.get(nt, ()):
             if isinstance(p, TerminalRule):
-                v = self.terminal_value(p.word)
-                if v is not None:
-                    acc.add(v)
+                acc.update(self.terminal_values(p.word))
             elif isinstance(p, BinaryRule):
                 a = self.read(key, (p.left, stack))
                 b = self.read(key, (p.right, stack))
@@ -163,10 +161,8 @@ class _KeyDp:
         return self.val[key]
 
     # value-domain hooks -----------------------------------------------
-    def empty_value(self):
-        return frozenset()
-
-    def terminal_value(self, word):
+    def terminal_values(self, word):
+        """The values a terminal rule with this word adds."""
         raise NotImplementedError
 
     def combine(self, a, b):
@@ -174,8 +170,8 @@ class _KeyDp:
 
 
 class _WordDp(_KeyDp):
-    def terminal_value(self, word):
-        return word if len(word) <= self.budget.max_word_len else None
+    def terminal_values(self, word):
+        return (word,) if len(word) <= self.budget.max_word_len else ()
 
     def combine(self, a, b):
         cap = self.budget.max_word_len
@@ -183,8 +179,8 @@ class _WordDp(_KeyDp):
 
 
 class _LengthDp(_KeyDp):
-    def terminal_value(self, word):
-        return len(word) if len(word) <= self.budget.max_word_len else None
+    def terminal_values(self, word):
+        return (len(word),) if len(word) <= self.budget.max_word_len else ()
 
     def combine(self, a, b):
         cap = self.budget.max_word_len
@@ -199,24 +195,12 @@ class _DclDp(_KeyDp):
         self.domain = subwords(target)
         self.below = {}    # a terminal word -> its subwords in the domain
 
-    def subwords_in(self, word):
+    def terminal_values(self, word):
         """The words of the domain that embed into word, found once."""
         if word not in self.below:
             self.below[word] = {u for u in self.domain
                                 if is_subword(u, word)}
         return self.below[word]
-
-    def terminal_value(self, word):
-        return None   # handled in step via combine on singletons
-
-    def step(self, key):
-        nt, stack = key
-        acc = set(self.val[key])
-        for p in self.by_lhs.get(nt, ()):
-            if isinstance(p, TerminalRule):
-                acc |= self.subwords_in(p.word)
-        acc |= super().step(key)
-        return frozenset(acc)
 
     def combine(self, a, b):
         return {u + v for u in a for v in b if u + v in self.domain}

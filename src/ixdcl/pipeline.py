@@ -1,7 +1,11 @@
 """End-to-end pipeline: indexed grammar -> downward closure.
 
 Stages: productiveness analysis, annotation, stack monoid, summary
-graph, context-free cover, closure.  The closure reads the cover
+graph, context-free cover, closure.  `stages` is the one place they are
+built: it yields them in that order, each under its cap, so
+`run_pipeline`, every CLI command, the test fixtures and the scripts
+run the same code.  A command that reports one stage reads the prefix
+of `stages` up to it and stops there.  The closure reads the cover
 untrimmed and yields the antichain of ideals in `Nfa.ideals`; the NFA's
 edges are unfolded only when they are read, so the statistics, the
 longest word and membership are computed from the ideals even when the
@@ -47,23 +51,39 @@ class PipelineResult:
     stats: dict = field(default_factory=dict)
 
 
-def run_pipeline(g, caps=None):
-    """Run every stage on a desugared, push-labeled grammar."""
+def stages(g, caps=None):
+    """Yield the stages of a desugared, push-labeled grammar in order:
+    the analysis with its universe solved, the annotated grammar, the
+    stack monoid, the summary factory, the summary graph, the cover and
+    the closure NFA.  Each is built under its cap when it is read, from
+    the stage names as module globals then (perfbench/spans.py rebinds
+    them)."""
     caps = caps or PipelineCaps()
     analysis = Analysis(g, universe_cap=caps.max_universe)
-    universe = analysis.universe()
+    analysis.universe()
+    yield analysis
     ag = build_annotated(g, analysis)
+    yield ag
     monoid = StackMonoid(analysis, ag.letters, cap=caps.max_monoid)
+    yield monoid
     factory = SummaryFactory(monoid)
+    yield factory
     graph = build_summary_graph(factory, ag.letters, cap=caps.max_summaries)
+    yield graph
     cfg = build_cfg(ag, graph, cap=caps.max_triples)
-    nfa = cfg_dcl_nfa(cfg)
+    yield cfg
+    yield cfg_dcl_nfa(cfg)
+
+
+def run_pipeline(g, caps=None):
+    """Run every stage on a desugared, push-labeled grammar."""
+    analysis, ag, monoid, _, graph, cfg, nfa = stages(g, caps)
     stats = {
         "grammar_size": g.size(),
         "nonterminals": len(g.symbols.nonterminals),
         "productions": len(g.productions),
         "useful": len(analysis.useful()),
-        "universe": len(universe),
+        "universe": len(analysis.universe()),
         # every act key the solver made counts against max_universe
         "act_keys": analysis.act_keys,
         "annotated_nonterminals": len(ag.grammar.symbols.nonterminals),

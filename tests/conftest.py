@@ -12,33 +12,23 @@ import os
 import pytest
 from hypothesis import settings
 
-from ixdcl.analysis import Analysis
-from ixdcl.annotate import build_annotated
-from ixdcl.cfg import build_cfg, trim_cfg
+from ixdcl.cfg import trim_cfg
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
-from ixdcl.monoid import StackMonoid
-from ixdcl.nfa import cfg_dcl_nfa
-from ixdcl.pipeline import run_pipeline
-from ixdcl.summaries import SummaryFactory, build_summary_graph
+from ixdcl.pipeline import run_pipeline, stages
 
 settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 class Stages:
-    """All pipeline stages of one grammar, computed lazily."""
+    """All pipeline stages of one grammar, as `stages` builds them."""
 
     def __init__(self, grammar):
         self.grammar = grammar
-        self.analysis = Analysis(grammar)
-        self.annotated = build_annotated(grammar, self.analysis)
-        self.monoid = StackMonoid(self.analysis, self.annotated.letters)
-        self.factory = SummaryFactory(self.monoid)
-        self.graph = build_summary_graph(self.factory, self.annotated.letters)
-        self.cfg = build_cfg(self.annotated, self.graph)
+        (self.analysis, self.annotated, self.monoid, self.factory,
+         self.graph, self.cfg, self.nfa) = stages(grammar)
         self.cfg_trimmed = trim_cfg(self.cfg)
-        self.nfa = cfg_dcl_nfa(self.cfg)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,12 @@ graph.  A closure NFA's edges are unfolded when they are read here.
 from ixdcl.nfa import INFINITE, Nfa, _closure, _step_and_eps, sccs
 
 
+def add_state(nfa):
+    """A new state of an NFA built by hand."""
+    nfa.n_states += 1
+    return nfa.n_states - 1
+
+
 def simulate(nfa, word):
     """Is word accepted by nfa?  The set of states is simulated."""
     step, eps = _step_and_eps(nfa)
@@ -61,7 +67,7 @@ def longest_path(nfa):
 def word_subword_nfa(word, alphabet=None):
     """An NFA for all scattered subwords of a single word."""
     nfa = Nfa(frozenset(alphabet if alphabet is not None else set(word)))
-    states = [nfa.add_state() for _ in range(len(word) + 1)]
+    states = [add_state(nfa) for _ in range(len(word) + 1)]
     nfa.initial = {states[0]}
     nfa.final = {states[-1]}
     for i, c in enumerate(word):

@@ -26,6 +26,7 @@ from cfg_reference import (cfg_bounded_words, cfg_dcl_bounded,
                            numbered_cfg)
 from test_nfa import random_cfg
 from derivation_reference import term_reachable, term_routes
+from nfa_reference import add_state
 from summary_helpers import phi, summary_key, top_letter, validate_summary
 from test_annotate import annotate_stack
 
@@ -64,7 +65,7 @@ def test_criterion_01_nfa_membership_matches_oracle(fixtures):
 def test_criterion_02_square_closure_is_astar_bstar(square):
     """The a^n b^(n^2) example has downward closure exactly a* b*."""
     expect = Nfa(frozenset("ab"))
-    p, q = expect.add_state(), expect.add_state()
+    p, q = add_state(expect), add_state(expect)
     expect.initial, expect.final = {p}, {q}
     expect.add_edge(p, "a", p)
     expect.add_edge(p, None, q)

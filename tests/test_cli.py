@@ -211,6 +211,25 @@ def test_universe_cap_message(capsys, paths):
         "(--max-universe)" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "annotate", "monoid",
+                                     "summaries", "to-cfg", "stats"])
+def test_universe_cap_agrees_across_commands(capsys, paths, gn_paths,
+                                             command):
+    # every command runs the analysis with its universe solved first:
+    # square makes 9 act keys and G_1 75
+    for path, keys in ((paths["square"], 9), (gn_paths[1], 75)):
+        code, _, err = run(capsys, ["--max-universe", str(keys - 1),
+                                    command, path])
+        assert code == 3
+        assert f"action table cap exceeded: {keys} act keys, limit " \
+            f"{keys - 1} (--max-universe)" in err
+        run_json(capsys, ["--max-universe", str(keys), command, path])
+
+
+def test_stage_command_builds_no_later_stage(capsys, paths):
+    run_json(capsys, ["--max-monoid", "2", "analyze", paths["square"]])
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--max-monoid", "2", "monoid"],
      "stack monoid cap exceeded: 3 elements, limit 2 (--max-monoid)"),

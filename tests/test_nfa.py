@@ -15,8 +15,8 @@ from ixdcl.cfg import trim_cfg
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.grammar import grammar_from_text
-from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _accepts, _antichain,
-                       _ideal_le, _join, _norm_ideal, _step, _word_ideal,
+from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _antichain,
+                       _ideal_le, _join, _norm_ideal, _word_ideal,
                        cfg_dcl_nfa, dcl_close, determinize,
                        longest_word_or_infinite, nfa_equivalence,
                        nfa_inclusion, nfa_member)
@@ -24,13 +24,14 @@ from ixdcl.oracle import is_subword, subwords
 from ixdcl.pipeline import run_pipeline
 import ideal_reference as ref
 from cfg_reference import cfg_dcl_bounded, numbered_cfg
-from nfa_reference import longest_path, simulate, word_subword_nfa
+from nfa_reference import (add_state, longest_path, simulate,
+                           word_subword_nfa)
 from test_summaries import RANDOM_361_TEXT
 
 
 def astar_bstar_nfa():
     n = Nfa(frozenset("ab"))
-    p, q = n.add_state(), n.add_state()
+    p, q = add_state(n), add_state(n)
     n.initial, n.final = {p}, {q}
     n.add_edge(p, "a", p)
     n.add_edge(p, None, q)
@@ -58,7 +59,7 @@ def test_word_subword_nfa():
 
 def test_dcl_close():
     n = Nfa(frozenset("ab"))
-    p, q, r = (n.add_state() for _ in range(3))
+    p, q, r = (add_state(n) for _ in range(3))
     n.initial, n.final = {p}, {r}
     n.add_edge(p, "a", q)
     n.add_edge(q, "b", r)
@@ -94,7 +95,7 @@ def test_inclusion_and_equivalence():
 
 def random_nfa(rng, letters="abc"):
     n = Nfa(frozenset(letters))
-    states = [n.add_state() for _ in range(rng.randint(1, 4))]
+    states = [add_state(n) for _ in range(rng.randint(1, 4))]
     n.initial = {rng.choice(states)}
     n.final = {q for q in states if rng.random() < 0.4}
     for _ in range(rng.randint(0, 7)):
@@ -124,11 +125,11 @@ def test_longest_word_finite_infinite_empty():
     assert longest_path(word_subword_nfa("abcd")) == 4
     assert longest_path(astar_bstar_nfa()) == INFINITE
     empty = Nfa(frozenset("a"))
-    empty.initial = {empty.add_state()}
+    empty.initial = {add_state(empty)}
     assert longest_path(empty) is None
     # epsilon-only cycles do not pump length
     n = Nfa(frozenset("a"))
-    p, q, r = (n.add_state() for _ in range(3))
+    p, q, r = (add_state(n) for _ in range(3))
     n.initial, n.final = {p}, {r}
     n.add_edge(p, None, q)
     n.add_edge(q, None, p)
@@ -228,13 +229,12 @@ def test_normal_ideals_are_canonical():
 
 @given(normal, st.text("ab", max_size=8))
 def test_accepts_matches_reference(ideal, word):
-    letters = tuple(("l", c) for c in word)
-    assert _accepts(ideal, word) == ref.ideal_le(letters, ref.unfold(ideal))
-    # the comparison's one-letter step, folded over each prefix, agrees
-    pos = (0, 0)
-    for i, c in enumerate(word, 1):
-        pos = _step(ideal, pos, c)
-        assert _accepts(ideal, word[:i]) == (pos is not None)
+    # membership folds the comparison's one-letter step over each prefix
+    single = Nfa(frozenset(word), ideals=frozenset([ideal]))
+    for i in range(len(word) + 1):
+        letters = tuple(("l", c) for c in word[:i])
+        assert nfa_member(single, word[:i]) == \
+            ref.ideal_le(letters, ref.unfold(ideal))
 
 
 def test_antichain_drops_dominated():

@@ -1,9 +1,12 @@
 """The brute-force derivation oracles that everything else is checked against."""
 
+import itertools
+
 from hypothesis import given, strategies as st
 
 from ixdcl.analysis import Analysis
-from ixdcl.families import g1_grammar, g_loop_grammar, square_grammar
+from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
+                            square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.oracle import (OracleBudget, Term, dcl_member_oracle,
                           derive_successors, is_subword, start_form, subwords,
@@ -133,6 +136,31 @@ def test_dcl_member_oracle_square():
     b = OracleBudget(64, 9, 500000)
     assert dcl_member_oracle(g, "aabb", b, emptiness=an.term_empty)[0]
     assert dcl_member_oracle(g, "ba", b, emptiness=an.term_empty)[0] is False
+
+
+def test_dcl_member_oracle_matches_word_dp():
+    # every word of length <= 4: a word under some word of the word DP's
+    # table is in the closure, so a negative answer, complete or not,
+    # has no word of the table above it; g1 ({ab}) and G_1 ({a^16}) are
+    # finite languages inside the budget, so there the answers are exact
+    budget = OracleBudget(16, 4)
+    for name, g, exact in [("g1", g1_grammar(), True),
+                           ("loop", g_loop_grammar(), False),
+                           ("square", square_grammar(), False),
+                           ("G_1", grammar_gn(1), True)]:
+        an = Analysis(g)
+        table = term_language_dp(g, budget, emptiness=an.term_empty).table
+        words = table[(g.start, ())]
+        letters = sorted(g.symbols.terminals)
+        for w in map("".join, itertools.chain.from_iterable(
+                itertools.product(letters, repeat=n) for n in range(5))):
+            member, complete = dcl_member_oracle(g, w, budget,
+                                                 emptiness=an.term_empty)
+            above = any(is_subword(w, v) for v in words)
+            if above:
+                assert member, (name, w)
+            if exact:
+                assert complete and member == above, (name, w)
 
 
 def test_term_reachable():
