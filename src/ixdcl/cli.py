@@ -18,7 +18,7 @@ from .analysis import Analysis, CapExceeded
 from .annotate import check_productive_sample
 from .cfg import trim_cfg
 from .grammar import (GrammarError, desugar, label_pushes, parse_grammar,
-                      validate)
+                      sort_key, validate)
 from .nfa import nfa_member
 from .oracle import OracleBudget, term_language_dp
 from .pipeline import PipelineCaps, run_pipeline, stages
@@ -144,7 +144,7 @@ def cmd_summaries(args):
             steps = []
             factory.push_letter(letter, src, trace=steps)
             trace.append({
-                "from": graph.ids[src], "letter": str(letter),
+                "from": graph.ids[src], "letter": sort_key(letter),
                 "to": graph.ids[tgt], "steps": steps,
             })
         out["trace"] = sorted(trace, key=lambda e: (e["from"], e["letter"]))

@@ -9,7 +9,9 @@ The product multiplies the topmost segment on the left.  A morphism phi
 maps annotated stack letters (topmost letter leftmost) into the monoid;
 a stack is feasible exactly when its image is not the zero.  A monoid
 interns its elements, so equality of elements is identity and every
-table keys them by the objects themselves.
+table keys them by the objects themselves.  Products are kept in one
+row per left factor, `left[x2][x1]` = x2 . x1, each formed on its first
+read: a caller multiplying by one x2 fetches its row once.
 
 The submonoid generated by the letter images is enumerated breadth-first
 by multiplying with generators on both sides, which yields its left and
@@ -23,6 +25,7 @@ how summaries grow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .analysis import CapExceeded
 from .cfg import sccs
@@ -51,8 +54,8 @@ ZERO = _Zero()
 class Seg:
     """A non-trivial monoid element (B, Y, M, A, X).
 
-    Elements are interned by their fields (`StackMonoid._mk`), so they
-    compare and hash by identity.
+    Elements are interned by their fields (`StackMonoid._intern`), so
+    they compare and hash by identity.
     """
 
     b: object
@@ -60,6 +63,17 @@ class Seg:
     m: frozenset   # boolean matrix as a set of (nonterminal, nonterminal)
     a: object
     x: frozenset
+
+
+class _Memo(dict):
+    """A dict whose missing value is made from its key by `make`."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def mat_mul(m2, m1):
@@ -70,56 +84,51 @@ def mat_mul(m2, m1):
     return frozenset((d, c) for (d, e) in m2 for c in by_src.get(e, ()))
 
 
+def _mul(analysis, intern, x2, x1):
+    """x2 . x1, where a product of two segments is interned in `intern`."""
+    if x2 is ONE:
+        return x1
+    if x1 is ONE:
+        return x2
+    if x2 is ZERO or x1 is ZERO:
+        return ZERO
+    if x2.x == x1.y and (x1.b, x2.a) in analysis.reach(x2.x):
+        return intern[x2.b, x2.y, mat_mul(x2.m, x1.m), x1.a, x1.x]
+    return ZERO
+
+
 class StackMonoid:
     """The submonoid generated by the images of the annotated letters."""
 
     def __init__(self, analysis, letters, cap=4096):
         self.analysis = analysis
         self.cap = cap
-        self._prod = {}
-        self._intern = {}
+        self._intern = _Memo(lambda fields: Seg(*fields))
+        # the rows hold the analysis and the elements, not the monoid, so
+        # no reference cycle keeps a dropped monoid alive
+        mul = partial(_mul, analysis, self._intern)
+        self.left = _Memo(lambda x2: _Memo(partial(mul, x2)))
         self.gens = {}
         for letter in sorted(letters, key=sort_key):
             self.gens[letter] = self._phi_letter(letter)
         self.elements, below = self._closure()
         self.idempotents, self._depth, self._j_length = self._j_data(below)
 
-    def _mk(self, *fields):
-        """The interned element with these fields."""
-        x = self._intern.get(fields)
-        if x is None:
-            x = self._intern[fields] = Seg(*fields)
-        return x
-
     def _phi_letter(self, letter):
         f, X = letter
         g = self.analysis.g
-        return self._mk(g.beta(f), self.analysis.act(f, X),
-                        self.analysis.matrix(f, X), g.alpha(f), X)
+        return self._intern[g.beta(f), self.analysis.act(f, X),
+                            self.analysis.matrix(f, X), g.alpha(f), X]
 
     def product(self, x2, x1):
         """x2 . x1 where x2 abstracts the part of the stack above x1."""
-        if x2 is ONE:
-            return x1
-        if x1 is ONE:
-            return x2
-        if x2 is ZERO or x1 is ZERO:
-            return ZERO
-        key = (x2, x1)
-        out = self._prod.get(key)
-        if out is None:
-            if x2.x == x1.y and (x1.b, x2.a) in self.analysis.reach(x2.x):
-                out = self._mk(x2.b, x2.y, mat_mul(x2.m, x1.m), x1.a, x1.x)
-            else:
-                out = ZERO
-            self._prod[key] = out
-        return out
+        return self.left[x2][x1]
 
     def phi_seq(self, values):
         """Left-to-right product of already-mapped values."""
         out = ONE
         for v in reversed(list(values)):
-            out = self.product(v, out)
+            out = self.left[v][out]
         return out
 
     def _closure(self):

@@ -18,7 +18,9 @@ prepends an atom, folds a long atom word into a block, or merges two
 blocks over the same idempotent.  Popping is the inverse relation and
 is answered from the edge index of the summary graph.  The tables that
 find a fold are built only for atom words long enough to fold, and kept
-per suffix, so a push extends them by its new positions.
+per suffix, so a push extends them by its new positions.  A fold over e
+is looked for only if at least 2N+1 prefixes of the word map to e: the
+prefix up to the end of the j-th group maps to e^j = e.
 
 All summaries are hash-consed: structurally equal summaries are the
 same object, so equality is identity and the monoid image and depth
@@ -163,18 +165,16 @@ class SummaryFactory:
     def push_letter(self, letter, sigma, trace=None):
         trace = [] if trace is None else trace   # the cases taken
         m = self.monoid
-        phi_l = m.gens[letter]
+        row = m.left[m.gens[letter]]
         # the image of the pushed stack in every case, as e+ keeps images
-        new_phi = m.product(phi_l, sigma.phi)
-        d_new = m.depth(new_phi)
+        new_phi = row[sigma.phi]
         d = sigma.depth
-        if d_new > d:
+        if m.depth(new_phi) > d:
             trace.append("deepen")
             return self.summary(None, (self.atom(letter, sigma),), (),
                                 new_phi)
         sub = sigma.sub if sigma.sub is not None else self.empty
-        sub_phi = m.product(phi_l, sub.phi)
-        if m.depth(sub_phi) < d:
+        if m.depth(row[sub.phi]) < d:
             trace.append("recurse")
             return self.summary(self.push_letter(letter, sub, trace),
                                 sigma.atoms, sigma.blocks, new_phi)
@@ -214,12 +214,13 @@ class SummaryFactory:
 
         Positions of s are bits of ints, position p being bit n - p (its
         distance from the right end).  The row of p maps each element to
-        the set of ends q > p with phi(s[p:q]) equal to it.
-        The candidates are the idempotents in the row of 0, the prefix
-        images.  For a candidate e, can[k] holds p iff s[p:] starts with
-        k groups of image e, that is iff row(p)[e] meets can[k - 1].  The
-        shortest first group from p ends at the highest bit of that
-        intersection.
+        the set of ends q > p with phi(s[p:q]) equal to it.  The
+        candidates are the idempotents e with 2N+1 ends in the row of 0,
+        since the prefix up to the end of the j-th group maps to e^j = e;
+        this bound spares most words the levels.  For a candidate e,
+        can[k] holds p iff s[p:] starts with k groups of image e, that is
+        iff row(p)[e] meets can[k - 1].  The shortest first group from p
+        ends at the highest bit of that intersection.
         """
         n = len(s)
         k_groups = 2 * self.n_groups + 1
@@ -228,8 +229,8 @@ class SummaryFactory:
         top = self._segment_rows(s)
         idempotents = self.monoid.idempotents
         best = None
-        for e in top.row:
-            if e is ONE or e not in idempotents:
+        for e, ends in top.row.items():
+            if e is ONE or e not in idempotents or ends.bit_count() < k_groups:
                 continue
             can = self._levels(top, n, e)
             if len(can) <= k_groups or not can[k_groups] >> n:
@@ -256,10 +257,11 @@ class SummaryFactory:
         A row depends only on the suffix it starts, since bits count from
         the right end, so the tables of each suffix are kept, and those of
         s are extended from its longest known suffix one atom a at a time:
-        the row of the new first position maps a.phi.x for each element x
-        of the old first row to the same ends, plus a.phi to the end 1.
+        the row of the new first position maps a.phi.x, read from the
+        product row of a.phi, to the ends of x for each x in the old first
+        row, and a.phi to the end 1.
         """
-        m = self.monoid
+        left = self.monoid.left
         n = len(s)
         known = n
         while known and s[n - known:] not in self._suffixes:
@@ -269,8 +271,9 @@ class SummaryFactory:
             a = s[pos].phi
             row = {a: 1 << (n - pos - 1)}
             if suffix is not None:
+                prod = left[a]
                 for x, ends in suffix.row.items():
-                    y = m.product(a, x)
+                    y = prod[x]
                     row[y] = row.get(y, 0) | ends
             suffix = self._suffixes[s[pos:]] = _Suffix(row, suffix)
         return suffix
@@ -327,6 +330,7 @@ def build_summary_graph(factory, letters, cap=4096):
     """Breadth-first closure of the empty summary under feasible pushes."""
     letters = sorted(letters, key=sort_key)
     m = factory.monoid
+    rows = [(letter, m.left[m.gens[letter]]) for letter in letters]
     nodes = [factory.empty]
     ids = {factory.empty: 0}
     edges = {}
@@ -335,8 +339,8 @@ def build_summary_graph(factory, letters, cap=4096):
     while i < len(nodes):
         sigma = nodes[i]
         i += 1
-        for letter in letters:
-            if m.product(m.gens[letter], sigma.phi) is ZERO:
+        for letter, row in rows:
+            if row[sigma.phi] is ZERO:
                 continue
             tgt = factory.push_letter(letter, sigma)
             edges[(sigma, letter)] = tgt

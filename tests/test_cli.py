@@ -1,9 +1,13 @@
 """The command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ixdcl
 from ixdcl.cli import main
 from ixdcl.families import (G1_TEXT, G_LOOP_TEXT, SQUARE_TEXT,
                             grammar_gn_text)
@@ -103,6 +107,21 @@ def test_summaries_with_trace(capsys, paths):
     steps = {s for e in data["trace"] for s in e["steps"]}
     assert "deepen" in steps and "atom" in steps
     assert any(s.startswith("merge@") for s in steps) or "block" in steps
+
+
+def test_summaries_trace_does_not_depend_on_the_hash_seed(paths):
+    """Annotated letters hold frozensets, so the trace names and sorts
+    them by `sort_key`; two fresh interpreters under two hash seeds print
+    the same bytes."""
+    src = os.path.dirname(os.path.dirname(ixdcl.__file__))
+    outs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run_ = subprocess.run(
+            [sys.executable, "-m", "ixdcl.cli", "summaries", "--trace",
+             paths["square"]], env=env, capture_output=True, check=True)
+        outs.add(run_.stdout)
+    assert len(outs) == 1
 
 
 def test_to_cfg(capsys, paths, gn_paths):

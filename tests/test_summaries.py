@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from functools import partial
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.annotate import build_annotated
 from ixdcl.families import g_loop_grammar, grammar_gn
 from ixdcl.grammar import grammar_from_text
-from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, mat_mul
+from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, _Memo, mat_mul
 from ixdcl.summaries import SummaryFactory, build_summary_graph
 from summary_helpers import (element_key, push_word, summary_key, top_letter,
                              validate_summary)
@@ -91,6 +92,15 @@ def monoid_and_letters(g):
     return StackMonoid(an, ag.letters), ag.letters
 
 
+def named_monoid(fixtures, name):
+    """The monoid and letters of a fixture grammar, of RANDOM_361_TEXT
+    ("random") or of a capped text."""
+    if name in fixtures:
+        return fixtures[name].monoid, fixtures[name].annotated.letters
+    text = RANDOM_361_TEXT if name == "random" else CAPPED_TEXTS[name]
+    return monoid_and_letters(grammar_from_text(text))
+
+
 def summary_graph(g):
     m, letters = monoid_and_letters(g)
     return build_summary_graph(SummaryFactory(m), letters)
@@ -127,7 +137,8 @@ def summaries_fingerprint(summaries):
 
 def recorded_atom_words(monoid, letters):
     """A fresh factory on the monoid, and every atom word it is asked to
-    decompose while building the summary graph."""
+    decompose while building the summary graph, up to the summary cap
+    for a graph that exceeds it."""
     factory = SummaryFactory(monoid)
     words = {}
     decompose = factory._decompose
@@ -137,7 +148,10 @@ def recorded_atom_words(monoid, letters):
         return decompose(s)
 
     factory._decompose = record
-    build_summary_graph(factory, letters)
+    try:
+        build_summary_graph(factory, letters)
+    except CapExceeded:
+        pass
     del factory._decompose
     return factory, list(words.values())
 
@@ -146,11 +160,12 @@ def brute_force_decompose(m, s, k):
     """The least split of s into k groups with one idempotent image e plus
     a remainder, by (group lengths, element_key(e)), found by enumerating
     every choice of group ends: (lengths, e, end of the last group)."""
+    image = {(i, j): m.phi_seq(a.phi for a in s[i:j])
+             for i in range(len(s)) for j in range(i + 1, len(s) + 1)}
     best = None
     for ends in combinations(range(1, len(s) + 1), k):
         starts = (0,) + ends[:-1]
-        images = [m.phi_seq(a.phi for a in s[i:j])
-                  for i, j in zip(starts, ends)]
+        images = [image[i, j] for i, j in zip(starts, ends)]
         e = images[0]
         if e is ONE or m.product(e, e) is not e or \
                 any(x is not e for x in images):
@@ -207,16 +222,18 @@ def test_graph_fingerprint_does_not_depend_on_the_hash_seed():
                     f"{CLOSURE_GOLDENS['random']}"}
 
 
-@pytest.mark.parametrize("name", ["loop", "square"])
+@pytest.mark.parametrize("name", ["loop", "square", "push_pair"])
 def test_decompose_matches_brute_force(fixtures, name):
     # Every window of a recorded atom word, short enough to enumerate, is
     # split with the factory's own group count and with 1 and 2 groups on
-    # each side of e+, which makes short words decompose.
-    st_ = fixtures[name]
-    factory, words = recorded_atom_words(st_.monoid, st_.annotated.letters)
+    # each side of e+, which makes short words decompose.  At 1 and 2 the
+    # windows of push_pair both pass and fail the prefix-end bound; at its
+    # own N none folds, and they are too many to enumerate.
+    factory, words = recorded_atom_words(*named_monoid(fixtures, name))
     m = factory.monoid
     found = 0
-    for n_groups, slack in ((1, 8), (2, 8), (factory.n_groups, 2)):
+    counts = ((1, 8), (2, 8), (factory.n_groups, 2))
+    for n_groups, slack in counts[:2] if name == "push_pair" else counts:
         factory.n_groups = n_groups
         k = 2 * n_groups + 1
         windows = {}
@@ -246,11 +263,7 @@ def test_decompose_is_the_same_cold_and_warm(fixtures, name):
     # it: the one that built the graph goes on with N, 1, 2, and a new one
     # fills its tables with 1, then goes on with 2, N.  Each cold factory
     # sees one word only.
-    if name == "square":
-        m, letters = fixtures["square"].monoid, \
-            fixtures["square"].annotated.letters
-    else:
-        m, letters = monoid_and_letters(grammar_from_text(RANDOM_361_TEXT))
+    m, letters = named_monoid(fixtures, name)
     built, words = recorded_atom_words(m, letters)
     full = built.n_groups
     for warm, order in ((built, (full, 1, 2)),
@@ -263,14 +276,44 @@ def test_decompose_is_the_same_cold_and_warm(fixtures, name):
                 assert cold._decompose(s) == warm._decompose(s)
 
 
+@pytest.mark.parametrize("name", ["loop", "square", "random", "push_pair"])
+def test_a_fold_has_2n_plus_1_prefix_ends(fixtures, name):
+    # Groups ending at c_1 < .. < c_k with image e give phi(s[0:c_j]) =
+    # e^j = e, so the row of 0 holds k ends for e, and `_decompose` asks
+    # `_levels` only for such e.  Every idempotent of every recorded word
+    # is checked, also those the bound skips; both kinds occur.
+    factory, words = recorded_atom_words(*named_monoid(fixtures, name))
+    idempotents = factory.monoid.idempotents
+    folds = skipped = 0
+    for n_groups in (1, 2, factory.n_groups):
+        k = 2 * n_groups + 1
+        for s in words:
+            top = factory._segment_rows(s)
+            for e, ends in top.row.items():
+                if e is ONE or e not in idempotents:
+                    continue
+                can = factory._levels(top, len(s), e)
+                if len(can) > k and can[k] >> len(s):
+                    assert ends.bit_count() >= k
+                    folds += 1
+                else:
+                    skipped += ends.bit_count() < k
+    assert folds and skipped
+
+
 class TransformationMonoid:
     """A stub monoid of transformations t of {0, 1, 2}, each a Seg whose
     matrix is the graph {(i, t(i))}, so that `mat_mul` composes them.
-    It has one nonterminal, so a decomposition has three groups."""
+    It has one nonterminal, so a decomposition has three groups.  Its
+    products are read as `StackMonoid`'s are, through the rows `left`."""
+
+    product = StackMonoid.product
+    phi_seq = StackMonoid.phi_seq
 
     def __init__(self, **gens):
         self.analysis = SimpleNamespace(g=SimpleNamespace(
             symbols=SimpleNamespace(nonterminals={"S"})))
+        self.left = _Memo(lambda x2: _Memo(partial(self._mul, x2)))
         self._intern = {}
         self.gens = {name: self._mk(frozenset(enumerate(t)))
                      for name, t in gens.items()}
@@ -288,7 +331,7 @@ class TransformationMonoid:
             self._intern[m] = Seg(None, frozenset(), m, None, frozenset())
         return self._intern[m]
 
-    def product(self, x2, x1):
+    def _mul(self, x2, x1):
         if x2 is ONE:
             return x1
         if x1 is ONE:
