@@ -17,28 +17,19 @@ from . import families
 from .analysis import Analysis, CapExceeded
 from .annotate import check_productive_sample
 from .cfg import trim_cfg
-from .grammar import (GrammarError, desugar, label_pushes, parse_grammar,
-                      sort_key, validate)
+from .grammar import GrammarError, grammar_from_text, sort_key
 from .nfa import nfa_member
 from .oracle import OracleBudget, term_language_dp
 from .pipeline import PipelineCaps, run_pipeline, stages
 
 
-def _parse(path):
+def _load(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GrammarError(f"cannot read {path}: {exc}")
-    return label_pushes(desugar(parse_grammar(text)))
-
-
-def _load(path):
-    g = _parse(path)
-    problems = validate(g)
-    if problems:
-        raise GrammarError("; ".join(problems))
-    return g
+    return grammar_from_text(text)
 
 
 def _caps(args):
@@ -80,13 +71,13 @@ def _nfa_dot(nfa):
 
 
 def cmd_validate(args):
-    g = _parse(args.grammar)
-    problems = validate(g)
-    _emit({"valid": not problems, "diagnostics": problems,
+    # an invalid grammar raises GrammarError in _load and exits 2
+    g = _load(args.grammar)
+    _emit({"valid": True, "diagnostics": [],
            "size": g.size(),
            "nonterminals": len(g.symbols.nonterminals),
            "productions": len(g.productions)})
-    return 0 if not problems else 2
+    return 0
 
 
 def cmd_analyze(args):

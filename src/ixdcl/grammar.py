@@ -1,4 +1,4 @@
-"""Data model, parsing, normalization and printing of indexed grammars.
+"""Data model, parsing and normalization of indexed grammars.
 
 An indexed grammar manipulates nonterminals that each carry a stack of
 stack symbols.  After normalization, every production has one of four
@@ -13,6 +13,18 @@ The surface syntax additionally allows general right-hand sides,
 pop rules with general right-hand sides, and "check" rules that run a
 collection of DFAs over the current stack content.  `desugar` rewrites
 all of these into the four kinds above.
+
+`grammar_from_text` is the one way from text to a grammar: a grammar it
+returns is valid (in the four kinds, over its declared symbols, with one
+push rule per stack symbol), and every other input raises
+`GrammarError`.  Each terminal is a single character, and every letter
+of a quoted word is a declared terminal; nonterminals, terminals and
+stack symbols are pairwise disjoint.  The names that normalization generates are
+reserved: `W<i>.<n>`, `B<i>.<n>`, `C<i>.<n>`, `D<i>.<n>` and `P.<n>`
+(the helpers of rule number n), `E.<dfa>.<state>` (the DFA gadgets) and
+`<f>.<k>` (the copies of a stack symbol f pushed by several rules).  A
+generated name that equals a symbol already present is a `GrammarError`
+naming it, never a merge of the two.
 """
 
 from __future__ import annotations
@@ -139,7 +151,8 @@ class SugaredGrammar:
 
 
 class GrammarError(ValueError):
-    """Raised on unusable grammar input (parse errors, failed validation)."""
+    """Raised on unusable grammar input: a text that breaks a rule of the
+    module docstring, or a file that cannot be read."""
 
 
 def sort_key(sym):
@@ -158,22 +171,6 @@ def sort_key(sym):
 
 # ---------------------------------------------------------------------------
 # parsing
-
-
-def _tokenize_word(text, terminals):
-    """Split a quoted word into terminal letters (greedy longest match)."""
-    letters = []
-    i = 0
-    toks = sorted(terminals, key=len, reverse=True)
-    while i < len(text):
-        for t in toks:
-            if text.startswith(t, i):
-                letters.append(t)
-                i += len(t)
-                break
-        else:
-            raise GrammarError(f"letter at {text[i:]!r} is not a declared terminal")
-    return "".join(letters)
 
 
 def parse_grammar(text):
@@ -224,6 +221,9 @@ def parse_grammar(text):
         raise GrammarError("missing start line")
     terminals = list(dict.fromkeys(terminals))
     stack_syms = list(dict.fromkeys(stack_syms))
+    for t in terminals:
+        if len(t) != 1:
+            raise GrammarError(f"terminal {t!r} is not a single character")
 
     # first pass: left-hand sides declare the nonterminals
     lhs_syms = []
@@ -238,6 +238,11 @@ def parse_grammar(text):
     nts = set(nonterminals)
     terms = set(terminals)
     stacks = set(stack_syms)
+    for (a, b, kinds) in [(nts, terms, "nonterminal and a terminal"),
+                          (nts, stacks, "nonterminal and a stack symbol"),
+                          (terms, stacks, "terminal and a stack symbol")]:
+        if a & b:
+            raise GrammarError(f"{min(a & b)!r} is both a {kinds}")
 
     prods = []
     for line in raw_rules:
@@ -286,7 +291,10 @@ def parse_grammar(text):
         rhs = []
         for tok in rhs_toks:
             if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-                for letter in _tokenize_word(tok[1:-1], terms):
+                for letter in tok[1:-1]:
+                    if letter not in terms:
+                        raise GrammarError(
+                            f"letter {letter!r} in {tok} is not a terminal")
                     rhs.append(letter)
             elif tok in terms:
                 rhs.append(tok)
@@ -366,13 +374,12 @@ def desugar(sg):
     stacks = set(sg.symbols.stack_symbols)
     core = []        # core rules
     units = []       # (lhs, rhs) unit pairs awaiting elimination
-    fresh_nts = []
+    entered = set()  # the (dfa name, state) pairs with a gadget nonterminal
 
     def fresh(name):
-        if name in nts:
-            raise GrammarError(f"fresh name {name!r} clashes with a symbol")
+        if name in nts or name in terms or name in stacks:
+            raise GrammarError(f"generated name {name!r} is already a symbol")
         nts.add(name)
-        fresh_nts.append(name)
         return name
 
     def add_general(lhs, rhs, idx):
@@ -419,9 +426,13 @@ def desugar(sg):
         def nt(q):
             return f"E.{dfa.name}.{q}"
 
-        name = nt(q)
-        if name in nts:
-            return name
+        def enter(q):
+            entered.add((dfa.name, q))
+            fresh(nt(q))
+            return (q, iter(out.get(q, ())))
+
+        if (dfa.name, q) in entered:
+            return nt(q)
         for (p, a, r) in dfa.transitions:
             if a not in stacks:
                 raise GrammarError(
@@ -429,21 +440,19 @@ def desugar(sg):
         out = {}
         for (p, a, r) in dfa.transitions:
             out.setdefault(p, []).append((a, r))
-        fresh(name)
-        stack = [(q, iter(out.get(q, ())))]
+        stack = [enter(q)]
         while stack:
             p, moves = stack[-1]
             for (a, r) in moves:
                 core.append(PopRule(nt(p), a, nt(r)))
-                if nt(r) not in nts:
-                    fresh(nt(r))
-                    stack.append((r, iter(out.get(r, ()))))
+                if (dfa.name, r) not in entered:
+                    stack.append(enter(r))
                     break
             else:
                 stack.pop()
                 if p in dfa.finals:
                     core.append(TerminalRule(nt(p), ""))
-        return name
+        return nt(q)
 
     for idx, prod in enumerate(sg.productions):
         if isinstance(prod, CORE_KINDS):
@@ -514,10 +523,12 @@ def label_pushes(g):
         if isinstance(p, PushRule):
             pushes_of.setdefault(p.sym, []).append(i)
 
+    syms = g.symbols
+    taken = syms.nonterminals | syms.terminals | syms.stack_symbols
     rename = {}   # production index -> new symbol for its push
     copies = {}   # old symbol -> list of new symbols
     stack_syms = set()
-    for f in sorted(g.symbols.stack_symbols, key=sort_key):
+    for f in sorted(syms.stack_symbols, key=sort_key):
         idxs = pushes_of.get(f, [])
         if not idxs:
             continue
@@ -528,6 +539,10 @@ def label_pushes(g):
             names = []
             for k, i in enumerate(idxs, start=1):
                 nf = f"{f}.{k}" if isinstance(f, str) else (f, k)
+                if nf in taken:
+                    raise GrammarError(
+                        f"copy name {nf!r} of stack symbol {f!r} is "
+                        "already a symbol")
                 rename[i] = nf
                 names.append(nf)
                 stack_syms.add(nf)
@@ -549,79 +564,9 @@ def label_pushes(g):
         else:
             prods.append(p)
 
-    table = SymbolTable(g.symbols.nonterminals, g.symbols.terminals,
+    table = SymbolTable(syms.nonterminals, syms.terminals,
                         frozenset(stack_syms))
     return IndexedGrammar(table, g.start, tuple(prods), labels)
-
-
-# ---------------------------------------------------------------------------
-# validation and printing
-
-
-def validate(g):
-    """Return a list of human-readable diagnostics (empty when valid)."""
-    out = []
-    syms = g.symbols
-    for name, group in [("nonterminal", syms.nonterminals),
-                        ("terminal", syms.terminals),
-                        ("stack symbol", syms.stack_symbols)]:
-        for s in group:
-            if isinstance(s, str) and (not s or any(c.isspace() for c in s)):
-                out.append(f"bad {name} identifier {s!r}")
-    if syms.nonterminals & syms.terminals:
-        out.append("nonterminals and terminals overlap")
-    if syms.nonterminals & syms.stack_symbols:
-        out.append("nonterminals and stack symbols overlap")
-    if syms.terminals & syms.stack_symbols:
-        out.append("terminals and stack symbols overlap")
-    if g.start not in syms.nonterminals:
-        out.append(f"start symbol {g.start!r} is not a nonterminal")
-    for t in syms.terminals:
-        if isinstance(t, str) and len(t) != 1:
-            out.append(f"terminal {t!r} is not a single character")
-
-    def chk_nt(s, p):
-        if s not in syms.nonterminals:
-            out.append(f"undeclared nonterminal {s!r} in {p!r}")
-
-    def chk_sym(s, p):
-        if s not in syms.stack_symbols:
-            out.append(f"undeclared stack symbol {s!r} in {p!r}")
-
-    for p in g.productions:
-        if isinstance(p, TerminalRule):
-            chk_nt(p.lhs, p)
-            for c in p.word:
-                if c not in syms.terminals:
-                    out.append(f"undeclared terminal {c!r} in {p!r}")
-        elif isinstance(p, BinaryRule):
-            chk_nt(p.lhs, p)
-            chk_nt(p.left, p)
-            chk_nt(p.right, p)
-        elif isinstance(p, PushRule):
-            chk_nt(p.lhs, p)
-            chk_nt(p.rhs, p)
-            chk_sym(p.sym, p)
-        elif isinstance(p, PopRule):
-            chk_nt(p.lhs, p)
-            chk_nt(p.rhs, p)
-            chk_sym(p.sym, p)
-        else:
-            out.append(f"production {p!r} is not in normal form")
-
-    if g.push_labels:
-        pushes_of = {}
-        for p in g.productions:
-            if isinstance(p, PushRule):
-                pushes_of.setdefault(p.sym, []).append(p)
-        for f in syms.stack_symbols:
-            ps = pushes_of.get(f, [])
-            if len(ps) != 1:
-                out.append(f"stack symbol {f!r} has {len(ps)} push rules")
-            elif f not in g.push_labels or \
-                    g.push_labels[f] != (ps[0].lhs, ps[0].rhs):
-                out.append(f"push label of {f!r} disagrees with its push rule")
-    return out
 
 
 def grammar_from_text(text):

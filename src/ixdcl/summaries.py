@@ -137,28 +137,32 @@ class SummaryFactory:
 
     def atom(self, letter, tail):
         k = (letter, tail)
-        if k not in self._atoms:
+        a = self._atoms.get(k)
+        if a is None:
             phi = self.monoid.product(self.monoid.gens[letter], tail.phi)
-            self._atoms[k] = Atom(letter, tail, phi, self.monoid.depth(phi))
-        return self._atoms[k]
+            a = self._atoms[k] = Atom(letter, tail, phi,
+                                      self.monoid.depth(phi))
+        return a
 
     def block(self, us, e, vs, w):
         k = (us, e, vs, w)
-        if k not in self._blocks:
+        b = self._blocks.get(k)
+        if b is None:
             seq = [a.phi for g in us for a in g] + [e] + \
                   [a.phi for g in vs for a in g] + [a.phi for a in w]
-            self._blocks[k] = Block(us, e, vs, w, self.monoid.phi_seq(seq))
-        return self._blocks[k]
+            b = self._blocks[k] = Block(us, e, vs, w, self.monoid.phi_seq(seq))
+        return b
 
     def summary(self, sub, atoms, blocks, phi):
         """The summary sub atoms blocks; the caller knows its image phi."""
         if not atoms and not blocks:
             return sub if sub is not None else self.empty
         k = (sub, atoms, blocks)
-        if k not in self._summaries:
-            self._summaries[k] = Summary(sub, atoms, blocks, phi,
-                                         self.monoid.depth(phi))
-        return self._summaries[k]
+        s = self._summaries.get(k)
+        if s is None:
+            s = self._summaries[k] = Summary(sub, atoms, blocks, phi,
+                                             self.monoid.depth(phi))
+        return s
 
     # -- push ---------------------------------------------------------------
 

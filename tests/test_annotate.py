@@ -7,8 +7,9 @@ from ixdcl.analysis import Analysis
 from ixdcl.annotate import build_annotated, check_productive_sample
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
-from ixdcl.grammar import grammar_from_text, validate
+from ixdcl.grammar import grammar_from_text
 from ixdcl.oracle import OracleBudget, term_language_dp
+from grammar_helpers import validate
 from test_summaries import RANDOM_361_TEXT, canonical
 
 # (nonterminals, letters, rules, sha256 prefix of annotated_fingerprint)

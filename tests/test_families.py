@@ -8,8 +8,9 @@ from ixdcl.analysis import Analysis
 from ixdcl.families import (bottom_marked_dfas, counter_dfas, counter_letters,
                             counter_intersection_words, g1_grammar,
                             grammar_gn, grammar_gn_text, hashed_counter_dfas)
-from ixdcl.grammar import grammar_from_text, validate
+from ixdcl.grammar import grammar_from_text
 from ixdcl.oracle import OracleBudget, term_language_dp
+from grammar_helpers import validate
 
 
 def test_g1_language():

@@ -1,12 +1,16 @@
 """Parsing, desugaring, push labeling, validation and printing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ixdcl.families import G1_TEXT, SQUARE_TEXT
+from ixdcl.analysis import CapExceeded
+from ixdcl.cli import main
+from ixdcl.families import G1_TEXT, SQUARE_TEXT, grammar_gn
 from ixdcl.grammar import (BinaryRule, GrammarError, PopRule, PushRule,
                            TerminalRule, desugar, grammar_from_text,
-                           label_pushes, parse_grammar, validate)
+                           label_pushes, parse_grammar)
+from ixdcl.pipeline import PipelineCaps, run_pipeline
+from grammar_helpers import validate
 
 
 def _sym_str(s):
@@ -158,7 +162,7 @@ def test_validate_reports_problems():
     assert any("start symbol" in p for p in problems)
 
 
-def test_print_parse_round_trip():
+def test_print_parse_round_trip(fixtures, gn_nfas):
     for text in (G1_TEXT, SQUARE_TEXT):
         g = grammar_from_text(text)
         again = grammar_from_text(print_grammar(g))
@@ -166,6 +170,13 @@ def test_print_parse_round_trip():
         assert again.symbols == g.symbols
         assert set(again.productions) == set(g.productions)
         assert again.push_labels == g.push_labels
+    # metamorphic: the printed grammar has the same closure; the helper
+    # names of the desugared grammars (W0.3, E.A1.z, ...) hold dots
+    closures = [(st_.grammar, st_.nfa) for st_ in fixtures.values()]
+    closures += [(grammar_gn(n), nfa) for n, nfa in gn_nfas.items()]
+    for g, nfa in closures:
+        again = grammar_from_text(print_grammar(g))
+        assert run_pipeline(again).nfa.ideals == nfa.ideals
 
 
 def test_check_rule_desugars_to_dfa_gadget():
@@ -245,3 +256,98 @@ def test_print_parse_round_trip_random(g):
     assert again.start == g.start
     assert again.symbols == g.symbols
     assert set(again.productions) == set(g.productions)
+
+
+# Inputs that the parser let through and a later step broke on: a
+# multi-character terminal (split back into letters, so `a` became a
+# nonterminal without rules), a declared stack symbol with the name of
+# another symbol's copy, two DFA gadgets with one helper name, and a
+# name that is both a nonterminal and a terminal.
+BAD_TEXTS = {
+    "long terminal": ('start S\nterminals ab c\n'
+                      'S -> "abc" S\nS -> ""\n'),
+    "copy name": ("start S\nterminals a\nstack f f.1\n"
+                  "S -> A + f.1\nS -> B + f\nS -> B + f\n"
+                  'A - f -> F\nF -> "a"\nB -> B\n'),
+    "dfa helper": ("start S\nterminals a b\nstack f\n"
+                   "dfa x { states y.z w; init y.z; final w; y.z f w; }\n"
+                   "dfa x.y { states z; init z; final z; }\n"
+                   'S -> B check x\nS -> A check x.y\nA -> "a"\n'
+                   'B -> "b"\n'),
+    "overlap": 'start S\nterminals S a\nS -> "a"\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TEXTS))
+def test_bad_input_is_a_grammar_error(name, tmp_path, capsys):
+    with pytest.raises(GrammarError):
+        grammar_from_text(BAD_TEXTS[name])
+    path = tmp_path / "bad.ix"
+    path.write_text(BAD_TEXTS[name])
+    for command in ("stats", "validate"):
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+@st.composite
+def grammar_texts(draw):
+    """Texts in the grammar format, valid or not, made of its own pieces:
+    the start, terminals and stack lines, DFA blocks, rules with `->`,
+    `-`, `+` and `check`, quoted words, and dotted and multi-character
+    names.  One text in four also draws names that clash with another
+    symbol class or with a generated name."""
+    clash = draw(st.integers(0, 3)) == 0
+
+    def names(common, rare):
+        return st.sampled_from(common + rare if clash else common)
+
+    nts = names(["S", "A", "B"], ["W0.1", "E.x.y.z", "P.2", "a", "f"])
+    terms = names(["a", "b"], ["ab", "S"])
+    stacks = names(["f", "g"], ["f.1", "S", "a"])
+    dfas = st.sampled_from(["x", "x.y"])
+    states = st.sampled_from(["z", "y.z", "w"])
+    word = st.text("abc", max_size=3).map(lambda w: f'"{w}"')
+    rhs = st.lists(st.one_of(nts, terms, word), max_size=3).map(" ".join)
+    lines = [f"start {draw(names(['S'], ['a', 'f']))}",
+             "terminals " + " ".join(draw(st.lists(terms, min_size=1,
+                                                   max_size=3))),
+             "stack " + " ".join(draw(st.lists(stacks, min_size=1,
+                                               max_size=3)))]
+    for dfa in draw(st.lists(dfas, max_size=2)):
+        moves = draw(st.dictionaries(st.tuples(states, stacks), states,
+                                     max_size=3))
+        clauses = ["states z y.z w", f"init {draw(states)}",
+                   "final " + " ".join(draw(st.lists(states, max_size=2)))]
+        clauses += [f"{p} {a} {q}" for (p, a), q in moves.items()]
+        lines.append(f"dfa {dfa} {{ " + "; ".join(clauses) + "; }")
+    for _ in range(draw(st.integers(1, 7))):
+        lhs, kind = draw(nts), draw(st.integers(0, 3))
+        if kind == 0:
+            lines.append(f"{lhs} -> {draw(rhs)}")
+        elif kind == 1:
+            lines.append(f"{lhs} -> {draw(nts)} + {draw(stacks)}")
+        elif kind == 2:
+            lines.append(f"{lhs} - {draw(stacks)} -> {draw(rhs)}")
+        else:
+            checks = " ".join(draw(st.lists(dfas, min_size=1, max_size=2)))
+            lines.append(f"{lhs} -> {draw(nts)} check {checks}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammar_texts())
+def test_parser_fuzz(text):
+    # every text ends in a valid grammar or GrammarError, and the
+    # pipeline on a grammar ends in a result or CapExceeded
+    try:
+        g = grammar_from_text(text)
+    except GrammarError:
+        return
+    assert validate(g) == []
+    try:
+        run_pipeline(g, PipelineCaps(64, 64, 64, 2000))
+    except CapExceeded:
+        pass
