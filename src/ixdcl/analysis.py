@@ -22,15 +22,9 @@ bits.  The public methods take and return frozensets (of pairs, for a
 relation); one table maps each mask to a single frozenset.
 
 Everything is one demand-driven least fixpoint over keys ("cl", X),
-("act", f, X), ("efoc", X), ("foc", f, X) and ("reach", X), X a mask.
-Reading a missing key creates and queues it; the key under evaluation
-is recorded as a reader on its first read.  A worklist evaluates each
-queued key's local rule, which returns the new value; a key whose value
-changed is queued again with its readers, since a rule may read its own
-value (a binary rule, the transitive step of reach).  So only keys whose
-inputs grew are evaluated again, and no rule loops (a local solver in
-the sense of Fecht & Seidl, "A faster solver for general systems of
-equations", SCP 1999).
+("act", f, X), ("efoc", X), ("foc", f, X) and ("reach", X), X a mask,
+solved by the worklist solver of `ixdcl.fixpoint`, the one the oracle's
+dynamic programs run on.  Each kind of key has its rule `_eval_<kind>`.
 
 An act(f, X) pass closes its value under the pop and binary rules, which
 read only cl(X) and the value, before it takes the snapshot S at which
@@ -41,8 +35,7 @@ abandoned, and still count against the cap.
 
 from __future__ import annotations
 
-from collections import deque
-
+from .fixpoint import Solver
 from .grammar import BinaryRule, PushRule, TerminalRule, sort_key
 
 
@@ -60,8 +53,9 @@ def _gather(rows, mask):
     return out
 
 
-class Analysis:
+class Analysis(Solver):
     def __init__(self, g, universe_cap=4096):
+        super().__init__()
         self.g = g
         self.universe_cap = universe_cap
         self.act_keys = 0   # act keys created; each counts against the cap
@@ -89,24 +83,12 @@ class Analysis:
                 kind.setdefault(p.sym, []).append(rule)
         self._pushes = {f: (sum({r[2] for r in rules}), rules)
                         for f, rules in self._pushes.items()}
-        self._val = {}      # key -> mask or tuple of row masks
-        # key -> the keys that read it, in a dict kept in order: the order of
-        # evaluation and the act keys made do not depend on PYTHONHASHSEED
-        self._readers = {}
-        self._todo = deque()    # queued keys, first in first out
-        self._queued = set()
-        self._current = None    # the key under evaluation
         self._sets = {}      # mask -> its frozenset
         self._universe = None
         self._reached = {}   # X -> reach(X) as a frozenset of pairs
         self._fold = {}   # stack tuple -> mask (action on empty set)
 
-    # -- the worklist solver -------------------------------------------------
-
-    def _push(self, key):
-        if key not in self._queued:
-            self._queued.add(key)
-            self._todo.append(key)
+    # -- the fixpoint --------------------------------------------------------
 
     def _init(self, key):
         """The first value of a new key; an act key counts against the cap."""
@@ -125,35 +107,8 @@ class Analysis:
             return tuple(b & key[1] for b in self._unit)
         return (0,) * len(self._unit)
 
-    def _need(self, key):
-        """key's current value; a missing key is created and queued."""
-        val = self._val.get(key)
-        if val is None:
-            val = self._val[key] = self._init(key)
-            self._readers[key] = {}
-            self._push(key)
-        if self._current is not None:
-            self._readers[key].setdefault(self._current)
-        return val
-
-    def _solve(self):
-        while self._todo:
-            key = self._todo.popleft()
-            self._queued.discard(key)
-            old = self._val[key]
-            self._current = key
-            new = getattr(self, "_eval_" + key[0])(old, *key[1:])
-            self._current = None
-            if new != old:
-                self._val[key] = new
-                self._push(key)   # a rule may read its own value
-                for r in self._readers[key]:
-                    self._push(r)
-
-    def _solved(self, key):
-        self._need(key)
-        self._solve()
-        return self._val[key]
+    def _eval(self, key, old):
+        return getattr(self, "_eval_" + key[0])(old, *key[1:])
 
     def _mask(self, X):
         return sum(self._bit[A] for A in frozenset(X))

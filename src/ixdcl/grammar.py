@@ -204,8 +204,8 @@ def parse_grammar(text):
     for line in lines:
         toks = line.split()
         if toks[0] == "start":
-            if len(toks) != 2:
-                raise GrammarError(f"malformed start line: {line!r}")
+            if len(toks) != 2 or start is not None:
+                raise GrammarError(f"bad or repeated start line: {line!r}")
             start = toks[1]
         elif toks[0] == "terminals":
             terminals.extend(toks[1:])
@@ -213,6 +213,8 @@ def parse_grammar(text):
             stack_syms.extend(toks[1:])
         elif toks[0] == "dfa":
             dfa = _parse_dfa(line)
+            if dfa.name in dfas:
+                raise GrammarError(f"dfa {dfa.name} is declared twice")
             dfas[dfa.name] = dfa
         else:
             raw_rules.append(line)

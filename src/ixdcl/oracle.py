@@ -3,7 +3,9 @@
 This module is the ground truth the rest of the package is tested
 against.  It implements the one-step derivation relation directly on
 sentential forms, a compositional dynamic program over (nonterminal,
-stack) pairs, and a downward-closure membership oracle.
+stack) pairs, and a downward-closure membership oracle.  The programs
+are least fixpoints on the worklist solver of `ixdcl.fixpoint`, the one
+the analysis runs on.
 
 The dynamic programs are bounded by the stack height and the word
 length of an `OracleBudget`, and report whether they were complete: a
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fixpoint import Solver
 from .grammar import BinaryRule, PopRule, PushRule, TerminalRule
 
 
@@ -88,77 +91,54 @@ def subwords(w):
 # compositional dynamic programs over (nonterminal, stack) keys
 
 
-class _KeyDp:
+class _KeyDp(Solver):
     """Demand-driven least fixpoint over (nonterminal, stack) keys."""
 
     def __init__(self, g, budget, emptiness):
-        self.g = g
+        super().__init__()
         self.budget = budget
         self.emptiness = emptiness
-        self.val = {}
-        self.deps = {}     # key -> set of keys it reads
-        self.pruned = {}   # key -> True if it lossily pruned a push
+        self.pruned = set()   # keys that lossily pruned a push
         self.by_lhs = {}
         for p in g.productions:
             self.by_lhs.setdefault(p.lhs, []).append(p)
 
-    def seed(self, key):
-        if key not in self.val:
-            self.val[key] = frozenset()
-            self.deps[key] = set()
-            self.pruned[key] = False
+    def _init(self, key):
+        return frozenset()
 
-    def solve(self, roots):
-        for k in roots:
-            self.seed(k)
-        changed = True
-        while changed:
-            changed = False
-            before = len(self.val)
-            for key in list(self.val):
-                new = self.step(key)
-                if new != self.val[key]:
-                    self.val[key] = new
-                    changed = True
-            if len(self.val) != before:
-                changed = True
-        # propagate incompleteness through dependencies
-        bad = {k for k, p in self.pruned.items() if p}
-        grow = True
-        while grow:
-            grow = False
-            for k, ds in self.deps.items():
-                if k not in bad and ds & bad:
-                    bad.add(k)
-                    grow = True
-        return bad
-
-    def step(self, key):
+    def _eval(self, key, old):
         nt, stack = key
-        acc = set(self.val[key])
+        acc = set(old)
         for p in self.by_lhs.get(nt, ()):
             if isinstance(p, TerminalRule):
                 acc.update(self.terminal_values(p.word))
             elif isinstance(p, BinaryRule):
-                a = self.read(key, (p.left, stack))
-                b = self.read(key, (p.right, stack))
+                a = self._need((p.left, stack))
+                b = self._need((p.right, stack))
                 acc |= self.combine(a, b)
             elif isinstance(p, PushRule):
                 tall = (p.sym,) + stack
                 if len(tall) > self.budget.max_stack_height:
                     if not (self.emptiness and self.emptiness(p.rhs, tall)):
-                        self.pruned[key] = True
+                        self.pruned.add(key)
                     continue
-                acc |= self.read(key, (p.rhs, tall))
+                acc |= self._need((p.rhs, tall))
             elif isinstance(p, PopRule):
                 if stack and stack[0] == p.sym:
-                    acc |= self.read(key, (p.rhs, stack[1:]))
+                    acc |= self._need((p.rhs, stack[1:]))
         return frozenset(acc)
 
-    def read(self, src, key):
-        self.seed(key)
-        self.deps[src].add(key)
-        return self.val[key]
+    def incomplete(self, root):
+        """Solve from root; return the keys that pruned a push and every
+        key that reads one, directly or not."""
+        self._solved(root)
+        bad, todo = set(self.pruned), list(self.pruned)
+        while todo:
+            for r in self._readers[todo.pop()]:
+                if r not in bad:
+                    bad.add(r)
+                    todo.append(r)
+        return bad
 
     # value-domain hooks -----------------------------------------------
     def terminal_values(self, word):
@@ -206,19 +186,18 @@ class _DclDp(_KeyDp):
         return {u + v for u in a for v in b if u + v in self.domain}
 
 
-def term_language_dp(g, budget, roots=None, emptiness=None, lengths=False):
+def term_language_dp(g, budget, emptiness=None, lengths=False):
     """Exact bounded language (or length) sets per (nonterminal, stack).
 
-    Returns a DpResult whose table maps each materialized key to the set
-    of derivable terminal words (lengths when lengths=True) up to
-    max_word_len.  Keys that lossily pruned a push, or depend on one,
-    are reported incomplete.
+    Returns a DpResult whose table maps each key reached from the start
+    key to the set of derivable terminal words (lengths when
+    lengths=True) up to max_word_len.  Keys that lossily pruned a push,
+    or depend on one, are reported incomplete.
     """
-    if roots is None:
-        roots = [(g.start, ())]
+    root = (g.start, ())
     dp = (_LengthDp if lengths else _WordDp)(g, budget, emptiness)
-    bad = dp.solve(roots)
-    return DpResult(dict(dp.val), not bad & set(roots), frozenset(bad))
+    bad = dp.incomplete(root)
+    return DpResult(dict(dp._val), root not in bad, frozenset(bad))
 
 
 def dcl_member_oracle(g, word, budget, emptiness=None):
@@ -231,5 +210,5 @@ def dcl_member_oracle(g, word, budget, emptiness=None):
     """
     root = (g.start, ())
     dp = _DclDp(g, budget, emptiness, word)
-    bad = dp.solve([root])
-    return word in dp.val[root], root not in bad
+    bad = dp.incomplete(root)
+    return word in dp._val[root], root not in bad

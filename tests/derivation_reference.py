@@ -7,6 +7,10 @@ witness derivation per word.  `term_reachable` and `term_routes` follow
 one term's lineage, bounded by stack height; `term_routes` lets the
 lineage enter a child of a binary rule only if its sibling reduces to a
 context over terminal letters and empty-stack terms from a set X.
+
+`RoundKeyDp` is the reference for the solver of the oracle's key
+dynamic programs: it solves the same rules by rounds, as the oracle did
+before its programs moved onto the worklist solver of `ixdcl.fixpoint`.
 """
 
 import itertools
@@ -14,7 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from ixdcl.grammar import BinaryRule, PopRule, PushRule, TerminalRule
-from ixdcl.oracle import Term, derive_successors, start_form
+from ixdcl.oracle import (DpResult, Term, _DclDp, _LengthDp, _WordDp,
+                          derive_successors, start_form)
 
 
 @dataclass
@@ -196,3 +201,100 @@ def term_routes(g, X, start, goal, max_height, max_steps=1000000):
                 seen.add(nxt)
                 queue.append(nxt)
     return False
+
+
+class RoundKeyDp:
+    """The key dynamic program solved by rounds.  Each round rescans
+    every key in the order the keys were made; the solve ends when a
+    round changes no value and makes no key.  More rounds then spread
+    incompleteness from the keys that pruned a push to every key that
+    reads one.  The value domain (the terminal values and the
+    concatenation), the budget and the emptiness certificate come from
+    the oracle's program `domain`; its solver is not used."""
+
+    def __init__(self, domain, g):
+        self.domain = domain
+        self.budget = domain.budget
+        self.emptiness = domain.emptiness
+        self.val = {}
+        self.deps = {}     # key -> set of keys it reads
+        self.pruned = {}   # key -> True if it lossily pruned a push
+        self.by_lhs = {}
+        for p in g.productions:
+            self.by_lhs.setdefault(p.lhs, []).append(p)
+
+    def seed(self, key):
+        if key not in self.val:
+            self.val[key] = frozenset()
+            self.deps[key] = set()
+            self.pruned[key] = False
+
+    def solve(self, roots):
+        for k in roots:
+            self.seed(k)
+        changed = True
+        while changed:
+            changed = False
+            before = len(self.val)
+            for key in list(self.val):
+                new = self.step(key)
+                if new != self.val[key]:
+                    self.val[key] = new
+                    changed = True
+            if len(self.val) != before:
+                changed = True
+        # propagate incompleteness through dependencies
+        bad = {k for k, p in self.pruned.items() if p}
+        grow = True
+        while grow:
+            grow = False
+            for k, ds in self.deps.items():
+                if k not in bad and ds & bad:
+                    bad.add(k)
+                    grow = True
+        return bad
+
+    def step(self, key):
+        nt, stack = key
+        acc = set(self.val[key])
+        for p in self.by_lhs.get(nt, ()):
+            if isinstance(p, TerminalRule):
+                acc.update(self.domain.terminal_values(p.word))
+            elif isinstance(p, BinaryRule):
+                a = self.read(key, (p.left, stack))
+                b = self.read(key, (p.right, stack))
+                acc |= self.domain.combine(a, b)
+            elif isinstance(p, PushRule):
+                tall = (p.sym,) + stack
+                if len(tall) > self.budget.max_stack_height:
+                    if not (self.emptiness and self.emptiness(p.rhs, tall)):
+                        self.pruned[key] = True
+                    continue
+                acc |= self.read(key, (p.rhs, tall))
+            elif isinstance(p, PopRule):
+                if stack and stack[0] == p.sym:
+                    acc |= self.read(key, (p.rhs, stack[1:]))
+        return frozenset(acc)
+
+    def read(self, src, key):
+        self.seed(key)
+        self.deps[src].add(key)
+        return self.val[key]
+
+
+def round_term_language_dp(g, budget, emptiness=None, lengths=False):
+    """`term_language_dp` on the round-based solver."""
+    domain = (_LengthDp if lengths else _WordDp)(g, budget, emptiness)
+    dp = RoundKeyDp(domain, g)
+    root = (g.start, ())
+    bad = dp.solve([root])
+    return DpResult(dict(dp.val), root not in bad, frozenset(bad))
+
+
+def round_dcl_member_oracle(g, word, budget, emptiness=None):
+    """`dcl_member_oracle` on the round-based solver."""
+    domain = _DclDp(g, budget, emptiness, word)
+    dp = RoundKeyDp(domain, g)
+    root = (g.start, ())
+    bad = dp.solve([root])
+    return word in dp.val[root], root not in bad

@@ -262,7 +262,8 @@ def test_print_parse_round_trip_random(g):
 # multi-character terminal (split back into letters, so `a` became a
 # nonterminal without rules), a declared stack symbol with the name of
 # another symbol's copy, two DFA gadgets with one helper name, and a
-# name that is both a nonterminal and a terminal.
+# name that is both a nonterminal and a terminal.  A second start line
+# or a second DFA of one name replaced the first without a word.
 BAD_TEXTS = {
     "long terminal": ('start S\nterminals ab c\n'
                       'S -> "abc" S\nS -> ""\n'),
@@ -275,6 +276,11 @@ BAD_TEXTS = {
                    'S -> B check x\nS -> A check x.y\nA -> "a"\n'
                    'B -> "b"\n'),
     "overlap": 'start S\nterminals S a\nS -> "a"\n',
+    "second start": 'start S\nstart T\nterminals a\nS -> "a"\nT -> ""\n',
+    "second dfa": ("start S\nterminals a\nstack f\n"
+                   "dfa D { states q; init q; final q; }\n"
+                   "dfa D { states p; init p; }\n"
+                   'S -> A check D\nA -> "a"\n'),
 }
 
 

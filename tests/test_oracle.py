@@ -2,7 +2,7 @@
 
 import itertools
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ixdcl.analysis import Analysis
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
@@ -11,7 +11,11 @@ from ixdcl.grammar import grammar_from_text
 from ixdcl.oracle import (OracleBudget, Term, dcl_member_oracle,
                           derive_successors, is_subword, start_form, subwords,
                           term_language_dp)
-from derivation_reference import enumerate_words, term_reachable, term_routes
+from derivation_reference import (enumerate_words, round_dcl_member_oracle,
+                                  round_term_language_dp, term_reachable,
+                                  term_routes)
+from test_acceptance import words_upto
+from test_grammar import small_grammars
 
 
 def test_is_subword_basic():
@@ -92,6 +96,51 @@ def test_dp_matches_enumeration():
         enum = enumerate_words(g, budget)
         dp = term_language_dp(g, budget, emptiness=an.term_empty)
         assert dp.table[(g.start, ())] == frozenset(enum.words)
+
+
+@settings(deadline=None)
+@given(small_grammars())
+def test_dp_matches_enumeration_on_generated_grammars(g):
+    # the breadth-first search shares no code with the fixpoint solver,
+    # and without an emptiness certificate not even the analysis: every
+    # word it finds is in the DP's table, and when neither prunes
+    # lossily, nor runs out of steps, the two languages are equal
+    budget = OracleBudget(4, 3, 100)
+    enum = enumerate_words(g, budget)
+    dp = term_language_dp(g, budget)
+    words = dp.table[(g.start, ())]
+    assert enum.words <= words
+    if enum.complete and dp.complete:
+        assert enum.words == words
+
+
+def assert_same_as_rounds(g, budget, words):
+    """The oracle on the worklist solver gives the round-based
+    reference's tables, flags, incomplete keys and closure answers, with
+    and without an emptiness certificate, for words and for lengths."""
+    for emptiness in (None, Analysis(g).term_empty):
+        for lengths in (False, True):
+            got = term_language_dp(g, budget, emptiness=emptiness,
+                                   lengths=lengths)
+            assert got == round_term_language_dp(g, budget, emptiness,
+                                                 lengths), lengths
+        for w in words:
+            assert (dcl_member_oracle(g, w, budget, emptiness) ==
+                    round_dcl_member_oracle(g, w, budget, emptiness)), w
+
+
+def test_oracle_matches_round_reference_on_fixtures():
+    for g, budget in [(g1_grammar(), OracleBudget(8, 4)),
+                      (g_loop_grammar(), OracleBudget(8, 6)),
+                      (square_grammar(), OracleBudget(8, 4)),
+                      (grammar_gn(1), OracleBudget(20, 3))]:
+        assert_same_as_rounds(g, budget, words_upto(g.symbols.terminals, 4))
+
+
+@settings(deadline=None)
+@given(small_grammars())
+def test_oracle_matches_round_reference_on_generated_grammars(g):
+    assert_same_as_rounds(g, OracleBudget(4, 3), words_upto("ab", 3))
 
 
 def test_dp_square_exact():
