@@ -6,10 +6,14 @@ first seen, the start triple 0.  `Cfg.rules[i]` lists the right-hand
 sides of triple i, each a terminal word or a tuple of kid numbers: two
 kids copy a binary rule of the annotated grammar at a fixed summary; one
 kid is a push rule, which moves to the pushed summary, or a pop rule,
-which moves to any push-preimage recorded in the summary graph.  The
-resulting context-free language contains the indexed language and has
-the same downward closure.  The module also holds two graph passes over
-numbers that later stages share: `live_rules` and Tarjan's `sccs`.
+which moves to any push-preimage recorded in the summary graph.  A
+nonterminal that reaches no push or pop rule through binary rules is
+stack-blind: its rules are terminal or binary with stack-blind kids, so
+it derives the same words on every stack, and it gets one triple, at the
+empty summary, whatever summary it is asked for; the language does not
+change.  It contains the indexed language and has the same downward
+closure.  The module also holds two graph passes over numbers that
+later stages share: `live_rules` and Tarjan's `sccs`.
 """
 
 from __future__ import annotations
@@ -37,12 +41,28 @@ def build_cfg(ag, graph, cap=None):
     Raises CapExceeded as soon as there are more than cap triples."""
     g = ag.grammar
     by_lhs = {}   # pop rules last
+    parents = {}  # nonterminal -> the lhs of the binary rules using it
+    readers = []  # the lhs of push and pop rules, then their binary parents
     for p in sorted(g.productions, key=lambda p: isinstance(p, PopRule)):
         by_lhs.setdefault(p.lhs, []).append(p)
+        if p.__class__ is BinaryRule:
+            for kid in (p.left, p.right):
+                parents.setdefault(kid, []).append(p.lhs)
+        elif p.__class__ is not TerminalRule:
+            readers.append(p.lhs)
+    reads_stack = set(readers)
+    for nt in readers:   # grows while it is read
+        for lhs in parents.get(nt, ()):
+            if lhs not in reads_stack:
+                reads_stack.add(lhs)
+                readers.append(lhs)
+    empty = graph.nodes[0]
     triples, rules = [], []
     ids = {nt: {} for nt in g.symbols.nonterminals}   # -> {summary -> number}
 
     def number(nt, sigma):
+        if nt not in reads_stack:   # stack-blind: one triple for every stack
+            sigma = empty
         i = ids[nt].get(sigma)
         if i is None:
             i = ids[nt][sigma] = len(triples)
@@ -52,7 +72,7 @@ def build_cfg(ag, graph, cap=None):
                                   f"triples, limit {cap} (--max-triples)")
         return i
 
-    number(g.start, graph.nodes[0])
+    number(g.start, empty)
     for nt, sigma in triples:   # grows while it is read
         out = []
         for p in by_lhs.get(nt, ()):
@@ -65,8 +85,10 @@ def build_cfg(ag, graph, cap=None):
                 if tgt is not None:
                     out.append((number(p.rhs, tgt),))
             else:
-                out += [(number(p.rhs, src),)
-                        for src in graph.pop(p.sym, sigma)]
+                srcs = graph.pop(p.sym, sigma)
+                if p.rhs not in reads_stack:   # every source gives one kid
+                    srcs = srcs[:1]
+                out += [(number(p.rhs, src),) for src in srcs]
         rules.append(out)
     return Cfg(triples, g.symbols.terminals, rules)
 

@@ -429,7 +429,8 @@ def _step(ideal, pos, c):
 class _Values(dict):
     """The values of `cfg_dcl_nfa`, each made on its first lookup from
     its key: a terminal word, the letters of an expansive component, a
-    pair of values to concatenate, or (U*, V*, the exit values)."""
+    pair of values to concatenate, or (U*, V*, the exit values); none
+    with more than CLOSURE_IDEAL_CAP ideals."""
 
     def __missing__(self, key):
         if key.__class__ is str:
@@ -442,6 +443,10 @@ class _Values(dict):
             pre, post, exits = key
             value = _antichain(_join(_join(pre, e), post)
                                for x in exits for e in x)
+        if len(value) > CLOSURE_IDEAL_CAP:
+            raise CapExceeded(f"closure expression cap exceeded: "
+                              f"{len(value)} ideals, limit "
+                              f"{CLOSURE_IDEAL_CAP} (CLOSURE_IDEAL_CAP)")
         self[key] = value
         return value
 
@@ -463,10 +468,23 @@ def cfg_dcl_nfa(cfg):
     n = len(live)
     sre = [None] * n    # nonterminal -> frozenset of ideals
     alph = [None] * n   # nonterminal -> the letters it can ever produce
-    comp = [-1] * n     # nonterminal -> the number of its component
+    comp = [-1] * n     # nonterminal -> its component (-1 in one-rule ones)
     values = _Values()
     adj = [[k for r in rs if r.__class__ is not str for k in r] for rs in live]
     for c, members in enumerate(sccs(adj, [0])):
+        if len(members) == 1 and len(live[members[0]]) == 1:
+            # most components: one rule, which cannot use its own lhs,
+            # since the lhs would then be unproductive
+            nt = members[0]
+            (r,) = live[nt]
+            if r.__class__ is str:
+                alph[nt], sre[nt] = set(r), values[r]
+            elif len(r) == 1:
+                alph[nt], sre[nt] = alph[r[0]], sre[r[0]]
+            else:
+                alph[nt] = alph[r[0]] | alph[r[1]]
+                sre[nt] = values[sre[r[0]], sre[r[1]]]
+            continue
         for nt in members:
             comp[nt] = c
         letters, up, down, exits = set(), set(), set(), set()
@@ -500,10 +518,6 @@ def cfg_dcl_nfa(cfg):
             value = exits.pop()   # U* E V* is E: most components
         else:
             value = values[_star(up), _star(down), frozenset(exits)]
-        if len(value) > CLOSURE_IDEAL_CAP:
-            raise CapExceeded(f"closure expression cap exceeded: "
-                              f"{len(value)} ideals, limit "
-                              f"{CLOSURE_IDEAL_CAP} (CLOSURE_IDEAL_CAP)")
         for nt in members:
             alph[nt] = letters
             sre[nt] = value

@@ -23,8 +23,10 @@ is looked for only if at least 2N+1 prefixes of the word map to e: the
 prefix up to the end of the j-th group maps to e^j = e.
 
 All summaries are hash-consed: structurally equal summaries are the
-same object, so equality is identity and the monoid image and depth
-are computed once; the size is computed on its first read.
+same object, so equality is identity and the monoid image, depth and
+size are computed once, when the object is made.  A push knows the size
+of what it makes from sigma's: a new atom adds 1 + the size of the
+summary it was pushed onto; only a fold sums the parts.
 """
 
 from __future__ import annotations
@@ -36,37 +38,22 @@ from .grammar import sort_key
 from .monoid import ONE, ZERO
 
 
-class _Sized:
-    """`size` is summed over the parts on its first read: a push builds
-    many summaries, and few of their readers ask for a size."""
-
-    __slots__ = ("_size",)
-
-    @property
-    def size(self):
-        if not hasattr(self, "_size"):
-            self._size = self._sum_size()
-        return self._size
-
-
-class Atom(_Sized):
-    __slots__ = ("letter", "tail", "phi", "depth")
+class Atom:
+    __slots__ = ("letter", "tail", "phi", "depth", "size")
 
     def __init__(self, letter, tail, phi, depth):
         self.letter = letter
         self.tail = tail
         self.phi = phi
         self.depth = depth
-
-    def _sum_size(self):
-        return 1 + self.tail.size
+        self.size = 1 + tail.size
 
     def __repr__(self):
         return f"Atom({self.letter!r}, {self.tail!r})"
 
 
-class Block(_Sized):
-    __slots__ = ("us", "e", "vs", "w", "phi")
+class Block:
+    __slots__ = ("us", "e", "vs", "w", "phi", "size")
 
     def __init__(self, us, e, vs, w, phi):
         self.us = us
@@ -74,30 +61,22 @@ class Block(_Sized):
         self.vs = vs
         self.w = w
         self.phi = phi
-
-    def _sum_size(self):
-        return (sum(a.size for g in self.us for a in g) + 1 +
-                sum(a.size for g in self.vs for a in g) +
-                sum(a.size for a in self.w))
+        self.size = 1 + sum(a.size for g in us + vs + (w,) for a in g)
 
     def __repr__(self):
         return f"Block(us={self.us!r}, vs={self.vs!r}, w={self.w!r})"
 
 
-class Summary(_Sized):
-    __slots__ = ("sub", "atoms", "blocks", "phi", "depth")
+class Summary:
+    __slots__ = ("sub", "atoms", "blocks", "phi", "depth", "size")
 
-    def __init__(self, sub, atoms, blocks, phi, depth):
+    def __init__(self, sub, atoms, blocks, phi, depth, size):
         self.sub = sub
         self.atoms = atoms
         self.blocks = blocks
         self.phi = phi
         self.depth = depth
-
-    def _sum_size(self):
-        return ((self.sub.size if self.sub is not None else 0) +
-                sum(a.size for a in self.atoms) +
-                sum(b.size for b in self.blocks))
+        self.size = size
 
     def is_empty(self):
         return self.sub is None and not self.atoms and not self.blocks
@@ -131,7 +110,7 @@ class SummaryFactory:
         self._blocks = {}
         self._summaries = {}
         self._suffixes = {}   # atoms of a suffix -> its _Suffix
-        self.empty = Summary(None, (), (), ONE, 0)
+        self.empty = Summary(None, (), (), ONE, 0, 0)
 
     # -- constructors -------------------------------------------------------
 
@@ -153,15 +132,16 @@ class SummaryFactory:
             b = self._blocks[k] = Block(us, e, vs, w, self.monoid.phi_seq(seq))
         return b
 
-    def summary(self, sub, atoms, blocks, phi):
-        """The summary sub atoms blocks; the caller knows its image phi."""
+    def summary(self, sub, atoms, blocks, phi, size):
+        """The summary sub atoms blocks; the caller knows its image phi
+        and its size."""
         if not atoms and not blocks:
             return sub if sub is not None else self.empty
         k = (sub, atoms, blocks)
         s = self._summaries.get(k)
         if s is None:
             s = self._summaries[k] = Summary(sub, atoms, blocks, phi,
-                                             self.monoid.depth(phi))
+                                             self.monoid.depth(phi), size)
         return s
 
     # -- push ---------------------------------------------------------------
@@ -176,17 +156,19 @@ class SummaryFactory:
         if m.depth(new_phi) > d:
             trace.append("deepen")
             return self.summary(None, (self.atom(letter, sigma),), (),
-                                new_phi)
+                                new_phi, 1 + sigma.size)
         sub = sigma.sub if sigma.sub is not None else self.empty
         if m.depth(row[sub.phi]) < d:
             trace.append("recurse")
-            return self.summary(self.push_letter(letter, sub, trace),
-                                sigma.atoms, sigma.blocks, new_phi)
+            r = self.push_letter(letter, sub, trace)
+            return self.summary(r, sigma.atoms, sigma.blocks, new_phi,
+                                r.size + sigma.size - sub.size)  # r for sub
         s = (self.atom(letter, sub),) + sigma.atoms
         dec = self._decompose(s)
         if dec is None:
             trace.append("atom")
-            return self.summary(None, s, sigma.blocks, new_phi)
+            return self.summary(None, s, sigma.blocks, new_phi,
+                                1 + sigma.size)
         e, groups, w = dec
         n = self.n_groups
         us, vs = groups[:n], groups[n + 1:]
@@ -201,12 +183,13 @@ class SummaryFactory:
                      [a.phi for g in bj.us for a in g])
             if m.phi_seq(infix) is e:
                 trace.append(f"merge@{j}")
-                merged = self.block(us, e, bj.vs, bj.w)
-                return self.summary(None, (), (merged,) + blocks[j:],
-                                    new_phi)
+                merged = (self.block(us, e, bj.vs, bj.w),) + blocks[j:]
+                return self.summary(None, (), merged, new_phi,
+                                    sum(b.size for b in merged))
         trace.append("block")
-        return self.summary(None, (),
-                            (self.block(us, e, vs, w),) + blocks, new_phi)
+        blocks = (self.block(us, e, vs, w),) + blocks
+        return self.summary(None, (), blocks, new_phi,
+                            sum(b.size for b in blocks))
 
     def _decompose(self, s):
         """Split the atom word s into 2N+1 groups with a common idempotent

@@ -1,9 +1,47 @@
 """Bounded languages of a context-free grammar, the reference for the
 closure construction: words are enumerated up to a length, not
-summarised.  Also the one way tests write a grammar by hand."""
+summarised.  Also the one way tests write a grammar by hand, and the
+full cover, the reference for the cover's cut of stack-blind triples."""
 
 from ixdcl.cfg import Cfg
+from ixdcl.grammar import BinaryRule, PopRule, PushRule, TerminalRule
 from ixdcl.oracle import subwords
+
+
+def full_cover(ag, graph):
+    """The cover over every feasible (A, X, summary) triple: each
+    annotated nonterminal at each summary it is asked for, whether or not
+    a push or pop rule is reachable from it."""
+    g = ag.grammar
+    by_lhs = {}   # pop rules last
+    for p in sorted(g.productions, key=lambda p: isinstance(p, PopRule)):
+        by_lhs.setdefault(p.lhs, []).append(p)
+    triples, rules = [], []
+    ids = {}
+
+    def number(nt, sigma):
+        if (nt, sigma) not in ids:
+            ids[nt, sigma] = len(triples)
+            triples.append((nt, sigma))
+        return ids[nt, sigma]
+
+    number(g.start, graph.nodes[0])
+    for nt, sigma in triples:   # grows while it is read
+        out = []
+        for p in by_lhs.get(nt, ()):
+            if isinstance(p, TerminalRule):
+                out.append(p.word)
+            elif isinstance(p, BinaryRule):
+                out.append((number(p.left, sigma), number(p.right, sigma)))
+            elif isinstance(p, PushRule):
+                tgt = graph.push(p.sym, sigma)
+                if tgt is not None:
+                    out.append((number(p.rhs, tgt),))
+            else:
+                out += [(number(p.rhs, src),)
+                        for src in graph.pop(p.sym, sigma)]
+        rules.append(out)
+    return Cfg(triples, g.symbols.terminals, rules)
 
 
 def numbered_cfg(nonterminals, terminals, rules):

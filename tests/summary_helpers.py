@@ -9,6 +9,7 @@ and determinism checks compare them across factories.
 """
 
 from ixdcl.monoid import ONE, ZERO
+from ixdcl.summaries import Atom, Block
 
 
 def element_key(x):
@@ -44,6 +45,23 @@ def summary_key(s):
             summary_key(s.sub) if s.sub is not None else None,
             tuple(map(atom_key, s.atoms)),
             tuple(map(block_key, s.blocks)))
+
+
+def summed_size(x, memo):
+    """The size of a summary, atom or block summed over its parts, none
+    of whose own sizes is read: an atom counts 1 plus its tail, a block's
+    e+ counts 1.  memo maps id(part) to its size."""
+    if id(x) not in memo:
+        if isinstance(x, Atom):
+            size = 1 + summed_size(x.tail, memo)
+        elif isinstance(x, Block):
+            size = 1 + sum(summed_size(a, memo)
+                           for g in x.us + x.vs + (x.w,) for a in g)
+        else:
+            size = (summed_size(x.sub, memo) if x.sub is not None else 0) + \
+                sum(summed_size(y, memo) for y in x.atoms + x.blocks)
+        memo[id(x)] = size
+    return memo[id(x)]
 
 
 def top_letter(s):

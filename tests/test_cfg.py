@@ -3,19 +3,24 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ixdcl.analysis import CapExceeded
 from ixdcl.cfg import build_cfg, sccs, trim_cfg
+from ixdcl.grammar import BinaryRule, PopRule, PushRule, grammar_from_text
+from ixdcl.nfa import cfg_dcl_nfa
 from ixdcl.oracle import OracleBudget, subwords, term_language_dp
-from cfg_reference import (cfg_bounded_words, cfg_dcl_bounded, named_rules,
-                           numbered_cfg)
+from ixdcl.pipeline import stages
+from cfg_reference import (cfg_bounded_words, cfg_dcl_bounded, full_cover,
+                           named_rules, numbered_cfg)
+from test_grammar import generated_stages, small_grammars
 from test_nfa import random_cfg
+from test_summaries import RANDOM_361_TEXT
 
 
 def test_cfg_goldens(fixtures):
     shapes = {"g1": (3, 3, 3, 3), "loop": (20, 50, 20, 50),
-              "square": (1977, 2121, 1977, 2121)}
+              "square": (1277, 1421, 1277, 1421)}
     for name, st_ in fixtures.items():
         assert (len(st_.cfg.nonterminals), st_.cfg.n_rules(),
                 len(st_.cfg_trimmed.nonterminals),
@@ -23,10 +28,53 @@ def test_cfg_goldens(fixtures):
 
 
 def test_cfg_triple_cap(square):
-    cfg = build_cfg(square.annotated, square.graph, cap=1977)
-    assert len(cfg.nonterminals) == 1977
+    cfg = build_cfg(square.annotated, square.graph, cap=1277)
+    assert len(cfg.nonterminals) == 1277
     with pytest.raises(CapExceeded, match="cfg triple cap"):
-        build_cfg(square.annotated, square.graph, cap=1976)
+        build_cfg(square.annotated, square.graph, cap=1276)
+
+
+def assert_same_closure_as_full_cover(ag, graph, cfg, nfa):
+    """The cover with one triple per stack-blind nonterminal has the
+    full cover's short words and closure."""
+    full = full_cover(ag, graph)
+    assert cfg_bounded_words(trim_cfg(full), 6) == \
+        cfg_bounded_words(trim_cfg(cfg), 6)
+    assert cfg_dcl_nfa(full).ideals == nfa.ideals
+    return full
+
+
+def test_cover_matches_full_cover(fixtures):
+    for st_ in fixtures.values():
+        full = assert_same_closure_as_full_cover(
+            st_.annotated, st_.graph, st_.cfg, st_.nfa)
+        assert len(full.nonterminals) >= len(st_.cfg.nonterminals)
+    full = full_cover(fixtures["square"].annotated, fixtures["square"].graph)
+    assert (len(full.nonterminals), full.n_rules()) == (1977, 2121)
+    for text in (RANDOM_361_TEXT, POP_BELOW_BINARY_TEXT):
+        _, ag, _, _, graph, cfg, nfa = stages(grammar_from_text(text))
+        assert_same_closure_as_full_cover(ag, graph, cfg, nfa)
+
+
+# B has no push or pop rule, but its binary rule reaches A's pop, so it
+# needs the pushed summary: at the empty one the closure would be empty
+POP_BELOW_BINARY_TEXT = """\
+start S
+terminals a
+stack f
+S -> B + f
+B -> A A
+A - f -> a
+"""
+
+
+@settings(deadline=None)
+@given(small_grammars())
+def test_cover_matches_full_cover_on_generated_grammars(g):
+    out = generated_stages(g)
+    if out is not None:
+        _, ag, _, _, graph, cfg, nfa = out
+        assert_same_closure_as_full_cover(ag, graph, cfg, nfa)
 
 
 def test_cfg_start_triple(fixtures):
@@ -64,18 +112,42 @@ def test_numbered_cover_invariants(fixtures):
                for f, t in pairs) > 50
 
 
+def stack_blind(g):
+    """The nonterminals of g from which no push or pop rule is reachable
+    through binary rules, by rounds until nothing changes."""
+    reads = {p.lhs for p in g.productions
+             if isinstance(p, (PushRule, PopRule))}
+    changed = True
+    while changed:
+        changed = False
+        for p in g.productions:
+            if (isinstance(p, BinaryRule) and p.lhs not in reads
+                    and (p.left in reads or p.right in reads)):
+                reads.add(p.lhs)
+                changed = True
+    return set(g.symbols.nonterminals) - reads
+
+
 def test_cfg_rule_sanity(fixtures):
+    moved = 0
     for st_ in fixtures.values():
         nts = set(st_.cfg.nonterminals)
+        blind = stack_blind(st_.annotated.grammar)
+        empty = st_.graph.nodes[0]
+        assert all(t[1] is empty for t in nts if t[0] in blind)
         for lhs, kids, word in named_rules(st_.cfg):
             assert lhs in nts
             assert all(k in nts for k in kids)
             assert len(kids) in (0, 1, 2)
             if len(kids) == 2:
-                # binary rules keep the summary of the parent
-                assert all(k[1] is lhs[1] for k in kids)
+                # a binary rule's kid keeps the summary of the parent,
+                # or sits at the empty one exactly when it is stack-blind
+                for k in kids:
+                    assert k[1] is (empty if k[0] in blind else lhs[1])
+                    moved += k[1] is not lhs[1]
             if kids:
                 assert word == ""
+    assert moved   # square has stack-blind kids below nonempty summaries
 
 
 def test_cfg_push_pop_follow_graph(fixtures):

@@ -126,8 +126,8 @@ def test_summaries_trace_does_not_depend_on_the_hash_seed(paths):
 
 def test_to_cfg(capsys, paths, gn_paths):
     data = run_json(capsys, ["to-cfg", paths["square"]])
-    assert data["triples"] == 1977
-    assert data["trimmed_triples"] == 1977
+    assert data["triples"] == 1277
+    assert data["trimmed_triples"] == 1277
     assert run_json(capsys, ["to-cfg", gn_paths[3]])["triples"] == 3583
 
 

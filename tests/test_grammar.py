@@ -1,15 +1,18 @@
 """Parsing, desugaring, push labeling, validation and printing."""
 
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ixdcl.analysis import CapExceeded
 from ixdcl.cli import main
 from ixdcl.families import G1_TEXT, SQUARE_TEXT, grammar_gn
-from ixdcl.grammar import (BinaryRule, GrammarError, PopRule, PushRule,
-                           TerminalRule, desugar, grammar_from_text,
-                           label_pushes, parse_grammar)
-from ixdcl.pipeline import PipelineCaps, run_pipeline
+from ixdcl.grammar import (BinaryRule, GrammarError, IndexedGrammar, PopRule,
+                           PushRule, SymbolTable, TerminalRule, desugar,
+                           grammar_from_text, label_pushes, parse_grammar,
+                           sort_key)
+from ixdcl.pipeline import PipelineCaps, run_pipeline, stages
 from grammar_helpers import validate
 
 
@@ -225,13 +228,14 @@ def test_check_rule_over_a_long_chain_dfa():
 
 @st.composite
 def small_grammars(draw):
-    """Random core grammars over fixed small symbol pools."""
+    """Random core grammars over fixed small symbol pools: a drawn set of
+    nonterminals derive the empty word, S may push f and A may push g,
+    and up to five more rules follow."""
     nts = ["S", "A", "B"]
     syms = ["f", "g"]
-    # every nonterminal needs a rule so the printed form redeclares it
-    rules = [TerminalRule(nt, "") for nt in nts]
-    rules += [PushRule("S", draw(st.sampled_from(nts)), "f"),
-              PushRule("A", draw(st.sampled_from(nts)), "g")]
+    rules = [TerminalRule(nt, "") for nt in nts if draw(st.booleans())]
+    rules += [PushRule(lhs, draw(st.sampled_from(nts)), f)
+              for lhs, f in (("S", "f"), ("A", "g")) if draw(st.booleans())]
     for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.integers(0, 2))
         lhs = draw(st.sampled_from(nts))
@@ -243,7 +247,14 @@ def small_grammars(draw):
         else:
             rules.append(PopRule(lhs, draw(st.sampled_from(syms)),
                                  draw(st.sampled_from(nts))))
-    from ixdcl.grammar import IndexedGrammar, SymbolTable
+    # every nonterminal needs a rule that outlives label_pushes (which
+    # drops the pops of a symbol never pushed), so the printed form
+    # redeclares it
+    pushed = {p.sym for p in rules if isinstance(p, PushRule)}
+    ruled = {p.lhs for p in rules
+             if not isinstance(p, PopRule) or p.sym in pushed}
+    rules += [TerminalRule(nt, draw(st.text("ab", min_size=1, max_size=3)))
+              for nt in nts if nt not in ruled]
     g = IndexedGrammar(
         SymbolTable(frozenset(nts), frozenset("ab"), frozenset(syms)),
         "S", tuple(rules))
@@ -256,6 +267,75 @@ def test_print_parse_round_trip_random(g):
     assert again.start == g.start
     assert again.symbols == g.symbols
     assert set(again.productions) == set(g.productions)
+
+
+def generated_stages(g):
+    """The stages of a small_grammars draw, or None for one of the few
+    that exit at the summary cap; a lower cap keeps those exits cheap
+    (the draws that finish have at most about 60 summaries)."""
+    try:
+        return list(stages(g, PipelineCaps(max_summaries=256)))
+    except CapExceeded:
+        return None
+
+
+def renamed(g):
+    """g with every nonterminal and stack symbol renamed, the names
+    sorting in the reverse of the old order."""
+    name = {}
+    for pool, prefix in ((g.symbols.nonterminals, "N"),
+                         (g.symbols.stack_symbols, "z")):
+        old = sorted(pool, key=sort_key)
+        name.update((x, f"{prefix}{len(old) - i:03d}")
+                    for i, x in enumerate(old))
+
+    def rename(p):
+        return replace(p, **{f.name: name[getattr(p, f.name)]
+                             for f in fields(p) if f.name != "word"})
+    return IndexedGrammar(
+        SymbolTable(frozenset(name[x] for x in g.symbols.nonterminals),
+                    g.symbols.terminals,
+                    frozenset(name[x] for x in g.symbols.stack_symbols)),
+        name[g.start], tuple(map(rename, g.productions)),
+        {name[f]: (name[a], name[b]) for f, (a, b) in g.push_labels.items()})
+
+
+def with_unreachable(g):
+    """g plus a nonterminal that the start never reaches, with a terminal,
+    a binary, a push and a pop rule and a stack symbol of its own."""
+    u, h = "Unreached", "unreached"
+    a = min(g.symbols.terminals, key=sort_key)
+    syms = g.symbols
+    return IndexedGrammar(
+        SymbolTable(syms.nonterminals | {u}, syms.terminals,
+                    syms.stack_symbols | {h}),
+        g.start,
+        g.productions + (TerminalRule(u, a), BinaryRule(u, u, g.start),
+                         PushRule(u, u, h), PopRule(u, h, g.start)),
+        {**g.push_labels, h: (u, u)})
+
+
+METAMORPHIC = [renamed, with_unreachable]
+
+
+@pytest.mark.parametrize("change", METAMORPHIC)
+def test_closure_survives_metamorphic_change(fixtures, change):
+    for st_ in fixtures.values():
+        g = change(st_.grammar)
+        assert validate(g) == []
+        assert run_pipeline(g).nfa.ideals == st_.nfa.ideals
+
+
+@settings(deadline=None)
+@given(small_grammars())
+def test_closure_survives_metamorphic_change_on_generated_grammars(g):
+    out = generated_stages(g)
+    if out is None:
+        return
+    for change in METAMORPHIC:
+        changed = change(g)
+        assert validate(changed) == []
+        assert run_pipeline(changed).nfa.ideals == out[-1].ideals
 
 
 # Inputs that the parser let through and a later step broke on: a

@@ -306,12 +306,16 @@ def test_dcl_nfa_cap_bounds_linear_components(monkeypatch):
     # S -> c | d | e lies on no cycle and takes the same rule, U and V empty
     acyclic = numbered_cfg(["S"], "cde",
                            [("S", (), "c"), ("S", (), "d"), ("S", (), "e")])
-    for c in (cfg, acyclic):
-        monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", 3)
-        assert len(cfg_dcl_nfa(c).ideals) == 3
-        monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", 2)
-        with pytest.raises(CapExceeded, match=r"closure expression cap "
-                           r"exceeded: 3 ideals, limit 2 "
+    # S -> A B is S's one rule: (c + d)(a + e) needs four ideals
+    pair = numbered_cfg(["S", "A", "B"], "acde",
+                        [("S", ("A", "B")), ("A", (), "c"), ("A", (), "d"),
+                         ("B", (), "a"), ("B", (), "e")])
+    for c, n in ((cfg, 3), (acyclic, 3), (pair, 4)):
+        monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", n)
+        assert len(cfg_dcl_nfa(c).ideals) == n
+        monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", n - 1)
+        with pytest.raises(CapExceeded, match=rf"closure expression cap "
+                           rf"exceeded: {n} ideals, limit {n - 1} "
                            r"\(CLOSURE_IDEAL_CAP\)"):
             cfg_dcl_nfa(c)
 

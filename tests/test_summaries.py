@@ -16,9 +16,9 @@ from ixdcl.annotate import build_annotated
 from ixdcl.families import g_loop_grammar, grammar_gn
 from ixdcl.grammar import grammar_from_text
 from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, _Memo, mat_mul
-from ixdcl.summaries import SummaryFactory, build_summary_graph
-from summary_helpers import (element_key, push_word, summary_key, top_letter,
-                             validate_summary)
+from ixdcl.summaries import Block, SummaryFactory, build_summary_graph
+from summary_helpers import (element_key, push_word, summary_key,
+                             summed_size, top_letter, validate_summary)
 
 # a drawn grammar whose summary graph has 361 nodes
 RANDOM_361_TEXT = """\
@@ -189,6 +189,23 @@ def test_graph_goldens(fixtures):
     assert max(s.size for s in square.nodes) == 140
     for gr in (g1, loop, square):
         assert gr.nodes[0].is_empty()
+
+
+def test_sizes_are_the_sums_over_the_parts(fixtures):
+    # a push sets the size of what it makes from sigma's; the sum over
+    # the parts is the reference, on every summary, atom and block the
+    # graphs' factories made (loop's fold and merge included)
+    m, letters = named_monoid(fixtures, "random")
+    factories = [SummaryFactory(m)]
+    build_summary_graph(factories[0], letters)
+    factories += [st_.factory for st_ in fixtures.values()]
+    made = [x for f in factories
+            for table in (f._summaries, f._atoms, f._blocks)
+            for x in table.values()]
+    # blocks: random's 2, loop's and square's
+    assert sum(isinstance(x, Block) for x in made) == 4
+    memo = {}
+    assert [x.size for x in made] == [summed_size(x, memo) for x in made]
 
 
 def test_graph_fingerprint_goldens(fixtures):
