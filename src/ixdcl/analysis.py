@@ -25,6 +25,8 @@ Everything is one demand-driven least fixpoint over keys ("cl", X),
 ("act", f, X), ("efoc", X), ("foc", f, X) and ("reach", X), X a mask,
 solved by the worklist solver of `ixdcl.fixpoint`, the one the oracle's
 dynamic programs run on.  Each kind of key has its rule `_eval_<kind>`.
+Only these rules build on their own value, so `_eval` runs a key's rule
+until its value stops changing, and the solver queues only its readers.
 
 An act(f, X) pass closes its value under the pop and binary rules, which
 read only cl(X) and the value, before it takes the snapshot S at which
@@ -41,6 +43,12 @@ from .grammar import BinaryRule, PushRule, TerminalRule, sort_key
 
 class CapExceeded(RuntimeError):
     """A configurable resource cap was hit; the result would be partial."""
+
+    @classmethod
+    def of(cls, cap, count, unit, limit, knob):
+        """The error in the one form that every cap message has."""
+        return cls(f"{cap} cap exceeded: {count} {unit}, limit {limit} "
+                   f"({knob})")
 
 
 def _gather(rows, mask):
@@ -94,9 +102,9 @@ class Analysis(Solver):
         """The first value of a new key; an act key counts against the cap."""
         if key[0] == "act":
             if self.act_keys >= self.universe_cap:
-                raise CapExceeded(f"action table cap exceeded: "
-                                  f"{self.act_keys + 1} act keys, limit "
-                                  f"{self.universe_cap} (--max-universe)")
+                raise CapExceeded.of("action table", self.act_keys + 1,
+                                     "act keys", self.universe_cap,
+                                     "--max-universe")
             self.act_keys += 1
             return self._term
         if key[0] == "cl":
@@ -108,7 +116,10 @@ class Analysis(Solver):
         return (0,) * len(self._unit)
 
     def _eval(self, key, old):
-        return getattr(self, "_eval_" + key[0])(old, *key[1:])
+        rule = getattr(self, "_eval_" + key[0])
+        while (new := rule(old, *key[1:])) != old:
+            old = new
+        return new
 
     def _mask(self, X):
         return sum(self._bit[A] for A in frozenset(X))
@@ -158,11 +169,6 @@ class Analysis(Solver):
         cur = self._close(cur)
         return self._apply_pushes(cur, cur)   # the snapshot S is cur
 
-    def _act_word(self, z, X):
-        for f in reversed(z):
-            X = self._solved(("act", f, X))
-        return X
-
     def cl(self, X):
         """Nonterminals A with A[empty stack] deriving into (X union T)*."""
         return self._set(self._solved(("cl", self._mask(X))))
@@ -170,10 +176,6 @@ class Analysis(Solver):
     def act(self, f, X):
         """The one-letter action f . X."""
         return self._set(self._solved(("act", f, self._mask(X))))
-
-    def act_word(self, z, X):
-        """z . X for a stack word z given topmost-first."""
-        return self._set(self._act_word(z, self._mask(X)))
 
     def useful(self):
         """Nonterminals deriving a terminal word from the empty stack."""
@@ -186,8 +188,10 @@ class Analysis(Solver):
         """Exact emptiness of the language of nt[stack]."""
         stack = tuple(stack)
         if stack not in self._fold:
-            self._fold[stack] = (self._act_word(stack, 0) if stack
-                                 else self._solved(("cl", 0)))
+            X = 0 if stack else self._solved(("cl", 0))
+            for f in reversed(stack):   # topmost letter last
+                X = self._solved(("act", f, X))
+            self._fold[stack] = X
         return not self._fold[stack] & self._bit.get(nt, 0)
 
     # -- annotation universe ------------------------------------------------
@@ -203,10 +207,9 @@ class Analysis(Solver):
                     Y = self._solved(("act", f, X))
                     if Y not in seen_set:
                         if len(seen) >= self.universe_cap:
-                            raise CapExceeded(
-                                f"annotation universe cap exceeded: "
-                                f"{len(seen) + 1} sets, limit "
-                                f"{self.universe_cap} (--max-universe)")
+                            raise CapExceeded.of(
+                                "annotation universe", len(seen) + 1, "sets",
+                                self.universe_cap, "--max-universe")
                         seen_set.add(Y)
                         seen.append(Y)
             self._universe = [self._set(X) for X in seen]

@@ -68,8 +68,8 @@ def build_cfg(ag, graph, cap=None):
             i = ids[nt][sigma] = len(triples)
             triples.append((nt, sigma))
             if cap is not None and i >= cap:
-                raise CapExceeded(f"cfg triple cap exceeded: {i + 1} "
-                                  f"triples, limit {cap} (--max-triples)")
+                raise CapExceeded.of("cfg triple", i + 1, "triples", cap,
+                                     "--max-triples")
         return i
 
     number(g.start, empty)

@@ -2,16 +2,16 @@
 
 A subclass names its keys and gives two hooks: `_init(key)`, the first
 value of a new key, and `_eval(key, old)`, the key's local rule, which
-reads other keys through `_need` and returns the new value.  Reading a
+reads keys through `_need` and returns the new value.  Reading a
 missing key creates and queues it; the key under evaluation is recorded
-as a reader on its first read.  A worklist evaluates each queued key's
-rule; a key whose value changed is queued again with its readers, since
-a rule may read its own value.  So only keys whose inputs grew are
-evaluated again, and no rule loops (a local solver in the sense of
-Fecht & Seidl, "A faster solver for general systems of equations", SCP
-1999).  The queue is first in first out, and the readers of a key are
-kept in a dict in the order they first read it, so the order of
-evaluation does not depend on PYTHONHASHSEED.
+as a reader on its first read.  The solver has one rule: a key whose
+value changed queues its readers and nothing else, so a rule that
+builds on its own value reads it through `_need` or runs until it
+settles.  Only keys whose inputs grew are evaluated again (a local
+solver in the sense of Fecht & Seidl, "A faster solver for general
+systems of equations", SCP 1999).  The queue is first in first out, and
+the readers of a key are kept in a dict in the order they first read
+it, so the order of evaluation does not depend on PYTHONHASHSEED.
 """
 
 from collections import deque
@@ -53,7 +53,6 @@ class Solver:
             self._current = None
             if new != old:
                 self._val[key] = new
-                self._push(key)   # a rule may read its own value
                 for r in self._readers[key]:
                     self._push(r)
 

@@ -151,10 +151,9 @@ class StackMonoid:
                     i = index.get(z)
                     if i is None:
                         if len(elems) >= self.cap:
-                            raise CapExceeded(
-                                f"stack monoid cap exceeded: "
-                                f"{len(elems) + 1} elements, limit "
-                                f"{self.cap} (--max-monoid)")
+                            raise CapExceeded.of(
+                                "stack monoid", len(elems) + 1, "elements",
+                                self.cap, "--max-monoid")
                         i = index[z] = len(elems)
                         elems.append(z)
                     succ.add(i)

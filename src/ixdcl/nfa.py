@@ -178,7 +178,9 @@ def determinize(nfa, cap=100000):
             if nxt not in ids:
                 size += len(nxt) or 1
                 if size > cap:
-                    raise CapExceeded("determinization cap exceeded")
+                    raise CapExceeded.of("determinization", size,
+                                         "states in subsets", cap,
+                                         "--max-dfa-states")
                 ids[nxt] = len(order)
                 order.append(nxt)
             delta[(ids[cur], a)] = ids[nxt]
@@ -233,8 +235,9 @@ def _first_difference(n1, n2, cap, differs):
             nxt = (step1(q1, a), step2(q2, a))
             if nxt not in seen:
                 if len(seen) >= cap:
-                    raise CapExceeded(f"comparison cap exceeded: more than "
-                                      f"{cap} product states")
+                    raise CapExceeded.of("comparison", len(seen) + 1,
+                                         "product states", cap,
+                                         "--max-dfa-states")
                 seen[nxt] = (pair, a)
                 queue.append(nxt)
     return None
@@ -444,9 +447,8 @@ class _Values(dict):
             value = _antichain(_join(_join(pre, e), post)
                                for x in exits for e in x)
         if len(value) > CLOSURE_IDEAL_CAP:
-            raise CapExceeded(f"closure expression cap exceeded: "
-                              f"{len(value)} ideals, limit "
-                              f"{CLOSURE_IDEAL_CAP} (CLOSURE_IDEAL_CAP)")
+            raise CapExceeded.of("closure expression", len(value), "ideals",
+                                 CLOSURE_IDEAL_CAP, "CLOSURE_IDEAL_CAP")
         self[key] = value
         return value
 
@@ -552,9 +554,8 @@ class _Edges:
 
     def _check_cap(self):
         if self.states > CLOSURE_STATE_CAP:
-            raise CapExceeded(f"closure NFA state cap exceeded: "
-                              f"{self.states} states, "
-                              f"limit {CLOSURE_STATE_CAP}")
+            raise CapExceeded.of("closure NFA state", self.states, "states",
+                                 CLOSURE_STATE_CAP, "CLOSURE_STATE_CAP")
 
     def __len__(self):
         self._check_cap()   # len() cannot return G_3's count

@@ -5,7 +5,9 @@ against.  It implements the one-step derivation relation directly on
 sentential forms, a compositional dynamic program over (nonterminal,
 stack) pairs, and a downward-closure membership oracle.  The programs
 are least fixpoints on the worklist solver of `ixdcl.fixpoint`, the one
-the analysis runs on.
+the analysis runs on, where a key whose value changed queues only its
+readers.  A key's value is a function of the keys it reads, so each
+evaluation starts from the empty set.
 
 The dynamic programs are bounded by the stack height and the word
 length of an `OracleBudget`, and report whether they were complete: a
@@ -108,7 +110,7 @@ class _KeyDp(Solver):
 
     def _eval(self, key, old):
         nt, stack = key
-        acc = set(old)
+        acc = set()
         for p in self.by_lhs.get(nt, ()):
             if isinstance(p, TerminalRule):
                 acc.update(self.terminal_values(p.word))

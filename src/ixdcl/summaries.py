@@ -39,13 +39,12 @@ from .monoid import ONE, ZERO
 
 
 class Atom:
-    __slots__ = ("letter", "tail", "phi", "depth", "size")
+    __slots__ = ("letter", "tail", "phi", "size")
 
-    def __init__(self, letter, tail, phi, depth):
+    def __init__(self, letter, tail, phi):
         self.letter = letter
         self.tail = tail
         self.phi = phi
-        self.depth = depth
         self.size = 1 + tail.size
 
     def __repr__(self):
@@ -119,8 +118,7 @@ class SummaryFactory:
         a = self._atoms.get(k)
         if a is None:
             phi = self.monoid.product(self.monoid.gens[letter], tail.phi)
-            a = self._atoms[k] = Atom(letter, tail, phi,
-                                      self.monoid.depth(phi))
+            a = self._atoms[k] = Atom(letter, tail, phi)
         return a
 
     def block(self, us, e, vs, w):
@@ -298,7 +296,6 @@ class SummaryFactory:
 
 @dataclass
 class SummaryGraph:
-    letters: list
     nodes: list            # summaries in construction order; nodes[0] empty
     ids: dict              # summary -> index
     edges: dict            # (src summary, letter) -> target summary
@@ -315,9 +312,9 @@ class SummaryGraph:
 
 def build_summary_graph(factory, letters, cap=4096):
     """Breadth-first closure of the empty summary under feasible pushes."""
-    letters = sorted(letters, key=sort_key)
     m = factory.monoid
-    rows = [(letter, m.left[m.gens[letter]]) for letter in letters]
+    rows = [(letter, m.left[m.gens[letter]])
+            for letter in sorted(letters, key=sort_key)]
     nodes = [factory.empty]
     ids = {factory.empty: 0}
     edges = {}
@@ -334,9 +331,8 @@ def build_summary_graph(factory, letters, cap=4096):
             inverse.setdefault((letter, tgt), []).append(sigma)
             if tgt not in ids:
                 if len(nodes) >= cap:
-                    raise CapExceeded(
-                        f"summary graph cap exceeded: {len(nodes) + 1} "
-                        f"summaries, limit {cap} (--max-summaries)")
+                    raise CapExceeded.of("summary graph", len(nodes) + 1,
+                                         "summaries", cap, "--max-summaries")
                 ids[tgt] = len(nodes)
                 nodes.append(tgt)
-    return SummaryGraph(letters, nodes, ids, edges, inverse)
+    return SummaryGraph(nodes, ids, edges, inverse)

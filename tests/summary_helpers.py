@@ -103,8 +103,8 @@ def validate_summary(factory, sigma):
             check_block(b, d)
 
     def check_atom(a, d):
-        if a.depth != d:
-            out.append(f"atom depth {a.depth} in depth-{d} summary")
+        if m.depth(a.phi) != d:
+            out.append(f"atom depth {m.depth(a.phi)} in depth-{d} summary")
         if a.tail.depth >= d:
             out.append(f"atom tail too deep: {a!r}")
         if m.product(m.gens[a.letter], a.tail.phi) != a.phi:

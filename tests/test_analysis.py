@@ -1,6 +1,7 @@
 """Productiveness analysis: actions, closures, universe, matrices, reach."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
@@ -75,11 +76,21 @@ def test_act_golden_g1(g1):
     assert an.act("f", frozenset()) == frozenset({"A", "B", "S"})
 
 
-def test_act_word_folds_topmost_first(g1):
-    an = g1.analysis
-    assert an.act_word(("f", "f"), frozenset()) == \
-        an.act("f", an.act("f", frozenset()))
-    assert an.act_word((), an.useful()) == an.useful()
+def test_term_empty_folds_act_topmost_first():
+    # a nonempty stack acts on the empty set, its topmost letter last:
+    # U derives a under the stack f g (f on top), not under g f
+    g = grammar_from_text('start S\nterminals a\nstack f g\nS -> T + g\n'
+                          'T -> U + f\nU - f -> V\nV - g -> W\nW -> "a"\n')
+    an = Analysis(g)
+    assert not an.term_empty("U", ("f", "g"))
+    assert an.term_empty("U", ("g", "f"))
+    for n in range(4):
+        for stack in itertools.product("fg", repeat=n):
+            alive = an.useful() if not stack else frozenset()
+            for f in reversed(stack):
+                alive = an.act(f, alive)
+            for nt in g.symbols.nonterminals:
+                assert an.term_empty(nt, stack) == (nt not in alive)
 
 
 def test_universe_goldens(fixtures):

@@ -158,7 +158,7 @@ def test_cfg_push_pop_follow_graph(fixtures):
                 (_, sigma), ((_, other),) = lhs, kids
                 assert any(gr.push(letter, sigma) is other or
                            other in gr.pop(letter, sigma)
-                           for letter in gr.letters)
+                           for letter in st_.annotated.letters)
 
 
 def test_bounded_words_goldens(fixtures):

@@ -2,15 +2,22 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import ixdcl
+from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.cli import main
 from ixdcl.families import (G1_TEXT, G_LOOP_TEXT, SQUARE_TEXT,
-                            grammar_gn_text)
+                            g_loop_grammar, grammar_gn_text, square_grammar)
+from ixdcl.grammar import grammar_from_text
+from ixdcl.nfa import cfg_dcl_nfa, determinize, nfa_inclusion
+from ixdcl.pipeline import PipelineCaps, run_pipeline
+from cfg_reference import numbered_cfg
+from test_nfa import astar_bstar_nfa, doubling_cfg
 
 EMPTY_TEXT = "start S\nterminals a\nstack f\nS -> S + f\n"
 
@@ -263,6 +270,66 @@ def test_cap_message_names_count_limit_and_flag(capsys, paths, argv,
         code, _, err = run(capsys, cmd + [paths["square"]])
         assert code == 3, cmd
         assert f"cap exceeded: {message}" in err, (cmd, err)
+
+
+# S has A[f] among its words, so the universe grows by one set while
+# the analysis makes one act key
+TWO_SETS_TEXT = """\
+start S
+terminals a
+stack f
+S -> "a"
+S -> S + f
+S -> A
+A - f -> S
+"""
+
+
+def closure_with_ideal_cap(monkeypatch, cap):
+    # S -> A B: (c + d)(a + e) needs four ideals
+    monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", cap)
+    cfg_dcl_nfa(numbered_cfg(["S", "A", "B"], "acde",
+                             [("S", ("A", "B")), ("A", (), "c"),
+                              ("A", (), "d"), ("B", (), "a"),
+                              ("B", (), "e")]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda mp: Analysis(square_grammar(), universe_cap=1).universe(),
+     "action table cap exceeded: 2 act keys, limit 1 (--max-universe)"),
+    (lambda mp: Analysis(grammar_from_text(TWO_SETS_TEXT),
+                         universe_cap=1).universe(),
+     "annotation universe cap exceeded: 2 sets, limit 1 (--max-universe)"),
+    (lambda mp: run_pipeline(square_grammar(), PipelineCaps(max_monoid=2)),
+     "stack monoid cap exceeded: 3 elements, limit 2 (--max-monoid)"),
+    (lambda mp: run_pipeline(g_loop_grammar(),
+                             PipelineCaps(max_summaries=3)),
+     "summary graph cap exceeded: 4 summaries, limit 3 (--max-summaries)"),
+    (lambda mp: run_pipeline(square_grammar(),
+                             PipelineCaps(max_triples=10)),
+     "cfg triple cap exceeded: 11 triples, limit 10 (--max-triples)"),
+    (lambda mp: closure_with_ideal_cap(mp, 3),
+     "closure expression cap exceeded: 4 ideals, limit 3 "
+     "(CLOSURE_IDEAL_CAP)"),
+    (lambda mp: len(cfg_dcl_nfa(doubling_cfg(20)).transitions),
+     "closure NFA state cap exceeded: 1048578 states, limit 1000000 "
+     "(CLOSURE_STATE_CAP)"),
+    (lambda mp: nfa_inclusion(cfg_dcl_nfa(doubling_cfg(5)),
+                              cfg_dcl_nfa(doubling_cfg(4)), cap=10),
+     "comparison cap exceeded: 11 product states, limit 10 "
+     "(--max-dfa-states)"),
+    (lambda mp: determinize(astar_bstar_nfa(), cap=2),
+     "determinization cap exceeded: 3 states in subsets, limit 2 "
+     "(--max-dfa-states)"),
+])
+def test_every_cap_message_has_one_form(monkeypatch, build, message):
+    # <cap> cap exceeded: <count> <unit>, limit <limit> (<knob>)
+    with pytest.raises(CapExceeded) as exc:
+        build(monkeypatch)
+    assert str(exc.value) == message
+    form = re.fullmatch(r"[A-Za-z ]+ cap exceeded: (\d+) [a-z ]+, "
+                        r"limit (\d+) \((--[a-z-]+|[A-Z_]+)\)", message)
+    assert form and int(form[1]) > int(form[2])
 
 
 def test_compare_on_ideals(capsys, gn_paths):

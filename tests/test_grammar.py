@@ -1,6 +1,7 @@
 """Parsing, desugaring, push labeling, validation and printing."""
 
 from dataclasses import fields, replace
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from ixdcl.grammar import (BinaryRule, GrammarError, IndexedGrammar, PopRule,
                            PushRule, SymbolTable, TerminalRule, desugar,
                            grammar_from_text, label_pushes, parse_grammar,
                            sort_key)
+from ixdcl.nfa import _antichain
 from ixdcl.pipeline import PipelineCaps, run_pipeline, stages
 from grammar_helpers import validate
 
@@ -279,12 +281,12 @@ def generated_stages(g):
         return None
 
 
-def renamed(g):
+def renamed(g, nt="N", sym="z"):
     """g with every nonterminal and stack symbol renamed, the names
-    sorting in the reverse of the old order."""
+    (nt or sym, then a number) sorting in the reverse of the old order."""
     name = {}
-    for pool, prefix in ((g.symbols.nonterminals, "N"),
-                         (g.symbols.stack_symbols, "z")):
+    for pool, prefix in ((g.symbols.nonterminals, nt),
+                         (g.symbols.stack_symbols, sym)):
         old = sorted(pool, key=sort_key)
         name.update((x, f"{prefix}{len(old) - i:03d}")
                     for i, x in enumerate(old))
@@ -336,6 +338,40 @@ def test_closure_survives_metamorphic_change_on_generated_grammars(g):
         changed = change(g)
         assert validate(changed) == []
         assert run_pipeline(changed).nfa.ideals == out[-1].ideals
+
+
+def joined(g1, g2):
+    """S0 -> S1 | S2 over g1 and g2 renamed apart, through the parser.
+    Every nonterminal, the DFA gadgets' among them, and every stack
+    symbol gets a new name, so the two grammars share only terminals."""
+    left, right = renamed(g1, "L", "l"), renamed(g2, "R", "r")
+    both = IndexedGrammar(
+        SymbolTable(left.symbols.nonterminals | right.symbols.nonterminals
+                    | {"S0"},
+                    left.symbols.terminals | right.symbols.terminals,
+                    left.symbols.stack_symbols | right.symbols.stack_symbols),
+        "S0", left.productions + right.productions)
+    return grammar_from_text(print_grammar(both) +
+                             f"S0 -> {left.start}\nS0 -> {right.start}\n")
+
+
+def test_union_closure_is_the_maximal_ideals_of_both(fixtures, gn_nfas):
+    closures = [(st_.grammar, st_.nfa.ideals) for st_ in fixtures.values()]
+    closures += [(grammar_gn(n), nfa.ideals) for n, nfa in gn_nfas.items()]
+    for (g1, i1), (g2, i2) in combinations_with_replacement(closures, 2):
+        g = joined(g1, g2)
+        assert validate(g) == []
+        assert run_pipeline(g).nfa.ideals == _antichain(i1 | i2)
+
+
+@settings(deadline=None)
+@given(small_grammars(), small_grammars())
+def test_union_closure_on_generated_grammars(g1, g2):
+    outs = [generated_stages(g) for g in (g1, g2, joined(g1, g2))]
+    if None in outs:
+        return
+    i1, i2, union = (out[-1].ideals for out in outs)
+    assert union == _antichain(i1 | i2)
 
 
 # Inputs that the parser let through and a later step broke on: a

@@ -436,7 +436,7 @@ def test_infeasible_pushes_have_no_edge(fixtures):
         m = st_.monoid
         gr = st_.graph
         for sigma in gr.nodes:
-            for letter in gr.letters:
+            for letter in st_.annotated.letters:
                 edge = (sigma, letter) in gr.edges
                 feasible = m.product(m.gens[letter], sigma.phi) is not ZERO
                 assert edge == feasible
