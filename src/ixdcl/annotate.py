@@ -14,16 +14,17 @@ symbol are materialized.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .grammar import (BinaryRule, IndexedGrammar, PopRule, PushRule,
+from .grammar import (BinaryRule, IndexedGrammar, PopRule, PushRule, Record,
                       SymbolTable, TerminalRule)
 from .oracle import Term
 
 
-@dataclass
-class AnnotatedGrammar:
-    grammar: IndexedGrammar   # symbols are (A, X) and (f, X) tuples
+class AnnotatedGrammar(Record):
+    __slots__ = ("grammar",)
+
+    def __init__(self, grammar):
+        self.grammar = grammar   # symbols are (A, X) and (f, X) tuples
 
     @property
     def letters(self):

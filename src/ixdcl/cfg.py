@@ -18,19 +18,19 @@ later stages share: `live_rules` and Tarjan's `sccs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analysis import CapExceeded
-from .grammar import BinaryRule, PopRule, PushRule, TerminalRule
+from .grammar import BinaryRule, PopRule, PushRule, Record, TerminalRule
 
 
-@dataclass
-class Cfg:
+class Cfg(Record):
     """Read-only once built: `trim_cfg` may share its lists."""
 
-    nonterminals: list   # the triples; nonterminal i is nonterminals[i]
-    terminals: frozenset
-    rules: list          # rules[i]: the right-hand sides of nonterminal i
+    __slots__ = ("nonterminals", "terminals", "rules")
+
+    def __init__(self, nonterminals, terminals, rules):
+        self.nonterminals = nonterminals   # the triples, nonterminal i at [i]
+        self.terminals = terminals   # frozenset
+        self.rules = rules   # rules[i]: the right-hand sides of nonterminal i
 
     def n_rules(self):
         return sum(map(len, self.rules))

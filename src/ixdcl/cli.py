@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from itertools import islice
 
 from . import families
@@ -33,8 +32,8 @@ def _load(path):
 
 
 def _caps(args):
-    return PipelineCaps(**{f.name: getattr(args, f.name)
-                           for f in fields(PipelineCaps)})
+    return PipelineCaps(**{name: getattr(args, name)
+                           for name in PipelineCaps.__slots__})
 
 
 def _stages(args, n):
@@ -219,9 +218,10 @@ def build_parser():
     top = argparse.ArgumentParser(
         prog="ixdcl",
         description="Regular downward closures of indexed languages.")
-    for f in fields(PipelineCaps):
-        top.add_argument("--" + f.name.replace("_", "-"), type=int,
-                         default=f.default)
+    defaults = PipelineCaps()
+    for name in PipelineCaps.__slots__:
+        top.add_argument("--" + name.replace("_", "-"), type=int,
+                         default=getattr(defaults, name))
     top.add_argument("--max-dfa-states", type=int, default=100000)
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--format", choices=["json", "dot"], default="json")

@@ -29,38 +29,95 @@ naming it, never a merge of the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from operator import attrgetter
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """The base of the package's records.  A record lists its fields in
+    `__slots__`, in the order its `__init__` takes them; it equals a
+    record of its own class with equal fields, and its repr names the
+    fields.  A record is mutable and unhashable unless its class is
+    declared `class R(Record, frozen=True)`: then assigning a field
+    raises AttributeError, and the hash is that of the tuple of fields
+    unless the class sets `__hash__` itself.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, frozen=False):
+        super().__init_subclass__()
+        get = attrgetter(*cls.__slots__)
+        cls._astuple = (get if len(cls.__slots__) > 1
+                        else staticmethod(lambda r: (get(r),)))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _frozen
+            cls.__hash__ = vars(cls).get("__hash__") or _field_hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._astuple(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _field_hash(self):
+    return hash(self._astuple(self))
+
+
+# Sets a field of a frozen record, in its __init__.
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
 # core production kinds
 
 
-@dataclass(frozen=True)
-class TerminalRule:
-    lhs: object
-    word: str
+class TerminalRule(Record, frozen=True):
+    __slots__ = ("lhs", "word")
+
+    def __init__(self, lhs, word):
+        _set(self, "lhs", lhs)
+        _set(self, "word", word)
 
 
-@dataclass(frozen=True)
-class BinaryRule:
-    lhs: object
-    left: object
-    right: object
+class BinaryRule(Record, frozen=True):
+    __slots__ = ("lhs", "left", "right")
+
+    def __init__(self, lhs, left, right):
+        _set(self, "lhs", lhs)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class PushRule:
-    lhs: object
-    rhs: object
-    sym: object
+class PushRule(Record, frozen=True):
+    __slots__ = ("lhs", "rhs", "sym")
+
+    def __init__(self, lhs, rhs, sym):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "sym", sym)
 
 
-@dataclass(frozen=True)
-class PopRule:
-    lhs: object
-    sym: object
-    rhs: object
+class PopRule(Record, frozen=True):
+    __slots__ = ("lhs", "sym", "rhs")
+
+    def __init__(self, lhs, sym, rhs):
+        _set(self, "lhs", lhs)
+        _set(self, "sym", sym)
+        _set(self, "rhs", rhs)
 
 
 CORE_KINDS = (TerminalRule, BinaryRule, PushRule, PopRule)
@@ -70,41 +127,50 @@ CORE_KINDS = (TerminalRule, BinaryRule, PushRule, PopRule)
 # sugared production kinds
 
 
-@dataclass(frozen=True)
-class PlainSugarRule:
+class PlainSugarRule(Record, frozen=True):
     """A -> t1 t2 ... with an arbitrary mix of terminals and nonterminals."""
 
-    lhs: object
-    rhs: tuple
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class PopSugarRule:
+class PopSugarRule(Record, frozen=True):
     """A f -> t1 t2 ... : pop f, then behave like the general right-hand side."""
 
-    lhs: object
-    sym: object
-    rhs: tuple
+    __slots__ = ("lhs", "sym", "rhs")
+
+    def __init__(self, lhs, sym, rhs):
+        _set(self, "lhs", lhs)
+        _set(self, "sym", sym)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class CheckRule:
+class CheckRule(Record, frozen=True):
     """A -> [D1..Dr] B : continue as B if every DFA accepts the stack content."""
 
-    lhs: object
-    rhs: object
-    dfa_names: tuple
+    __slots__ = ("lhs", "rhs", "dfa_names")
+
+    def __init__(self, lhs, rhs, dfa_names):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "dfa_names", dfa_names)
 
 
-@dataclass(frozen=True)
-class CheckDfa:
+class CheckDfa(Record, frozen=True):
     """A (partial) DFA over stack symbols, used by check rules."""
 
-    name: str
-    states: tuple
-    init: object
-    finals: frozenset
-    transitions: tuple  # tuple of (state, letter, state)
+    __slots__ = ("name", "states", "init", "finals", "transitions")
+
+    def __init__(self, name, states, init, finals, transitions):
+        _set(self, "name", name)
+        _set(self, "states", states)
+        _set(self, "init", init)
+        _set(self, "finals", finals)
+        # a tuple of (state, letter, state)
+        _set(self, "transitions", transitions)
 
     def delta(self):
         return {(p, a): q for (p, a, q) in self.transitions}
@@ -114,20 +180,25 @@ class CheckDfa:
 # grammars
 
 
-@dataclass(frozen=True)
-class SymbolTable:
-    nonterminals: frozenset
-    terminals: frozenset
-    stack_symbols: frozenset
+class SymbolTable(Record, frozen=True):
+    __slots__ = ("nonterminals", "terminals", "stack_symbols")
+
+    def __init__(self, nonterminals, terminals, stack_symbols):
+        _set(self, "nonterminals", nonterminals)
+        _set(self, "terminals", terminals)
+        _set(self, "stack_symbols", stack_symbols)
 
 
-@dataclass
-class IndexedGrammar:
-    symbols: SymbolTable
-    start: object
-    productions: tuple
-    # stack symbol -> (lhs, rhs) of its unique push rule, set by label_pushes
-    push_labels: dict = field(default_factory=dict)
+class IndexedGrammar(Record):
+    __slots__ = ("symbols", "start", "productions", "push_labels")
+
+    def __init__(self, symbols, start, productions, push_labels=None):
+        self.symbols = symbols
+        self.start = start
+        self.productions = productions
+        # stack symbol -> (lhs, rhs) of its unique push rule, set by
+        # label_pushes
+        self.push_labels = {} if push_labels is None else push_labels
 
     def alpha(self, f):
         return self.push_labels[f][0]
@@ -142,12 +213,14 @@ class IndexedGrammar:
         return n
 
 
-@dataclass
-class SugaredGrammar:
-    symbols: SymbolTable
-    start: object
-    productions: tuple
-    dfas: dict = field(default_factory=dict)
+class SugaredGrammar(Record):
+    __slots__ = ("symbols", "start", "productions", "dfas")
+
+    def __init__(self, symbols, start, productions, dfas=None):
+        self.symbols = symbols
+        self.start = start
+        self.productions = productions
+        self.dfas = {} if dfas is None else dfas
 
 
 class GrammarError(ValueError):
@@ -501,7 +574,8 @@ def desugar(sg):
                     todo.append(b)
         for b in sorted(reached - {a}):
             for p in by_lhs.get(b, ()):
-                final.append(replace(p, lhs=a))
+                # every rule kind has lhs as its first field
+                final.append(p.__class__(a, *p._astuple(p)[1:]))
 
     table = SymbolTable(frozenset(nts), terms, frozenset(stacks))
     return IndexedGrammar(table, sg.start, tuple(final))

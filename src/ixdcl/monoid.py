@@ -24,12 +24,11 @@ how summaries grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .analysis import CapExceeded
 from .cfg import sccs
-from .grammar import sort_key
+from .grammar import Record, _set, sort_key
 
 
 class _Unit:
@@ -50,19 +49,23 @@ ONE = _Unit()
 ZERO = _Zero()
 
 
-@dataclass(frozen=True, eq=False)
-class Seg:
+class Seg(Record, frozen=True):
     """A non-trivial monoid element (B, Y, M, A, X).
 
     Elements are interned by their fields (`StackMonoid._intern`), so
     they compare and hash by identity.
     """
 
-    b: object
-    y: frozenset
-    m: frozenset   # boolean matrix as a set of (nonterminal, nonterminal)
-    a: object
-    x: frozenset
+    __slots__ = ("b", "y", "m", "a", "x")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, b, y, m, a, x):
+        _set(self, "b", b)
+        _set(self, "y", y)
+        _set(self, "m", m)   # boolean matrix as a set of (nt, nt) pairs
+        _set(self, "a", a)
+        _set(self, "x", x)
 
 
 class _Memo(dict):

@@ -47,10 +47,10 @@ state; only an NFA built by hand is determinized.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .analysis import CapExceeded
 from .cfg import live_rules, sccs
+from .grammar import Record
 # Not called: perfbench/spans.py rebinds it.
 from .cfg import trim_cfg  # noqa: F401
 
@@ -62,17 +62,22 @@ CLOSURE_STATE_CAP = 10 ** 6
 CLOSURE_IDEAL_CAP = 100000
 
 
-@dataclass
-class Nfa:
-    alphabet: frozenset
-    n_states: int = 0
-    transitions: list = field(default_factory=list)  # (src, letter|None, dst)
-    initial: set = field(default_factory=set)
-    final: set = field(default_factory=set)
-    # The antichain of ideals whose union is the language; None for an
-    # NFA built by hand.  Set by cfg_dcl_nfa, whose NFA is read-only:
-    # every query reads the ideals, and only an export unfolds the edges.
-    ideals: frozenset | None = None
+class Nfa(Record):
+    __slots__ = ("alphabet", "n_states", "transitions", "initial", "final",
+                 "ideals")
+
+    def __init__(self, alphabet, n_states=0, transitions=None, initial=None,
+                 final=None, ideals=None):
+        self.alphabet = alphabet
+        self.n_states = n_states
+        # (src, letter|None, dst)
+        self.transitions = [] if transitions is None else transitions
+        self.initial = set() if initial is None else initial
+        self.final = set() if final is None else final
+        # The antichain of ideals whose union is the language; None for an
+        # NFA built by hand.  Set by cfg_dcl_nfa, whose NFA is read-only:
+        # every query reads the ideals, and only an export unfolds the edges.
+        self.ideals = ideals
 
     def add_edge(self, src, letter, dst):
         self.transitions.append((src, letter, dst))
@@ -146,13 +151,15 @@ def dcl_close(nfa):
 # determinization and comparison
 
 
-@dataclass
-class Dfa:
-    alphabet: frozenset
-    n_states: int
-    delta: dict          # (state, letter) -> state, total
-    initial: int
-    final: set
+class Dfa(Record):
+    __slots__ = ("alphabet", "n_states", "delta", "initial", "final")
+
+    def __init__(self, alphabet, n_states, delta, initial, final):
+        self.alphabet = alphabet
+        self.n_states = n_states
+        self.delta = delta   # (state, letter) -> state, total
+        self.initial = initial
+        self.final = final
 
 
 def determinize(nfa, cap=100000):
@@ -161,10 +168,20 @@ def determinize(nfa, cap=100000):
     one counting as one; more raises CapExceeded."""
     alphabet = sorted(nfa.alphabet)
     step, eps = _step_and_eps(nfa)
-    start = frozenset(_closure(eps, nfa.initial))
-    ids = {start: 0}
-    order = [start]
-    size = len(start) or 1
+    ids = {}
+    order = []
+    size = 0
+
+    def add(subset):
+        nonlocal size
+        size += len(subset) or 1
+        if size > cap:
+            raise CapExceeded.of("determinization", size,
+                                 "states in subsets", cap, "--max-dfa-states")
+        ids[subset] = len(order)
+        order.append(subset)
+
+    add(frozenset(_closure(eps, nfa.initial)))
     delta = {}
     i = 0
     while i < len(order):
@@ -176,13 +193,7 @@ def determinize(nfa, cap=100000):
                 nxt |= step.get((s, a), set())
             nxt = frozenset(_closure(eps, nxt))
             if nxt not in ids:
-                size += len(nxt) or 1
-                if size > cap:
-                    raise CapExceeded.of("determinization", size,
-                                         "states in subsets", cap,
-                                         "--max-dfa-states")
-                ids[nxt] = len(order)
-                order.append(nxt)
+                add(nxt)
             delta[(ids[cur], a)] = ids[nxt]
     final = {ids[st] for st in order if st & nfa.final}
     return Dfa(frozenset(alphabet), len(order), delta, 0, final)

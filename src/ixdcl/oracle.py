@@ -20,32 +20,36 @@ check these programs against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fixpoint import Solver
-from .grammar import BinaryRule, PopRule, PushRule, TerminalRule
+from .grammar import BinaryRule, PopRule, PushRule, Record, TerminalRule, _set
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record, frozen=True):
     """A nonterminal with its stack; stack[0] is the topmost symbol."""
 
-    nt: object
-    stack: tuple
+    __slots__ = ("nt", "stack")
+
+    def __init__(self, nt, stack):
+        _set(self, "nt", nt)
+        _set(self, "stack", stack)
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_word_len: int = 8
-    max_stack_height: int = 8
-    max_steps: int = 100000
+class OracleBudget(Record, frozen=True):
+    __slots__ = ("max_word_len", "max_stack_height", "max_steps")
+
+    def __init__(self, max_word_len=8, max_stack_height=8, max_steps=100000):
+        _set(self, "max_word_len", max_word_len)
+        _set(self, "max_stack_height", max_stack_height)
+        _set(self, "max_steps", max_steps)
 
 
-@dataclass
-class DpResult:
-    table: dict       # (nt, stack) -> frozenset of words (or lengths)
-    complete: bool
-    incomplete_keys: frozenset
+class DpResult(Record):
+    __slots__ = ("table", "complete", "incomplete_keys")
+
+    def __init__(self, table, complete, incomplete_keys):
+        self.table = table   # (nt, stack) -> frozenset of words (or lengths)
+        self.complete = complete
+        self.incomplete_keys = incomplete_keys
 
 
 def start_form(g):

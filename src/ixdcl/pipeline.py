@@ -16,12 +16,11 @@ the cap, and the statistics of the stages that finished are not kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 # CapExceeded is raised by the stages and re-exported for callers.
 from .analysis import Analysis, CapExceeded  # noqa: F401
 from .annotate import build_annotated
 from .cfg import build_cfg
+from .grammar import Record
 from .monoid import StackMonoid
 from .nfa import cfg_dcl_nfa, longest_word_or_infinite
 # Not called: the closure NFA is subword-closed, and the closure reads the
@@ -31,24 +30,31 @@ from .nfa import dcl_close  # noqa: F401
 from .summaries import SummaryFactory, build_summary_graph
 
 
-@dataclass
-class PipelineCaps:
-    max_universe: int = 4096
-    max_monoid: int = 4096
-    max_summaries: int = 4096
-    max_triples: int = 100000
+class PipelineCaps(Record):
+    __slots__ = ("max_universe", "max_monoid", "max_summaries", "max_triples")
+
+    def __init__(self, max_universe=4096, max_monoid=4096, max_summaries=4096,
+                 max_triples=100000):
+        self.max_universe = max_universe
+        self.max_monoid = max_monoid
+        self.max_summaries = max_summaries
+        self.max_triples = max_triples
 
 
-@dataclass
-class PipelineResult:
-    grammar: object
-    analysis: Analysis
-    annotated: object
-    monoid: StackMonoid
-    graph: object
-    cfg: object
-    nfa: object
-    stats: dict = field(default_factory=dict)
+class PipelineResult(Record):
+    __slots__ = ("grammar", "analysis", "annotated", "monoid", "graph", "cfg",
+                 "nfa", "stats")
+
+    def __init__(self, grammar, analysis, annotated, monoid, graph, cfg, nfa,
+                 stats=None):
+        self.grammar = grammar
+        self.analysis = analysis
+        self.annotated = annotated
+        self.monoid = monoid
+        self.graph = graph
+        self.cfg = cfg
+        self.nfa = nfa
+        self.stats = {} if stats is None else stats
 
 
 def stages(g, caps=None):

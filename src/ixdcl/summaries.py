@@ -31,10 +31,8 @@ summary it was pushed onto; only a fold sums the parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analysis import CapExceeded
-from .grammar import sort_key
+from .grammar import Record, sort_key
 from .monoid import ONE, ZERO
 
 
@@ -294,12 +292,14 @@ class SummaryFactory:
 # summary graph
 
 
-@dataclass
-class SummaryGraph:
-    nodes: list            # summaries in construction order; nodes[0] empty
-    ids: dict              # summary -> index
-    edges: dict            # (src summary, letter) -> target summary
-    inverse: dict          # (letter, target summary) -> list of sources
+class SummaryGraph(Record):
+    __slots__ = ("nodes", "ids", "edges", "inverse")
+
+    def __init__(self, nodes, ids, edges, inverse):
+        self.nodes = nodes        # summaries in construction order; [0] empty
+        self.ids = ids            # summary -> index
+        self.edges = edges        # (src summary, letter) -> target summary
+        self.inverse = inverse    # (letter, target summary) -> sources
 
     def push(self, letter, sigma):
         return self.edges.get((sigma, letter))

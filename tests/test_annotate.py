@@ -1,6 +1,5 @@
 """The productive annotation: structure, stack threading, language, samples."""
 
-import dataclasses
 import hashlib
 
 from ixdcl.analysis import Analysis
@@ -29,7 +28,8 @@ def annotated_fingerprint(ag):
     canonically and sorted, so that neither PYTHONHASHSEED nor the order
     in which the rules were found changes it."""
     g = ag.grammar
-    rules = [canonical((type(r).__name__,) + dataclasses.astuple(r))
+    rules = [canonical((type(r).__name__,)
+                       + tuple(getattr(r, f) for f in r.__slots__))
              for r in g.productions]
     lines = ["start " + canonical(g.start)]
     lines += sorted("nt " + canonical(A) for A in g.symbols.nonterminals)

@@ -1,6 +1,5 @@
 """Parsing, desugaring, push labeling, validation and printing."""
 
-from dataclasses import fields, replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -292,8 +291,8 @@ def renamed(g, nt="N", sym="z"):
                     for i, x in enumerate(old))
 
     def rename(p):
-        return replace(p, **{f.name: name[getattr(p, f.name)]
-                             for f in fields(p) if f.name != "word"})
+        return type(p)(**{f: getattr(p, f) if f == "word"
+                          else name[getattr(p, f)] for f in p.__slots__})
     return IndexedGrammar(
         SymbolTable(frozenset(name[x] for x in g.symbols.nonterminals),
                     g.symbols.terminals,

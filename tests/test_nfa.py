@@ -1,6 +1,5 @@
 """NFA algebra, ideal arithmetic, and the downward-closure construction."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -77,6 +76,14 @@ def test_determinize():
         for c in w:
             q = d.delta[(q, c)]
         assert (q in d.final) == simulate(astar_bstar_nfa(), w)
+
+
+def test_determinize_cap_counts_the_start_subset():
+    # the start subset {p, q} alone passes a cap of 1
+    with pytest.raises(CapExceeded) as exc:
+        determinize(astar_bstar_nfa(), cap=1)
+    assert str(exc.value) == ("determinization cap exceeded: 2 states in "
+                              "subsets, limit 1 (--max-dfa-states)")
 
 
 def test_inclusion_and_equivalence():
@@ -415,7 +422,8 @@ def test_ideal_comparison_matches_dfa_search():
     held = [0, 0]
     for _ in range(200):
         a, b = (cfg_dcl_nfa(random_cfg(rng)) for _ in range(2))
-        plain = [dataclasses.replace(n, ideals=None) for n in (a, b)]
+        plain = [Nfa(n.alphabet, n.n_states, n.transitions, n.initial,
+                     n.final) for n in (a, b)]
         for i, compare in enumerate((nfa_inclusion, nfa_equivalence)):
             got = compare(a, b)
             assert got == compare(*plain), (a.ideals, b.ideals)
