@@ -15,11 +15,13 @@ and the per-set reachability relations used by the stack abstraction:
 
     A ~X~ B  iff  (A, X) derives u (B, X) v in the annotated grammar.
 
-Inside, a set of nonterminals is an int whose bit i stands for the i-th
-nonterminal in `sort_key` order, and a relation is a tuple of such row
-masks.  The rules are indexed once by kind as tuples of indices and
-bits.  The public methods take and return frozensets (of pairs, for a
-relation); one table maps each mask to a single frozenset.
+A set of nonterminals is an int whose bit i stands for `nts[i]`, the
+i-th nonterminal in `sort_key` order, and a relation is a tuple of such
+row masks, row i holding the partners of `nts[i]`.  The rules are
+indexed once by kind as tuples of indices and bits.  The methods that
+name sets (`cl`, `act`, `useful`, `universe`) take and return
+frozensets, one per mask; those the stack monoid reads (`act_mask`,
+`focus_rows`, `reach_rows`) take a mask and return a mask or row masks.
 
 Everything is one demand-driven least fixpoint over keys ("cl", X),
 ("act", f, X), ("efoc", X), ("foc", f, X) and ("reach", X), X a mask,
@@ -51,7 +53,7 @@ class CapExceeded(RuntimeError):
                    f"({knob})")
 
 
-def _gather(rows, mask):
+def gather(rows, mask):
     """The union of rows[i] over the bits i of mask."""
     out = 0
     while mask:
@@ -67,10 +69,10 @@ class Analysis(Solver):
         self.g = g
         self.universe_cap = universe_cap
         self.act_keys = 0   # act keys created; each counts against the cap
-        self._nts = sorted(g.symbols.nonterminals, key=sort_key)
-        self._bit = b = {A: 1 << i for i, A in enumerate(self._nts)}
+        self.nts = sorted(g.symbols.nonterminals, key=sort_key)
+        self.index = i = {A: n for n, A in enumerate(self.nts)}
+        b = {A: 1 << n for A, n in i.items()}
         self._unit = tuple(b.values())   # the identity relation
-        i = {A: n for n, A in enumerate(self._nts)}
         # the rules indexed by kind; a push or pop rule is (lhs index, rhs
         # index, lhs bit, rhs bit)
         self._term = 0
@@ -93,7 +95,6 @@ class Analysis(Solver):
                         for f, rules in self._pushes.items()}
         self._sets = {}      # mask -> its frozenset
         self._universe = None
-        self._reached = {}   # X -> reach(X) as a frozenset of pairs
         self._fold = {}   # stack tuple -> mask (action on empty set)
 
     # -- the fixpoint --------------------------------------------------------
@@ -121,20 +122,17 @@ class Analysis(Solver):
             old = new
         return new
 
-    def _mask(self, X):
-        return sum(self._bit[A] for A in frozenset(X))
+    def mask(self, X):
+        """The mask of a set of nonterminals."""
+        return sum(1 << self.index[A] for A in frozenset(X))
 
     def _set(self, mask):
         out = self._sets.get(mask)
         if out is None:
             bits = enumerate(bin(mask)[:1:-1])   # lowest bit first
             out = self._sets[mask] = frozenset(
-                self._nts[i] for i, c in bits if c == "1")
+                self.nts[i] for i, c in bits if c == "1")
         return out
-
-    def _pairs(self, rows):
-        return frozenset((self._nts[a], B) for a, row in enumerate(rows)
-                         for B in self._set(row))
 
     # -- actions -----------------------------------------------------------
 
@@ -171,11 +169,15 @@ class Analysis(Solver):
 
     def cl(self, X):
         """Nonterminals A with A[empty stack] deriving into (X union T)*."""
-        return self._set(self._solved(("cl", self._mask(X))))
+        return self._set(self._solved(("cl", self.mask(X))))
+
+    def act_mask(self, f, x):
+        """The mask of the one-letter action f . X, x the mask of X."""
+        return self._solved(("act", f, x))
 
     def act(self, f, X):
         """The one-letter action f . X."""
-        return self._set(self._solved(("act", f, self._mask(X))))
+        return self._set(self.act_mask(f, self.mask(X)))
 
     def useful(self):
         """Nonterminals deriving a terminal word from the empty stack."""
@@ -190,9 +192,10 @@ class Analysis(Solver):
         if stack not in self._fold:
             X = 0 if stack else self._solved(("cl", 0))
             for f in reversed(stack):   # topmost letter last
-                X = self._solved(("act", f, X))
+                X = self.act_mask(f, X)
             self._fold[stack] = X
-        return not self._fold[stack] & self._bit.get(nt, 0)
+        i = self.index.get(nt)
+        return i is None or not self._fold[stack] >> i & 1
 
     # -- annotation universe ------------------------------------------------
 
@@ -204,7 +207,7 @@ class Analysis(Solver):
             seen_set = set(seen)
             for X in seen:   # seen grows while it is scanned
                 for f in letters:
-                    Y = self._solved(("act", f, X))
+                    Y = self.act_mask(f, X)
                     if Y not in seen_set:
                         if len(seen) >= self.universe_cap:
                             raise CapExceeded.of(
@@ -241,12 +244,12 @@ class Analysis(Solver):
         for g, (_, rules) in self._pushes.items():
             m = self._need(("foc", g, gen))
             for a, r, _, _ in rules:
-                rows[a] |= _gather(rows, m[r])
+                rows[a] |= gather(rows, m[r])
         return tuple(rows)
 
-    def matrix(self, f, X):
-        """Boolean matrix of focus pairs for the letter f under X."""
-        return self._pairs(self._solved(("foc", f, self._mask(X))))
+    def focus_rows(self, f, x):
+        """The focus matrix M[f, X] as row masks, x the mask of X."""
+        return self._solved(("foc", f, x))
 
     # -- reachability within the annotated grammar --------------------------
 
@@ -260,16 +263,13 @@ class Analysis(Solver):
                 Y = self._need(("act", f, X)) if X & lhs else 0
                 if Y & rhs:
                     m = self._need(("foc", f, X))
-                    rows[a] |= _gather(m, self._need(("reach", Y))[r]) & X
+                    rows[a] |= gather(m, self._need(("reach", Y))[r]) & X
         # one transitive step
         for a, row in enumerate(rows):
-            rows[a] = row | _gather(rows, row)
+            rows[a] = row | gather(rows, row)
         return tuple(rows)
 
-    def reach(self, X):
-        """The relation A ~X~ B (see module doc), solved on first use."""
-        X = self._mask(X)
-        out = self._reached.get(X)
-        if out is None:
-            out = self._reached[X] = self._pairs(self._solved(("reach", X)))
-        return out
+    def reach_rows(self, x):
+        """The relation A ~X~ B (see module doc) as row masks, x the mask
+        of X."""
+        return self._solved(("reach", x))

@@ -13,11 +13,8 @@ symbol are materialized.
 
 from __future__ import annotations
 
-import random
-
 from .grammar import (BinaryRule, IndexedGrammar, PopRule, PushRule, Record,
                       SymbolTable, TerminalRule)
-from .oracle import Term
 
 
 class AnnotatedGrammar(Record):
@@ -94,34 +91,3 @@ def build_annotated(g, analysis):
                         frozenset(labels))
     ag = IndexedGrammar(table, start, tuple(rules), labels)
     return AnnotatedGrammar(ag)
-
-
-def check_productive_sample(ag, depth=8, samples=200, seed=0):
-    """Randomly walk derivations of the annotated grammar and verify that
-    every nonterminal occurrence in every visited form is productive.
-
-    Productiveness of a term (A, X)[annotated z] is checked exactly via a
-    productiveness analysis of the annotated grammar itself.  Returns a
-    report dict with the list of violating (form, term) pairs.
-    """
-    from .analysis import Analysis
-    from .oracle import derive_successors, start_form
-
-    check = Analysis(ag.grammar)
-    rng = random.Random(seed)
-    violations = []
-    checked = 0
-    for _ in range(samples):
-        form = start_form(ag.grammar)
-        for _ in range(depth):
-            for item in form:
-                if isinstance(item, Term):
-                    checked += 1
-                    if check.term_empty(item.nt, item.stack):
-                        violations.append((form, item))
-            succ = derive_successors(form, ag.grammar)
-            if not succ:
-                break
-            form = succ[rng.randrange(len(succ))]
-    return {"samples": samples, "depth": depth, "seed": seed,
-            "terms_checked": checked, "violations": violations}

@@ -14,11 +14,10 @@ from itertools import islice
 
 from . import families
 from .analysis import Analysis, CapExceeded
-from .annotate import check_productive_sample
 from .cfg import trim_cfg
 from .grammar import GrammarError, grammar_from_text, sort_key
 from .nfa import nfa_member
-from .oracle import OracleBudget, term_language_dp
+from .oracle import OracleBudget, check_productive_sample, term_language_dp
 from .pipeline import PipelineCaps, run_pipeline, stages
 
 
@@ -63,7 +62,8 @@ def _nfa_dot(nfa):
         lines.append(f'  start{q} [shape=point];')
         lines.append(f'  start{q} -> q{q};')
     for (s, a, t) in edges:
-        label = a if a is not None else "ε"
+        label = "ε" if a is None else a.replace("\\", "\\\\").replace(
+            '"', '\\"')
         lines.append(f'  q{s} -> q{t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ exponential length: L(G_1) = { a^16 }.
 
 from __future__ import annotations
 
-from .grammar import CheckDfa, grammar_from_text
+from .grammar import CheckDfa, GrammarError, grammar_from_text
 
 G1_TEXT = """\
 start S
@@ -157,7 +157,9 @@ def counter_intersection_words(n, max_len=None):
 
 
 def grammar_gn_text(n):
-    """Textual form of G_n (before desugaring)."""
+    """Textual form of G_n (before desugaring), for n >= 1."""
+    if n < 1:
+        raise GrammarError(f"G_n needs n >= 1, got {n}")
     sigma = counter_letters(n) + ["end"]
     dfas = bottom_marked_dfas(n)
     stack_syms = ["bot"] + [f"{a}_{b}" for a in sigma for b in (0, 1)]

@@ -4,6 +4,8 @@ Elements are either the unit, a zero, or tuples (B, Y, M, A, X) read as:
 a stack segment that is pushed while (A, X) is on top of an X-annotated
 context, whose topmost letter was pushed onto (B, Y), and whose focus
 matrix M records which nonterminal pairs the segment can route between.
+A and B are indices into `Analysis.nts`, X and Y masks and M row masks,
+as the analysis solves them.
 
 The product multiplies the topmost segment on the left.  A morphism phi
 maps annotated stack letters (topmost letter leftmost) into the monoid;
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .analysis import CapExceeded
+from .analysis import CapExceeded, gather
 from .cfg import sccs
 from .grammar import Record, _set, sort_key
 
@@ -63,7 +65,7 @@ class Seg(Record, frozen=True):
     def __init__(self, b, y, m, a, x):
         _set(self, "b", b)
         _set(self, "y", y)
-        _set(self, "m", m)   # boolean matrix as a set of (nt, nt) pairs
+        _set(self, "m", m)   # boolean matrix as a tuple of row masks
         _set(self, "a", a)
         _set(self, "x", x)
 
@@ -79,14 +81,6 @@ class _Memo(dict):
         return value
 
 
-def mat_mul(m2, m1):
-    """Boolean matrix product: (m2 . m1)(d, c) iff m2(d, e) and m1(e, c)."""
-    by_src = {}
-    for (e, c) in m1:
-        by_src.setdefault(e, set()).add(c)
-    return frozenset((d, c) for (d, e) in m2 for c in by_src.get(e, ()))
-
-
 def _mul(analysis, intern, x2, x1):
     """x2 . x1, where a product of two segments is interned in `intern`."""
     if x2 is ONE:
@@ -95,8 +89,9 @@ def _mul(analysis, intern, x2, x1):
         return x2
     if x2 is ZERO or x1 is ZERO:
         return ZERO
-    if x2.x == x1.y and (x1.b, x2.a) in analysis.reach(x2.x):
-        return intern[x2.b, x2.y, mat_mul(x2.m, x1.m), x1.a, x1.x]
+    if x2.x == x1.y and analysis.reach_rows(x2.x)[x1.b] >> x2.a & 1:
+        m = tuple(gather(x1.m, row) for row in x2.m)
+        return intern[x2.b, x2.y, m, x1.a, x1.x]
     return ZERO
 
 
@@ -119,9 +114,10 @@ class StackMonoid:
 
     def _phi_letter(self, letter):
         f, X = letter
-        g = self.analysis.g
-        return self._intern[g.beta(f), self.analysis.act(f, X),
-                            self.analysis.matrix(f, X), g.alpha(f), X]
+        an = self.analysis
+        x = an.mask(X)
+        return self._intern[an.index[an.g.beta(f)], an.act_mask(f, x),
+                            an.focus_rows(f, x), an.index[an.g.alpha(f)], x]
 
     def product(self, x2, x1):
         """x2 . x1 where x2 abstracts the part of the stack above x1."""

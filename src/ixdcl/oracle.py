@@ -2,12 +2,13 @@
 
 This module is the ground truth the rest of the package is tested
 against.  It implements the one-step derivation relation directly on
-sentential forms, a compositional dynamic program over (nonterminal,
-stack) pairs, and a downward-closure membership oracle.  The programs
-are least fixpoints on the worklist solver of `ixdcl.fixpoint`, the one
-the analysis runs on, where a key whose value changed queues only its
-readers.  A key's value is a function of the keys it reads, so each
-evaluation starts from the empty set.
+sentential forms, random walks along it that check the productiveness
+of an annotated grammar, a compositional dynamic program over
+(nonterminal, stack) pairs, and a downward-closure membership oracle.
+The programs are least fixpoints on the worklist solver of
+`ixdcl.fixpoint`, the one the analysis runs on, where a key whose value
+changed queues only its readers.  A key's value is a function of the
+keys it reads, so each evaluation starts from the empty set.
 
 The dynamic programs are bounded by the stack height and the word
 length of an `OracleBudget`, and report whether they were complete: a
@@ -20,6 +21,9 @@ check these programs against.
 
 from __future__ import annotations
 
+import random
+
+from .analysis import Analysis
 from .fixpoint import Solver
 from .grammar import BinaryRule, PopRule, PushRule, Record, TerminalRule, _set
 
@@ -77,6 +81,34 @@ def derive_successors(form, g):
                 if item.stack and item.stack[0] == p.sym:
                     out.append(pre + (Term(p.rhs, item.stack[1:]),) + post)
     return out
+
+
+def check_productive_sample(ag, depth=8, samples=200, seed=0):
+    """Randomly walk derivations of the annotated grammar and verify that
+    every nonterminal occurrence in every visited form is productive.
+
+    Productiveness of a term (A, X)[annotated z] is checked exactly via a
+    productiveness analysis of the annotated grammar itself.  Returns a
+    report dict with the list of violating (form, term) pairs.
+    """
+    check = Analysis(ag.grammar)
+    rng = random.Random(seed)
+    violations = []
+    checked = 0
+    for _ in range(samples):
+        form = start_form(ag.grammar)
+        for _ in range(depth):
+            for item in form:
+                if isinstance(item, Term):
+                    checked += 1
+                    if check.term_empty(item.nt, item.stack):
+                        violations.append((form, item))
+            succ = derive_successors(form, ag.grammar)
+            if not succ:
+                break
+            form = succ[rng.randrange(len(succ))]
+    return {"samples": samples, "depth": depth, "seed": seed,
+            "terms_checked": checked, "violations": violations}
 
 
 def is_subword(u, v):

@@ -1,25 +1,49 @@
-"""Test-side views of monoid elements and summaries: structural keys,
-the image of a stack word, the top letter, pushing a whole word, and a
-structural check of a summary.
+"""Test-side views of the analysis's masks, monoid elements and
+summaries: masks and row masks spelled out as nonterminals and pairs,
+structural keys, the image of a stack word, the top letter, pushing a
+whole word, and a structural check of a summary.
 
 The monoid interns its elements and the factory hash-conses summaries
 by the identities of their parts, so two factories never share a key;
 these keys spell an element or a summary out in full, which lets goldens
-and determinism checks compare them across factories.
+and determinism checks compare them across factories.  An element holds
+masks over the analysis's nonterminals `nts`, so the keys take `nts`.
 """
 
 from ixdcl.monoid import ONE, ZERO
 from ixdcl.summaries import Atom, Block
 
 
-def element_key(x):
+def names(nts, mask):
+    """The nonterminals of a mask over nts."""
+    return frozenset(A for i, A in enumerate(nts) if mask >> i & 1)
+
+
+def pairs(nts, rows):
+    """A relation given as row masks over nts, as (nt, nt) pairs."""
+    return frozenset((A, B) for A, row in zip(nts, rows)
+                     for B in names(nts, row))
+
+
+def matrix(an, f, X):
+    """The focus matrix M[f, X] as (nt, nt) pairs."""
+    return pairs(an.nts, an.focus_rows(f, an.mask(X)))
+
+
+def reach(an, X):
+    """The relation ~X~ as (nt, nt) pairs."""
+    return pairs(an.nts, an.reach_rows(an.mask(X)))
+
+
+def element_key(x, nts):
     """A canonical, order-stable sort key for monoid elements."""
     if x is ONE:
         return (0,)
     if x is ZERO:
         return (2,)
-    return (1, str(x.b), sorted(map(str, x.y)), sorted(map(str, x.m)),
-            str(x.a), sorted(map(str, x.x)))
+    return (1, str(nts[x.b]), sorted(map(str, names(nts, x.y))),
+            sorted(map(str, pairs(nts, x.m))), str(nts[x.a]),
+            sorted(map(str, names(nts, x.x))))
 
 
 def phi(m, word):
@@ -28,23 +52,23 @@ def phi(m, word):
     return m.phi_seq(m.gens[letter] for letter in word)
 
 
-def atom_key(a):
-    return ("atom", a.letter, summary_key(a.tail))
+def atom_key(a, nts):
+    return ("atom", a.letter, summary_key(a.tail, nts))
 
 
-def block_key(b):
-    return ("block",
-            tuple(tuple(map(atom_key, g)) for g in b.us),
-            element_key(b.e),
-            tuple(tuple(map(atom_key, g)) for g in b.vs),
-            tuple(map(atom_key, b.w)))
+def block_key(b, nts):
+    def group(g):
+        return tuple(atom_key(a, nts) for a in g)
+
+    return ("block", tuple(map(group, b.us)), element_key(b.e, nts),
+            tuple(map(group, b.vs)), group(b.w))
 
 
-def summary_key(s):
+def summary_key(s, nts):
     return ("summary",
-            summary_key(s.sub) if s.sub is not None else None,
-            tuple(map(atom_key, s.atoms)),
-            tuple(map(block_key, s.blocks)))
+            summary_key(s.sub, nts) if s.sub is not None else None,
+            tuple(atom_key(a, nts) for a in s.atoms),
+            tuple(block_key(b, nts) for b in s.blocks))
 
 
 def summed_size(x, memo):

@@ -11,15 +11,14 @@ import random
 import pytest
 
 from ixdcl.analysis import Analysis, CapExceeded
-from ixdcl.annotate import check_productive_sample
 from ixdcl.families import (G1_TEXT, SQUARE_TEXT, counter_intersection_words,
                             g1_grammar, grammar_gn)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.monoid import ZERO, StackMonoid
 from ixdcl.nfa import (INFINITE, Nfa, cfg_dcl_nfa, longest_word_or_infinite,
                        nfa_equivalence, nfa_inclusion, nfa_member)
-from ixdcl.oracle import (OracleBudget, Term, dcl_member_oracle,
-                          term_language_dp)
+from ixdcl.oracle import (OracleBudget, Term, check_productive_sample,
+                          dcl_member_oracle, term_language_dp)
 from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
 from cfg_reference import (cfg_bounded_words, cfg_dcl_bounded,
@@ -27,7 +26,8 @@ from cfg_reference import (cfg_bounded_words, cfg_dcl_bounded,
 from test_nfa import random_cfg
 from derivation_reference import term_reachable, term_routes
 from nfa_reference import add_state
-from summary_helpers import phi, summary_key, top_letter, validate_summary
+from summary_helpers import (names, pairs, phi, reach, summary_key,
+                             top_letter, validate_summary)
 from test_annotate import annotate_stack
 
 MUT1_TEXT = G1_TEXT.replace('B -> "ab"', 'B -> "ba"\nB -> "b"')
@@ -144,17 +144,19 @@ def test_criterion_05_monoid_soundness(fixtures):
                     v = phi(m, zbar)
                     if v is ZERO:
                         continue
-                    rx, ry = an.reach(x_set), an.reach(v.y)
+                    y, vm = names(an.nts, v.y), pairs(an.nts, v.m)
+                    b, a = an.nts[v.b], an.nts[v.a]
+                    rx, ry = reach(an, x_set), reach(an, y)
                     for c in sorted(x_set):
-                        for d in sorted(v.y):
-                            pred = (c, v.a) in rx and (v.b, d) in ry
+                        for d in sorted(y):
+                            pred = (c, a) in rx and (b, d) in ry
                             found = term_reachable(
                                 ag, Term((c, x_set), ()),
-                                Term((d, v.y), zbar), length + 3)
+                                Term((d, y), zbar), length + 3)
                             assert found == pred, (z, c, d)
                     for d in nts:
                         for c in nts:
-                            pred = (d, c) in v.m
+                            pred = (d, c) in vm
                             found = term_routes(g, x_set, Term(d, z),
                                                 Term(c, ()), length + 3)
                             assert found == pred, (z, d, c)
@@ -175,8 +177,9 @@ def test_criterion_06_summary_invariants(fixtures):
         # rebuilding is deterministic
         m2 = StackMonoid(st.analysis, st.annotated.letters)
         gr2 = build_summary_graph(SummaryFactory(m2), st.annotated.letters)
-        assert list(map(summary_key, gr2.nodes)) == \
-            list(map(summary_key, gr.nodes))
+        nts = st.analysis.nts
+        assert [summary_key(s, nts) for s in gr2.nodes] == \
+            [summary_key(s, nts) for s in gr.nodes]
     # the single-loop example plateaus at 10 nodes of size <= 9
     loop = fixtures["loop"].graph
     assert len(loop.nodes) == 10

@@ -11,6 +11,7 @@ from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.pipeline import PipelineCaps, run_pipeline
+from summary_helpers import matrix, reach
 from test_summaries import RANDOM_361_TEXT, canonical
 
 # (universe size, sha256 prefix of analysis_fingerprint)
@@ -27,9 +28,9 @@ ANALYSIS_GOLDENS = {
 
 def analysis_fingerprint(an):
     """Universe size and a digest of useful(), the universe in order, and
-    per universe set X: act(f, X) and matrix(f, X) for every stack letter
-    f, then reach(X).  Sets are rendered sorted, so the digest does not
-    depend on PYTHONHASHSEED."""
+    per universe set X: act(f, X) and the focus matrix M[f, X] for every
+    stack letter f, then the relation ~X~.  Sets are rendered sorted, so
+    the digest does not depend on PYTHONHASHSEED."""
     uni = an.universe()
     letters = sorted(an.g.symbols.stack_symbols, key=str)
     lines = ["useful " + canonical(an.useful())]
@@ -39,8 +40,8 @@ def analysis_fingerprint(an):
             lines.append(f"act {canonical(f)} {canonical(X)} "
                          f"{canonical(an.act(f, X))}")
             lines.append(f"matrix {canonical(f)} {canonical(X)} "
-                         f"{canonical(an.matrix(f, X))}")
-        lines.append(f"reach {canonical(X)} {canonical(an.reach(X))}")
+                         f"{canonical(matrix(an, f, X))}")
+        lines.append(f"reach {canonical(X)} {canonical(reach(an, X))}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return len(uni), digest[:16]
 
@@ -143,7 +144,7 @@ test_act_monotone.an = Analysis(square_grammar())
 
 def test_matrix_golden_g1(g1):
     an = g1.analysis
-    m = an.matrix("f", an.useful())
+    m = matrix(an, "f", an.useful())
     # the pop rule A - f -> B focuses A onto B under any annotation
     assert ("A", "B") in m
     assert ("A", "A") not in m
@@ -155,7 +156,7 @@ def test_matrix_entries_within_nonterminals(fixtures):
         nts = an.g.symbols.nonterminals
         for X in an.universe():
             for f in an.g.symbols.stack_symbols:
-                for (a, b) in an.matrix(f, X):
+                for (a, b) in matrix(an, f, X):
                     assert a in nts and b in nts
 
 
@@ -163,7 +164,7 @@ def test_reach_reflexive_and_transitive(fixtures):
     for st_ in fixtures.values():
         an = st_.analysis
         for X in an.universe():
-            r = an.reach(X)
+            r = reach(an, X)
             for a in X:
                 assert (a, a) in r
             for (a, b) in r:

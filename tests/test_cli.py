@@ -148,6 +148,15 @@ def test_dcl_nfa_json_and_dot(capsys, paths):
     assert out.startswith("digraph")
 
 
+def test_dot_labels_escape_quote_and_backslash(capsys, tmp_path):
+    p = tmp_path / "quotes.ix"
+    p.write_text('start S\nterminals " \\ a\nS -> " \\ a\n')
+    code, out, _ = run(capsys, ["--format", "dot", "dcl-nfa", str(p)])
+    assert code == 0
+    labels = re.findall(r"\[label=(.*)\];", out)
+    assert set(labels) == {'"\\""', '"\\\\"', '"a"', '"ε"'}
+
+
 def test_dcl_nfa_deterministic(capsys, paths):
     a = run_json(capsys, ["dcl-nfa", paths["square"]])
     b = run_json(capsys, ["dcl-nfa", paths["square"]])
@@ -198,6 +207,13 @@ def test_gen_round_trips_through_validate(capsys, tmp_path):
         p.write_text(out)
         data = run_json(capsys, ["validate", str(p)])
         assert data["valid"] is True
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gen_gn_refuses_n_below_1(capsys, n):
+    code, out, err = run(capsys, ["gen", "gn", n])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_stats(capsys, paths):

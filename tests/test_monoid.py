@@ -11,8 +11,8 @@ from ixdcl.annotate import build_annotated
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.grammar import grammar_from_text
-from ixdcl.monoid import ONE, ZERO, Seg, StackMonoid, mat_mul
-from summary_helpers import element_key, phi
+from ixdcl.monoid import ONE, ZERO, Seg, StackMonoid
+from summary_helpers import element_key, pairs, phi
 from test_summaries import RANDOM_361_TEXT
 
 # (elements, j_length, sha256 prefix of monoid_fingerprint)
@@ -30,9 +30,10 @@ MONOID_GOLDENS = {
 def monoid_fingerprint(m):
     """Element count, J-length and a digest of the sorted element keys of
     the idempotents and of every element's key with its depth."""
-    lines = sorted("idempotent " + repr(element_key(e))
+    nts = m.analysis.nts
+    lines = sorted("idempotent " + repr(element_key(e, nts))
                    for e in m.idempotents)
-    lines += sorted(f"depth {element_key(x)!r} {m.depth(x)}"
+    lines += sorted(f"depth {element_key(x, nts)!r} {m.depth(x)}"
                     for x in m.elements)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return len(m.elements), m.j_length(), digest[:16]
@@ -161,16 +162,23 @@ def test_phi_seq_matches_phi(fixtures):
 
 def test_element_key_is_injective(fixtures):
     for st_ in fixtures.values():
-        keys = [element_key(x) for x in st_.monoid.elements]
+        nts = st_.analysis.nts
+        keys = [element_key(x, nts) for x in st_.monoid.elements]
         assert len({repr(k) for k in keys}) == len(keys)
         assert sorted(keys) == sorted(keys)   # keys are mutually comparable
 
 
-def test_mat_mul():
-    m1 = frozenset({("a", "b"), ("b", "c")})
-    m2 = frozenset({("x", "a"), ("y", "b")})
-    assert mat_mul(m2, m1) == frozenset({("x", "b"), ("y", "c")})
-    assert mat_mul(frozenset(), m1) == frozenset()
+def test_product_composes_the_focus_matrices(fixtures):
+    # (x2 . x1).m relates d to c iff x2.m relates d to some e and x1.m
+    # relates that e to c, with the rows spelled out as pairs
+    for st_ in fixtures.values():
+        m, nts = st_.monoid, st_.analysis.nts
+        for x2, x1 in itertools.product(m.elements, repeat=2):
+            x = m.product(x2, x1)
+            if isinstance(x, Seg) and x2 is not ONE and x1 is not ONE:
+                m2, m1 = pairs(nts, x2.m), pairs(nts, x1.m)
+                assert pairs(nts, x.m) == {(d, c) for (d, e) in m2
+                                           for (e2, c) in m1 if e == e2}
 
 
 def test_depth_zero_iff_top(fixtures):

@@ -129,12 +129,24 @@ def test_mutable_record(make, name):
     assert x != y
 
 
-def test_import_loads_no_dataclasses():
-    code = ("import sys\n"
-            "import ixdcl, ixdcl.cli, ixdcl.oracle, ixdcl.families\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def loaded(imports, names):
+    """Which of the modules `names` a fresh interpreter has loaded after
+    `import <imports>`.  It runs without the site module (-S), whose
+    .pth files may load any module first."""
+    code = (f"import sys\nimport {imports}\n"
+            f"print(sorted({set(names)!r} & set(sys.modules)))")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(ixdcl.__file__)))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_import_loads_no_dataclasses():
+    assert loaded("ixdcl, ixdcl.cli, ixdcl.oracle, ixdcl.families",
+                  ["dataclasses", "inspect"]) == "[]"
+
+
+def test_pipeline_loads_no_oracle():
+    # the oracle and its random walks are for checking, not for running
+    assert loaded("ixdcl.pipeline", ["ixdcl.oracle", "random"]) == "[]"

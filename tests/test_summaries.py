@@ -11,11 +11,11 @@ from types import SimpleNamespace
 import pytest
 
 import ixdcl
-from ixdcl.analysis import Analysis, CapExceeded
+from ixdcl.analysis import Analysis, CapExceeded, gather
 from ixdcl.annotate import build_annotated
 from ixdcl.families import g_loop_grammar, grammar_gn
 from ixdcl.grammar import grammar_from_text
-from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, _Memo, mat_mul
+from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, _Memo
 from ixdcl.summaries import Block, SummaryFactory, build_summary_graph
 from summary_helpers import (element_key, push_word, summary_key,
                              summed_size, top_letter, validate_summary)
@@ -102,8 +102,9 @@ def named_monoid(fixtures, name):
 
 
 def summary_graph(g):
+    """The summary graph of g and the nonterminals its keys spell."""
     m, letters = monoid_and_letters(g)
-    return build_summary_graph(SummaryFactory(m), letters)
+    return build_summary_graph(SummaryFactory(m), letters), m.analysis.nts
 
 
 def canonical(x):
@@ -116,10 +117,10 @@ def canonical(x):
     return repr(x)
 
 
-def graph_fingerprint(graph):
+def graph_fingerprint(graph, nts):
     """Node count, edge count and a digest of every node in order (index,
     size, depth, hash-cons key) and every edge (src, letter, tgt)."""
-    lines = [f"{i} {s.size} {s.depth} {canonical(summary_key(s))}"
+    lines = [f"{i} {s.size} {s.depth} {canonical(summary_key(s, nts))}"
              for i, s in enumerate(graph.nodes)]
     lines += [f"{graph.ids[src]} {canonical(letter)} {graph.ids[tgt]}"
               for (src, letter), tgt in graph.edges.items()]
@@ -127,9 +128,9 @@ def graph_fingerprint(graph):
     return len(graph.nodes), len(graph.edges), digest[:16]
 
 
-def summaries_fingerprint(summaries):
+def summaries_fingerprint(summaries, nts):
     """Count and a digest of every summary in order (size, depth, key)."""
-    lines = [f"{s.size} {s.depth} {canonical(summary_key(s))}"
+    lines = [f"{s.size} {s.depth} {canonical(summary_key(s, nts))}"
              for s in summaries]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return len(lines), digest[:16]
@@ -170,7 +171,8 @@ def brute_force_decompose(m, s, k):
         if e is ONE or m.product(e, e) is not e or \
                 any(x is not e for x in images):
             continue
-        cand = (tuple(j - i for i, j in zip(starts, ends)), element_key(e))
+        cand = (tuple(j - i for i, j in zip(starts, ends)),
+                element_key(e, m.analysis.nts))
         if best is None or cand < best[0]:
             best = (cand, e, ends[-1])
     if best is None:
@@ -209,10 +211,11 @@ def test_sizes_are_the_sums_over_the_parts(fixtures):
 
 
 def test_graph_fingerprint_goldens(fixtures):
-    graphs = {name: st_.graph for name, st_ in fixtures.items()}
+    graphs = {name: (st_.graph, st_.analysis.nts)
+              for name, st_ in fixtures.items()}
     graphs["G_1"] = summary_graph(grammar_gn(1))
     graphs["random"] = summary_graph(grammar_from_text(RANDOM_361_TEXT))
-    assert {name: graph_fingerprint(gr) for name, gr in graphs.items()} == \
+    assert {name: graph_fingerprint(*gr) for name, gr in graphs.items()} == \
         GRAPH_GOLDENS
 
 
@@ -224,7 +227,7 @@ def test_graph_fingerprint_does_not_depend_on_the_hash_seed():
     code = ("from test_summaries import *\n"
             "from test_nfa import closure_fingerprint, run_pipeline\n"
             "g = grammar_from_text(RANDOM_361_TEXT)\n"
-            "print(graph_fingerprint(summary_graph(g)))\n"
+            "print(graph_fingerprint(*summary_graph(g)))\n"
             "print(closure_fingerprint(run_pipeline(g).nfa))")
     path = [os.path.dirname(os.path.dirname(ixdcl.__file__)),
             os.path.dirname(__file__)]
@@ -320,7 +323,8 @@ def test_a_fold_has_2n_plus_1_prefix_ends(fixtures, name):
 
 class TransformationMonoid:
     """A stub monoid of transformations t of {0, 1, 2}, each a Seg whose
-    matrix is the graph {(i, t(i))}, so that `mat_mul` composes them.
+    matrix has the row masks 1 << t(i), so that the row product composes
+    them.
     It has one nonterminal, so a decomposition has three groups.  Its
     products are read as `StackMonoid`'s are, through the rows `left`."""
 
@@ -332,7 +336,7 @@ class TransformationMonoid:
             symbols=SimpleNamespace(nonterminals={"S"})))
         self.left = _Memo(lambda x2: _Memo(partial(self._mul, x2)))
         self._intern = {}
-        self.gens = {name: self._mk(frozenset(enumerate(t)))
+        self.gens = {name: self._mk(tuple(1 << j for j in t))
                      for name, t in gens.items()}
         elems = list(self.gens.values())
         for x in elems:   # grows while it is read
@@ -345,7 +349,7 @@ class TransformationMonoid:
 
     def _mk(self, m):
         if m not in self._intern:
-            self._intern[m] = Seg(None, frozenset(), m, None, frozenset())
+            self._intern[m] = Seg(0, 0, m, 0, 0)
         return self._intern[m]
 
     def _mul(self, x2, x1):
@@ -353,7 +357,7 @@ class TransformationMonoid:
             return x1
         if x1 is ONE:
             return x2
-        return self._mk(mat_mul(x2.m, x1.m))
+        return self._mk(tuple(gather(x1.m, row) for row in x2.m))
 
     def depth(self, x):
         return 0
@@ -453,7 +457,8 @@ def test_hash_consing_identity():
     a = push_word(factory, (letter,) * 3, factory.empty)
     b = push_word(factory, (letter,) * 3, factory.empty)
     assert a is b
-    assert summary_key(a) == summary_key(b)
+    nts = factory.monoid.analysis.nts
+    assert summary_key(a, nts) == summary_key(b, nts)
 
 
 def test_rebuild_determinism(fixtures):
@@ -461,8 +466,9 @@ def test_rebuild_determinism(fixtures):
         m = StackMonoid(st_.analysis, st_.annotated.letters)
         factory = SummaryFactory(m)
         graph = build_summary_graph(factory, st_.annotated.letters)
-        assert list(map(summary_key, graph.nodes)) == \
-            list(map(summary_key, st_.graph.nodes))
+        nts = st_.analysis.nts
+        assert [summary_key(s, nts) for s in graph.nodes] == \
+            [summary_key(s, nts) for s in st_.graph.nodes]
 
 
 def test_depth_stratification(fixtures):
@@ -489,4 +495,5 @@ def test_cap_exit_goldens(name):
     with pytest.raises(CapExceeded):
         build_summary_graph(factory, letters)
     created = [s for s in factory._summaries.values() if not s.is_empty()]
-    assert summaries_fingerprint(created) == CAP_GOLDENS[name]
+    assert summaries_fingerprint(created, m.analysis.nts) == \
+        CAP_GOLDENS[name]
