@@ -214,15 +214,23 @@ def cmd_stats(args):
     return 0
 
 
+def count(text):
+    """A size or cap: an int that is not negative."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="ixdcl",
         description="Regular downward closures of indexed languages.")
     defaults = PipelineCaps()
     for name in PipelineCaps.__slots__:
-        top.add_argument("--" + name.replace("_", "-"), type=int,
+        top.add_argument("--" + name.replace("_", "-"), type=count,
                          default=getattr(defaults, name))
-    top.add_argument("--max-dfa-states", type=int, default=100000)
+    top.add_argument("--max-dfa-states", type=count, default=100000)
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--format", choices=["json", "dot"], default="json")
     sub = top.add_subparsers(dest="command", required=True)
@@ -247,8 +255,8 @@ def build_parser():
     p = grammar_cmd("member", cmd_member)
     p.add_argument("word")
     p = grammar_cmd("oracle", cmd_oracle)
-    p.add_argument("--len", type=int, default=16)
-    p.add_argument("--height", type=int, default=8)
+    p.add_argument("--len", type=count, default=16)
+    p.add_argument("--height", type=count, default=8)
     p = sub.add_parser("gen")
     p.set_defaults(fn=cmd_gen)
     p.add_argument("family", choices=["gn", "square", "loop", "g1"])

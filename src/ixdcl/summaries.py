@@ -16,20 +16,23 @@ depth d are built from three layers:
 Pushing a letter either starts a deeper summary, recurses into sub,
 prepends an atom, folds a long atom word into a block, or merges two
 blocks over the same idempotent.  Popping is the inverse relation and
-is answered from the edge index of the summary graph.  The tables that
-find a fold are built only for atom words long enough to fold, and kept
-per suffix, so a push extends them by its new positions.  A fold over e
-is looked for only if at least 2N+1 prefixes of the word map to e: the
+is answered from the edge index of the summary graph.  A fold over e is
+looked for only if at least 2N+1 prefixes of the word map to e: the
 prefix up to the end of the j-th group maps to e^j = e.
 
-All summaries are hash-consed: structurally equal summaries are the
-same object, so equality is identity and the monoid image, depth and
-size are computed once, when the object is made.  A push knows the size
-of what it makes from sigma's: a new atom adds 1 + the size of the
-summary it was pushed onto; only a fold sums the parts.
+Summaries and their parts are hash-consed: structurally equal ones are
+the same object, so equality is identity and the monoid image, depth
+and size are computed once, when the object is made.  A word of atoms
+is a cons cell, its first atom and the cell below, so prepending an
+atom makes or finds one cell; a cell holds the tables that find a fold,
+made only for words long enough to fold.  A push knows the size of what
+it makes from sigma's: a new atom adds 1 + the size of the summary it
+was pushed onto; only a fold sums the parts.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .analysis import CapExceeded
 from .grammar import Record, sort_key
@@ -64,37 +67,40 @@ class Block:
         return f"Block(us={self.us!r}, vs={self.vs!r}, w={self.w!r})"
 
 
+class Word:
+    """A word of atoms as a cons cell: its first (topmost) atom, the word
+    below or None, and what `_decompose` keeps: `row` (of the first
+    position), `can` (levels per idempotent) and `fold` (its last answer)."""
+
+    __slots__ = ("first", "tail", "length", "row", "can", "fold")
+
+    def __iter__(self):
+        w = self
+        while w is not None:
+            yield w.first
+            w = w.tail
+
+
 class Summary:
     __slots__ = ("sub", "atoms", "blocks", "phi", "depth", "size")
 
     def __init__(self, sub, atoms, blocks, phi, depth, size):
         self.sub = sub
-        self.atoms = atoms
+        self.atoms = atoms        # a Word, or None
         self.blocks = blocks
         self.phi = phi
         self.depth = depth
         self.size = size
 
     def is_empty(self):
-        return self.sub is None and not self.atoms and not self.blocks
+        return self.sub is None and self.atoms is None and not self.blocks
 
     def __repr__(self):
         if self.is_empty():
             return "Summary(empty)"
-        return (f"Summary(sub={self.sub!r}, atoms={self.atoms!r}, "
+        atoms = tuple(self.atoms or ())
+        return (f"Summary(sub={self.sub!r}, atoms={atoms!r}, "
                 f"blocks={self.blocks!r})")
-
-
-class _Suffix:
-    """One suffix of an atom word for `_decompose`: the row of its first
-    position, the levels `can` per idempotent, and its tail or None."""
-
-    __slots__ = ("row", "can", "tail")
-
-    def __init__(self, row, tail):
-        self.row = row
-        self.can = {}
-        self.tail = tail
 
 
 class SummaryFactory:
@@ -105,9 +111,9 @@ class SummaryFactory:
         self.n_groups = len(monoid.analysis.g.symbols.nonterminals)
         self._atoms = {}
         self._blocks = {}
+        self._words = {}
         self._summaries = {}
-        self._suffixes = {}   # atoms of a suffix -> its _Suffix
-        self.empty = Summary(None, (), (), ONE, 0, 0)
+        self.empty = Summary(None, None, (), ONE, 0, 0)
 
     # -- constructors -------------------------------------------------------
 
@@ -119,6 +125,17 @@ class SummaryFactory:
             a = self._atoms[k] = Atom(letter, tail, phi)
         return a
 
+    def word(self, first, tail):
+        w = self._words.get((first, tail))
+        if w is None:
+            # fields set here: an __init__ call nearly doubles making a cell
+            w = self._words[first, tail] = Word()
+            w.first = first
+            w.tail = tail
+            w.length = 1 if tail is None else 1 + tail.length
+            w.row = w.can = w.fold = None
+        return w
+
     def block(self, us, e, vs, w):
         k = (us, e, vs, w)
         b = self._blocks.get(k)
@@ -128,72 +145,71 @@ class SummaryFactory:
             b = self._blocks[k] = Block(us, e, vs, w, self.monoid.phi_seq(seq))
         return b
 
-    def summary(self, sub, atoms, blocks, phi, size):
-        """The summary sub atoms blocks; the caller knows its image phi
-        and its size."""
-        if not atoms and not blocks:
+    def summary(self, sub, atoms, blocks, phi, depth, size):
+        """The summary sub atoms blocks, of known image, depth and size."""
+        if atoms is None and not blocks:
             return sub if sub is not None else self.empty
         k = (sub, atoms, blocks)
         s = self._summaries.get(k)
         if s is None:
-            s = self._summaries[k] = Summary(sub, atoms, blocks, phi,
-                                             self.monoid.depth(phi), size)
+            s = self._summaries[k] = Summary(sub, atoms, blocks, phi, depth,
+                                             size)
         return s
 
     # -- push ---------------------------------------------------------------
 
     def push_letter(self, letter, sigma, trace=None):
-        trace = [] if trace is None else trace   # the cases taken
+        # trace, a list if given, collects the cases taken
         m = self.monoid
         row = m.left[m.gens[letter]]
         # the image of the pushed stack in every case, as e+ keeps images
         new_phi = row[sigma.phi]
-        d = sigma.depth
-        if m.depth(new_phi) > d:
-            trace.append("deepen")
-            return self.summary(None, (self.atom(letter, sigma),), (),
-                                new_phi, 1 + sigma.size)
+        # a push keeps sigma's depth d unless it deepens: g.x is J-below x
+        d, new_d = sigma.depth, m.depth(new_phi)
+        if new_d > d:
+            if trace is not None:
+                trace.append("deepen")
+            s = self.word(self.atom(letter, sigma), None)
+            return self.summary(None, s, (), new_phi, new_d, 1 + sigma.size)
         sub = sigma.sub if sigma.sub is not None else self.empty
         if m.depth(row[sub.phi]) < d:
-            trace.append("recurse")
+            if trace is not None:
+                trace.append("recurse")
             r = self.push_letter(letter, sub, trace)
-            return self.summary(r, sigma.atoms, sigma.blocks, new_phi,
+            return self.summary(r, sigma.atoms, sigma.blocks, new_phi, d,
                                 r.size + sigma.size - sub.size)  # r for sub
-        s = (self.atom(letter, sub),) + sigma.atoms
-        dec = self._decompose(s)
+        s = self.word(self.atom(letter, sub), sigma.atoms)
+        # a word shorter than 2N+1 has no fold
+        dec = self._decompose(s) if s.length > 2 * self.n_groups else None
         if dec is None:
-            trace.append("atom")
-            return self.summary(None, s, sigma.blocks, new_phi,
+            if trace is not None:
+                trace.append("atom")
+            return self.summary(None, s, sigma.blocks, new_phi, d,
                                 1 + sigma.size)
         e, groups, w = dec
-        n = self.n_groups
-        us, vs = groups[:n], groups[n + 1:]
+        us, vs = groups[:self.n_groups], groups[self.n_groups + 1:]
         blocks = sigma.blocks
         for j in range(len(blocks), 0, -1):
             bj = blocks[j - 1]
-            if bj.e is not e:
-                continue
-            infix = ([a.phi for g in vs for a in g] +
-                     [a.phi for a in w] +
-                     [b.phi for b in blocks[:j - 1]] +
-                     [a.phi for g in bj.us for a in g])
-            if m.phi_seq(infix) is e:
-                trace.append(f"merge@{j}")
-                merged = (self.block(us, e, bj.vs, bj.w),) + blocks[j:]
-                return self.summary(None, (), merged, new_phi,
-                                    sum(b.size for b in merged))
-        trace.append("block")
-        blocks = (self.block(us, e, vs, w),) + blocks
-        return self.summary(None, (), blocks, new_phi,
+            infix = chain(*vs, w, blocks[:j - 1], *bj.us)
+            if bj.e is e and m.phi_seq(x.phi for x in infix) is e:
+                case = f"merge@{j}"
+                blocks = (self.block(us, e, bj.vs, bj.w),) + blocks[j:]
+                break
+        else:
+            case = "block"
+            blocks = (self.block(us, e, vs, w),) + blocks
+        if trace is not None:
+            trace.append(case)
+        return self.summary(None, None, blocks, new_phi, d,
                             sum(b.size for b in blocks))
 
     def _decompose(self, s):
-        """Split the atom word s into 2N+1 groups with a common idempotent
-        image followed by a remainder, if possible.
-
-        Among admissible splits the group lengths are chosen shortest
-        first, left to right.  Two idempotents never tie: equal lengths
-        give the same first group, which has only one image.
+        """Split the `Word` s into 2N+1 groups with a common idempotent
+        image e and a remainder, if possible: e, groups and remainder.
+        Group lengths are chosen shortest first, left to right; two
+        idempotents never tie, as equal lengths give the same first group.
+        The answer is kept on s, as a word is often met again.
 
         Positions of s are bits of ints, position p being bit n - p (its
         distance from the right end).  The row of p maps each element to
@@ -205,22 +221,21 @@ class SummaryFactory:
         iff row(p)[e] meets can[k - 1].  The shortest first group from p
         ends at the highest bit of that intersection.
         """
-        n = len(s)
+        n = s.length
         k_groups = 2 * self.n_groups + 1
-        if n < k_groups:
-            return None
-        top = self._segment_rows(s)
+        if s.fold is not None and s.fold[0] == k_groups:
+            return s.fold[1]
+        self._segment_rows(s)
         idempotents = self.monoid.idempotents
         best = None
-        for e, ends in top.row.items():
+        for e, ends in s.row.items():
             if e is ONE or e not in idempotents or ends.bit_count() < k_groups:
                 continue
-            can = self._levels(top, n, e)
+            can = self._levels(s, e)
             if len(can) <= k_groups or not can[k_groups] >> n:
                 continue
             # group ends in order compare as the group lengths do
-            cuts = [0]
-            suffix = top
+            cuts, suffix = [0], s
             for k in range(k_groups, 0, -1):
                 end = n + 1 - (suffix.row[e] & can[k - 1]).bit_length()
                 for _ in range(end - cuts[-1]):
@@ -228,64 +243,57 @@ class SummaryFactory:
                 cuts.append(end)
             if best is None or cuts < best[0]:
                 best = (cuts, e)
-        if best is None:
-            return None
-        cuts, e = best
-        return (e, tuple(tuple(s[i:j]) for i, j in zip(cuts, cuts[1:])),
-                tuple(s[cuts[-1]:]))
+        if best is not None:
+            cuts, e = best
+            atoms = tuple(s)
+            best = (e, tuple(atoms[i:j] for i, j in zip(cuts, cuts[1:])),
+                    atoms[cuts[-1]:])
+        s.fold = (k_groups, best)
+        return best
 
     def _segment_rows(self, s):
-        """The `_Suffix` of s, whose tails hold the row of every position.
-
-        A row depends only on the suffix it starts, since bits count from
-        the right end, so the tables of each suffix are kept, and those of
-        s are extended from its longest known suffix one atom a at a time:
-        the row of the new first position maps a.phi.x, read from the
-        product row of a.phi, to the ends of x for each x in the old first
-        row, and a.phi to the end 1.
-        """
+        """Fill in the rows missing down the cells of s, bottom up: as
+        bits count from the right end, the row of a cell with first atom a
+        maps a.phi.x, read from the product row of a.phi, to the ends of x
+        for each x in its tail's row, and a.phi to the end 1."""
+        missing = []
+        while s is not None and s.row is None:
+            missing.append(s)
+            s = s.tail
         left = self.monoid.left
-        n = len(s)
-        known = n
-        while known and s[n - known:] not in self._suffixes:
-            known -= 1
-        suffix = self._suffixes.get(s[n - known:])   # None for ()
-        for pos in range(n - known - 1, -1, -1):
-            a = s[pos].phi
-            row = {a: 1 << (n - pos - 1)}
-            if suffix is not None:
+        for s in reversed(missing):
+            a = s.first.phi
+            row = {a: 1 << (s.length - 1)}
+            if s.tail is not None:
                 prod = left[a]
-                for x, ends in suffix.row.items():
+                for x, ends in s.tail.row.items():
                     y = prod[x]
                     row[y] = row.get(y, 0) | ends
-            suffix = self._suffixes[s[pos:]] = _Suffix(row, suffix)
-        return suffix
+            s.row = row
 
-    def _levels(self, suffix, n, e):
-        """can[0], can[1], .. of `_decompose` up to the last nonzero one,
-        for the suffix of length n and the idempotent e.
-
-        A suffix's levels are its tail's plus its first position, which
-        is in can[0] and is in can[k] iff its row[e] meets can[k - 1].
-        They are kept per suffix and idempotent, and an unknown suffix is
-        extended up from the longest known one below it.  Every nonzero
-        level is kept, so the levels do not depend on the group count.
+    def _levels(self, s, e):
+        """can[0], can[1], .. of `_decompose` for the word s and the
+        idempotent e, up to the last nonzero one.  A word's levels are
+        its tail's plus its first position, which is in can[0] and is in
+        can[k] iff its row[e] meets can[k - 1].  Each cell keeps them per
+        e, filled in up from the longest suffix that has them; all nonzero
+        levels are kept, whatever the group count.
         """
-        chain = []
-        while suffix is not None and e not in suffix.can:
-            chain.append(suffix)
-            suffix = suffix.tail
-        levels = suffix.can[e] if suffix is not None else [1]
-        bit = 1 << (n - len(chain))
-        for suffix in reversed(chain):
-            bit <<= 1
-            ends = suffix.row.get(e, 0)
+        missing = []
+        while s is not None and e not in (s.can or ()):
+            missing.append(s)
+            s = s.tail
+        levels = s.can[e] if s is not None else [1]
+        for s in reversed(missing):
+            bit = 1 << s.length
+            ends = s.row.get(e, 0)
             new = [levels[0] | bit] + [
                 level | bit if ends & below else level
                 for below, level in zip(levels, levels[1:])]
             if ends & levels[-1]:
                 new.append(bit)
-            suffix.can[e] = levels = new
+            s.can = s.can or {}
+            s.can[e] = levels = new
         return levels
 
 # ---------------------------------------------------------------------------
@@ -328,7 +336,11 @@ def build_summary_graph(factory, letters, cap=4096):
                 continue
             tgt = factory.push_letter(letter, sigma)
             edges[(sigma, letter)] = tgt
-            inverse.setdefault((letter, tgt), []).append(sigma)
+            srcs = inverse.get((letter, tgt))
+            if srcs is None:
+                inverse[letter, tgt] = [sigma]
+            else:
+                srcs.append(sigma)
             if tgt not in ids:
                 if len(nodes) >= cap:
                     raise CapExceeded.of("summary graph", len(nodes) + 1,

@@ -1,7 +1,7 @@
 """Test-side views of the analysis's masks, monoid elements and
 summaries: masks and row masks spelled out as nonterminals and pairs,
 structural keys, the image of a stack word, the top letter, pushing a
-whole word, and a structural check of a summary.
+whole word, making an atom word, and a structural check of a summary.
 
 The monoid interns its elements and the factory hash-conses summaries
 by the identities of their parts, so two factories never share a key;
@@ -64,10 +64,15 @@ def block_key(b, nts):
             tuple(map(group, b.vs)), group(b.w))
 
 
+def atoms(s):
+    """The atoms of a summary, topmost first, as a tuple."""
+    return tuple(s.atoms or ())
+
+
 def summary_key(s, nts):
     return ("summary",
             summary_key(s.sub, nts) if s.sub is not None else None,
-            tuple(atom_key(a, nts) for a in s.atoms),
+            tuple(atom_key(a, nts) for a in atoms(s)),
             tuple(block_key(b, nts) for b in s.blocks))
 
 
@@ -83,7 +88,7 @@ def summed_size(x, memo):
                            for g in x.us + x.vs + (x.w,) for a in g)
         else:
             size = (summed_size(x.sub, memo) if x.sub is not None else 0) + \
-                sum(summed_size(y, memo) for y in x.atoms + x.blocks)
+                sum(summed_size(y, memo) for y in atoms(x) + x.blocks)
         memo[id(x)] = size
     return memo[id(x)]
 
@@ -92,8 +97,8 @@ def top_letter(s):
     """The leftmost (topmost) annotated letter of the summarized stack."""
     if s.sub is not None and not s.sub.is_empty():
         return top_letter(s.sub)
-    if s.atoms:
-        return s.atoms[0].letter
+    if s.atoms is not None:
+        return s.atoms.first.letter
     if s.blocks:
         return s.blocks[0].us[0][0].letter
     return None
@@ -104,6 +109,15 @@ def push_word(factory, word, sigma):
     for letter in reversed(word):
         sigma = factory.push_letter(letter, sigma)
     return sigma
+
+
+def atom_word(factory, atoms):
+    """The factory's cell for a tuple of atoms (topmost first), None for
+    the empty tuple."""
+    word = None
+    for a in reversed(atoms):
+        word = factory.word(a, word)
+    return word
 
 
 def validate_summary(factory, sigma):
@@ -121,7 +135,7 @@ def validate_summary(factory, sigma):
             if s.sub.depth >= d:
                 out.append(f"sub summary too deep: {s!r}")
             walk(s.sub)
-        for a in s.atoms:
+        for a in atoms(s):
             check_atom(a, d)
         for b in s.blocks:
             check_block(b, d)

@@ -245,6 +245,25 @@ def test_cap_exceeded_exit_code(capsys, paths, gn_paths):
         assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--max-universe", "-1", "stats", "square"],
+    ["--max-monoid", "-1", "stats", "square"],
+    ["--max-summaries", "-1", "stats", "square"],
+    ["--max-triples", "-1", "stats", "square"],
+    ["--max-dfa-states", "-1", "compare", "square", "square"],
+    ["oracle", "square", "--len", "-3"],
+    ["oracle", "square", "--height", "-1"],
+])
+def test_negative_sizes_and_caps_are_refused(capsys, paths, argv):
+    argv = [paths.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "error: argument" in err and "must not be negative" in err
+
+
 def test_universe_cap_message(capsys, paths):
     code, _, err = run(capsys, ["--max-universe", "1", "analyze",
                                 paths["square"]])

@@ -17,8 +17,9 @@ from ixdcl.families import g_loop_grammar, grammar_gn
 from ixdcl.grammar import grammar_from_text
 from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, _Memo
 from ixdcl.summaries import Block, SummaryFactory, build_summary_graph
-from summary_helpers import (element_key, push_word, summary_key,
-                             summed_size, top_letter, validate_summary)
+from summary_helpers import (atom_word, atoms, element_key, push_word,
+                             summary_key, summed_size, top_letter,
+                             validate_summary)
 
 # a drawn grammar whose summary graph has 361 nodes
 RANDOM_361_TEXT = """\
@@ -137,24 +138,15 @@ def summaries_fingerprint(summaries, nts):
 
 
 def recorded_atom_words(monoid, letters):
-    """A fresh factory on the monoid, and every atom word it is asked to
-    decompose while building the summary graph, up to the summary cap
-    for a graph that exceeds it."""
+    """A fresh factory on the monoid, and every atom word it makes while
+    building the summary graph, up to the summary cap for a graph that
+    exceeds it, as a tuple of atoms."""
     factory = SummaryFactory(monoid)
-    words = {}
-    decompose = factory._decompose
-
-    def record(s):
-        words[tuple(map(id, s))] = s
-        return decompose(s)
-
-    factory._decompose = record
     try:
         build_summary_graph(factory, letters)
     except CapExceeded:
         pass
-    del factory._decompose
-    return factory, list(words.values())
+    return factory, [tuple(w) for w in factory._words.values()]
 
 
 def brute_force_decompose(m, s, k):
@@ -263,7 +255,7 @@ def test_decompose_matches_brute_force(fixtures, name):
                     windows[tuple(map(id, s[i:i + ln]))] = s[i:i + ln]
         for w in windows.values():
             ref = brute_force_decompose(m, w, k)
-            got = factory._decompose(w)
+            got = factory._decompose(atom_word(factory, w))
             if ref is None:
                 assert got is None
                 continue
@@ -279,10 +271,10 @@ def test_decompose_matches_brute_force(fixtures, name):
 
 @pytest.mark.parametrize("name", ["square", "random"])
 def test_decompose_is_the_same_cold_and_warm(fixtures, name):
-    # A warm factory keeps its tables while the group count changes under
-    # it: the one that built the graph goes on with N, 1, 2, and a new one
-    # fills its tables with 1, then goes on with 2, N.  Each cold factory
-    # sees one word only.
+    # A warm factory's cells keep their tables while the group count
+    # changes under it: the one that built the graph goes on with N, 1, 2,
+    # and a new one fills its tables with 1, then goes on with 2, N.  Each
+    # cold factory makes one word only.
     m, letters = named_monoid(fixtures, name)
     built, words = recorded_atom_words(m, letters)
     full = built.n_groups
@@ -293,7 +285,8 @@ def test_decompose_is_the_same_cold_and_warm(fixtures, name):
             for s in words:
                 cold = SummaryFactory(m)
                 cold.n_groups = n_groups
-                assert cold._decompose(s) == warm._decompose(s)
+                assert cold._decompose(atom_word(cold, s)) == \
+                    warm._decompose(atom_word(warm, s))
 
 
 @pytest.mark.parametrize("name", ["loop", "square", "random", "push_pair"])
@@ -307,13 +300,13 @@ def test_a_fold_has_2n_plus_1_prefix_ends(fixtures, name):
     folds = skipped = 0
     for n_groups in (1, 2, factory.n_groups):
         k = 2 * n_groups + 1
-        for s in words:
-            top = factory._segment_rows(s)
-            for e, ends in top.row.items():
+        for s in map(partial(atom_word, factory), words):
+            factory._segment_rows(s)
+            for e, ends in s.row.items():
                 if e is ONE or e not in idempotents:
                     continue
-                can = factory._levels(top, len(s), e)
-                if len(can) > k and can[k] >> len(s):
+                can = factory._levels(s, e)
+                if len(can) > k and can[k] >> s.length:
                     assert ends.bit_count() >= k
                     folds += 1
                 else:
@@ -369,7 +362,7 @@ def test_decompose_picks_the_idempotent_with_shorter_groups():
     m = TransformationMonoid(c=(0, 0, 0), d=(0, 0, 2))
     factory = SummaryFactory(m)
     s = tuple(factory.atom(x, factory.empty) for x in "dddccc")
-    e, groups, w = factory._decompose(s)
+    e, groups, w = factory._decompose(atom_word(factory, s))
     assert e is m.gens["d"]
     assert [len(g) for g in groups] == [1, 1, 1]
     assert w == s[3:]
@@ -393,10 +386,37 @@ def test_loop_push_cases_and_plateau():
     assert [s.size for s in history[:10]] == list(range(10))
 
 
+def test_atom_push_shares_the_word_below():
+    # an atom-case push makes one cell whose tail is the word it was
+    # pushed onto, not a copy of it
+    factory, (letter,) = fresh_loop_factory()
+    sigma = push_word(factory, (letter,) * 2, factory.empty)
+    tr = []
+    tau = factory.push_letter(letter, sigma, trace=tr)
+    assert tr == ["atom"]
+    assert tau.atoms.tail is sigma.atoms
+    assert tau.atoms.first is factory.atom(letter, factory.empty)
+    assert atoms(tau)[1:] == atoms(sigma)
+
+
+def test_short_words_make_no_fold_tables():
+    # words shorter than 2N+1 cannot fold, so no cell holds a row or
+    # levels until one reaches that length (loop folds at its fifth push)
+    factory, (letter,) = fresh_loop_factory()
+    k = 2 * factory.n_groups + 1
+    sigma = push_word(factory, (letter,) * (k - 1), factory.empty)
+    cells = list(factory._words.values())
+    assert max(w.length for w in cells) == k - 1 == len(atoms(sigma))
+    assert all(w.row is None and w.can is None and w.fold is None
+               for w in cells)
+    factory.push_letter(letter, sigma)
+    assert all(w.row is not None for w in cells)
+
+
 def test_loop_block_shape():
     factory, (letter,) = fresh_loop_factory()
     sigma = push_word(factory, (letter,) * 5, factory.empty)
-    assert sigma.sub is None and sigma.atoms == ()
+    assert sigma.sub is None and sigma.atoms is None
     (block,) = sigma.blocks
     n = factory.n_groups
     assert len(block.us) == n and len(block.vs) == n
@@ -413,7 +433,7 @@ def test_phi_preserved_on_all_edges(fixtures):
             assert tgt.phi is m.product(m.gens[letter], src.phi)
             assert tgt.phi is not ZERO
             # the push hands the summary its image; its parts agree
-            parts = [x.phi for x in (tgt.sub,) + tgt.atoms + tgt.blocks
+            parts = [x.phi for x in (tgt.sub,) + atoms(tgt) + tgt.blocks
                      if x is not None]
             assert m.phi_seq(parts) is tgt.phi
 
@@ -478,7 +498,7 @@ def test_depth_stratification(fixtures):
         for sigma in st_.graph.nodes:
             if sigma.sub is not None:
                 assert sigma.sub.depth < sigma.depth
-            for a in sigma.atoms:
+            for a in atoms(sigma):
                 assert a.tail.depth < sigma.depth
 
 
