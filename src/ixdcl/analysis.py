@@ -11,23 +11,30 @@ annotation sets reachable from Useful, the focus matrices
 
     M[f, X](A, B)  iff  A[f] derives u B v with u, v over (X union T)*
 
-and the per-set reachability relations used by the stack abstraction:
+and efoc(X), the same with A and B on one stack level.  On X x X, for X
+in the universe, efoc(X) is the relation the stack abstraction reads:
 
     A ~X~ B  iff  (A, X) derives u (B, X) v in the annotated grammar.
 
+Such an X is closed, cl(X) = X: Useful = cl({}) is, and a form over
+act(f, X) derived at the empty stack is, with f below every stack, one
+over X.  So a same-level route between members of X with productive
+siblings meets only productive nonterminals and stays inside X.  A push
+A -> R f that returns to level X is the focus row foc(f, X)[R], whose
+split and push rules already take all of R's moves at level act(f, X).
+
 A set of nonterminals is an int whose bit i stands for `nts[i]`, the
 i-th nonterminal in `sort_key` order, and a relation is a tuple of such
-row masks, row i holding the partners of `nts[i]`.  The rules are
-indexed once by kind as tuples of indices and bits.  The methods that
+row masks, row i holding the partners of `nts[i]`.  The methods that
 name sets (`cl`, `act`, `useful`, `universe`) take and return
 frozensets, one per mask; those the stack monoid reads (`act_mask`,
 `focus_rows`, `reach_rows`) take a mask and return a mask or row masks.
 
 Everything is one demand-driven least fixpoint over keys ("cl", X),
-("act", f, X), ("efoc", X), ("foc", f, X) and ("reach", X), X a mask,
-solved by the worklist solver of `ixdcl.fixpoint`, the one the oracle's
-dynamic programs run on.  Each kind of key has its rule `_eval_<kind>`.
-Only these rules build on their own value, so `_eval` runs a key's rule
+("act", f, X), ("efoc", X) and ("foc", f, X), X a mask, solved by the
+worklist solver of `ixdcl.fixpoint`, the one the oracle's dynamic
+programs run on.  Each kind of key has its rule `_eval_<kind>`.  Only
+these rules build on their own value, so `_eval` runs a key's rule
 until its value stops changing, and the solver queues only its readers.
 
 An act(f, X) pass closes its value under the pop and binary rules, which
@@ -112,8 +119,6 @@ class Analysis(Solver):
             return key[1] | self._term
         if key[0] == "efoc":
             return self._unit
-        if key[0] == "reach":
-            return tuple(b & key[1] for b in self._unit)
         return (0,) * len(self._unit)
 
     def _eval(self, key, old):
@@ -251,25 +256,7 @@ class Analysis(Solver):
         """The focus matrix M[f, X] as row masks, x the mask of X."""
         return self._solved(("foc", f, x))
 
-    # -- reachability within the annotated grammar --------------------------
-
-    def _eval_reach(self, cur, X):
-        rows = list(cur)
-        for lhs, kids in self._binary:
-            if X & (lhs | kids) == lhs | kids:
-                rows[lhs.bit_length() - 1] |= kids
-        for f, (_, rules) in self._pushes.items():
-            for a, r, lhs, rhs in rules:
-                Y = self._need(("act", f, X)) if X & lhs else 0
-                if Y & rhs:
-                    m = self._need(("foc", f, X))
-                    rows[a] |= gather(m, self._need(("reach", Y))[r]) & X
-        # one transitive step
-        for a, row in enumerate(rows):
-            rows[a] = row | gather(rows, row)
-        return tuple(rows)
-
     def reach_rows(self, x):
-        """The relation A ~X~ B (see module doc) as row masks, x the mask
-        of X."""
-        return self._solved(("reach", x))
+        """efoc(X) as row masks, x the mask of a universe set X; on X x X
+        it is the relation A ~X~ B (see module doc)."""
+        return self._solved(("efoc", x))

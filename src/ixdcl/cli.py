@@ -23,7 +23,7 @@ from .pipeline import PipelineCaps, run_pipeline, stages
 
 def _load(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:   # a BOM is dropped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GrammarError(f"cannot read {path}: {exc}")

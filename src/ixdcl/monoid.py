@@ -9,11 +9,15 @@ as the analysis solves them.
 
 The product multiplies the topmost segment on the left.  A morphism phi
 maps annotated stack letters (topmost letter leftmost) into the monoid;
-a stack is feasible exactly when its image is not the zero.  A monoid
-interns its elements, so equality of elements is identity and every
-table keys them by the objects themselves.  Products are kept in one
-row per left factor, `left[x2][x1]` = x2 . x1, each formed on its first
-read: a caller multiplying by one x2 fetches its row once.
+a stack is feasible exactly when its image is not the zero.  Two
+segments x2 . x1 join when x2.x = x1.y and x1.b routes to x2.a at that
+level, one bit of the analysis's same-level focus `reach_rows(x2.x)`.
+Both lie in x2.x (a letter's B in its act set, its A in its own set),
+where that focus is the relation ~X~, so the bit needs no restriction.
+A monoid interns its elements, so equality of elements is identity and
+every table keys them by the objects themselves.  Products are kept in
+one row per left factor, `left[x2][x1]` = x2 . x1, each formed on its
+first read: a caller multiplying by one x2 fetches its row once.
 
 The submonoid generated by the letter images is enumerated breadth-first
 by multiplying with generators on both sides, which yields its left and

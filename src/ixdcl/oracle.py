@@ -89,13 +89,14 @@ def check_productive_sample(ag, depth=8, samples=200, seed=0):
 
     Productiveness of a term (A, X)[annotated z] is checked exactly via a
     productiveness analysis of the annotated grammar itself.  Returns a
-    report dict with the list of violating (form, term) pairs.
+    report dict with the list of violating (form, term) pairs.  The
+    annotation of an empty language has no rules and nothing to walk.
     """
     check = Analysis(ag.grammar)
     rng = random.Random(seed)
     violations = []
     checked = 0
-    for _ in range(samples):
+    for _ in range(samples if ag.grammar.productions else 0):
         form = start_form(ag.grammar)
         for _ in range(depth):
             for item in form:

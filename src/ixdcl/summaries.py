@@ -336,11 +336,7 @@ def build_summary_graph(factory, letters, cap=4096):
                 continue
             tgt = factory.push_letter(letter, sigma)
             edges[(sigma, letter)] = tgt
-            srcs = inverse.get((letter, tgt))
-            if srcs is None:
-                inverse[letter, tgt] = [sigma]
-            else:
-                srcs.append(sigma)
+            inverse.setdefault((letter, tgt), []).append(sigma)
             if tgt not in ids:
                 if len(nodes) >= cap:
                     raise CapExceeded.of("summary graph", len(nodes) + 1,

@@ -31,8 +31,11 @@ def matrix(an, f, X):
 
 
 def reach(an, X):
-    """The relation ~X~ as (nt, nt) pairs."""
-    return pairs(an.nts, an.reach_rows(an.mask(X)))
+    """The relation ~X~ as (nt, nt) pairs: the same-level focus
+    `reach_rows` restricted to X x X."""
+    rows = an.reach_rows(an.mask(X))
+    return frozenset((A, B) for A, B in pairs(an.nts, rows)
+                     if A in X and B in X)
 
 
 def element_key(x, nts):

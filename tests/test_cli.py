@@ -76,6 +76,14 @@ def test_validate_bad_input(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_validate_drops_a_byte_order_mark(capsys, tmp_path):
+    bom = tmp_path / "bom.ix"
+    bom.write_bytes(b'\xef\xbb\xbfstart S\nterminals a\nS -> "a"\n')
+    data = run_json(capsys, ["validate", str(bom)])
+    assert data["valid"] is True
+    assert data["productions"] == 1
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, ["analyze", "/nonexistent.ix"])
     assert code == 2
@@ -96,6 +104,12 @@ def test_annotate(capsys, paths):
     assert data["nonterminals"] == 3
     assert data["rules"] == 3
     assert data["letters"] == 1
+    assert data["productive_sample"]["violations"] == 0
+    # the annotation of an empty language has no rules, so no walk
+    # starts and no sample is flagged
+    data = run_json(capsys, ["annotate", paths["empty"]])
+    assert data["rules"] == 0
+    assert data["productive_sample"]["terms_checked"] == 0
     assert data["productive_sample"]["violations"] == 0
 
 
