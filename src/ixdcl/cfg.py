@@ -12,8 +12,21 @@ stack-blind: its rules are terminal or binary with stack-blind kids, so
 it derives the same words on every stack, and it gets one triple, at the
 empty summary, whatever summary it is asked for; the language does not
 change.  It contains the indexed language and has the same downward
-closure.  The module also holds two graph passes over numbers that
-later stages share: `live_rules` and Tarjan's `sccs`.
+closure.
+
+The cover is trim: every triple is reachable from the start and
+productive, so no later stage decides either again.  `build_cfg`
+numbers only triples it reaches from the start.  A reached triple
+(A, X, sigma) has X equal to the annotation at the top of a real stack
+whose summary is sigma: the start is (S, Useful) at the empty summary;
+a binary rule keeps X and sigma; a push is taken only when it is
+feasible; and a pop's preimage keeps the image's bottom annotation, so
+the triples at the empty summary carry Useful.  A is in X, so A is
+productive on that stack (see `annotate`), and the cover contains that
+derivation.  A stack-blind triple moved to the empty summary derives
+the same words on every stack.  The one exception is the empty
+language, whose cover is the start triple without a rule.  The module
+also holds Tarjan's `sccs`, which later stages share.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from .grammar import BinaryRule, PopRule, PushRule, Record, TerminalRule
 
 
 class Cfg(Record):
-    """Read-only once built: `trim_cfg` may share its lists."""
+    """Read-only once built: `trim_cfg` may return it."""
 
     __slots__ = ("nonterminals", "terminals", "rules")
 
@@ -93,38 +106,6 @@ def build_cfg(ag, graph, cap=None):
     return Cfg(triples, g.symbols.terminals, rules)
 
 
-def live_rules(cfg):
-    """Per nonterminal, its right-hand sides whose kids are all
-    productive: empty exactly for an unproductive nonterminal.  Per rule
-    with kids, count its kids not yet known productive; a rule whose
-    count reaches 0 makes its lhs productive."""
-    rules = cfg.rules
-    productive = [False] * len(rules)
-    queue, waiting, lhs, by_kid = [], [], [], [[] for _ in rules]
-    for i, rs in enumerate(rules):
-        for r in rs:
-            if r.__class__ is str:
-                queue.append(i)
-            else:
-                for k in r:
-                    by_kid[k].append(len(waiting))
-                waiting.append(len(r))
-                lhs.append(i)
-    while queue:
-        i = queue.pop()
-        if not productive[i]:
-            productive[i] = True
-            for j in by_kid[i]:
-                waiting[j] -= 1
-                if not waiting[j]:
-                    queue.append(lhs[j])
-    if all(productive):
-        return rules
-    alive = productive.__getitem__
-    return [[r for r in rs if r.__class__ is str or all(map(alive, r))]
-            if ok else [] for rs, ok in zip(rules, productive)]
-
-
 def sccs(adj, roots):
     """Tarjan's strongly connected components of the graph on 0..n-1
     whose successors of v are adj[v], from the given roots, without
@@ -168,25 +149,6 @@ def sccs(adj, roots):
 
 
 def trim_cfg(cfg):
-    """Restrict to productive nonterminals reachable from the start,
-    renumbered in their old order."""
-    live = live_rules(cfg)
-    keep = [False] * len(live)
-    queue = [0] if live and live[0] else []
-    for i in queue:   # grows while it is read
-        keep[i] = True
-        for r in live[i]:
-            if r.__class__ is not str:
-                for k in r:
-                    if not keep[k]:
-                        keep[k] = True
-                        queue.append(k)
-    old = [i for i, ok in enumerate(keep) if ok]
-    rules = [live[i] for i in old]
-    if len(old) < len(live):
-        new = [-1] * len(live)
-        for j, i in enumerate(old):
-            new[i] = j
-        rules = [[r if r.__class__ is str else tuple(map(new.__getitem__, r))
-                  for r in rs] for rs in rules]
-    return Cfg([cfg.nonterminals[i] for i in old], cfg.terminals, rules)
+    """The productive triples reachable from the start: the cover itself,
+    which is trim, or none when its start has no rule."""
+    return cfg if cfg.rules and cfg.rules[0] else Cfg([], cfg.terminals, [])

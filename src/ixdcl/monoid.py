@@ -14,6 +14,11 @@ segments x2 . x1 join when x2.x = x1.y and x1.b routes to x2.a at that
 level, one bit of the analysis's same-level focus `reach_rows(x2.x)`.
 Both lie in x2.x (a letter's B in its act set, its A in its own set),
 where that focus is the relation ~X~, so the bit needs no restriction.
+Feasibility never reads M, but the summaries need it to tell segments
+apart: in the parity witness of `tests/test_differential.py`, f^k is
+popped by two nonterminals of opposite parity, so the word depends on
+whether k is even.  Without M, f^k has one idempotent image, the two
+parities merge and the closure gains aa and bb.
 A monoid interns its elements, so equality of elements is identity and
 every table keys them by the objects themselves.  Products are kept in
 one row per left factor, `left[x2][x1]` = x2 . x1, each formed on its

@@ -9,11 +9,10 @@ letter set B (the simple regular expressions of Abdulla et al., FMSD
 2004, with counted letters).  Concatenating two normal ideals changes
 only their junction, so a product costs the number of atoms, not the
 length of the words they spell: the doubling chain of G_n stays one
-atom a^(2^(2^(2^n))).  The grammar is read untrimmed, in lists indexed
-by nonterminal number: one linear count over the rules finds the
-productive nonterminals, and the dependency graph of the productive
-rules (a dead rule must not join two components) is processed from the
-start, 0, one strongly connected component at a time, bottom-up:
+atom a^(2^(2^(2^n))).  The grammar must be trim, as the cover is (see
+`ixdcl.cfg`); its dependency graph, in lists indexed by nonterminal
+number, is processed from the start, 0, one strongly connected
+component at a time, bottom-up:
 
   * an expansive component (some binary production stays entirely inside
     the component) can pump every letter it can ever produce, so each
@@ -49,7 +48,7 @@ from __future__ import annotations
 from collections import deque
 
 from .analysis import CapExceeded
-from .cfg import live_rules, sccs
+from .cfg import sccs
 from .grammar import Record
 # Not called: perfbench/spans.py rebinds it.
 from .cfg import trim_cfg  # noqa: F401
@@ -229,9 +228,16 @@ def _first_difference(n1, n2, cap, differs):
     (s1, step1, acc1), (s2, step2, acc2) = (_view(n, alphabet, cap)
                                             for n in (n1, n2))
     letters = sorted(alphabet)
-    start = (s1, s2)
-    seen = {start: None}
-    queue = deque([start])
+    seen, queue = {}, deque()
+
+    def visit(pair, back):   # the start pair counts against cap too
+        if len(seen) >= cap:
+            raise CapExceeded.of("comparison", len(seen) + 1,
+                                 "product states", cap, "--max-dfa-states")
+        seen[pair] = back
+        queue.append(pair)
+
+    visit((s1, s2), None)
     while queue:
         pair = queue.popleft()
         q1, q2 = pair
@@ -245,12 +251,7 @@ def _first_difference(n1, n2, cap, differs):
         for a in letters:
             nxt = (step1(q1, a), step2(q2, a))
             if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded.of("comparison", len(seen) + 1,
-                                         "product states", cap,
-                                         "--max-dfa-states")
-                seen[nxt] = (pair, a)
-                queue.append(nxt)
+                visit(nxt, (pair, a))
     return None
 
 
@@ -465,10 +466,10 @@ class _Values(dict):
 
 
 def cfg_dcl_nfa(cfg):
-    """An NFA for the downward closure of a context-free language."""
-    live = live_rules(cfg)
-    if not live or not live[0]:   # the start is unproductive
-        # empty language: one initial state, no final state
+    """An NFA for the downward closure of the language of a trim CFG."""
+    rules = cfg.rules
+    if not rules or not rules[0]:   # a trim CFG of the empty language
+        # one initial state, no final state
         return Nfa(frozenset(cfg.terminals), 1, _Edges(frozenset(), 1),
                    {0}, set(), frozenset())
 
@@ -478,18 +479,19 @@ def cfg_dcl_nfa(cfg):
     # those of the lower components they use.  A component is expansive
     # if a binary rule stays inside it, else linear: U* E V*, with U and
     # V the letters beside a recursive rule and E the exit rules' values.
-    n = len(live)
+    n = len(rules)
     sre = [None] * n    # nonterminal -> frozenset of ideals
     alph = [None] * n   # nonterminal -> the letters it can ever produce
     comp = [-1] * n     # nonterminal -> its component (-1 in one-rule ones)
     values = _Values()
-    adj = [[k for r in rs if r.__class__ is not str for k in r] for rs in live]
+    adj = [[k for r in rs if r.__class__ is not str for k in r]
+           for rs in rules]
     for c, members in enumerate(sccs(adj, [0])):
-        if len(members) == 1 and len(live[members[0]]) == 1:
+        if len(members) == 1 and len(rules[members[0]]) == 1:
             # most components: one rule, which cannot use its own lhs,
             # since the lhs would then be unproductive
             nt = members[0]
-            (r,) = live[nt]
+            (r,) = rules[nt]
             if r.__class__ is str:
                 alph[nt], sre[nt] = set(r), values[r]
             elif len(r) == 1:
@@ -503,7 +505,7 @@ def cfg_dcl_nfa(cfg):
         letters, up, down, exits = set(), set(), set(), set()
         expansive = False
         for nt in members:
-            for r in live[nt]:
+            for r in rules[nt]:
                 if r.__class__ is str:
                     letters.update(r)
                     exits.add(values[r])

@@ -5,13 +5,14 @@ graph, context-free cover, closure.  `stages` is the one place they are
 built: it yields them in that order, each under its cap, so
 `run_pipeline`, every CLI command, the test fixtures and the scripts
 run the same code.  A command that reports one stage reads the prefix
-of `stages` up to it and stops there.  The closure reads the cover
-untrimmed and yields the antichain of ideals in `Nfa.ideals`; the NFA's
-edges are unfolded only when they are read, so the statistics, the
-longest word and membership are computed from the ideals even when the
-export would pass `CLOSURE_STATE_CAP` (G_3).  Each stage has a
-configurable cap; hitting one raises CapExceeded with a message naming
-the cap, and the statistics of the stages that finished are not kept.
+of `stages` up to it and stops there.  The cover is trim as built, so
+the closure reads it as it is and yields the antichain of ideals in
+`Nfa.ideals`; the NFA's edges are unfolded only when they are read, so
+the statistics, the longest word and membership are computed from the
+ideals even when the export would pass `CLOSURE_STATE_CAP` (G_3).  Each
+stage has a configurable cap; hitting one raises CapExceeded with a
+message naming the cap, and the statistics of the stages that finished
+are not kept.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .cfg import build_cfg
 from .grammar import Record
 from .monoid import StackMonoid
 from .nfa import cfg_dcl_nfa, longest_word_or_infinite
-# Not called: the closure NFA is subword-closed, and the closure reads the
-# cover untrimmed; perfbench/spans.py rebinds both.
+# Not called: the closure NFA is subword-closed, and the cover is trim as
+# built; perfbench/spans.py rebinds both.
 from .cfg import trim_cfg  # noqa: F401
 from .nfa import dcl_close  # noqa: F401
 from .summaries import SummaryFactory, build_summary_graph

@@ -1,9 +1,10 @@
 """Bounded languages of a context-free grammar, the reference for the
 closure construction: words are enumerated up to a length, not
-summarised.  Also the one way tests write a grammar by hand, and the
-full cover, the reference for the cover's cut of stack-blind triples."""
+summarised.  Also the one way tests write a grammar by hand, the full
+cover, the reference for the cover's cut of stack-blind triples, and
+the general trim, the reference for the cover being trim as built."""
 
-from ixdcl.cfg import Cfg
+from ixdcl.cfg import Cfg, trim_cfg
 from ixdcl.grammar import BinaryRule, PopRule, PushRule, TerminalRule
 from ixdcl.oracle import subwords
 
@@ -101,3 +102,62 @@ def cfg_dcl_bounded(cfg, max_len):
              for rs in cfg.rules]
     return cfg_bounded_words(Cfg(cfg.nonterminals, cfg.terminals, rules),
                              max_len)
+
+
+def trim(cfg):
+    """Restrict to productive nonterminals reachable from the start,
+    renumbered in their old order.  Per rule with kids, count its kids
+    not yet known productive; a rule whose count reaches 0 makes its lhs
+    productive."""
+    rules = cfg.rules
+    productive = [False] * len(rules)
+    queue, waiting, lhs, by_kid = [], [], [], [[] for _ in rules]
+    for i, rs in enumerate(rules):
+        for r in rs:
+            if r.__class__ is str:
+                queue.append(i)
+            else:
+                for k in r:
+                    by_kid[k].append(len(waiting))
+                waiting.append(len(r))
+                lhs.append(i)
+    while queue:
+        i = queue.pop()
+        if not productive[i]:
+            productive[i] = True
+            for j in by_kid[i]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    queue.append(lhs[j])
+    alive = productive.__getitem__
+    live = [[r for r in rs if r.__class__ is str or all(map(alive, r))]
+            if ok else [] for rs, ok in zip(rules, productive)]
+    keep = [False] * len(live)
+    queue = [0] if live and live[0] else []
+    for i in queue:   # grows while it is read
+        keep[i] = True
+        for r in live[i]:
+            if r.__class__ is not str:
+                for k in r:
+                    if not keep[k]:
+                        keep[k] = True
+                        queue.append(k)
+    old = [i for i, ok in enumerate(keep) if ok]
+    new = [-1] * len(live)
+    for j, i in enumerate(old):
+        new[i] = j
+    return Cfg([cfg.nonterminals[i] for i in old], cfg.terminals,
+               [[r if r.__class__ is str else tuple(map(new.__getitem__, r))
+                 for r in live[i]] for i in old])
+
+
+def assert_cover_is_trim(cfg):
+    """The reference trim leaves the cover as it is, or drops only the
+    start triple, without a rule, of an empty language; and `trim_cfg`
+    agrees with it."""
+    out = trim(cfg)
+    if out.nonterminals:
+        assert out == cfg
+    else:
+        assert cfg.rules == [[]]
+    assert trim_cfg(cfg) == out

@@ -12,7 +12,6 @@ import os
 import pytest
 from hypothesis import settings
 
-from ixdcl.cfg import trim_cfg
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.pipeline import run_pipeline, stages
@@ -28,7 +27,6 @@ class Stages:
         self.grammar = grammar
         (self.analysis, self.annotated, self.monoid, self.factory,
          self.graph, self.cfg, self.nfa) = stages(grammar)
-        self.cfg_trimmed = trim_cfg(self.cfg)
 
 
 @pytest.fixture(scope="session")

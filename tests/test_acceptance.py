@@ -22,7 +22,7 @@ from ixdcl.oracle import (OracleBudget, Term, check_productive_sample,
 from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
 from cfg_reference import (cfg_bounded_words, cfg_dcl_bounded,
-                           numbered_cfg)
+                           numbered_cfg, trim)
 from test_nfa import random_cfg
 from derivation_reference import term_reachable, term_routes
 from nfa_reference import add_state
@@ -201,10 +201,10 @@ def test_criterion_07_cover_language(fixtures):
         an = st.analysis
         dp = term_language_dp(st.grammar, OracleBudget(6, 6, 500000),
                               emptiness=an.term_empty)
-        cover = cfg_bounded_words(st.cfg_trimmed, 6)
+        cover = cfg_bounded_words(st.cfg, 6)
         for w in dp.table[(st.grammar.start, ())]:
             assert w in cover, (name, w)
-        closure = cfg_dcl_bounded(st.cfg_trimmed, 6)
+        closure = cfg_dcl_bounded(st.cfg, 6)
         budget = OracleBudget(64, 9, 500000)
         for w in words_upto(st.grammar.symbols.terminals, 6):
             member, _ = dcl_member_oracle(st.grammar, w, budget,
@@ -219,7 +219,7 @@ def test_criterion_08_cfg_closure_construction():
     allw = words_upto("ab", 8)
     rng = random.Random(0)
     for i in range(50):
-        cfg = random_cfg(rng)
+        cfg = trim(random_cfg(rng))
         nfa = cfg_dcl_nfa(cfg)
         expect = cfg_dcl_bounded(cfg, 8)
         got = {w for w in allw if nfa_member(nfa, w)}

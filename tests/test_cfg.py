@@ -11,8 +11,9 @@ from ixdcl.grammar import BinaryRule, PopRule, PushRule, grammar_from_text
 from ixdcl.nfa import cfg_dcl_nfa
 from ixdcl.oracle import OracleBudget, subwords, term_language_dp
 from ixdcl.pipeline import stages
-from cfg_reference import (cfg_bounded_words, cfg_dcl_bounded, full_cover,
-                           named_rules, numbered_cfg)
+from cfg_reference import (assert_cover_is_trim, cfg_bounded_words,
+                           cfg_dcl_bounded, full_cover, named_rules,
+                           numbered_cfg, trim)
 from test_grammar import generated_stages, small_grammars
 from test_nfa import random_cfg
 from test_summaries import RANDOM_361_TEXT
@@ -22,9 +23,10 @@ def test_cfg_goldens(fixtures):
     shapes = {"g1": (3, 3, 3, 3), "loop": (20, 50, 20, 50),
               "square": (1277, 1421, 1277, 1421)}
     for name, st_ in fixtures.items():
+        trimmed = trim_cfg(st_.cfg)
         assert (len(st_.cfg.nonterminals), st_.cfg.n_rules(),
-                len(st_.cfg_trimmed.nonterminals),
-                st_.cfg_trimmed.n_rules()) == shapes[name]
+                len(trimmed.nonterminals),
+                trimmed.n_rules()) == shapes[name]
 
 
 def test_cfg_triple_cap(square):
@@ -36,10 +38,10 @@ def test_cfg_triple_cap(square):
 
 def assert_same_closure_as_full_cover(ag, graph, cfg, nfa):
     """The cover with one triple per stack-blind nonterminal has the
-    full cover's short words and closure."""
+    full cover's short words and closure; both are trim as built."""
     full = full_cover(ag, graph)
-    assert cfg_bounded_words(trim_cfg(full), 6) == \
-        cfg_bounded_words(trim_cfg(cfg), 6)
+    assert_cover_is_trim(full)
+    assert cfg_bounded_words(full, 6) == cfg_bounded_words(cfg, 6)
     assert cfg_dcl_nfa(full).ideals == nfa.ideals
     return full
 
@@ -85,12 +87,12 @@ def test_cfg_start_triple(fixtures):
 
 def test_numbered_cover_invariants(fixtures):
     # one list of right-hand sides per triple, kids numbered below the
-    # count; the trim keeps the start at 0 and the survivors in order,
-    # and renumbers every kid to the same triple (the generated grammars
-    # lose nonterminals to the trim, the fixtures' covers none)
+    # count; the reference trim keeps the start at 0 and the survivors in
+    # order, and renumbers every kid to the same triple (the random CFGs
+    # lose nonterminals to it, the fixtures' covers none)
     rng = random.Random(2)
-    pairs = [(st_.cfg, st_.cfg_trimmed) for st_ in fixtures.values()]
-    pairs += [(cfg, trim_cfg(cfg))
+    pairs = [(st_.cfg, trim(st_.cfg)) for st_ in fixtures.values()]
+    pairs += [(cfg, trim(cfg))
               for cfg in (random_cfg(rng) for _ in range(200))]
     for full, trimmed in pairs:
         for cfg in (full, trimmed):
@@ -162,11 +164,11 @@ def test_cfg_push_pop_follow_graph(fixtures):
 
 
 def test_bounded_words_goldens(fixtures):
-    assert cfg_bounded_words(fixtures["g1"].cfg_trimmed, 6) == \
+    assert cfg_bounded_words(fixtures["g1"].cfg, 6) == \
         frozenset({"ab"})
-    assert cfg_bounded_words(fixtures["loop"].cfg_trimmed, 6) == \
+    assert cfg_bounded_words(fixtures["loop"].cfg, 6) == \
         frozenset({"a"})
-    assert cfg_bounded_words(fixtures["square"].cfg_trimmed, 6) == \
+    assert cfg_bounded_words(fixtures["square"].cfg, 6) == \
         frozenset({"", "ab", "aabbbb"})
 
 
@@ -175,7 +177,7 @@ def test_cover_contains_indexed_language(fixtures):
     for st_ in fixtures.values():
         dp = term_language_dp(st_.grammar, OracleBudget(6, 6, 500000),
                               emptiness=st_.analysis.term_empty)
-        words = cfg_bounded_words(st_.cfg_trimmed, 6)
+        words = cfg_bounded_words(st_.cfg, 6)
         for w in dp.table[(st_.grammar.start, ())]:
             assert w in words
 
@@ -188,9 +190,9 @@ def test_dcl_bounded_matches_subword_closure(fixtures):
         "loop": {"", "a"},
     }
     for name, want in expect.items():
-        got = cfg_dcl_bounded(fixtures[name].cfg_trimmed, 6)
+        got = cfg_dcl_bounded(fixtures[name].cfg, 6)
         assert got == frozenset(want)
-    sq = cfg_dcl_bounded(fixtures["square"].cfg_trimmed, 6)
+    sq = cfg_dcl_bounded(fixtures["square"].cfg, 6)
     # a^n b^(n^2): short subwords are exactly a^i b^j with j <= roughly
     # the square of the available a-budget; frozen golden
     assert len(sq) == 28
@@ -204,20 +206,23 @@ def test_trim_removes_dead_nonterminals():
                         ("S", ("S", "Dead")),     # Dead is unproductive
                         ("Loop", ("Loop",)),      # Loop never terminates
                         ("Unreach", (), "a")])    # productive, unreachable
-    out = trim_cfg(cfg)
+    out = trim(cfg)
     assert out.nonterminals == ["S"]
     assert out.rules == [["a"]]
 
 
 def test_trim_empty_language():
-    cfg = numbered_cfg(["S"], "a", [("S", ("S",))])
-    out = trim_cfg(cfg)
-    assert out.nonterminals == [] and out.rules == []
-    assert cfg_bounded_words(out, 5) == frozenset()
+    # the cover of an empty language is its start triple without a rule;
+    # the reference trim also drops a start that only loops
+    for cfg, trimmer in ((numbered_cfg(["S"], "a", []), trim_cfg),
+                         (numbered_cfg(["S"], "a", [("S", ("S",))]), trim)):
+        out = trimmer(cfg)
+        assert out.nonterminals == [] and out.rules == []
+        assert cfg_bounded_words(out, 5) == frozenset()
 
 
 def round_robin_trim(cfg):
-    """Reference trim over named rules: the productive pass rescans every
+    """A second trim over named rules: the productive pass rescans every
     rule each round until nothing changes."""
     rules = named_rules(cfg)
     productive = set()
@@ -256,7 +261,7 @@ def test_trim_matches_round_robin(fixtures):
     rng = random.Random(1)
     cfgs += [random_cfg(rng) for _ in range(200)]
     for cfg in cfgs:
-        assert trim_cfg(cfg) == round_robin_trim(cfg)
+        assert trim(cfg) == round_robin_trim(cfg)
 
 
 @st.composite

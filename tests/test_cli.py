@@ -150,6 +150,11 @@ def test_to_cfg(capsys, paths, gn_paths):
     assert data["triples"] == 1277
     assert data["trimmed_triples"] == 1277
     assert run_json(capsys, ["to-cfg", gn_paths[3]])["triples"] == 3583
+    # the one cover that the trim changes: an empty language's start
+    # triple has no rule
+    data = run_json(capsys, ["to-cfg", paths["empty"]])
+    assert (data["triples"], data["rules"]) == (1, 0)
+    assert (data["trimmed_triples"], data["trimmed_rules"]) == (0, 0)
 
 
 def test_dcl_nfa_json_and_dot(capsys, paths):
@@ -257,6 +262,19 @@ def test_cap_exceeded_exit_code(capsys, paths, gn_paths):
         code, _, err = run(capsys, argv)
         assert code == 3, argv
         assert "cap" in err
+
+
+def test_comparison_cap_counts_the_start_pair(capsys, paths, tmp_path):
+    # the empty closure against {ε} differs at the start pair already
+    p = tmp_path / "eps.ix"
+    p.write_text('start S\nterminals a\nS -> ""\n')
+    argv = ["compare", paths["empty"], str(p)]
+    code, _, err = run(capsys, ["--max-dfa-states", "0"] + argv)
+    assert code == 3
+    assert "comparison cap exceeded: 1 product states, limit 0 " \
+        "(--max-dfa-states)" in err
+    data = run_json(capsys, ["--max-dfa-states", "1"] + argv)
+    assert (data["holds"], data["counterexample"]) == (False, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,21 +6,27 @@ of that length in the downward closure in one fixpoint.  A word the
 oracle finds must be accepted; a word it does not find must be rejected
 when the oracle is complete, that is, when no stack push it pruned at
 its height bound was left uncertified by the analysis's emptiness test.
-A draw whose pipeline exits at a cap is skipped.
+A draw whose pipeline exits at a cap is skipped.  Each cover the gate
+builds is also checked to be trim as built.  Two hand-written
+witnesses pin down parts of the construction that no draw needs.
 
 `pytest --hypothesis-show-statistics` reports how many draws exited at
 a cap, how many had a complete oracle and how many closures hold a word
 with a letter.
 """
 
+from itertools import islice
+
 import pytest
 from hypothesis import event, given, settings
 
 from ixdcl.analysis import CapExceeded
+from ixdcl.families import grammar_gn
 from ixdcl.grammar import grammar_from_text
-from ixdcl.nfa import nfa_member
+from ixdcl.nfa import _word_ideal, nfa_member
 from ixdcl.oracle import OracleBudget, _DclDp, dcl_member_oracle
-from ixdcl.pipeline import PipelineCaps, run_pipeline
+from ixdcl.pipeline import PipelineCaps, run_pipeline, stages
+from cfg_reference import assert_cover_is_trim
 from generated_grammars import grammar_texts
 from test_acceptance import words_upto
 
@@ -71,6 +77,7 @@ def test_closure_matches_oracle_on_generated_grammars(text):
     except CapExceeded:
         event("cap exit")
         return
+    assert_cover_is_trim(result.cfg)
     found, complete = bounded_closure(g, result.analysis.term_empty, WORDS)
     event("oracle complete" if complete else "oracle incomplete")
     event("closure has a letter" if found - {""} else "closure within {ε}")
@@ -80,3 +87,65 @@ def test_closure_matches_oracle_on_generated_grammars(text):
             assert member, w
         elif complete:
             assert not member, w
+
+
+# The focus matrix M of a monoid element is needed: T pushes f^k onto z,
+# and U and V pop it with opposite parities, so the word is ab for even
+# k and ba for odd k.  Without M, f^k has one idempotent image for every
+# k, the two parities merge, and the closure gains aa and bb.
+PARITY_TEXT = """\
+start S
+terminals a b
+stack f z
+S -> T + z
+T -> T + f
+T -> U V
+U - f -> U2
+U2 - f -> U
+U - z -> "a"
+U2 - z -> "b"
+V - f -> V2
+V2 - f -> V
+V - z -> "b"
+V2 - z -> "a"
+"""
+
+# The same-level focus needs its push rules: R pops h to A, which pushes
+# f and pops it again, so the route from B down to the g below returns
+# to its level through a push.  Without it the closure is empty.
+SAME_LEVEL_TEXT = """\
+start S
+terminals a
+stack f g h
+S -> B + g
+B -> R + h
+R - h -> A
+A -> Z + f
+Z - f -> Y
+Y - g -> "a"
+"""
+
+
+@pytest.mark.parametrize("text, words, rejected", [
+    (PARITY_TEXT, ("ab", "ba"), ("aa", "bb")),
+    (SAME_LEVEL_TEXT, ("a",), ()),
+], ids=["parity", "same_level"])
+def test_witness_closure(text, words, rejected):
+    # the closure is exactly the subwords of the golden words, and the
+    # oracle finds the same words up to length 5
+    g = grammar_from_text(text)
+    result = run_pipeline(g)
+    assert result.nfa.ideals == frozenset(map(_word_ideal, words))
+    for w in rejected:
+        assert not nfa_member(result.nfa, w), w
+    found, _ = bounded_closure(g, result.analysis.term_empty, WORDS)
+    assert found == {w for w in WORDS if nfa_member(result.nfa, w)}
+
+
+def test_covers_are_trim(fixtures):
+    covers = [st_.cfg for st_ in fixtures.values()]
+    covers += [list(islice(stages(g), 6))[-1] for g in (
+        [grammar_gn(n) for n in (1, 2, 3)]
+        + [grammar_from_text(t) for t in (PARITY_TEXT, SAME_LEVEL_TEXT)])]
+    for cfg in covers:
+        assert_cover_is_trim(cfg)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ixdcl.analysis import CapExceeded
-from ixdcl.cfg import trim_cfg
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.grammar import grammar_from_text
@@ -22,7 +21,7 @@ from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _antichain,
 from ixdcl.oracle import is_subword, subwords
 from ixdcl.pipeline import run_pipeline
 import ideal_reference as ref
-from cfg_reference import cfg_dcl_bounded, numbered_cfg
+from cfg_reference import cfg_dcl_bounded, numbered_cfg, trim
 from nfa_reference import (add_state, longest_path, simulate,
                            word_subword_nfa)
 from test_summaries import RANDOM_361_TEXT
@@ -295,7 +294,8 @@ def test_dcl_nfa_linear_component():
         cfg_dcl_bounded(cfg, 4)
 
 
-EMPTY_CFG = numbered_cfg(["S"], "a", [("S", ("S",))])
+# the cover of an empty language: its start triple, without a rule
+EMPTY_CFG = numbered_cfg(["S"], "a", [])
 
 
 def test_dcl_nfa_empty_language():
@@ -385,29 +385,30 @@ def test_doubling_comparison_steps_through_the_ideals():
         nfa_inclusion(big, small, cap=1000)
 
 
-def random_cfg(rng, max_nts=4, max_rules=8, letters="ab"):
-    n = rng.randint(1, max_nts)
+def random_cfg(rng):
+    """A random CFG, not trimmed: `cfg_dcl_nfa` reads `trim` of it."""
+    n = rng.randint(1, 4)
     nts = [f"N{i}" for i in range(n)]
     rules = []
-    for _ in range(rng.randint(1, max_rules)):
+    for _ in range(rng.randint(1, 8)):
         lhs = rng.choice(nts)
         k = rng.random()
         if k < 0.4:
-            w = "".join(rng.choice(letters)
+            w = "".join(rng.choice("ab")
                         for _ in range(rng.randint(0, 3)))
             rules.append((lhs, (), w))
         elif k < 0.8:
             rules.append((lhs, (rng.choice(nts), rng.choice(nts))))
         else:
             rules.append((lhs, (rng.choice(nts),)))
-    return numbered_cfg(nts, letters, rules)
+    return numbered_cfg(nts, "ab", rules)
 
 
 def test_dcl_nfa_random_cfgs_match_exact_closure():
     rng = random.Random(1)
     allw = words_upto("ab", 8)
     for _ in range(150):   # about 2 s
-        cfg = random_cfg(rng)
+        cfg = trim(random_cfg(rng))
         nfa = cfg_dcl_nfa(cfg)
         expect = cfg_dcl_bounded(cfg, 8)
         got = {w for w in allw if nfa_member(nfa, w)}
@@ -421,7 +422,7 @@ def test_ideal_comparison_matches_dfa_search():
     rng = random.Random(5)
     held = [0, 0]
     for _ in range(200):
-        a, b = (cfg_dcl_nfa(random_cfg(rng)) for _ in range(2))
+        a, b = (cfg_dcl_nfa(trim(random_cfg(rng))) for _ in range(2))
         plain = [Nfa(n.alphabet, n.n_states, n.transitions, n.initial,
                      n.final) for n in (a, b)]
         for i, compare in enumerate((nfa_inclusion, nfa_equivalence)):
@@ -433,35 +434,10 @@ def test_ideal_comparison_matches_dfa_search():
     assert held[0] > held[1] > 0
 
 
-def test_dcl_nfa_dead_rule_does_not_join_components():
-    # N0 reaches N3 only through the dead rule N0 -> N2 N3, so b never
-    # enters N0's closure, although {N0, N3} is one component of the
-    # untrimmed graph
-    n0, n1, n2, n3 = "N0", "N1", "N2", "N3"
-    cfg = numbered_cfg([n0, n1, n2, n3], "abc",
-                       [(n0, (), ""), (n0, (), "aca"),
-                        (n0, (n0, n0)), (n0, (n2, n3)),
-                        (n0, (n2, n2)), (n3, (), "b"),
-                        (n3, (n3, n0)), (n2, (n1,)),
-                        (n1, (n1, n2))])
-    nfa = cfg_dcl_nfa(cfg)
-    assert nfa.ideals == frozenset([(("s", frozenset("ac")),)])
-    assert nfa.alphabet == frozenset("abc")
-
-
-def test_dcl_nfa_untrimmed_matches_trimmed():
-    rng = random.Random(7)
-    for _ in range(2000):
-        cfg = random_cfg(rng, max_nts=6, max_rules=10, letters="abc")
-        a, b = cfg_dcl_nfa(cfg), cfg_dcl_nfa(trim_cfg(cfg))
-        assert a.to_dict() == b.to_dict(), cfg
-        assert a.ideals == b.ideals, cfg
-
-
 def test_dcl_nfa_is_deterministic(fixtures):
     for st_ in fixtures.values():
-        a = cfg_dcl_nfa(st_.cfg_trimmed).to_dict()
-        b = cfg_dcl_nfa(st_.cfg_trimmed).to_dict()
+        a = cfg_dcl_nfa(st_.cfg).to_dict()
+        b = cfg_dcl_nfa(st_.cfg).to_dict()
         assert a == b
 
 
@@ -480,7 +456,7 @@ def test_ideal_queries_match_simulation(fixtures, gn_nfas):
     rng = random.Random(3)
     nfas = ([st_.nfa for st_ in fixtures.values()] + list(gn_nfas.values())
             + [cfg_dcl_nfa(EMPTY_CFG)]
-            + [cfg_dcl_nfa(random_cfg(rng)) for _ in range(200)])
+            + [cfg_dcl_nfa(trim(random_cfg(rng))) for _ in range(200)])
     for nfa in nfas:
         assert nfa.ideals is not None
         assert longest_word_or_infinite(nfa) == longest_path(nfa)
