@@ -31,7 +31,7 @@ frozensets, one per mask; those the stack monoid reads (`act_mask`,
 `focus_rows`, `reach_rows`) take a mask and return a mask or row masks.
 
 Everything is one demand-driven least fixpoint over keys ("cl", X),
-("act", f, X), ("efoc", X) and ("foc", f, X), X a mask, solved by the
+("act", f, P), ("efoc", X) and ("foc", f, X), X a mask, solved by the
 worklist solver of `ixdcl.fixpoint`, the one the oracle's dynamic
 programs run on.  Each kind of key has its rule `_eval_<kind>`.  Only
 these rules build on their own value, so `_eval` runs a key's rule
@@ -39,9 +39,12 @@ until its value stops changing, and the solver queues only its readers.
 
 An act(f, X) pass closes its value under the pop and binary rules, which
 read only cl(X) and the value, before it takes the snapshot S at which
-its push rules read act(g, S), once per letter g.  An earlier snapshot
-is a set the value is about to outgrow, whose act keys are solved, then
-abandoned, and still count against the cap.
+its push rules read act(g, S), once per letter g.  So act(f, X) reads X
+only through cl(X) & r, r the right-hand side bit of a pop rule of f: it
+is a function of P = cl(X) & R_f, R_f the mask of those bits, and its
+key is ("act", f, P), one for every X with the same P.  A reader takes P
+from a cl value: its snapshot's, or in a cl rule its own, the cl(X) being
+solved.  Every act key counts against the cap.
 """
 
 from __future__ import annotations
@@ -100,6 +103,8 @@ class Analysis(Solver):
                 kind.setdefault(p.sym, []).append(rule)
         self._pushes = {f: (sum({r[2] for r in rules}), rules)
                         for f, rules in self._pushes.items()}
+        self._reads = {f: sum({r[3] for r in rules})   # f -> R_f
+                       for f, rules in self._pops.items()}
         self._sets = {}      # mask -> its frozenset
         self._universe = None
         self._fold = {}   # stack tuple -> mask (action on empty set)
@@ -151,26 +156,30 @@ class Analysis(Solver):
                     cur |= lhs
         return cur
 
-    def _apply_pushes(self, cur, X):
-        """cur with each A of a push rule A -> B + f, B in act(f, X)."""
+    def _act_key(self, f, cl):
+        """The key of act(f, X), cl the mask of cl(X)."""
+        return "act", f, cl & self._reads.get(f, 0)
+
+    def _apply_pushes(self, cur, cl):
+        """cur with each A of a push rule A -> B + f, B in act(f, cl)."""
         for f, (lhs, rules) in self._pushes.items():
             if cur & lhs != lhs:
-                gen = self._need(("act", f, X))
+                gen = self._need(self._act_key(f, cl))
                 for _, _, a, r in rules:
                     if gen & r:
                         cur |= a
         return cur
 
     def _eval_cl(self, cur, X):
-        return self._apply_pushes(self._close(cur), X)
-
-    def _eval_act(self, cur, f, X):
-        cl = self._need(("cl", X))
-        for _, _, a, r in self._pops.get(f, ()):
-            if cl & r:
-                cur |= a
         cur = self._close(cur)
-        return self._apply_pushes(cur, cur)   # the snapshot S is cur
+        return self._apply_pushes(cur, cur)
+
+    def _eval_act(self, cur, f, P):
+        for _, _, a, r in self._pops.get(f, ()):
+            if P & r:
+                cur |= a
+        cur = self._close(cur)   # the snapshot S is cur
+        return self._apply_pushes(cur, self._need(("cl", cur)))
 
     def cl(self, X):
         """Nonterminals A with A[empty stack] deriving into (X union T)*."""
@@ -178,7 +187,7 @@ class Analysis(Solver):
 
     def act_mask(self, f, x):
         """The mask of the one-letter action f . X, x the mask of X."""
-        return self._solved(("act", f, x))
+        return self._solved(self._act_key(f, self._solved(("cl", x))))
 
     def act(self, f, X):
         """The one-letter action f . X."""
@@ -239,7 +248,7 @@ class Analysis(Solver):
 
     def _eval_foc(self, cur, f, X):
         ef = self._need(("efoc", X))
-        gen = self._need(("act", f, X))
+        gen = self._need(self._act_key(f, self._need(("cl", X))))
         rows = list(cur)
         for a, r, _, _ in self._pops.get(f, ()):
             rows[a] |= ef[r]

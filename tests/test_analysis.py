@@ -4,14 +4,17 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.pipeline import PipelineCaps, run_pipeline
+from analysis_reference import PerSetAnalysis
+from generated_grammars import grammar_texts
 from summary_helpers import matrix, reach
+from test_differential import PARITY_TEXT, SAME_LEVEL_TEXT
 from test_summaries import RANDOM_361_TEXT, canonical
 
 # (universe size, sha256 prefix of analysis_fingerprint)
@@ -194,14 +197,48 @@ def test_universe_cap():
         Analysis(square_grammar(), universe_cap=1).universe()
 
 
-@pytest.mark.parametrize("n, before", [(2, 314), (3, 1169)])
-def test_act_keys_counted_and_capped(n, before):
-    # before: the act keys made when each pass read the inner actions at
-    # a snapshot taken before the binary rules had saturated
+@pytest.mark.parametrize("n, bound", [(2, 100), (3, 600)])
+def test_act_keys_counted_and_capped(n, bound):
+    # an act key is what f's pop rules read of X, cl(X) & R_f; keyed by
+    # X itself, G_2 made 280 act keys and G_3 1027
     keys = run_pipeline(grammar_gn(n)).stats["act_keys"]
-    assert 0 < keys < before
+    assert 0 < keys < bound
     # every act key counts against max_universe, the last one included
     caps = PipelineCaps(max_universe=keys - 1)
     with pytest.raises(CapExceeded, match=f"exceeded: {keys} act keys, "
                        fr"limit {keys - 1} \(--max-universe\)"):
         run_pipeline(grammar_gn(n), caps)
+
+
+def assert_actions_match_per_set_keys(g):
+    """act_mask and cl agree with `PerSetAnalysis` on every universe set
+    and every set the reference keyed an action at, most of them
+    snapshots that are not closed, for every stack symbol."""
+    an, ref = Analysis(g, universe_cap=512), PerSetAnalysis(g, 512)
+    assert an.universe() == ref.universe()
+    letters = sorted(g.symbols.stack_symbols, key=str)
+    for x in {an.mask(X) for X in an.universe()} | ref.keyed_sets():
+        X = an._set(x)
+        assert an.cl(X) == ref.cl(X), X
+        for f in letters:
+            assert an.act_mask(f, x) == ref.act_mask(f, x), (f, X)
+
+
+@pytest.mark.parametrize("name", ["g1", "loop", "square"])
+def test_actions_match_per_set_keys_on_fixtures(fixtures, name):
+    assert_actions_match_per_set_keys(fixtures[name].grammar)
+
+
+@pytest.mark.parametrize("text", [PARITY_TEXT, SAME_LEVEL_TEXT],
+                         ids=["parity", "same_level"])
+def test_actions_match_per_set_keys_on_witnesses(text):
+    assert_actions_match_per_set_keys(grammar_from_text(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammar_texts())
+def test_actions_match_per_set_keys_on_generated_grammars(text):
+    try:
+        assert_actions_match_per_set_keys(grammar_from_text(text))
+    except CapExceeded:
+        event("cap exit")

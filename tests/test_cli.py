@@ -12,7 +12,8 @@ import ixdcl
 from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.cli import main
 from ixdcl.families import (G1_TEXT, G_LOOP_TEXT, SQUARE_TEXT,
-                            g_loop_grammar, grammar_gn_text, square_grammar)
+                            g_loop_grammar, grammar_gn, grammar_gn_text,
+                            square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import cfg_dcl_nfa, determinize, nfa_inclusion
 from ixdcl.pipeline import PipelineCaps, run_pipeline
@@ -143,6 +144,16 @@ def test_summaries_trace_does_not_depend_on_the_hash_seed(paths):
              paths["square"]], env=env, capture_output=True, check=True)
         outs.add(run_.stdout)
     assert len(outs) == 1
+
+
+def test_module_runs_the_command_line(capsys, paths):
+    # `python -m ixdcl` from a source tree prints what `main` prints
+    src = os.path.dirname(os.path.dirname(ixdcl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run_ = subprocess.run([sys.executable, "-m", "ixdcl", "stats",
+                           paths["g1"]], env=env, capture_output=True,
+                          check=True)
+    assert json.loads(run_.stdout) == run_json(capsys, ["stats", paths["g1"]])
 
 
 def test_to_cfg(capsys, paths, gn_paths):
@@ -308,9 +319,11 @@ def test_universe_cap_message(capsys, paths):
                                      "summaries", "to-cfg", "stats"])
 def test_universe_cap_agrees_across_commands(capsys, paths, gn_paths,
                                              command):
-    # every command runs the analysis with its universe solved first:
-    # square makes 9 act keys and G_1 75
-    for path, keys in ((paths["square"], 9), (gn_paths[1], 75)):
+    # every command runs the analysis with its universe solved first, so
+    # each stops at the act key count of the whole pipeline
+    for g, path in ((square_grammar(), paths["square"]),
+                    (grammar_gn(1), gn_paths[1])):
+        keys = run_pipeline(g).stats["act_keys"]
         code, _, err = run(capsys, ["--max-universe", str(keys - 1),
                                     command, path])
         assert code == 3
