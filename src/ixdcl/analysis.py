@@ -16,12 +16,22 @@ in the universe, efoc(X) is the relation the stack abstraction reads:
 
     A ~X~ B  iff  (A, X) derives u (B, X) v in the annotated grammar.
 
-Such an X is closed, cl(X) = X: Useful = cl({}) is, and a form over
-act(f, X) derived at the empty stack is, with f below every stack, one
-over X.  So a same-level route between members of X with productive
-siblings meets only productive nonterminals and stays inside X.  A push
-A -> R f that returns to level X is the focus row foc(f, X)[R], whose
-split and push rules already take all of R's moves at level act(f, X).
+An action is closed, cl(act(f, X)) = act(f, X): a form over act(f, X)
+derived at the empty stack is, with f below every stack, one over X.
+So is every universe set: Useful = cl({}) is, and the others are
+actions.  So a same-level route between members of a universe set X
+with productive siblings meets only productive nonterminals and stays
+inside X.
+
+A route from A[f] down to level X first moves at the level of f, its
+siblings in act(f, X), then pops f by a rule B -> R, then moves at level
+X.  As act(f, X) is closed, the first part is efoc(act(f, X)), so
+
+    M[f, X](A) = union of efoc(X)(R) over B in efoc(act(f, X))(A)
+                 and pop rules B -> R of f,
+
+and a push A -> R f at level X adds M[f, X](R) to efoc(X)(A).  The focus
+matrices are this composition and have no keys of their own.
 
 A set of nonterminals is an int whose bit i stands for `nts[i]`, the
 i-th nonterminal in `sort_key` order, and a relation is a tuple of such
@@ -30,8 +40,8 @@ name sets (`cl`, `act`, `useful`, `universe`) take and return
 frozensets, one per mask; those the stack monoid reads (`act_mask`,
 `focus_rows`, `reach_rows`) take a mask and return a mask or row masks.
 
-Everything is one demand-driven least fixpoint over keys ("cl", X),
-("act", f, P), ("efoc", X) and ("foc", f, X), X a mask, solved by the
+Everything is one demand-driven least fixpoint over three kinds of key,
+("cl", X), ("act", f, P) and ("efoc", X), X a mask, solved by the
 worklist solver of `ixdcl.fixpoint`, the one the oracle's dynamic
 programs run on.  Each kind of key has its rule `_eval_<kind>`.  Only
 these rules build on their own value, so `_eval` runs a key's rule
@@ -42,9 +52,13 @@ read only cl(X) and the value, before it takes the snapshot S at which
 its push rules read act(g, S), once per letter g.  So act(f, X) reads X
 only through cl(X) & r, r the right-hand side bit of a pop rule of f: it
 is a function of P = cl(X) & R_f, R_f the mask of those bits, and its
-key is ("act", f, P), one for every X with the same P.  A reader takes P
-from a cl value: its snapshot's, or in a cl rule its own, the cl(X) being
-solved.  Every act key counts against the cap.
+key is ("act", f, P), one for every X with the same P.  A cl rule reads
+the actions at its own value, the cl(X) being solved, and an act rule at
+its snapshot S itself rather than at cl(S).  The least fixpoint is the
+same: a value V this rule solves is closed (a cl pass over V finds only
+what V's own push rules, read at V, found), so it solves the rule that
+reads at cl(S) too, and the true actions solve this one, being closed.
+Every act key counts against the cap.
 """
 
 from __future__ import annotations
@@ -90,6 +104,8 @@ class Analysis(Solver):
         self._split = []    # (lhs, C, bit of D) for kids (C, D) either way
         self._pushes = {}   # stack symbol -> (lhs mask, its push rules)
         self._pops = {}     # stack symbol -> its pop rules
+        # stack symbol -> row masks: row A holds the R of its pops A -> R
+        self._popped = {f: [0] * len(b) for f in g.symbols.stack_symbols}
         for p in g.productions:
             if isinstance(p, TerminalRule):
                 self._term |= b[p.lhs]
@@ -101,6 +117,8 @@ class Analysis(Solver):
                 rule = (i[p.lhs], i[p.rhs], b[p.lhs], b[p.rhs])
                 kind = self._pushes if isinstance(p, PushRule) else self._pops
                 kind.setdefault(p.sym, []).append(rule)
+                if kind is self._pops:
+                    self._popped[p.sym][i[p.lhs]] |= b[p.rhs]
         self._pushes = {f: (sum({r[2] for r in rules}), rules)
                         for f, rules in self._pushes.items()}
         self._reads = {f: sum({r[3] for r in rules})   # f -> R_f
@@ -122,9 +140,7 @@ class Analysis(Solver):
             return self._term
         if key[0] == "cl":
             return key[1] | self._term
-        if key[0] == "efoc":
-            return self._unit
-        return (0,) * len(self._unit)
+        return self._unit   # an efoc key
 
     def _eval(self, key, old):
         rule = getattr(self, "_eval_" + key[0])
@@ -160,11 +176,11 @@ class Analysis(Solver):
         """The key of act(f, X), cl the mask of cl(X)."""
         return "act", f, cl & self._reads.get(f, 0)
 
-    def _apply_pushes(self, cur, cl):
-        """cur with each A of a push rule A -> B + f, B in act(f, cl)."""
+    def _apply_pushes(self, cur, at):
+        """cur with each A of a push rule A -> B + f, B in act(f, at)."""
         for f, (lhs, rules) in self._pushes.items():
             if cur & lhs != lhs:
-                gen = self._need(self._act_key(f, cl))
+                gen = self._need(self._act_key(f, at))
                 for _, _, a, r in rules:
                     if gen & r:
                         cur |= a
@@ -179,7 +195,7 @@ class Analysis(Solver):
             if P & r:
                 cur |= a
         cur = self._close(cur)   # the snapshot S is cur
-        return self._apply_pushes(cur, self._need(("cl", cur)))
+        return self._apply_pushes(cur, cur)
 
     def cl(self, X):
         """Nonterminals A with A[empty stack] deriving into (X union T)*."""
@@ -241,31 +257,26 @@ class Analysis(Solver):
             if cl & d:
                 rows[a] |= rows[c]
         for f, (_, rules) in self._pushes.items():
-            m = self._need(("foc", f, X))
-            for a, r, _, _ in rules:
-                rows[a] |= m[r]
-        return tuple(rows)
-
-    def _eval_foc(self, cur, f, X):
-        ef = self._need(("efoc", X))
-        gen = self._need(self._act_key(f, self._need(("cl", X))))
-        rows = list(cur)
-        for a, r, _, _ in self._pops.get(f, ()):
-            rows[a] |= ef[r]
-        for a, c, d in self._split:
-            if gen & d:
-                rows[a] |= rows[c]
-        for g, (_, rules) in self._pushes.items():
-            m = self._need(("foc", g, gen))
-            for a, r, _, _ in rules:
-                rows[a] |= gather(rows, m[r])
+            gen = self._need(self._act_key(f, cl))
+            inner = rows if gen == X else self._need(("efoc", gen))
+            popped = self._popped[f]
+            for a, r, _, _ in rules:   # A -> R f adds M[f, X](R)
+                rows[a] |= gather(rows, gather(popped, inner[r]))
         return tuple(rows)
 
     def focus_rows(self, f, x):
-        """The focus matrix M[f, X] as row masks, x the mask of X."""
-        return self._solved(("foc", f, x))
+        """The focus matrix M[f, X] as row masks, x the mask of X, composed
+        from efoc(act(f, X)), f's pops and efoc(X) (see module doc)."""
+        outer = self._solved(("efoc", x))
+        inner = self._solved(("efoc", self.act_mask(f, x)))
+        popped = self._popped[f]
+        return tuple(gather(outer, gather(popped, row)) for row in inner)
 
     def reach_rows(self, x):
         """efoc(X) as row masks, x the mask of a universe set X; on X x X
         it is the relation A ~X~ B (see module doc)."""
         return self._solved(("efoc", x))
+
+    def keys(self, kind):
+        """The number of keys of one kind the solver holds."""
+        return sum(key[0] == kind for key in self._val)

@@ -93,6 +93,8 @@ def run_pipeline(g, caps=None):
         "universe": len(analysis.universe()),
         # every act key the solver made counts against max_universe
         "act_keys": analysis.act_keys,
+        "cl_keys": analysis.keys("cl"),
+        "efoc_keys": analysis.keys("efoc"),
         "annotated_nonterminals": len(ag.grammar.symbols.nonterminals),
         "annotated_rules": len(ag.grammar.productions),
         "letters": len(ag.letters),

@@ -11,7 +11,7 @@ from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
                             square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.pipeline import PipelineCaps, run_pipeline
-from analysis_reference import PerSetAnalysis
+from analysis_reference import FocKeyedAnalysis, PerSetAnalysis
 from generated_grammars import grammar_texts
 from summary_helpers import matrix, reach
 from test_differential import PARITY_TEXT, SAME_LEVEL_TEXT
@@ -240,5 +240,50 @@ def test_actions_match_per_set_keys_on_witnesses(text):
 def test_actions_match_per_set_keys_on_generated_grammars(text):
     try:
         assert_actions_match_per_set_keys(grammar_from_text(text))
+    except CapExceeded:
+        event("cap exit")
+
+
+def assert_focus_matches_foc_keys(g):
+    """focus_rows and reach_rows agree with `FocKeyedAnalysis` on every
+    universe set and every act value the solver keyed, for every stack
+    symbol, and the solver holds no foc key."""
+    an, ref = Analysis(g, universe_cap=512), FocKeyedAnalysis(g, 512)
+    assert an.universe() == ref.universe()
+    letters = sorted(g.symbols.stack_symbols, key=str)
+    for x in [an.mask(X) for X in an.universe()]:
+        for f in letters:   # the keys the monoid's letters solve
+            an.focus_rows(f, x)
+    acts = {v for key, v in an._val.items() if key[0] == "act"}
+    for x in {an.mask(X) for X in an.universe()} | acts:
+        assert an.reach_rows(x) == ref.reach_rows(x), an._set(x)
+        for f in letters:
+            assert an.focus_rows(f, x) == ref.focus_rows(f, x), \
+                (f, an._set(x))
+    # three kinds of key: a focus matrix has no key of its own
+    assert {key[0] for key in an._val} <= {"cl", "act", "efoc"}
+
+
+@pytest.mark.parametrize("name", ["g1", "loop", "square"])
+def test_focus_matches_foc_keys_on_fixtures(fixtures, name):
+    assert_focus_matches_foc_keys(fixtures[name].grammar)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_focus_matches_foc_keys_on_gn(n):
+    assert_focus_matches_foc_keys(grammar_gn(n))
+
+
+@pytest.mark.parametrize("text", [PARITY_TEXT, SAME_LEVEL_TEXT],
+                         ids=["parity", "same_level"])
+def test_focus_matches_foc_keys_on_witnesses(text):
+    assert_focus_matches_foc_keys(grammar_from_text(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammar_texts())
+def test_focus_matches_foc_keys_on_generated_grammars(text):
+    try:
+        assert_focus_matches_foc_keys(grammar_from_text(text))
     except CapExceeded:
         event("cap exit")

@@ -39,7 +39,7 @@ def gn_paths(tmp_path):
     """Files holding the lower-bound grammars G_1, G_2 and G_3."""
     out = {}
     for n in (1, 2, 3):
-        p = tmp_path / f"g{n}.ix"
+        p = tmp_path / f"gn{n}.ix"   # not the g1 of paths
         p.write_text(grammar_gn_text(n))
         out[n] = str(p)
     return out
@@ -246,7 +246,11 @@ def test_gen_gn_refuses_n_below_1(capsys, n):
     assert err.startswith("error: ")
 
 
-def test_stats(capsys, paths):
+def test_stats(capsys, paths, gn_paths):
+    data = run_json(capsys, ["stats", gn_paths[1]])
+    # the solver's keys by kind; a focus matrix has no key of its own
+    assert (data["act_keys"], data["cl_keys"], data["efoc_keys"]) \
+        == (16, 6, 5)
     data = run_json(capsys, ["stats", paths["g1"]])
     assert data["grammar_size"] == 8
     assert data["summary_nodes"] == 2
