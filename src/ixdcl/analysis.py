@@ -63,7 +63,7 @@ Every act key counts against the cap.
 
 from __future__ import annotations
 
-from .fixpoint import Solver
+from .fixpoint import Solver, sccs
 from .grammar import BinaryRule, PushRule, TerminalRule, sort_key
 
 
@@ -100,7 +100,7 @@ class Analysis(Solver):
         # the rules indexed by kind; a push or pop rule is (lhs index, rhs
         # index, lhs bit, rhs bit)
         self._term = 0
-        self._binary = []   # (lhs bit, left bit | right bit)
+        kids = [[] for _ in self.nts]   # lhs index -> its binary kid pairs
         self._split = []    # (lhs, C, bit of D) for kids (C, D) either way
         self._pushes = {}   # stack symbol -> (lhs mask, its push rules)
         self._pops = {}     # stack symbol -> its pop rules
@@ -110,7 +110,7 @@ class Analysis(Solver):
             if isinstance(p, TerminalRule):
                 self._term |= b[p.lhs]
             elif isinstance(p, BinaryRule):
-                self._binary.append((b[p.lhs], b[p.left] | b[p.right]))
+                kids[i[p.lhs]].append((i[p.left], i[p.right]))
                 self._split += [(i[p.lhs], i[p.left], b[p.right]),
                                 (i[p.lhs], i[p.right], b[p.left])]
             else:
@@ -119,6 +119,12 @@ class Analysis(Solver):
                 kind.setdefault(p.sym, []).append(rule)
                 if kind is self._pops:
                     self._popped[p.sym][i[p.lhs]] |= b[p.rhs]
+        # (lhs bit, left bit | right bit), kids first, so that one sweep
+        # of _close settles every acyclic part; only cycles take more
+        u = self._unit
+        self._binary = [(u[v], u[x] | u[y]) for comp in sccs(
+            [sum(ks, ()) for ks in kids], range(len(kids)))
+            for v in comp for x, y in kids[v]]
         self._pushes = {f: (sum({r[2] for r in rules}), rules)
                         for f, rules in self._pushes.items()}
         self._reads = {f: sum({r[3] for r in rules})   # f -> R_f
@@ -163,7 +169,7 @@ class Analysis(Solver):
     # -- actions -----------------------------------------------------------
 
     def _close(self, cur):
-        """cur closed under the binary rules."""
+        """cur closed under the binary rules, by sweeps over them."""
         old = None
         while cur != old:
             old = cur

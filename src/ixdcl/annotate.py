@@ -18,10 +18,7 @@ from .grammar import (BinaryRule, IndexedGrammar, PopRule, PushRule, Record,
 
 
 class AnnotatedGrammar(Record):
-    __slots__ = ("grammar",)
-
-    def __init__(self, grammar):
-        self.grammar = grammar   # symbols are (A, X) and (f, X) tuples
+    __slots__ = ("grammar",)   # its symbols are (A, X) and (f, X) tuples
 
     @property
     def letters(self):

@@ -25,8 +25,7 @@ the triples at the empty summary carry Useful.  A is in X, so A is
 productive on that stack (see `annotate`), and the cover contains that
 derivation.  A stack-blind triple moved to the empty summary derives
 the same words on every stack.  The one exception is the empty
-language, whose cover is the start triple without a rule.  The module
-also holds Tarjan's `sccs`, which later stages share.
+language, whose cover is the start triple without a rule.
 """
 
 from __future__ import annotations
@@ -36,14 +35,10 @@ from .grammar import BinaryRule, PopRule, PushRule, Record, TerminalRule
 
 
 class Cfg(Record):
-    """Read-only once built: `trim_cfg` may return it."""
+    """Triple i is nonterminals[i], its right-hand sides rules[i]; terminals
+    is a frozenset.  Read-only once built: `trim_cfg` may return it."""
 
     __slots__ = ("nonterminals", "terminals", "rules")
-
-    def __init__(self, nonterminals, terminals, rules):
-        self.nonterminals = nonterminals   # the triples, nonterminal i at [i]
-        self.terminals = terminals   # frozenset
-        self.rules = rules   # rules[i]: the right-hand sides of nonterminal i
 
     def n_rules(self):
         return sum(map(len, self.rules))
@@ -104,48 +99,6 @@ def build_cfg(ag, graph, cap=None):
                 out += [(number(p.rhs, src),) for src in srcs]
         rules.append(out)
     return Cfg(triples, g.symbols.terminals, rules)
-
-
-def sccs(adj, roots):
-    """Tarjan's strongly connected components of the graph on 0..n-1
-    whose successors of v are adj[v], from the given roots, without
-    recursion.  Each component is emitted after every component it
-    reaches.  Emitted nodes get index n, so no on-stack flag is kept."""
-    n = len(adj)
-    index, low = [-1] * n, [0] * n
-    stack, out, counter = [], [], 0
-    for root in roots:
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    work.append((w, iter(adj[w])))
-                    break
-                if index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        index[w] = n
-                        comp.append(w)
-                        if w == v:
-                            break
-                    out.append(comp)
-                elif low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-    return out
 
 
 def trim_cfg(cfg):

@@ -42,7 +42,15 @@ def _stages(args, n):
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+    """obj as JSON on stdout, with ints of any size: the limit on digits
+    (from Python 3.10.7) is lifted while it dumps."""
+    lift = getattr(sys, "set_int_max_str_digits", None) or (lambda n: n)
+    old = getattr(sys, "get_int_max_str_digits", int)()
+    lift(0)
+    try:
+        json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+    finally:
+        lift(old)
     sys.stdout.write("\n")
 
 

@@ -12,6 +12,7 @@ solver in the sense of Fecht & Seidl, "A faster solver for general
 systems of equations", SCP 1999).  The queue is first in first out, and
 the readers of a key are kept in a dict in the order they first read
 it, so the order of evaluation does not depend on PYTHONHASHSEED.
+The module also holds Tarjan's `sccs`, which later stages share.
 """
 
 from collections import deque
@@ -60,3 +61,45 @@ class Solver:
         self._need(key)
         self._solve()
         return self._val[key]
+
+
+def sccs(adj, roots):
+    """Tarjan's strongly connected components of the graph on 0..n-1
+    whose successors of v are adj[v], from the given roots, without
+    recursion.  Each component is emitted after every component it
+    reaches.  Emitted nodes get index n, so no on-stack flag is kept."""
+    n = len(adj)
+    index, low = [-1] * n, [0] * n
+    stack, out, counter = [], [], 0
+    for root in roots:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = n
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return out

@@ -38,12 +38,14 @@ from operator import attrgetter
 
 class Record:
     """The base of the package's records.  A record lists its fields in
-    `__slots__`, in the order its `__init__` takes them; it equals a
-    record of its own class with equal fields, and its repr names the
-    fields.  A record is mutable and unhashable unless its class is
-    declared `class R(Record, frozen=True)`: then assigning a field
-    raises AttributeError, and the hash is that of the tuple of fields
-    unless the class sets `__hash__` itself.
+    `__slots__`, in the order its `__init__` takes them: a class without
+    an `__init__` (one with defaults writes its own) gets one, compiled
+    once as `dataclasses` does.  A record equals a record of its own
+    class with equal fields, and its repr names the fields.  It is
+    mutable and unhashable unless its class is declared `class R(Record,
+    frozen=True)`: then assigning a field raises AttributeError, and the
+    hash is that of the tuple of fields unless the class sets `__hash__`
+    itself.
     """
 
     __slots__ = ()
@@ -54,6 +56,8 @@ class Record:
         get = attrgetter(*cls.__slots__)
         cls._astuple = (get if len(cls.__slots__) > 1
                         else staticmethod(lambda r: (get(r),)))
+        if cls.__init__ is object.__init__:
+            cls.__init__ = _fields_init(cls)
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _frozen
             cls.__hash__ = vars(cls).get("__hash__") or _field_hash
@@ -81,6 +85,16 @@ def _field_hash(self):
 _set = object.__setattr__
 
 
+def _fields_init(cls):
+    """`__init__(self, <the fields of cls in slot order>)`, qualified by
+    cls, as its arity errors name it."""
+    ns, names = {}, cls.__slots__
+    exec(f"def __init__(self, {', '.join(names)}):\n" + "".join(
+        f" _set(self, {n!r}, {n})\n" for n in names), {"_set": _set}, ns)
+    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    return ns["__init__"]
+
+
 # ---------------------------------------------------------------------------
 # core production kinds
 
@@ -88,36 +102,17 @@ _set = object.__setattr__
 class TerminalRule(Record, frozen=True):
     __slots__ = ("lhs", "word")
 
-    def __init__(self, lhs, word):
-        _set(self, "lhs", lhs)
-        _set(self, "word", word)
-
 
 class BinaryRule(Record, frozen=True):
     __slots__ = ("lhs", "left", "right")
-
-    def __init__(self, lhs, left, right):
-        _set(self, "lhs", lhs)
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 class PushRule(Record, frozen=True):
     __slots__ = ("lhs", "rhs", "sym")
 
-    def __init__(self, lhs, rhs, sym):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "sym", sym)
-
 
 class PopRule(Record, frozen=True):
     __slots__ = ("lhs", "sym", "rhs")
-
-    def __init__(self, lhs, sym, rhs):
-        _set(self, "lhs", lhs)
-        _set(self, "sym", sym)
-        _set(self, "rhs", rhs)
 
 
 CORE_KINDS = (TerminalRule, BinaryRule, PushRule, PopRule)
@@ -132,20 +127,11 @@ class PlainSugarRule(Record, frozen=True):
 
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs, rhs):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-
 
 class PopSugarRule(Record, frozen=True):
     """A f -> t1 t2 ... : pop f, then behave like the general right-hand side."""
 
     __slots__ = ("lhs", "sym", "rhs")
-
-    def __init__(self, lhs, sym, rhs):
-        _set(self, "lhs", lhs)
-        _set(self, "sym", sym)
-        _set(self, "rhs", rhs)
 
 
 class CheckRule(Record, frozen=True):
@@ -153,24 +139,12 @@ class CheckRule(Record, frozen=True):
 
     __slots__ = ("lhs", "rhs", "dfa_names")
 
-    def __init__(self, lhs, rhs, dfa_names):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "dfa_names", dfa_names)
-
 
 class CheckDfa(Record, frozen=True):
-    """A (partial) DFA over stack symbols, used by check rules."""
+    """A (partial) DFA over stack symbols, used by check rules; its
+    transitions are a tuple of (state, letter, state)."""
 
     __slots__ = ("name", "states", "init", "finals", "transitions")
-
-    def __init__(self, name, states, init, finals, transitions):
-        _set(self, "name", name)
-        _set(self, "states", states)
-        _set(self, "init", init)
-        _set(self, "finals", finals)
-        # a tuple of (state, letter, state)
-        _set(self, "transitions", transitions)
 
     def delta(self):
         return {(p, a): q for (p, a, q) in self.transitions}
@@ -182,11 +156,6 @@ class CheckDfa(Record, frozen=True):
 
 class SymbolTable(Record, frozen=True):
     __slots__ = ("nonterminals", "terminals", "stack_symbols")
-
-    def __init__(self, nonterminals, terminals, stack_symbols):
-        _set(self, "nonterminals", nonterminals)
-        _set(self, "terminals", terminals)
-        _set(self, "stack_symbols", stack_symbols)
 
 
 class IndexedGrammar(Record):

@@ -38,8 +38,8 @@ from __future__ import annotations
 from functools import partial
 
 from .analysis import CapExceeded, gather
-from .cfg import sccs
-from .grammar import Record, _set, sort_key
+from .fixpoint import sccs
+from .grammar import Record, sort_key
 
 
 class _Unit:
@@ -63,20 +63,14 @@ ZERO = _Zero()
 class Seg(Record, frozen=True):
     """A non-trivial monoid element (B, Y, M, A, X).
 
-    Elements are interned by their fields (`StackMonoid._intern`), so
-    they compare and hash by identity.
+    M is a boolean matrix as a tuple of row masks.  Elements are
+    interned by their fields (`StackMonoid._intern`), so they compare and
+    hash by identity.
     """
 
     __slots__ = ("b", "y", "m", "a", "x")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, b, y, m, a, x):
-        _set(self, "b", b)
-        _set(self, "y", y)
-        _set(self, "m", m)   # boolean matrix as a tuple of row masks
-        _set(self, "a", a)
-        _set(self, "x", x)
 
 
 class _Memo(dict):

@@ -25,7 +25,7 @@ component at a time, bottom-up:
     and E is the union over its productions.
 
 Few distinct values arise, so each is computed once per distinct
-input.  `cfg_dcl_nfa` returns a read-only NFA that keeps the start
+operands.  `cfg_dcl_nfa` returns a read-only NFA that keeps the start
 symbol's antichain in `Nfa.ideals` and has its state and edge counts
 computed from it.  Its edges, k states per run, are unfolded only when
 an export reads them; an export of more than CLOSURE_STATE_CAP states
@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import deque
 
 from .analysis import CapExceeded
-from .cfg import sccs
+from .fixpoint import sccs
 from .grammar import Record
 # Not called: perfbench/spans.py rebinds it.
 from .cfg import trim_cfg  # noqa: F401
@@ -151,14 +151,9 @@ def dcl_close(nfa):
 
 
 class Dfa(Record):
-    __slots__ = ("alphabet", "n_states", "delta", "initial", "final")
+    """delta maps (state, letter) to a state, and is total."""
 
-    def __init__(self, alphabet, n_states, delta, initial, final):
-        self.alphabet = alphabet
-        self.n_states = n_states
-        self.delta = delta   # (state, letter) -> state, total
-        self.initial = initial
-        self.final = final
+    __slots__ = ("alphabet", "n_states", "delta", "initial", "final")
 
 
 def determinize(nfa, cap=100000):
@@ -442,26 +437,43 @@ def _step(ideal, pos, c):
 
 
 class _Values(dict):
-    """The values of `cfg_dcl_nfa`, each made on its first lookup from
-    its key: a terminal word, the letters of an expansive component, a
-    pair of values to concatenate, or (U*, V*, the exit values); none
-    with more than CLOSURE_IDEAL_CAP ideals."""
+    """The values of `cfg_dcl_nfa`, each made once per distinct operands
+    and with at most CLOSURE_IDEAL_CAP ideals: `values[key]` for a word
+    or an expansive component's letters, `pair` for x·y and `linear` for
+    U* E V*.  A value operand is keyed by its id(): in CPython hash(2**k)
+    == 2**(k % 61), so keys holding G_n's ideals a^(2^k) share 61 hash
+    classes.  Every operand stays alive in `sre` or here, and values are
+    hash-consed, by their ideals and the bit lengths of their counts,
+    which tell G_n's values apart: equal operands are one object."""
 
-    def __missing__(self, key):
-        if key.__class__ is str:
-            value = frozenset([_word_ideal(key)])
-        elif key.__class__ is frozenset:
-            value = frozenset([_star(key)])
-        elif len(key) == 2:
-            value = _antichain(_join(x, y) for x in key[0] for y in key[1])
-        else:
-            pre, post, exits = key
-            value = _antichain(_join(_join(pre, e), post)
-                               for x in exits for e in x)
+    def __init__(self):
+        super().__init__()
+        self._canon = {}   # (bit lengths, value) -> that value
+
+    def __missing__(self, key):   # a word or a letter set
+        return self._keep(key, frozenset([
+            _word_ideal(key) if key.__class__ is str else _star(key)]))
+
+    def pair(self, x, y):
+        key = id(x), id(y)
+        return self.get(key) or self._keep(key, _antichain(
+            _join(u, v) for u in x for v in y))
+
+    def linear(self, pre, post, exits):
+        key = pre, post, frozenset(map(id, exits))
+        return self.get(key) or self._keep(key, _antichain(
+            _join(_join(pre, e), post) for x in exits for e in x))
+
+    def _keep(self, key, value):
         if len(value) > CLOSURE_IDEAL_CAP:
             raise CapExceeded.of("closure expression", len(value), "ideals",
                                  CLOSURE_IDEAL_CAP, "CLOSURE_IDEAL_CAP")
-        self[key] = value
+        bits = 0   # summed in a loop, cheaper here than a generator
+        for ideal in value:
+            for atom in ideal:
+                if atom[0] == "l":
+                    bits += atom[2].bit_length()
+        self[key] = value = self._canon.setdefault((bits, value), value)
         return value
 
 
@@ -498,7 +510,7 @@ def cfg_dcl_nfa(cfg):
                 alph[nt], sre[nt] = alph[r[0]], sre[r[0]]
             else:
                 alph[nt] = alph[r[0]] | alph[r[1]]
-                sre[nt] = values[sre[r[0]], sre[r[1]]]
+                sre[nt] = values.pair(sre[r[0]], sre[r[1]])
             continue
         for nt in members:
             comp[nt] = c
@@ -523,7 +535,7 @@ def cfg_dcl_nfa(cfg):
                     elif right:
                         up |= alph[lk]
                     else:
-                        exits.add(values[sre[lk], sre[rk]])
+                        exits.add(values.pair(sre[lk], sre[rk]))
                 elif comp[r[0]] != c:
                     letters |= alph[r[0]]
                     exits.add(sre[r[0]])
@@ -532,7 +544,7 @@ def cfg_dcl_nfa(cfg):
         elif not up and not down and len(exits) == 1:
             value = exits.pop()   # U* E V* is E: most components
         else:
-            value = values[_star(up), _star(down), frozenset(exits)]
+            value = values.linear(_star(up), _star(down), exits)
         for nt in members:
             alph[nt] = letters
             sre[nt] = value

@@ -33,10 +33,6 @@ class Term(Record, frozen=True):
 
     __slots__ = ("nt", "stack")
 
-    def __init__(self, nt, stack):
-        _set(self, "nt", nt)
-        _set(self, "stack", stack)
-
 
 class OracleBudget(Record, frozen=True):
     __slots__ = ("max_word_len", "max_stack_height", "max_steps")
@@ -48,12 +44,9 @@ class OracleBudget(Record, frozen=True):
 
 
 class DpResult(Record):
-    __slots__ = ("table", "complete", "incomplete_keys")
+    """table maps (nt, stack) to a frozenset of words (or lengths)."""
 
-    def __init__(self, table, complete, incomplete_keys):
-        self.table = table   # (nt, stack) -> frozenset of words (or lengths)
-        self.complete = complete
-        self.incomplete_keys = incomplete_keys
+    __slots__ = ("table", "complete", "incomplete_keys")
 
 
 def start_form(g):

@@ -301,13 +301,10 @@ class SummaryFactory:
 
 
 class SummaryGraph(Record):
-    __slots__ = ("nodes", "ids", "edges", "inverse")
+    """The summaries in construction order ([0] empty) and their ids;
+    edges: (src, letter) -> target; inverse: (letter, target) -> srcs."""
 
-    def __init__(self, nodes, ids, edges, inverse):
-        self.nodes = nodes        # summaries in construction order; [0] empty
-        self.ids = ids            # summary -> index
-        self.edges = edges        # (src summary, letter) -> target summary
-        self.inverse = inverse    # (letter, target summary) -> sources
+    __slots__ = ("nodes", "ids", "edges", "inverse")
 
     def push(self, letter, sigma):
         return self.edges.get((sigma, letter))

@@ -287,3 +287,24 @@ def test_focus_matches_foc_keys_on_generated_grammars(text):
         assert_focus_matches_foc_keys(grammar_from_text(text))
     except CapExceeded:
         event("cap exit")
+
+
+def chain_text(k, kids_first=False):
+    """The stack-free chain A0 -> A1 A1, ..., A{k-1} -> Ak Ak, Ak -> "a",
+    whose one word is a^(2^k), its rules listed parent first or kids
+    first."""
+    rules = [f"A{i} -> A{i + 1} A{i + 1}" for i in range(k)]
+    rules.append(f'A{k} -> "a"')
+    if kids_first:
+        rules.reverse()
+    return "start A0\nterminals a\n" + "\n".join(rules) + "\n"
+
+
+@pytest.mark.parametrize("kids_first", [False, True])
+def test_deep_chain_in_either_rule_order(kids_first):
+    # listed parent first, a sweep over the binary rules in the order
+    # given adds one nonterminal, so k sweeps of k-bit masks
+    k = 4000
+    result = run_pipeline(grammar_from_text(chain_text(k, kids_first)))
+    assert len(result.analysis.useful()) == k + 1
+    assert result.nfa.ideals == {(("l", "a", 2 ** k),)}

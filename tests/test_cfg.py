@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ixdcl.analysis import CapExceeded
-from ixdcl.cfg import build_cfg, sccs, trim_cfg
+from ixdcl.cfg import build_cfg, trim_cfg
+from ixdcl.fixpoint import sccs
 from ixdcl.grammar import BinaryRule, PopRule, PushRule, grammar_from_text
 from ixdcl.nfa import cfg_dcl_nfa
 from ixdcl.oracle import OracleBudget, subwords, term_language_dp

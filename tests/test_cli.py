@@ -18,6 +18,7 @@ from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import cfg_dcl_nfa, determinize, nfa_inclusion
 from ixdcl.pipeline import PipelineCaps, run_pipeline
 from cfg_reference import numbered_cfg
+from test_analysis import chain_text
 from test_nfa import astar_bstar_nfa, doubling_cfg
 
 EMPTY_TEXT = "start S\nterminals a\nstack f\nS -> S + f\n"
@@ -260,6 +261,26 @@ def test_stats(capsys, paths, gn_paths):
         == "infinite"
     assert run_json(capsys, ["stats", paths["empty"]])["longest_word"] \
         is None
+
+
+def test_stats_prints_a_count_of_any_size(capsys, tmp_path):
+    # 2**14300 has 4305 digits, past the limit of 4300 digits that Python
+    # (from 3.10.7) puts on turning an int into a string
+    path = tmp_path / "chain.ix"
+    path.write_text(chain_text(14300, kids_first=True))
+    get = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    lift = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    old = get()
+    try:
+        lift(4300)   # the default, which the command must restore
+        limit = get()
+        code, out, _ = run(capsys, ["stats", str(path)])
+        assert code == 0 and get() == limit
+        lift(0)
+        data = json.loads(out)
+    finally:
+        lift(old)
+    assert data["longest_word"] == 2 ** 14300
 
 
 def test_cap_exceeded_exit_code(capsys, paths, gn_paths):

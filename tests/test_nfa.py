@@ -294,6 +294,24 @@ def test_dcl_nfa_linear_component():
         cfg_dcl_bounded(cfg, 4)
 
 
+def test_dcl_nfa_memo_keys_every_operand():
+    # A -> a A | e, B -> a B | B b | e and C -> C b | e share their exit
+    # e; A and B share U* = a*, B and C share V* = b*; X -> A A and
+    # Y -> A W share their left operand.  A value memo that forgets U*,
+    # V* or a right operand finds a wrong value.
+    cfg = numbered_cfg(["S", "X", "Y", "W", "A", "B", "C", "a", "b", "e"],
+                       "abe",
+                       [("S", ("X", "Y")), ("X", ("A", "A")),
+                        ("Y", ("A", "W")), ("W", ("B", "C")),
+                        ("A", ("a", "A")), ("A", (), "e"),
+                        ("B", ("a", "B")), ("B", ("B", "b")), ("B", (), "e"),
+                        ("C", ("C", "b")), ("C", (), "e"),
+                        ("a", (), "a"), ("b", (), "b"), ("e", (), "e")])
+    a, b, e = ("s", frozenset("a")), ("s", frozenset("b")), ("l", "e", 1)
+    # S is A A A B C = (a* e)^4 b* e b*
+    assert cfg_dcl_nfa(cfg).ideals == {(a, e, a, e, a, e, a, e, b, e, b)}
+
+
 # the cover of an empty language: its start triple, without a rule
 EMPTY_CFG = numbered_cfg(["S"], "a", [])
 

@@ -1,8 +1,10 @@
-"""The package's records: field-wise equality, hash and repr, frozen
-values, identity-compared monoid elements, and an import that loads
-neither `dataclasses` nor `inspect`."""
+"""The package's records: generated field-by-field inits, field-wise
+equality, hash and repr, frozen values, identity-compared monoid
+elements, and an import that loads neither `dataclasses` nor
+`inspect`."""
 
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -14,7 +16,7 @@ from ixdcl.annotate import AnnotatedGrammar
 from ixdcl.cfg import Cfg
 from ixdcl.grammar import (BinaryRule, CheckDfa, CheckRule, IndexedGrammar,
                            PlainSugarRule, PopRule, PopSugarRule, PushRule,
-                           SugaredGrammar, SymbolTable, TerminalRule)
+                           Record, SugaredGrammar, SymbolTable, TerminalRule)
 from ixdcl.monoid import Seg
 from ixdcl.nfa import Dfa, Nfa
 from ixdcl.oracle import DpResult, OracleBudget, Term
@@ -105,6 +107,57 @@ def test_record_defaults():
     assert a.transitions is not b.transitions
     assert a.initial is not b.initial and a.final is not b.final
     assert IndexedGrammar(TABLE, "A", ()).push_labels == {}
+
+
+def records():
+    """Every record class of the package."""
+    out, todo = [], [Record]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        out += subs
+        todo += subs
+    return [cls for cls in out if cls.__module__.startswith("ixdcl.")]
+
+
+def test_every_init_takes_the_fields_in_slot_order():
+    assert len(records()) == 22
+    for cls in records():
+        code = cls.__init__.__code__
+        assert code.co_varnames[1:code.co_argcount] == cls.__slots__
+
+
+def test_only_records_with_defaults_write_their_init():
+    # the others get theirs from Record, and take every field
+    assert {cls.__name__ for cls in records()
+            if cls.__init__.__defaults__} == {
+        "IndexedGrammar", "SugaredGrammar", "Nfa", "OracleBudget",
+        "PipelineCaps", "PipelineResult"}
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TerminalRule("A"),
+     "TerminalRule.__init__() missing 1 required positional argument: "
+     "'word'"),
+    (lambda: SymbolTable(*"ABCD"),
+     "SymbolTable.__init__() takes 4 positional arguments but 5 were given"),
+    (lambda: Term("A", stack=(), nt="B"),
+     "Term.__init__() got multiple values for argument 'nt'"),
+    (lambda: Cfg([], frozenset(), [], rule=[]),
+     "Cfg.__init__() got an unexpected keyword argument 'rule'"),
+])
+def test_arity_error_names_the_record(make, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        make()
+
+
+def test_keyword_construction():
+    assert TerminalRule(word="a", lhs="A") == TerminalRule("A", "a")
+    cfg = Cfg(rules=[["a"]], nonterminals=[("A", 0)],
+              terminals=frozenset("a"))
+    assert (cfg.nonterminals, cfg.terminals, cfg.rules) == \
+        ([("A", 0)], frozenset("a"), [["a"]])
+    with pytest.raises(AttributeError):
+        TerminalRule(lhs="A", word="a").word = "b"
 
 
 def test_seg_compares_by_identity():
