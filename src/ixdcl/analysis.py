@@ -40,25 +40,25 @@ name sets (`cl`, `act`, `useful`, `universe`) take and return
 frozensets, one per mask; those the stack monoid reads (`act_mask`,
 `focus_rows`, `reach_rows`) take a mask and return a mask or row masks.
 
-Everything is one demand-driven least fixpoint over three kinds of key,
-("cl", X), ("act", f, P) and ("efoc", X), X a mask, solved by the
-worklist solver of `ixdcl.fixpoint`, the one the oracle's dynamic
-programs run on.  Each kind of key has its rule `_eval_<kind>`.  Only
-these rules build on their own value, so `_eval` runs a key's rule
-until its value stops changing, and the solver queues only its readers.
+Everything is one demand-driven least fixpoint over two kinds of key,
+("cl", X) and ("efoc", X), X a mask, solved by the worklist solver of
+`ixdcl.fixpoint`, the one the oracle's dynamic programs run on.  Each
+kind of key has its rule `_eval_<kind>`.  Only these rules build on
+their own value, so `_eval` runs a key's rule until its value stops
+changing, and the solver queues only its readers.
 
-An act(f, X) pass closes its value under the pop and binary rules, which
-read only cl(X) and the value, before it takes the snapshot S at which
-its push rules read act(g, S), once per letter g.  So act(f, X) reads X
-only through cl(X) & r, r the right-hand side bit of a pop rule of f: it
-is a function of P = cl(X) & R_f, R_f the mask of those bits, and its
-key is ("act", f, P), one for every X with the same P.  A cl rule reads
-the actions at its own value, the cl(X) being solved, and an act rule at
-its snapshot S itself rather than at cl(S).  The least fixpoint is the
-same: a value V this rule solves is closed (a cl pass over V finds only
-what V's own push rules, read at V, found), so it solves the rule that
-reads at cl(S) too, and the true actions solve this one, being closed.
-Every act key counts against the cap.
+An action is a closure.  Let pre_f(P) be the set of A with a pop rule
+A -> R of f and R in P.  act(f, X) is the least set that holds the
+terminal lhs and pre_f(cl(X)) and is closed under the binary rules and
+under the push rules read at itself.  That is the cl rule started from
+pre_f(cl(X)), so
+
+    act(f, X) = cl(pre_f(cl(X))),
+
+and the key of act(f, X) is ("cl", pre_f(cl(X))), one for every X with
+the same pre-image.  A cl rule reads the actions at its own value.
+Every cl key counts against the cap.  Each universe set is the value of
+a cl key made before the set is found, so the cap bounds the universe.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class Analysis(Solver):
         super().__init__()
         self.g = g
         self.universe_cap = universe_cap
-        self.act_keys = 0   # act keys created; each counts against the cap
+        self.cl_keys = 0   # cl keys created; each counts against the cap
         self.nts = sorted(g.symbols.nonterminals, key=sort_key)
         self.index = i = {A: n for n, A in enumerate(self.nts)}
         b = {A: 1 << n for A, n in i.items()}
@@ -127,8 +127,6 @@ class Analysis(Solver):
             for v in comp for x, y in kids[v]]
         self._pushes = {f: (sum({r[2] for r in rules}), rules)
                         for f, rules in self._pushes.items()}
-        self._reads = {f: sum({r[3] for r in rules})   # f -> R_f
-                       for f, rules in self._pops.items()}
         self._sets = {}      # mask -> its frozenset
         self._universe = None
         self._fold = {}   # stack tuple -> mask (action on empty set)
@@ -136,17 +134,14 @@ class Analysis(Solver):
     # -- the fixpoint --------------------------------------------------------
 
     def _init(self, key):
-        """The first value of a new key; an act key counts against the cap."""
-        if key[0] == "act":
-            if self.act_keys >= self.universe_cap:
-                raise CapExceeded.of("action table", self.act_keys + 1,
-                                     "act keys", self.universe_cap,
-                                     "--max-universe")
-            self.act_keys += 1
-            return self._term
-        if key[0] == "cl":
-            return key[1] | self._term
-        return self._unit   # an efoc key
+        """The first value of a new key; a cl key counts against the cap."""
+        if key[0] == "efoc":
+            return self._unit
+        if self.cl_keys >= self.universe_cap:
+            raise CapExceeded.of("action table", self.cl_keys + 1, "cl keys",
+                                 self.universe_cap, "--max-universe")
+        self.cl_keys += 1
+        return key[1] | self._term
 
     def _eval(self, key, old):
         rule = getattr(self, "_eval_" + key[0])
@@ -179,8 +174,12 @@ class Analysis(Solver):
         return cur
 
     def _act_key(self, f, cl):
-        """The key of act(f, X), cl the mask of cl(X)."""
-        return "act", f, cl & self._reads.get(f, 0)
+        """The key of act(f, X) = cl(pre_f(cl(X))), cl the mask of cl(X)."""
+        pre = 0
+        for _, _, a, r in self._pops.get(f, ()):
+            if cl & r:
+                pre |= a
+        return "cl", pre
 
     def _apply_pushes(self, cur, at):
         """cur with each A of a push rule A -> B + f, B in act(f, at)."""
@@ -194,13 +193,6 @@ class Analysis(Solver):
 
     def _eval_cl(self, cur, X):
         cur = self._close(cur)
-        return self._apply_pushes(cur, cur)
-
-    def _eval_act(self, cur, f, P):
-        for _, _, a, r in self._pops.get(f, ()):
-            if P & r:
-                cur |= a
-        cur = self._close(cur)   # the snapshot S is cur
         return self._apply_pushes(cur, cur)
 
     def cl(self, X):
@@ -245,10 +237,6 @@ class Analysis(Solver):
                 for f in letters:
                     Y = self.act_mask(f, X)
                     if Y not in seen_set:
-                        if len(seen) >= self.universe_cap:
-                            raise CapExceeded.of(
-                                "annotation universe", len(seen) + 1, "sets",
-                                self.universe_cap, "--max-universe")
                         seen_set.add(Y)
                         seen.append(Y)
             self._universe = [self._set(X) for X in seen]

@@ -91,9 +91,9 @@ def run_pipeline(g, caps=None):
         "productions": len(g.productions),
         "useful": len(analysis.useful()),
         "universe": len(analysis.universe()),
-        # every act key the solver made counts against max_universe
-        "act_keys": analysis.act_keys,
-        "cl_keys": analysis.keys("cl"),
+        # the solver's keys by kind; every cl key, an action's included,
+        # counts against max_universe
+        "cl_keys": analysis.cl_keys,
         "efoc_keys": analysis.keys("efoc"),
         "annotated_nonterminals": len(ag.grammar.symbols.nonterminals),
         "annotated_rules": len(ag.grammar.productions),

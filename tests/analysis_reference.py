@@ -1,11 +1,12 @@
-"""Earlier rules of the analysis, the references for its act keys and
+"""Earlier rules of the analysis, the references for its actions and
 its focus matrices.
 
-`ixdcl.analysis` keys act(f, X) by what f's pop rules read of X,
-cl(X) & R_f.  `PerSetAnalysis` keys it by X itself: ("act", f, X) reads
-("cl", X), then f's pop rules, then the push rules at its snapshot, and
-a push rule in a cl(X) pass reads act(g, X).  Only `cl` and `act_mask`
-(and so `universe`) run on these keys.
+`ixdcl.analysis` solves act(f, X) as the cl key of pre_f(cl(X)).
+`PerSetAnalysis` solves it as a key ("act", f, X) of its own, keyed by
+X itself: it starts at the terminal lhs, reads ("cl", X), then f's pop
+rules, then the push rules at its snapshot, and a push rule in a cl(X)
+pass reads act(g, X).  Only `cl` and `act_mask` (and so `universe`) run
+on these keys, and an act key does not count against the cap.
 
 `ixdcl.analysis` composes a focus matrix M[f, X] from same-level foci.
 `FocKeyedAnalysis` solves it as a key ("foc", f, X) of its own: its base
@@ -19,6 +20,11 @@ from ixdcl.analysis import Analysis, gather
 
 class PerSetAnalysis(Analysis):
     """The analysis with one act key per set X."""
+
+    def _init(self, key):
+        if key[0] == "act":
+            return self._term
+        return super()._init(key)
 
     def _apply_pushes(self, cur, X):
         for f, (lhs, rules) in self._pushes.items():

@@ -197,17 +197,53 @@ def test_universe_cap():
         Analysis(square_grammar(), universe_cap=1).universe()
 
 
-@pytest.mark.parametrize("n, bound", [(2, 100), (3, 600)])
-def test_act_keys_counted_and_capped(n, bound):
-    # an act key is what f's pop rules read of X, cl(X) & R_f; keyed by
-    # X itself, G_2 made 280 act keys and G_3 1027
-    keys = run_pipeline(grammar_gn(n)).stats["act_keys"]
-    assert 0 < keys < bound
-    # every act key counts against max_universe, the last one included
+@pytest.mark.parametrize("n, keys", [(2, 34), (3, 102)])
+def test_cl_keys_counted_and_capped(n, keys):
+    # an action is the cl key of pre_f(cl(X)), so the actions are
+    # among these keys
+    assert run_pipeline(grammar_gn(n)).stats["cl_keys"] == keys
+    # every cl key counts against max_universe, the last one included
     caps = PipelineCaps(max_universe=keys - 1)
-    with pytest.raises(CapExceeded, match=f"exceeded: {keys} act keys, "
+    with pytest.raises(CapExceeded, match=f"exceeded: {keys} cl keys, "
                        fr"limit {keys - 1} \(--max-universe\)"):
         run_pipeline(grammar_gn(n), caps)
+
+
+def assert_key_cap_bounds_universe(g):
+    """Each universe set is the value of a cl key made before the set is
+    found, so the universe has at most as many sets as there are cl keys,
+    and the key cap fires first; the solver holds no act key."""
+    an = Analysis(g, universe_cap=512)
+    n_sets = len(an.universe())
+    keys = an.keys("cl")
+    assert n_sets <= keys == an.cl_keys
+    for x in [an.mask(X) for X in an.universe()]:
+        an.reach_rows(x)
+    assert {key[0] for key in an._val} <= {"cl", "efoc"}
+    with pytest.raises(CapExceeded) as exc:
+        Analysis(g, universe_cap=keys - 1).universe()
+    assert str(exc.value) == (f"action table cap exceeded: {keys} cl keys, "
+                              f"limit {keys - 1} (--max-universe)")
+
+
+@pytest.mark.parametrize("name", ["g1", "loop", "square"])
+def test_key_cap_bounds_universe_on_fixtures(fixtures, name):
+    assert_key_cap_bounds_universe(fixtures[name].grammar)
+
+
+@pytest.mark.parametrize("text", [PARITY_TEXT, SAME_LEVEL_TEXT],
+                         ids=["parity", "same_level"])
+def test_key_cap_bounds_universe_on_witnesses(text):
+    assert_key_cap_bounds_universe(grammar_from_text(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammar_texts())
+def test_key_cap_bounds_universe_on_generated_grammars(text):
+    try:
+        assert_key_cap_bounds_universe(grammar_from_text(text))
+    except CapExceeded:
+        event("cap exit")
 
 
 def assert_actions_match_per_set_keys(g):
@@ -246,22 +282,23 @@ def test_actions_match_per_set_keys_on_generated_grammars(text):
 
 def assert_focus_matches_foc_keys(g):
     """focus_rows and reach_rows agree with `FocKeyedAnalysis` on every
-    universe set and every act value the solver keyed, for every stack
-    symbol, and the solver holds no foc key."""
+    universe set and every cl value the solver keyed, an action's among
+    them, for every stack symbol, and the solver holds no foc key."""
     an, ref = Analysis(g, universe_cap=512), FocKeyedAnalysis(g, 512)
     assert an.universe() == ref.universe()
     letters = sorted(g.symbols.stack_symbols, key=str)
     for x in [an.mask(X) for X in an.universe()]:
         for f in letters:   # the keys the monoid's letters solve
             an.focus_rows(f, x)
-    acts = {v for key, v in an._val.items() if key[0] == "act"}
+    acts = {v for key, v in an._val.items() if key[0] == "cl"}
     for x in {an.mask(X) for X in an.universe()} | acts:
         assert an.reach_rows(x) == ref.reach_rows(x), an._set(x)
         for f in letters:
             assert an.focus_rows(f, x) == ref.focus_rows(f, x), \
                 (f, an._set(x))
-    # three kinds of key: a focus matrix has no key of its own
-    assert {key[0] for key in an._val} <= {"cl", "act", "efoc"}
+    # two kinds of key: an action is a cl key, and a focus matrix has
+    # no key of its own
+    assert {key[0] for key in an._val} <= {"cl", "efoc"}
 
 
 @pytest.mark.parametrize("name", ["g1", "loop", "square"])

@@ -250,8 +250,7 @@ def test_gen_gn_refuses_n_below_1(capsys, n):
 def test_stats(capsys, paths, gn_paths):
     data = run_json(capsys, ["stats", gn_paths[1]])
     # the solver's keys by kind; a focus matrix has no key of its own
-    assert (data["act_keys"], data["cl_keys"], data["efoc_keys"]) \
-        == (16, 6, 5)
+    assert (data["cl_keys"], data["efoc_keys"]) == (12, 5)
     data = run_json(capsys, ["stats", paths["g1"]])
     assert data["grammar_size"] == 8
     assert data["summary_nodes"] == 2
@@ -336,7 +335,7 @@ def test_universe_cap_message(capsys, paths):
     code, _, err = run(capsys, ["--max-universe", "1", "analyze",
                                 paths["square"]])
     assert code == 3
-    assert "action table cap exceeded: 2 act keys, limit 1 " \
+    assert "action table cap exceeded: 2 cl keys, limit 1 " \
         "(--max-universe)" in err
 
 
@@ -345,14 +344,14 @@ def test_universe_cap_message(capsys, paths):
 def test_universe_cap_agrees_across_commands(capsys, paths, gn_paths,
                                              command):
     # every command runs the analysis with its universe solved first, so
-    # each stops at the act key count of the whole pipeline
+    # each stops at the cl key count of the whole pipeline
     for g, path in ((square_grammar(), paths["square"]),
                     (grammar_gn(1), gn_paths[1])):
-        keys = run_pipeline(g).stats["act_keys"]
+        keys = run_pipeline(g).stats["cl_keys"]
         code, _, err = run(capsys, ["--max-universe", str(keys - 1),
                                     command, path])
         assert code == 3
-        assert f"action table cap exceeded: {keys} act keys, limit " \
+        assert f"action table cap exceeded: {keys} cl keys, limit " \
             f"{keys - 1} (--max-universe)" in err
         run_json(capsys, ["--max-universe", str(keys), command, path])
 
@@ -377,8 +376,9 @@ def test_cap_message_names_count_limit_and_flag(capsys, paths, argv,
         assert f"cap exceeded: {message}" in err, (cmd, err)
 
 
-# S has A[f] among its words, so the universe grows by one set while
-# the analysis makes one act key
+# the universe is Useful = {S} and act(f, {S}) = cl({A, S}), two sets,
+# but the analysis makes three cl keys, cl({S}) the third: the key cap
+# fires at a limit the universe fits
 TWO_SETS_TEXT = """\
 start S
 terminals a
@@ -401,10 +401,10 @@ def closure_with_ideal_cap(monkeypatch, cap):
 
 @pytest.mark.parametrize("build, message", [
     (lambda mp: Analysis(square_grammar(), universe_cap=1).universe(),
-     "action table cap exceeded: 2 act keys, limit 1 (--max-universe)"),
+     "action table cap exceeded: 2 cl keys, limit 1 (--max-universe)"),
     (lambda mp: Analysis(grammar_from_text(TWO_SETS_TEXT),
-                         universe_cap=1).universe(),
-     "annotation universe cap exceeded: 2 sets, limit 1 (--max-universe)"),
+                         universe_cap=2).universe(),
+     "action table cap exceeded: 3 cl keys, limit 2 (--max-universe)"),
     (lambda mp: run_pipeline(square_grammar(), PipelineCaps(max_monoid=2)),
      "stack monoid cap exceeded: 3 elements, limit 2 (--max-monoid)"),
     (lambda mp: run_pipeline(g_loop_grammar(),
@@ -454,7 +454,7 @@ def test_g3_stats_and_member(capsys, gn_paths):
     # G_3's closure a^(2^256) is answered from its one ideal
     data = run_json(capsys, ["stats", gn_paths[3]])
     assert data["longest_word"] == 2 ** 256
-    assert 0 < data["act_keys"] < 1169
+    assert data["cl_keys"] == 102
     assert data["nfa_states"] == 2 + 2 ** 256
     assert run_json(capsys, ["member", gn_paths[3], "a" * 100])["member"]
     assert not run_json(capsys, ["member", gn_paths[3], "b"])["member"]
