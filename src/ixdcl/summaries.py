@@ -16,18 +16,20 @@ depth d are built from three layers:
 Pushing a letter either starts a deeper summary, recurses into sub,
 prepends an atom, folds a long atom word into a block, or merges two
 blocks over the same idempotent.  Popping is the inverse relation and
-is answered from the edge index of the summary graph.  A fold over e is
-looked for only if at least 2N+1 prefixes of the word map to e: the
-prefix up to the end of the j-th group maps to e^j = e.
+is answered from the edge index of the summary graph, built after the
+breadth-first pass, so a cap exit builds none.  A fold over e is looked
+for only if at least 2N+1 prefixes of the word map to e: the prefix up
+to the end of the j-th group maps to e^j = e.
 
 Summaries and their parts are hash-consed: structurally equal ones are
 the same object, so equality is identity and the monoid image, depth
-and size are computed once, when the object is made.  A word of atoms
-is a cons cell, its first atom and the cell below, so prepending an
-atom makes or finds one cell; a cell holds the tables that find a fold,
-made only for words long enough to fold.  A push knows the size of what
-it makes from sigma's: a new atom adds 1 + the size of the summary it
-was pushed onto; only a fold sums the parts.
+and size are computed once, when the object is made.  A summary of
+atoms alone is keyed by its word, which points back at no summary.  A
+word of atoms is a cons cell, its first atom and the cell below, so
+prepending an atom makes or finds one cell; a cell holds the tables
+that find a fold, made only for words long enough to fold.  A push
+knows the size of what it makes from sigma's: a new atom adds 1 + the
+size of the summary it was pushed onto; only a fold sums the parts.
 """
 
 from __future__ import annotations
@@ -149,7 +151,8 @@ class SummaryFactory:
         """The summary sub atoms blocks, of known image, depth and size."""
         if atoms is None and not blocks:
             return sub if sub is not None else self.empty
-        k = (sub, atoms, blocks)
+        # a Word hashes by identity and equals no tuple key
+        k = atoms if sub is None and not blocks else (sub, atoms, blocks)
         s = self._summaries.get(k)
         if s is None:
             s = self._summaries[k] = Summary(sub, atoms, blocks, phi, depth,
@@ -316,28 +319,35 @@ class SummaryGraph(Record):
 
 
 def build_summary_graph(factory, letters, cap=4096):
-    """Breadth-first closure of the empty summary under feasible pushes."""
+    """Breadth-first closure of the empty summary under feasible pushes;
+    the edges and pops are indexed after the pass, in its push order."""
     m = factory.monoid
     rows = [(letter, m.left[m.gens[letter]])
             for letter in sorted(letters, key=sort_key)]
     nodes = [factory.empty]
     ids = {factory.empty: 0}
-    edges = {}
-    inverse = {}
+    targets = []
+    feasible = {}   # image -> the letters whose push keeps it nonzero
     i = 0
     while i < len(nodes):
         sigma = nodes[i]
         i += 1
-        for letter, row in rows:
-            if row[sigma.phi] is ZERO:
-                continue
+        pushes = feasible.get(sigma.phi)
+        if pushes is None:
+            pushes = feasible[sigma.phi] = [
+                letter for letter, row in rows if row[sigma.phi] is not ZERO]
+        for letter in pushes:
             tgt = factory.push_letter(letter, sigma)
-            edges[(sigma, letter)] = tgt
-            inverse.setdefault((letter, tgt), []).append(sigma)
+            targets.append(tgt)
             if tgt not in ids:
                 if len(nodes) >= cap:
                     raise CapExceeded.of("summary graph", len(nodes) + 1,
                                          "summaries", cap, "--max-summaries")
                 ids[tgt] = len(nodes)
                 nodes.append(tgt)
+    targets, edges, inverse = iter(targets), {}, {}
+    for sigma in nodes:
+        for letter in feasible[sigma.phi]:
+            tgt = edges[sigma, letter] = next(targets)
+            inverse.setdefault((letter, tgt), []).append(sigma)
     return SummaryGraph(nodes, ids, edges, inverse)

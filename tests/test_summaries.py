@@ -1,5 +1,6 @@
 """Stack summaries: push cases, decomposition, graph closure, validation."""
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -9,17 +10,23 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import event, given, settings
 
 import ixdcl
 from ixdcl.analysis import Analysis, CapExceeded, gather
 from ixdcl.annotate import build_annotated
-from ixdcl.families import g_loop_grammar, grammar_gn
+from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
+                            square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, _Memo
+from ixdcl.pipeline import run_pipeline, stages
 from ixdcl.summaries import Block, SummaryFactory, build_summary_graph
+from generated_grammars import grammar_texts
 from summary_helpers import (atom_word, atoms, element_key, push_word,
                              summary_key, summed_size, top_letter,
                              validate_summary)
+from summary_reference import TupleKeyedFactory
+from summary_reference import build_summary_graph as reference_graph
 
 # a drawn grammar whose summary graph has 361 nodes
 RANDOM_361_TEXT = """\
@@ -517,3 +524,89 @@ def test_cap_exit_goldens(name):
     created = [s for s in factory._summaries.values() if not s.is_empty()]
     assert summaries_fingerprint(created, m.analysis.nts) == \
         CAP_GOLDENS[name]
+
+
+def reference_grammars():
+    """The grammars whose graphs are checked against the reference in
+    full, by name (imported here: test_differential imports this
+    module)."""
+    from test_differential import PARITY_TEXT, SAME_LEVEL_TEXT
+    return {"g1": g1_grammar(), "loop": g_loop_grammar(),
+            "square": square_grammar(), "G_1": grammar_gn(1),
+            "G_2": grammar_gn(2), "parity": grammar_from_text(PARITY_TEXT),
+            "same_level": grammar_from_text(SAME_LEVEL_TEXT)}
+
+
+def assert_graph_matches_reference(m, letters, cap=4096):
+    """The graph equals the reference's, built on a tuple-keyed
+    factory: the same summaries, pushes and edges in the same order and,
+    on one factory, the same nodes, ids, edges and pop lists, dict and
+    list orders included.  A cap exit raises the same message after the
+    same summaries.  Returns that message, or None."""
+    nts = m.analysis.nts
+    ref_factory, factory = TupleKeyedFactory(m), SummaryFactory(m)
+    try:
+        ref = reference_graph(ref_factory, letters, cap)
+    except CapExceeded as exc:
+        with pytest.raises(CapExceeded) as new:
+            build_summary_graph(factory, letters, cap)
+        assert str(new.value) == str(exc)
+        assert summaries_fingerprint(factory._summaries.values(), nts) == \
+            summaries_fingerprint(ref_factory._summaries.values(), nts)
+        return str(exc)
+    graph = build_summary_graph(factory, letters, cap)
+    assert graph_fingerprint(graph, nts) == graph_fingerprint(ref, nts)
+    assert summaries_fingerprint(factory._summaries.values(), nts) == \
+        summaries_fingerprint(ref_factory._summaries.values(), nts)
+    graph = build_summary_graph(ref_factory, letters, cap)
+    assert graph.nodes == ref.nodes
+    for index in ("ids", "edges", "inverse"):
+        assert list(getattr(graph, index).items()) == \
+            list(getattr(ref, index).items()), index
+    return None
+
+
+@pytest.mark.parametrize("name", ["g1", "loop", "square", "G_1", "G_2",
+                                  "parity", "same_level"])
+def test_graph_matches_reference(name):
+    m, letters = monoid_and_letters(reference_grammars()[name])
+    assert assert_graph_matches_reference(m, letters) is None
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_TEXTS))
+def test_cap_exit_matches_reference(name):
+    m, letters = monoid_and_letters(grammar_from_text(CAPPED_TEXTS[name]))
+    assert assert_graph_matches_reference(m, letters) == \
+        "summary graph cap exceeded: 4097 summaries, limit 4096 " \
+        "(--max-summaries)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammar_texts())
+def test_graph_matches_reference_on_generated_grammars(text):
+    try:
+        m, letters = monoid_and_letters(grammar_from_text(text))
+    except CapExceeded:
+        event("cap exit before the summaries")
+        return
+    if assert_graph_matches_reference(m, letters, cap=512) is not None:
+        event("summary cap exit")
+
+
+def test_pipeline_leaves_no_cyclic_garbage():
+    # a summary, atom, block or word points only at what it was made
+    # from, so the pipeline's results, cap exits included, are freed by
+    # reference counting alone and the collector finds nothing
+    grammars = reference_grammars().values()
+    capped = [grammar_from_text(text) for text in CAPPED_TEXTS.values()]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in grammars:
+            run_pipeline(g)
+        for g in capped:
+            with pytest.raises(CapExceeded):
+                list(stages(g))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
