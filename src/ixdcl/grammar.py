@@ -294,8 +294,6 @@ def parse_grammar(text):
         lhs_toks = lhs_part.split()
         rhs_toks = rhs_part.split()
         lhs = lhs_toks[0]
-        if lhs not in nts:
-            raise GrammarError(f"undeclared nonterminal {lhs!r}")
 
         pop_sym = None
         if len(lhs_toks) == 3 and lhs_toks[1] == "-":

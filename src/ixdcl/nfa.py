@@ -272,6 +272,9 @@ def nfa_equivalence(n1, n2, cap=100000):
 def longest_word_or_infinite(nfa):
     """Length of a longest word of the closure nfa, INFINITE if unbounded,
     or None for the empty language."""
+    if nfa.ideals is None:
+        raise ValueError("longest_word_or_infinite needs a closure NFA, "
+                         "one made by cfg_dcl_nfa")
     if not nfa.ideals:
         return None
     if any(atom[0] == "s" for ideal in nfa.ideals for atom in ideal):

@@ -149,8 +149,6 @@ class SummaryFactory:
 
     def summary(self, sub, atoms, blocks, phi, depth, size):
         """The summary sub atoms blocks, of known image, depth and size."""
-        if atoms is None and not blocks:
-            return sub if sub is not None else self.empty
         # a Word hashes by identity and equals no tuple key
         k = atoms if sub is None and not blocks else (sub, atoms, blocks)
         s = self._summaries.get(k)

@@ -1,8 +1,9 @@
 """Bounded languages of a context-free grammar, the reference for the
 closure construction: words are enumerated up to a length, not
-summarised.  Also the one way tests write a grammar by hand, the full
-cover, the reference for the cover's cut of stack-blind triples, and
-the general trim, the reference for the cover being trim as built."""
+summarised.  Also the one way tests write a grammar by hand, the CFGs
+that more than one test reads, random CFGs, the full cover,
+the reference for the cover's cut of stack-blind triples, and the
+general trim, the reference for the cover being trim as built."""
 
 from ixdcl.cfg import Cfg, trim_cfg
 from ixdcl.grammar import BinaryRule, PopRule, PushRule, TerminalRule
@@ -55,6 +56,52 @@ def numbered_cfg(nonterminals, terminals, rules):
         out[num[lhs]].append(tuple(num[k] for k in kids) if kids
                              else "".join(word))
     return Cfg(list(nonterminals), frozenset(terminals), out)
+
+
+def anbn_cfg():
+    """S -> a S b | eps: the closure is a* b*."""
+    return numbered_cfg(["S", "T", "A", "B"], "ab",
+                        [("S", (), ""), ("S", ("A", "T")), ("T", ("S", "B")),
+                         ("A", (), "a"), ("B", (), "b")])
+
+
+def expansive_cfg():
+    """S -> S S | a: the closure is a*."""
+    return numbered_cfg(["S"], "a", [("S", ("S", "S")), ("S", (), "a")])
+
+
+def pair_cfg():
+    """S -> A B as S's one rule, A -> c | d, B -> a | e: the closure
+    (c + d)(a + e) needs four ideals."""
+    return numbered_cfg(["S", "A", "B"], "acde",
+                        [("S", ("A", "B")), ("A", (), "c"), ("A", (), "d"),
+                         ("B", (), "a"), ("B", (), "e")])
+
+
+def random_cfg(rng):
+    """A random CFG, not trimmed: `cfg_dcl_nfa` reads `trim` of it."""
+    n = rng.randint(1, 4)
+    nts = [f"N{i}" for i in range(n)]
+    rules = []
+    for _ in range(rng.randint(1, 8)):
+        lhs = rng.choice(nts)
+        k = rng.random()
+        if k < 0.4:
+            w = "".join(rng.choice("ab")
+                        for _ in range(rng.randint(0, 3)))
+            rules.append((lhs, (), w))
+        elif k < 0.8:
+            rules.append((lhs, (rng.choice(nts), rng.choice(nts))))
+        else:
+            rules.append((lhs, (rng.choice(nts),)))
+    return numbered_cfg(nts, "ab", rules)
+
+
+def doubling_cfg(k):
+    """S_i -> S_{i-1} S_{i-1}, S_0 -> a: the single word a^(2^k)."""
+    rules = [("S0", (), "a")] + [
+        (f"S{i}", (f"S{i - 1}", f"S{i - 1}")) for i in range(1, k + 1)]
+    return numbered_cfg([f"S{i}" for i in range(k, -1, -1)], "a", rules)
 
 
 def named_rules(cfg):

@@ -1,4 +1,5 @@
-"""Shared fixtures: the three fixture grammars and their pipeline stages.
+"""Shared fixtures: the three fixture grammars and their pipeline stages,
+built from the grammars of `corpus`.
 
 Expensive stages (notably the square-example pipeline) are computed once
 per session and shared read-only across test modules.
@@ -12,9 +13,8 @@ import os
 import pytest
 from hypothesis import settings
 
-from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
-                            square_grammar)
 from ixdcl.pipeline import run_pipeline, stages
+from corpus import grammar
 
 settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -31,17 +31,17 @@ class Stages:
 
 @pytest.fixture(scope="session")
 def g1():
-    return Stages(g1_grammar())
+    return Stages(grammar("g1"))
 
 
 @pytest.fixture(scope="session")
 def loop():
-    return Stages(g_loop_grammar())
+    return Stages(grammar("loop"))
 
 
 @pytest.fixture(scope="session")
 def square():
-    return Stages(square_grammar())
+    return Stages(grammar("square"))
 
 
 @pytest.fixture(scope="session")
@@ -52,4 +52,4 @@ def fixtures(g1, loop, square):
 @pytest.fixture(scope="session")
 def gn_nfas():
     """The closure NFAs of the lower-bound grammars G_1 and G_2."""
-    return {n: run_pipeline(grammar_gn(n)).nfa for n in (1, 2)}
+    return {n: run_pipeline(grammar(f"G_{n}")).nfa for n in (1, 2)}

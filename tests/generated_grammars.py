@@ -1,4 +1,5 @@
-"""A hypothesis strategy for small sugared indexed grammars.
+"""Hypothesis strategies for generated grammars: the texts of small
+sugared indexed grammars, and small core grammars built directly.
 
 `draw_grammar` and `render` are a copy of the benchmark's generator
 (`perfbench/grammars.py`), kept here so that the tests do not depend on
@@ -14,9 +15,18 @@ closure {epsilon}.
 A draw has at most five nonterminals and two stack symbols, general
 right-hand sides (sugar), pop rules with general right-hand sides
 (pop-sugar) and check rules over small DFAs.  The terminals are a and b.
+
+`small_grammars` draws core grammars over three nonterminals and two
+stack symbols without a text, and `generated_stages` runs the pipeline
+on one of its draws.
 """
 
 from hypothesis import strategies as st
+
+from ixdcl.analysis import CapExceeded
+from ixdcl.grammar import (BinaryRule, IndexedGrammar, PopRule, PushRule,
+                           SymbolTable, TerminalRule, label_pushes)
+from ixdcl.pipeline import PipelineCaps, stages
 
 NT_POOL = tuple("SABCDEFGHJKLMNQRTUVXYZ")
 STACK_POOL = tuple("fghijklmnopqrstuvwxyz")
@@ -106,3 +116,48 @@ def grammar_texts():
     random calls, so a failing draw is replayed and shrunk."""
     return st.randoms(use_true_random=False).map(
         lambda rng: render(draw_grammar(rng), rng))
+
+
+@st.composite
+def small_grammars(draw):
+    """Random core grammars over fixed small symbol pools: a drawn set of
+    nonterminals derive the empty word, S may push f and A may push g,
+    and up to five more rules follow."""
+    nts = ["S", "A", "B"]
+    syms = ["f", "g"]
+    rules = [TerminalRule(nt, "") for nt in nts if draw(st.booleans())]
+    rules += [PushRule(lhs, draw(st.sampled_from(nts)), f)
+              for lhs, f in (("S", "f"), ("A", "g")) if draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 2))
+        lhs = draw(st.sampled_from(nts))
+        if kind == 0:
+            rules.append(TerminalRule(lhs, draw(st.text("ab", max_size=3))))
+        elif kind == 1:
+            rules.append(BinaryRule(lhs, draw(st.sampled_from(nts)),
+                                    draw(st.sampled_from(nts))))
+        else:
+            rules.append(PopRule(lhs, draw(st.sampled_from(syms)),
+                                 draw(st.sampled_from(nts))))
+    # every nonterminal needs a rule that outlives label_pushes (which
+    # drops the pops of a symbol never pushed), so the printed form
+    # redeclares it
+    pushed = {p.sym for p in rules if isinstance(p, PushRule)}
+    ruled = {p.lhs for p in rules
+             if not isinstance(p, PopRule) or p.sym in pushed}
+    rules += [TerminalRule(nt, draw(st.text("ab", min_size=1, max_size=3)))
+              for nt in nts if nt not in ruled]
+    g = IndexedGrammar(
+        SymbolTable(frozenset(nts), frozenset("ab"), frozenset(syms)),
+        "S", tuple(rules))
+    return label_pushes(g)
+
+
+def generated_stages(g):
+    """The stages of a small_grammars draw, or None for one of the few
+    that exit at the summary cap; a lower cap keeps those exits cheap
+    (the draws that finish have at most about 60 summaries)."""
+    try:
+        return list(stages(g, PipelineCaps(max_summaries=256)))
+    except CapExceeded:
+        return None

@@ -4,15 +4,57 @@
 ideals only.  These versions read any NFA's edges: `simulate` runs the
 subset simulation, `longest_path` the longest letter path of the trimmed
 graph.  A closure NFA's edges are unfolded when they are read here.
+Also the words up to a length, two NFAs built by hand, and the
+fingerprint of a closure NFA with its goldens.
 """
 
-from ixdcl.nfa import INFINITE, Nfa, _closure, _step_and_eps, sccs
+import hashlib
+import itertools
+import json
+
+from ixdcl.nfa import (INFINITE, Nfa, _closure, _step_and_eps,
+                       longest_word_or_infinite, sccs)
+
+# (states, transitions, longest word, sha256 prefix of the to_dict JSON)
+CLOSURE_GOLDENS = {
+    "g1": (4, 5, 2, "7e229ec5cd4c78ea"),
+    "loop": (3, 3, 1, "2d6f0ab0c99a644b"),
+    "square": (4, 5, INFINITE, "1b3c58aba4a53955"),
+    "G_1": (18, 33, 16, "e581654addaa4a3c"),
+    "G_2": (65538, 131073, 65536, "c14597fb36b23ce7"),
+    "random": (4, 5, 2, "7f323025ac04824a"),
+}
+
+
+def closure_fingerprint(nfa):
+    digest = hashlib.sha256(
+        json.dumps(nfa.to_dict(), sort_keys=True).encode()).hexdigest()
+    return (nfa.n_states, len(nfa.transitions),
+            longest_word_or_infinite(nfa), digest[:16])
+
+
+def words_upto(alphabet, k):
+    """Every word over alphabet of length at most k, shortest first and
+    in sorted order within a length."""
+    return ["".join(t) for n in range(k + 1)
+            for t in itertools.product(sorted(alphabet), repeat=n)]
 
 
 def add_state(nfa):
     """A new state of an NFA built by hand."""
     nfa.n_states += 1
     return nfa.n_states - 1
+
+
+def astar_bstar_nfa():
+    """The NFA of a*b* with two states and no ideals."""
+    n = Nfa(frozenset("ab"))
+    p, q = add_state(n), add_state(n)
+    n.initial, n.final = {p}, {q}
+    n.add_edge(p, "a", p)
+    n.add_edge(p, None, q)
+    n.add_edge(q, "b", q)
+    return n
 
 
 def simulate(nfa, word):

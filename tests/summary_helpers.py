@@ -1,7 +1,9 @@
 """Test-side views of the analysis's masks, monoid elements and
 summaries: masks and row masks spelled out as nonterminals and pairs,
-structural keys, the image of a stack word, the top letter, pushing a
-whole word, making an atom word, and a structural check of a summary.
+a rendering of keys and letters that no hash seed changes, structural
+keys, the annotation and the image of a stack word, the top letter,
+pushing a whole word, making an atom word, and a structural check of a
+summary.
 
 The monoid interns its elements and the factory hash-conses summaries
 by the identities of their parts, so two factories never share a key;
@@ -12,6 +14,16 @@ masks over the analysis's nonterminals `nts`, so the keys take `nts`.
 
 from ixdcl.monoid import ONE, ZERO
 from ixdcl.summaries import Atom, Block
+
+
+def canonical(x):
+    """Render a key or letter; frozensets sorted, so that the text does
+    not depend on PYTHONHASHSEED."""
+    if isinstance(x, frozenset):
+        return "{" + ",".join(sorted(map(canonical, x))) + "}"
+    if isinstance(x, tuple):
+        return "(" + ",".join(map(canonical, x)) + ")"
+    return repr(x)
 
 
 def names(nts, mask):
@@ -47,6 +59,15 @@ def element_key(x, nts):
     return (1, str(nts[x.b]), sorted(map(str, names(nts, x.y))),
             sorted(map(str, pairs(nts, x.m))), str(nts[x.a]),
             sorted(map(str, names(nts, x.x))))
+
+
+def annotate_stack(z, X, analysis):
+    """Annotate a stack word (topmost-first) with base annotation X."""
+    out = []
+    for f in reversed(z):
+        out.append((f, X))
+        X = analysis.act(f, X)
+    return tuple(reversed(out))
 
 
 def phi(m, word):

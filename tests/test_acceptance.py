@@ -15,28 +15,21 @@ from ixdcl.families import (G1_TEXT, SQUARE_TEXT, counter_intersection_words,
                             g1_grammar, grammar_gn)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.monoid import ZERO, StackMonoid
-from ixdcl.nfa import (INFINITE, Nfa, cfg_dcl_nfa, longest_word_or_infinite,
+from ixdcl.nfa import (cfg_dcl_nfa, longest_word_or_infinite,
                        nfa_equivalence, nfa_inclusion, nfa_member)
 from ixdcl.oracle import (OracleBudget, Term, check_productive_sample,
                           dcl_member_oracle, term_language_dp)
 from ixdcl.pipeline import run_pipeline
 from ixdcl.summaries import SummaryFactory, build_summary_graph
-from cfg_reference import (cfg_bounded_words, cfg_dcl_bounded,
-                           numbered_cfg, trim)
-from test_nfa import random_cfg
+from cfg_reference import (anbn_cfg, cfg_bounded_words, cfg_dcl_bounded,
+                           expansive_cfg, numbered_cfg, random_cfg, trim)
 from derivation_reference import term_reachable, term_routes
-from nfa_reference import add_state
-from summary_helpers import (names, pairs, phi, reach, summary_key,
-                             top_letter, validate_summary)
-from test_annotate import annotate_stack
+from nfa_reference import astar_bstar_nfa, words_upto
+from summary_helpers import (annotate_stack, names, pairs, phi, reach,
+                             summary_key, top_letter, validate_summary)
 
 MUT1_TEXT = G1_TEXT.replace('B -> "ab"', 'B -> "ba"\nB -> "b"')
 MUT2_TEXT = SQUARE_TEXT.replace("B - g -> b", "B - g -> a b")
-
-
-def words_upto(alphabet, k):
-    return ["".join(t) for n in range(k + 1)
-            for t in itertools.product(sorted(alphabet), repeat=n)]
 
 
 def ok(msg):
@@ -64,14 +57,8 @@ def test_criterion_01_nfa_membership_matches_oracle(fixtures):
 
 def test_criterion_02_square_closure_is_astar_bstar(square):
     """The a^n b^(n^2) example has downward closure exactly a* b*."""
-    expect = Nfa(frozenset("ab"))
-    p, q = add_state(expect), add_state(expect)
-    expect.initial, expect.final = {p}, {q}
-    expect.add_edge(p, "a", p)
-    expect.add_edge(p, None, q)
-    expect.add_edge(q, "b", q)
     nfa = run_pipeline(square.grammar).nfa
-    equal, cex = nfa_equivalence(nfa, expect)
+    equal, cex = nfa_equivalence(nfa, astar_bstar_nfa())
     assert equal, cex
     ok("criterion 2: closure of the square example is exactly a*b*")
 
@@ -224,17 +211,8 @@ def test_criterion_08_cfg_closure_construction():
         expect = cfg_dcl_bounded(cfg, 8)
         got = {w for w in allw if nfa_member(nfa, w)}
         assert got == expect, (i, cfg.rules)
-    canonical = [
-        # a^n b^n
-        numbered_cfg(["S", "T", "A", "B"], "ab",
-                     [("S", (), ""), ("S", ("A", "T")),
-                      ("T", ("S", "B")), ("A", (), "a"),
-                      ("B", (), "b")]),
-        # S -> S S | a
-        numbered_cfg(["S"], "a", [("S", ("S", "S")), ("S", (), "a")]),
-        # finite
-        numbered_cfg(["S"], "ab", [("S", (), "abab")]),
-    ]
+    canonical = [anbn_cfg(), expansive_cfg(),
+                 numbered_cfg(["S"], "ab", [("S", (), "abab")])]   # finite
     for cfg in canonical:
         nfa = cfg_dcl_nfa(cfg)
         expect = cfg_dcl_bounded(cfg, 8)

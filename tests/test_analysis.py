@@ -7,15 +7,12 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from ixdcl.analysis import Analysis, CapExceeded
-from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
-                            square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.pipeline import PipelineCaps, run_pipeline
 from analysis_reference import FocKeyedAnalysis, PerSetAnalysis
+from corpus import EMPTY_TEXT, chain_text, grammar
 from generated_grammars import grammar_texts
-from summary_helpers import matrix, reach
-from test_differential import PARITY_TEXT, SAME_LEVEL_TEXT
-from test_summaries import RANDOM_361_TEXT, canonical
+from summary_helpers import canonical, matrix, reach
 
 # (universe size, sha256 prefix of analysis_fingerprint)
 ANALYSIS_GOLDENS = {
@@ -50,11 +47,8 @@ def analysis_fingerprint(an):
 
 
 def test_analysis_fingerprint_goldens():
-    grammars = {"g1": g1_grammar(), "loop": g_loop_grammar(),
-                "square": square_grammar(), "G_1": grammar_gn(1),
-                "G_2": grammar_gn(2),
-                "random": grammar_from_text(RANDOM_361_TEXT),
-                "G_3": grammar_gn(3)}
+    grammars = {name: grammar(name) for name in (
+        "g1", "loop", "square", "G_1", "G_2", "random", "G_3")}
     assert {name: analysis_fingerprint(Analysis(g))
             for name, g in grammars.items()} == ANALYSIS_GOLDENS
 
@@ -67,8 +61,8 @@ def test_useful_goldens(fixtures):
 
 
 def test_is_empty():
-    assert not Analysis(g1_grammar()).is_empty()
-    g = grammar_from_text("start S\nterminals a\nstack f\nS -> S + f\n")
+    assert not Analysis(grammar("g1")).is_empty()
+    g = grammar_from_text(EMPTY_TEXT)
     assert Analysis(g).is_empty()
 
 
@@ -112,8 +106,7 @@ def analyses(fixtures):
     """The fixtures' analyses and those of G_1, G_2 and the random
     grammar."""
     return [st_.analysis for st_ in fixtures.values()] + [
-        Analysis(g) for g in (grammar_gn(1), grammar_gn(2),
-                              grammar_from_text(RANDOM_361_TEXT))]
+        Analysis(grammar(name)) for name in ("G_1", "G_2", "random")]
 
 
 def test_universe_closed_under_actions(analyses):
@@ -139,9 +132,9 @@ def test_cl_contains_terminal_lhs(fixtures):
 
 
 @given(st.sets(st.sampled_from(sorted(
-    square_grammar().symbols.nonterminals)), max_size=6),
+    grammar("square").symbols.nonterminals)), max_size=6),
     st.sets(st.sampled_from(sorted(
-        square_grammar().symbols.nonterminals)), max_size=6))
+        grammar("square").symbols.nonterminals)), max_size=6))
 def test_act_monotone(x, y):
     an = test_act_monotone.an
     for f in sorted(an.g.symbols.stack_symbols):
@@ -150,7 +143,7 @@ def test_act_monotone(x, y):
         assert small <= an.act(f, frozenset(y))
 
 
-test_act_monotone.an = Analysis(square_grammar())
+test_act_monotone.an = Analysis(grammar("square"))
 
 
 def test_matrix_golden_g1(g1):
@@ -194,19 +187,19 @@ def test_term_empty(g1):
 
 def test_universe_cap():
     with pytest.raises(CapExceeded):
-        Analysis(square_grammar(), universe_cap=1).universe()
+        Analysis(grammar("square"), universe_cap=1).universe()
 
 
 @pytest.mark.parametrize("n, keys", [(2, 34), (3, 102)])
 def test_cl_keys_counted_and_capped(n, keys):
     # an action is the cl key of pre_f(cl(X)), so the actions are
     # among these keys
-    assert run_pipeline(grammar_gn(n)).stats["cl_keys"] == keys
+    assert run_pipeline(grammar(f"G_{n}")).stats["cl_keys"] == keys
     # every cl key counts against max_universe, the last one included
     caps = PipelineCaps(max_universe=keys - 1)
     with pytest.raises(CapExceeded, match=f"exceeded: {keys} cl keys, "
                        fr"limit {keys - 1} \(--max-universe\)"):
-        run_pipeline(grammar_gn(n), caps)
+        run_pipeline(grammar(f"G_{n}"), caps)
 
 
 def assert_key_cap_bounds_universe(g):
@@ -231,10 +224,9 @@ def test_key_cap_bounds_universe_on_fixtures(fixtures, name):
     assert_key_cap_bounds_universe(fixtures[name].grammar)
 
 
-@pytest.mark.parametrize("text", [PARITY_TEXT, SAME_LEVEL_TEXT],
-                         ids=["parity", "same_level"])
-def test_key_cap_bounds_universe_on_witnesses(text):
-    assert_key_cap_bounds_universe(grammar_from_text(text))
+@pytest.mark.parametrize("name", ["parity", "same_level"])
+def test_key_cap_bounds_universe_on_witnesses(name):
+    assert_key_cap_bounds_universe(grammar(name))
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,10 +257,9 @@ def test_actions_match_per_set_keys_on_fixtures(fixtures, name):
     assert_actions_match_per_set_keys(fixtures[name].grammar)
 
 
-@pytest.mark.parametrize("text", [PARITY_TEXT, SAME_LEVEL_TEXT],
-                         ids=["parity", "same_level"])
-def test_actions_match_per_set_keys_on_witnesses(text):
-    assert_actions_match_per_set_keys(grammar_from_text(text))
+@pytest.mark.parametrize("name", ["parity", "same_level"])
+def test_actions_match_per_set_keys_on_witnesses(name):
+    assert_actions_match_per_set_keys(grammar(name))
 
 
 @settings(max_examples=200, deadline=None)
@@ -308,13 +299,12 @@ def test_focus_matches_foc_keys_on_fixtures(fixtures, name):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_focus_matches_foc_keys_on_gn(n):
-    assert_focus_matches_foc_keys(grammar_gn(n))
+    assert_focus_matches_foc_keys(grammar(f"G_{n}"))
 
 
-@pytest.mark.parametrize("text", [PARITY_TEXT, SAME_LEVEL_TEXT],
-                         ids=["parity", "same_level"])
-def test_focus_matches_foc_keys_on_witnesses(text):
-    assert_focus_matches_foc_keys(grammar_from_text(text))
+@pytest.mark.parametrize("name", ["parity", "same_level"])
+def test_focus_matches_foc_keys_on_witnesses(name):
+    assert_focus_matches_foc_keys(grammar(name))
 
 
 @settings(max_examples=200, deadline=None)
@@ -324,17 +314,6 @@ def test_focus_matches_foc_keys_on_generated_grammars(text):
         assert_focus_matches_foc_keys(grammar_from_text(text))
     except CapExceeded:
         event("cap exit")
-
-
-def chain_text(k, kids_first=False):
-    """The stack-free chain A0 -> A1 A1, ..., A{k-1} -> Ak Ak, Ak -> "a",
-    whose one word is a^(2^k), its rules listed parent first or kids
-    first."""
-    rules = [f"A{i} -> A{i + 1} A{i + 1}" for i in range(k)]
-    rules.append(f'A{k} -> "a"')
-    if kids_first:
-        rules.reverse()
-    return "start A0\nterminals a\n" + "\n".join(rules) + "\n"
 
 
 @pytest.mark.parametrize("kids_first", [False, True])

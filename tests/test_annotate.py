@@ -4,13 +4,12 @@ import hashlib
 
 from ixdcl.analysis import Analysis
 from ixdcl.annotate import build_annotated
-from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
-                            square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.oracle import (OracleBudget, check_productive_sample,
                           term_language_dp)
+from corpus import EMPTY_TEXT, grammar
 from grammar_helpers import validate
-from test_summaries import RANDOM_361_TEXT, canonical
+from summary_helpers import annotate_stack, canonical
 
 # (nonterminals, letters, rules, sha256 prefix of annotated_fingerprint)
 ANNOTATED_GOLDENS = {
@@ -63,10 +62,8 @@ def test_annotated_shapes(fixtures):
 
 
 def test_annotated_fingerprint_goldens():
-    grammars = {"g1": g1_grammar(), "loop": g_loop_grammar(),
-                "square": square_grammar(), "G_1": grammar_gn(1),
-                "G_2": grammar_gn(2),
-                "random": grammar_from_text(RANDOM_361_TEXT)}
+    grammars = {name: grammar(name) for name in (
+        "g1", "loop", "square", "G_1", "G_2", "random")}
     assert {name: annotated_fingerprint(build_annotated(g, Analysis(g)))
             for name, g in grammars.items()} == ANNOTATED_GOLDENS
 
@@ -81,15 +78,6 @@ def test_annotated_nonterminals_are_self_productive(fixtures):
     for st_ in fixtures.values():
         for (A, X) in st_.annotated.grammar.symbols.nonterminals:
             assert A in X
-
-
-def annotate_stack(z, X, analysis):
-    """Annotate a stack word (topmost-first) with base annotation X."""
-    out = []
-    for f in reversed(z):
-        out.append((f, X))
-        X = analysis.act(f, X)
-    return tuple(reversed(out))
 
 
 def test_annotate_stack_threads_actions(square):
@@ -122,7 +110,7 @@ def test_language_preserved(fixtures):
 
 
 def test_empty_language_annotation():
-    g = grammar_from_text("start S\nterminals a\nstack f\nS -> S + f\n")
+    g = grammar_from_text(EMPTY_TEXT)
     an = Analysis(g)
     ag = build_annotated(g, an)
     assert ag.grammar.productions == ()

@@ -14,10 +14,9 @@ from ixdcl.oracle import OracleBudget, subwords, term_language_dp
 from ixdcl.pipeline import stages
 from cfg_reference import (assert_cover_is_trim, cfg_bounded_words,
                            cfg_dcl_bounded, full_cover, named_rules,
-                           numbered_cfg, trim)
-from test_grammar import generated_stages, small_grammars
-from test_nfa import random_cfg
-from test_summaries import RANDOM_361_TEXT
+                           numbered_cfg, random_cfg, trim)
+from corpus import RANDOM_361_TEXT
+from generated_grammars import generated_stages, small_grammars
 
 
 def test_cfg_goldens(fixtures):

@@ -17,11 +17,9 @@ from ixdcl.families import (G1_TEXT, G_LOOP_TEXT, SQUARE_TEXT,
 from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import cfg_dcl_nfa, determinize, nfa_inclusion
 from ixdcl.pipeline import PipelineCaps, run_pipeline
-from cfg_reference import numbered_cfg
-from test_analysis import chain_text
-from test_nfa import astar_bstar_nfa, doubling_cfg
-
-EMPTY_TEXT = "start S\nterminals a\nstack f\nS -> S + f\n"
+from cfg_reference import doubling_cfg, pair_cfg
+from corpus import EMPTY_TEXT, chain_text
+from nfa_reference import astar_bstar_nfa
 
 
 @pytest.fixture
@@ -391,12 +389,9 @@ A - f -> S
 
 
 def closure_with_ideal_cap(monkeypatch, cap):
-    # S -> A B: (c + d)(a + e) needs four ideals
+    # (c + d)(a + e) needs four ideals
     monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", cap)
-    cfg_dcl_nfa(numbered_cfg(["S", "A", "B"], "acde",
-                             [("S", ("A", "B")), ("A", (), "c"),
-                              ("A", (), "d"), ("B", (), "a"),
-                              ("B", (), "e")]))
+    cfg_dcl_nfa(pair_cfg())
 
 
 @pytest.mark.parametrize("build, message", [

@@ -21,14 +21,14 @@ import pytest
 from hypothesis import event, given, settings
 
 from ixdcl.analysis import CapExceeded
-from ixdcl.families import grammar_gn
 from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import _word_ideal, nfa_member
 from ixdcl.oracle import OracleBudget, _DclDp, dcl_member_oracle
 from ixdcl.pipeline import PipelineCaps, run_pipeline, stages
 from cfg_reference import assert_cover_is_trim
+from corpus import PARITY_TEXT, SAME_LEVEL_TEXT, grammar
 from generated_grammars import grammar_texts
-from test_acceptance import words_upto
+from nfa_reference import words_upto
 
 WORDS = words_upto("ab", 5)
 BUDGET = OracleBudget(max_word_len=5, max_stack_height=6)
@@ -89,43 +89,6 @@ def test_closure_matches_oracle_on_generated_grammars(text):
             assert not member, w
 
 
-# The focus matrix M of a monoid element is needed: T pushes f^k onto z,
-# and U and V pop it with opposite parities, so the word is ab for even
-# k and ba for odd k.  Without M, f^k has one idempotent image for every
-# k, the two parities merge, and the closure gains aa and bb.
-PARITY_TEXT = """\
-start S
-terminals a b
-stack f z
-S -> T + z
-T -> T + f
-T -> U V
-U - f -> U2
-U2 - f -> U
-U - z -> "a"
-U2 - z -> "b"
-V - f -> V2
-V2 - f -> V
-V - z -> "b"
-V2 - z -> "a"
-"""
-
-# The same-level focus needs its push rules: R pops h to A, which pushes
-# f and pops it again, so the route from B down to the g below returns
-# to its level through a push.  Without it the closure is empty.
-SAME_LEVEL_TEXT = """\
-start S
-terminals a
-stack f g h
-S -> B + g
-B -> R + h
-R - h -> A
-A -> Z + f
-Z - f -> Y
-Y - g -> "a"
-"""
-
-
 @pytest.mark.parametrize("text, words, rejected", [
     (PARITY_TEXT, ("ab", "ba"), ("aa", "bb")),
     (SAME_LEVEL_TEXT, ("a",), ()),
@@ -144,8 +107,7 @@ def test_witness_closure(text, words, rejected):
 
 def test_covers_are_trim(fixtures):
     covers = [st_.cfg for st_ in fixtures.values()]
-    covers += [list(islice(stages(g), 6))[-1] for g in (
-        [grammar_gn(n) for n in (1, 2, 3)]
-        + [grammar_from_text(t) for t in (PARITY_TEXT, SAME_LEVEL_TEXT)])]
+    covers += [list(islice(stages(grammar(name)), 6))[-1] for name in (
+        "G_1", "G_2", "G_3", "parity", "same_level")]
     for cfg in covers:
         assert_cover_is_trim(cfg)

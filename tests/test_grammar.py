@@ -1,5 +1,6 @@
 """Parsing, desugaring, push labeling, validation and printing."""
 
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -8,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 from ixdcl.analysis import CapExceeded
 from ixdcl.cli import main
 from ixdcl.families import G1_TEXT, SQUARE_TEXT, grammar_gn
-from ixdcl.grammar import (BinaryRule, GrammarError, IndexedGrammar, PopRule,
-                           PushRule, SymbolTable, TerminalRule, desugar,
-                           grammar_from_text, label_pushes, parse_grammar,
-                           sort_key)
+from ixdcl.grammar import (BinaryRule, CheckDfa, GrammarError,
+                           IndexedGrammar, PopRule, PushRule, SymbolTable,
+                           TerminalRule, desugar, grammar_from_text,
+                           label_pushes, parse_grammar, sort_key)
 from ixdcl.nfa import _antichain
-from ixdcl.pipeline import PipelineCaps, run_pipeline, stages
+from ixdcl.oracle import OracleBudget
+from ixdcl.pipeline import PipelineCaps, run_pipeline
+from derivation_reference import enumerate_words
+from generated_grammars import generated_stages, small_grammars
 from grammar_helpers import validate
 
 
@@ -63,24 +67,32 @@ def test_parse_comments_and_blank_lines():
 
 
 def test_parse_errors():
-    with pytest.raises(GrammarError):
-        parse_grammar("terminals a\nS -> \"a\"\n")          # missing start
-    with pytest.raises(GrammarError):
-        parse_grammar("start S\nterminals a\nS -> \"b\"\n")  # undeclared letter
-    with pytest.raises(GrammarError):
-        parse_grammar("start S\nterminals a\nS -> T \"a\"\n")  # undeclared sym
-    with pytest.raises(GrammarError):
-        parse_grammar("start S\nstack f\nS -> S + g\n")      # undeclared stack
-    with pytest.raises(GrammarError):
-        parse_grammar("start S\nS - f\n")                    # no arrow
-    with pytest.raises(GrammarError):
-        parse_grammar("start S\ndfa D { states q;\nS -> \"\"\n")  # open block
-    with pytest.raises(GrammarError):
-        parse_grammar("start S\ndfa {}\n")                  # unnamed dfa
-    with pytest.raises(GrammarError):
-        parse_grammar("start S\ndfa D { states q; init; }\n")  # no init state
-    with pytest.raises(GrammarError):
-        parse_grammar("start S\ndfa D }\n")                 # no open brace
+    for text, message in [
+            ('terminals a\nS -> "a"\n', "missing start line"),
+            ('start S\nterminals a\nS -> "b"\n',
+             """letter 'b' in "b" is not a terminal"""),
+            ('start S\nterminals a\nS -> T "a"\n', "undeclared symbol 'T'"),
+            ("start S\nstack f\nS -> S + g\n", "undeclared stack symbol 'g'"),
+            ("start S\nS - f\n", "malformed rule: 'S - f'"),   # no arrow
+            ('start S\ndfa D { states q;\nS -> ""\n',
+             "unterminated dfa block"),
+            ("start S\ndfa {}\n", "malformed dfa header"),    # unnamed
+            ("start S\ndfa D { states q; init; }\n",     # init, no state
+             "malformed dfa clause: ' init'"),
+            ("start S\ndfa D }\n", "malformed dfa header")]:  # no open brace
+        with pytest.raises(GrammarError, match=re.escape(message)):
+            parse_grammar(text)
+
+
+def test_dfa_block_over_several_lines():
+    # a block left open on its first line closes on the line of its brace
+    rules = 'start S\nterminals a\nstack f\nS -> S check D\nS -> "a"\n'
+    one = "dfa D { states q0 q1; init q0; final q1; q0 f q1; }\n"
+    many = ("dfa D {\n  states q0 q1;  # two states\n\n  init q0;\n"
+            "  final q1; q0 f q1;\n}\n")
+    dfas = [parse_grammar(rules + block).dfas for block in (one, many)]
+    assert dfas[0] == dfas[1] == {"D": CheckDfa(
+        "D", ("q0", "q1"), "q0", frozenset({"q1"}), (("q0", "f", "q1"),))}
 
 
 def test_desugar_core_kinds_only():
@@ -94,8 +106,6 @@ def test_desugar_mixed_rhs_preserves_language():
     g = grammar_from_text(
         "start S\nterminals a b\nstack f\n"
         "S -> T + f\nT - f -> U\nU -> a V b\nV -> \"ab\"\n")
-    from derivation_reference import enumerate_words
-    from ixdcl.oracle import OracleBudget
     res = enumerate_words(g, OracleBudget(8, 4, 50000))
     assert res.complete
     assert res.words == {"aabb"}
@@ -120,8 +130,6 @@ def test_pop_sugar_general_rhs():
     g = grammar_from_text(
         "start S\nterminals a b\nstack f\n"
         "S -> T + f\nT - f -> a T b\nT -> \"\"\n")
-    from derivation_reference import enumerate_words
-    from ixdcl.oracle import OracleBudget
     res = enumerate_words(g, OracleBudget(6, 4, 50000))
     assert {"", "ab"} <= res.words
     assert all(w.count("a") == w.count("b") for w in res.words)
@@ -191,8 +199,6 @@ def test_check_rule_desugars_to_dfa_gadget():
             "S -> T + f\nT -> U check D\nU -> \"a\"\n")
     g = grammar_from_text(text)
     assert not validate(g)
-    from derivation_reference import enumerate_words
-    from ixdcl.oracle import OracleBudget
     res = enumerate_words(g, OracleBudget(4, 4, 50000))
     assert res.complete
     assert res.words == {"a"}
@@ -204,8 +210,6 @@ def test_check_rule_blocks_rejected_stack():
             "dfa D { states q0 q1; init q0; final q1; q0 f q1; }\n"
             "S -> T + g\nT -> U check D\nU -> \"a\"\nS - f -> S\n")
     g = grammar_from_text(text)
-    from derivation_reference import enumerate_words
-    from ixdcl.oracle import OracleBudget
     res = enumerate_words(g, OracleBudget(4, 4, 50000))
     assert res.complete
     assert res.words == set()
@@ -227,57 +231,12 @@ def test_check_rule_over_a_long_chain_dfa():
     assert TerminalRule(f"E.D.q{n - 1}", "") in g.productions
 
 
-@st.composite
-def small_grammars(draw):
-    """Random core grammars over fixed small symbol pools: a drawn set of
-    nonterminals derive the empty word, S may push f and A may push g,
-    and up to five more rules follow."""
-    nts = ["S", "A", "B"]
-    syms = ["f", "g"]
-    rules = [TerminalRule(nt, "") for nt in nts if draw(st.booleans())]
-    rules += [PushRule(lhs, draw(st.sampled_from(nts)), f)
-              for lhs, f in (("S", "f"), ("A", "g")) if draw(st.booleans())]
-    for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.integers(0, 2))
-        lhs = draw(st.sampled_from(nts))
-        if kind == 0:
-            rules.append(TerminalRule(lhs, draw(st.text("ab", max_size=3))))
-        elif kind == 1:
-            rules.append(BinaryRule(lhs, draw(st.sampled_from(nts)),
-                                    draw(st.sampled_from(nts))))
-        else:
-            rules.append(PopRule(lhs, draw(st.sampled_from(syms)),
-                                 draw(st.sampled_from(nts))))
-    # every nonterminal needs a rule that outlives label_pushes (which
-    # drops the pops of a symbol never pushed), so the printed form
-    # redeclares it
-    pushed = {p.sym for p in rules if isinstance(p, PushRule)}
-    ruled = {p.lhs for p in rules
-             if not isinstance(p, PopRule) or p.sym in pushed}
-    rules += [TerminalRule(nt, draw(st.text("ab", min_size=1, max_size=3)))
-              for nt in nts if nt not in ruled]
-    g = IndexedGrammar(
-        SymbolTable(frozenset(nts), frozenset("ab"), frozenset(syms)),
-        "S", tuple(rules))
-    return label_pushes(g)
-
-
 @given(small_grammars())
 def test_print_parse_round_trip_random(g):
     again = grammar_from_text(print_grammar(g))
     assert again.start == g.start
     assert again.symbols == g.symbols
     assert set(again.productions) == set(g.productions)
-
-
-def generated_stages(g):
-    """The stages of a small_grammars draw, or None for one of the few
-    that exit at the summary cap; a lower cap keeps those exits cheap
-    (the draws that finish have at most about 60 summaries)."""
-    try:
-        return list(stages(g, PipelineCaps(max_summaries=256)))
-    except CapExceeded:
-        return None
 
 
 def renamed(g, nt="N", sym="z"):
@@ -378,38 +337,78 @@ def test_union_closure_on_generated_grammars(g1, g2):
 # nonterminal without rules), a declared stack symbol with the name of
 # another symbol's copy, two DFA gadgets with one helper name, and a
 # name that is both a nonterminal and a terminal.  A second start line
-# or a second DFA of one name replaced the first without a word.
+# or a second DFA of one name replaced the first without a word.  Then
+# one input for each of the parser's other checks on a rule or a DFA.
+# Each text comes with a fragment of its error message.
+DFA_RULES = 'stack f\nS -> S check D\nS -> "a"\n'
 BAD_TEXTS = {
     "long terminal": ('start S\nterminals ab c\n'
-                      'S -> "abc" S\nS -> ""\n'),
+                      'S -> "abc" S\nS -> ""\n',
+                      "terminal 'ab' is not a single character"),
     "copy name": ("start S\nterminals a\nstack f f.1\n"
                   "S -> A + f.1\nS -> B + f\nS -> B + f\n"
-                  'A - f -> F\nF -> "a"\nB -> B\n'),
+                  'A - f -> F\nF -> "a"\nB -> B\n',
+                  "copy name 'f.1' of stack symbol 'f' is already a symbol"),
     "dfa helper": ("start S\nterminals a b\nstack f\n"
                    "dfa x { states y.z w; init y.z; final w; y.z f w; }\n"
                    "dfa x.y { states z; init z; final z; }\n"
                    'S -> B check x\nS -> A check x.y\nA -> "a"\n'
-                   'B -> "b"\n'),
-    "overlap": 'start S\nterminals S a\nS -> "a"\n',
-    "second start": 'start S\nstart T\nterminals a\nS -> "a"\nT -> ""\n',
+                   'B -> "b"\n',
+                   "generated name 'E.x.y.z' is already a symbol"),
+    "overlap": ('start S\nterminals S a\nS -> "a"\n',
+                "'S' is both a nonterminal and a terminal"),
+    "second start": ('start S\nstart T\nterminals a\nS -> "a"\nT -> ""\n',
+                     "bad or repeated start line: 'start T'"),
     "second dfa": ("start S\nterminals a\nstack f\n"
                    "dfa D { states q; init q; final q; }\n"
                    "dfa D { states p; init p; }\n"
-                   'S -> A check D\nA -> "a"\n'),
+                   'S -> A check D\nA -> "a"\n',
+                   "dfa D is declared twice"),
+    "missing lhs": ('start S\nterminals a\nS -> "a"\n-> "a"\n',
+                    "missing left-hand side"),
+    "malformed lhs": ('start S\nterminals a\nS T -> "a"\n',
+                      "malformed left-hand side"),
+    "check pops": ("start S\nterminals a\nstack f\n"
+                   "dfa D { states q; init q; final q; }\n"
+                   'S - f -> S check D\nS -> "a"\n',
+                   "check rule cannot pop"),
+    "check without dfas": ('start S\nterminals a\nS -> S check\nS -> "a"\n',
+                           "check rule without dfas"),
+    "push pops": ('start S\nterminals a\nstack f\nS - f -> S + f\n'
+                  'S -> "a"\n',
+                  "push rule cannot pop"),
+    "dfa clause": ("start S\nterminals a\n"
+                   "dfa D { states q; init q; final q; q f; }\n" + DFA_RULES,
+                   "malformed dfa clause: ' q f'"),
+    "dfa init": ("start S\nterminals a\n"
+                 "dfa D { states q; init p; final q; }\n" + DFA_RULES,
+                 "dfa D: missing or undeclared init state"),
+    "dfa final": ("start S\nterminals a\n"
+                  "dfa D { states q; init q; final p; }\n" + DFA_RULES,
+                  "dfa D: undeclared final state 'p'"),
+    "dfa transition": ("start S\nterminals a\n"
+                       "dfa D { states q; init q; q f p; }\n" + DFA_RULES,
+                       "dfa D: undeclared state in transition"),
+    "dfa nondeterministic": ("start S\nterminals a\n"
+                             "dfa D { states q p; init q; q f q; q f p; }\n"
+                             + DFA_RULES,
+                             "dfa D: nondeterministic on (q,f)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TEXTS))
 def test_bad_input_is_a_grammar_error(name, tmp_path, capsys):
-    with pytest.raises(GrammarError):
-        grammar_from_text(BAD_TEXTS[name])
+    text, message = BAD_TEXTS[name]
+    with pytest.raises(GrammarError, match=re.escape(message)):
+        grammar_from_text(text)
     path = tmp_path / "bad.ix"
-    path.write_text(BAD_TEXTS[name])
+    path.write_text(text)
     for command in ("stats", "validate"):
         assert main([command, str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:")
+        assert message in err
         assert "Traceback" not in err
 
 

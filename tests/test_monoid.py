@@ -8,12 +8,9 @@ import pytest
 
 from ixdcl.analysis import Analysis, CapExceeded
 from ixdcl.annotate import build_annotated
-from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
-                            square_grammar)
-from ixdcl.grammar import grammar_from_text
 from ixdcl.monoid import ONE, ZERO, Seg, StackMonoid
+from corpus import grammar
 from summary_helpers import element_key, pairs, phi
-from test_summaries import RANDOM_361_TEXT
 
 # (elements, j_length, sha256 prefix of monoid_fingerprint)
 MONOID_GOLDENS = {
@@ -45,10 +42,8 @@ def fresh_monoid(g, **kw):
 
 
 def test_monoid_fingerprint_goldens():
-    grammars = {"g1": g1_grammar(), "loop": g_loop_grammar(),
-                "square": square_grammar(), "G_1": grammar_gn(1),
-                "G_2": grammar_gn(2), "G_3": grammar_gn(3),
-                "random": grammar_from_text(RANDOM_361_TEXT)}
+    grammars = {name: grammar(name) for name in (
+        "g1", "loop", "square", "G_1", "G_2", "G_3", "random")}
     assert {name: monoid_fingerprint(fresh_monoid(g))
             for name, g in grammars.items()} == MONOID_GOLDENS
 
@@ -87,7 +82,7 @@ def test_square_monoid_golden(square):
 
 def test_cap_bounds_the_generated_monoid():
     # both monoids generate ZERO, so every element counts against the cap
-    for g in (square_grammar(), grammar_gn(2)):
+    for g in (grammar("square"), grammar("G_2")):
         n = len(fresh_monoid(g).elements)
         with pytest.raises(CapExceeded, match="stack monoid cap"):
             fresh_monoid(g, cap=n - 1)

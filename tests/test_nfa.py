@@ -1,8 +1,6 @@
 """NFA algebra, ideal arithmetic, and the downward-closure construction."""
 
-import hashlib
 import itertools
-import json
 import random
 
 import pytest
@@ -10,9 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ixdcl.analysis import CapExceeded
-from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
-                            square_grammar)
-from ixdcl.grammar import grammar_from_text
 from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _antichain,
                        _ideal_le, _join, _norm_ideal, _word_ideal,
                        cfg_dcl_nfa, dcl_close, determinize,
@@ -21,25 +16,13 @@ from ixdcl.nfa import (CLOSURE_STATE_CAP, INFINITE, Nfa, _antichain,
 from ixdcl.oracle import is_subword, subwords
 from ixdcl.pipeline import run_pipeline
 import ideal_reference as ref
-from cfg_reference import cfg_dcl_bounded, numbered_cfg, trim
-from nfa_reference import (add_state, longest_path, simulate,
-                           word_subword_nfa)
-from test_summaries import RANDOM_361_TEXT
-
-
-def astar_bstar_nfa():
-    n = Nfa(frozenset("ab"))
-    p, q = add_state(n), add_state(n)
-    n.initial, n.final = {p}, {q}
-    n.add_edge(p, "a", p)
-    n.add_edge(p, None, q)
-    n.add_edge(q, "b", q)
-    return n
-
-
-def words_upto(alphabet, k):
-    return {"".join(t) for n in range(k + 1)
-            for t in itertools.product(alphabet, repeat=n)}
+from cfg_reference import (anbn_cfg, cfg_dcl_bounded, doubling_cfg,
+                           expansive_cfg, numbered_cfg, pair_cfg, random_cfg,
+                           trim)
+from corpus import grammar
+from nfa_reference import (CLOSURE_GOLDENS, add_state, astar_bstar_nfa,
+                           closure_fingerprint, longest_path, simulate,
+                           word_subword_nfa, words_upto)
 
 
 def test_nfa_member():
@@ -141,6 +124,13 @@ def test_longest_word_finite_infinite_empty():
     n.add_edge(q, None, p)
     n.add_edge(q, "a", r)
     assert longest_path(n) == 1
+
+
+def test_longest_word_needs_a_closure_nfa():
+    # the queries read a closure's ideals; an NFA without them is not
+    # the empty language
+    with pytest.raises(ValueError, match="cfg_dcl_nfa"):
+        longest_word_or_infinite(astar_bstar_nfa())
 
 
 def test_longest_word_of_a_long_chain():
@@ -257,21 +247,12 @@ def nfa_language_upto(nfa, alphabet, k):
 
 
 def test_dcl_nfa_anbn():
-    # S -> a S b | eps: the closure is a* b*
-    cfg = numbered_cfg(["S", "T", "A", "B"], "ab",
-                       [("S", (), ""),
-                        ("S", ("A", "T")),
-                        ("T", ("S", "B")),
-                        ("A", (), "a"),
-                        ("B", (), "b")])
-    nfa = cfg_dcl_nfa(cfg)
+    nfa = cfg_dcl_nfa(anbn_cfg())
     assert nfa_equivalence(nfa, astar_bstar_nfa())[0]
 
 
 def test_dcl_nfa_expansive():
-    # S -> S S | a: the closure is a*
-    cfg = numbered_cfg(["S"], "a", [("S", ("S", "S")), ("S", (), "a")])
-    nfa = cfg_dcl_nfa(cfg)
+    nfa = cfg_dcl_nfa(expansive_cfg())
     assert nfa_language_upto(nfa, "a", 5) == {"a" * i for i in range(6)}
 
 
@@ -331,11 +312,7 @@ def test_dcl_nfa_cap_bounds_linear_components(monkeypatch):
     # S -> c | d | e lies on no cycle and takes the same rule, U and V empty
     acyclic = numbered_cfg(["S"], "cde",
                            [("S", (), "c"), ("S", (), "d"), ("S", (), "e")])
-    # S -> A B is S's one rule: (c + d)(a + e) needs four ideals
-    pair = numbered_cfg(["S", "A", "B"], "acde",
-                        [("S", ("A", "B")), ("A", (), "c"), ("A", (), "d"),
-                         ("B", (), "a"), ("B", (), "e")])
-    for c, n in ((cfg, 3), (acyclic, 3), (pair, 4)):
+    for c, n in ((cfg, 3), (acyclic, 3), (pair_cfg(), 4)):
         monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", n)
         assert len(cfg_dcl_nfa(c).ideals) == n
         monkeypatch.setattr("ixdcl.nfa.CLOSURE_IDEAL_CAP", n - 1)
@@ -343,13 +320,6 @@ def test_dcl_nfa_cap_bounds_linear_components(monkeypatch):
                            rf"exceeded: {n} ideals, limit {n - 1} "
                            r"\(CLOSURE_IDEAL_CAP\)"):
             cfg_dcl_nfa(c)
-
-
-def doubling_cfg(k):
-    # S_i -> S_{i-1} S_{i-1}, S_0 -> a: the single word a^(2^k)
-    rules = [("S0", (), "a")] + [
-        (f"S{i}", (f"S{i - 1}", f"S{i - 1}")) for i in range(1, k + 1)]
-    return numbered_cfg([f"S{i}" for i in range(k, -1, -1)], "a", rules)
 
 
 def test_dcl_nfa_counts_runs():
@@ -379,7 +349,7 @@ def test_g2_pipeline_builds_no_edges(monkeypatch):
         raise AssertionError("the closure's edges were built")
 
     monkeypatch.setattr("ixdcl.nfa._unfold", unfold)
-    result = run_pipeline(grammar_gn(2))
+    result = run_pipeline(grammar("G_2"))
     nfa, stats = result.nfa, result.stats
     assert stats["nfa_states"] == nfa.n_states == 65538
     assert stats["nfa_transitions"] == len(nfa.transitions) == 131073
@@ -387,7 +357,7 @@ def test_g2_pipeline_builds_no_edges(monkeypatch):
     assert nfa_member(nfa, "a" * 4)
     assert nfa_equivalence(nfa, nfa) == (True, None)
     # a failing comparison steps through the ideals too
-    g1 = run_pipeline(grammar_gn(1)).nfa
+    g1 = run_pipeline(grammar("G_1")).nfa
     assert nfa_inclusion(nfa, g1) == (False, "a" * 17)
 
 
@@ -401,25 +371,6 @@ def test_doubling_comparison_steps_through_the_ideals():
     assert nfa_inclusion(small, big) == (True, None)
     with pytest.raises(CapExceeded, match="comparison cap"):
         nfa_inclusion(big, small, cap=1000)
-
-
-def random_cfg(rng):
-    """A random CFG, not trimmed: `cfg_dcl_nfa` reads `trim` of it."""
-    n = rng.randint(1, 4)
-    nts = [f"N{i}" for i in range(n)]
-    rules = []
-    for _ in range(rng.randint(1, 8)):
-        lhs = rng.choice(nts)
-        k = rng.random()
-        if k < 0.4:
-            w = "".join(rng.choice("ab")
-                        for _ in range(rng.randint(0, 3)))
-            rules.append((lhs, (), w))
-        elif k < 0.8:
-            rules.append((lhs, (rng.choice(nts), rng.choice(nts))))
-        else:
-            rules.append((lhs, (rng.choice(nts),)))
-    return numbered_cfg(nts, "ab", rules)
 
 
 def test_dcl_nfa_random_cfgs_match_exact_closure():
@@ -490,29 +441,9 @@ def test_g2_closure_is_the_subwords_of_a_65536(gn_nfas):
     assert "ideals" not in nfa.to_dict()
 
 
-# (states, transitions, longest word, sha256 prefix of the to_dict JSON)
-CLOSURE_GOLDENS = {
-    "g1": (4, 5, 2, "7e229ec5cd4c78ea"),
-    "loop": (3, 3, 1, "2d6f0ab0c99a644b"),
-    "square": (4, 5, INFINITE, "1b3c58aba4a53955"),
-    "G_1": (18, 33, 16, "e581654addaa4a3c"),
-    "G_2": (65538, 131073, 65536, "c14597fb36b23ce7"),
-    "random": (4, 5, 2, "7f323025ac04824a"),
-}
-
-
-def closure_fingerprint(nfa):
-    digest = hashlib.sha256(
-        json.dumps(nfa.to_dict(), sort_keys=True).encode()).hexdigest()
-    return (nfa.n_states, len(nfa.transitions),
-            longest_word_or_infinite(nfa), digest[:16])
-
-
 def test_closure_nfa_goldens(gn_nfas):
-    nfas = {name: run_pipeline(g).nfa for name, g in (
-        ("g1", g1_grammar()), ("loop", g_loop_grammar()),
-        ("square", square_grammar()),
-        ("random", grammar_from_text(RANDOM_361_TEXT)))}
+    nfas = {name: run_pipeline(grammar(name)).nfa
+            for name in ("g1", "loop", "square", "random")}
     nfas["G_1"], nfas["G_2"] = gn_nfas[1], gn_nfas[2]
     assert {name: closure_fingerprint(nfa)
             for name, nfa in nfas.items()} == CLOSURE_GOLDENS

@@ -14,8 +14,8 @@ from ixdcl.oracle import (OracleBudget, Term, dcl_member_oracle,
 from derivation_reference import (enumerate_words, round_dcl_member_oracle,
                                   round_term_language_dp, term_reachable,
                                   term_routes)
-from test_acceptance import words_upto
-from test_grammar import small_grammars
+from generated_grammars import small_grammars
+from nfa_reference import words_upto
 
 
 def test_is_subword_basic():

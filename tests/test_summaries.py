@@ -15,32 +15,18 @@ from hypothesis import event, given, settings
 import ixdcl
 from ixdcl.analysis import Analysis, CapExceeded, gather
 from ixdcl.annotate import build_annotated
-from ixdcl.families import (g1_grammar, g_loop_grammar, grammar_gn,
-                            square_grammar)
 from ixdcl.grammar import grammar_from_text
 from ixdcl.monoid import ONE, Seg, StackMonoid, ZERO, _Memo
 from ixdcl.pipeline import run_pipeline, stages
 from ixdcl.summaries import Block, SummaryFactory, build_summary_graph
+from corpus import CAPPED_TEXTS, grammar
 from generated_grammars import grammar_texts
-from summary_helpers import (atom_word, atoms, element_key, push_word,
-                             summary_key, summed_size, top_letter,
-                             validate_summary)
+from nfa_reference import CLOSURE_GOLDENS
+from summary_helpers import (atom_word, atoms, canonical, element_key,
+                             push_word, summary_key, summed_size,
+                             top_letter, validate_summary)
 from summary_reference import TupleKeyedFactory
 from summary_reference import build_summary_graph as reference_graph
-
-# a drawn grammar whose summary graph has 361 nodes
-RANDOM_361_TEXT = """\
-start V
-terminals a b
-stack k
-Z -> V + k
-Z - k -> b b
-A - k -> Z
-V -> Z + k
-N - k -> b
-V - k -> b b
-N -> a
-"""
 
 # (nodes, edges, sha256 prefix of graph_fingerprint)
 GRAPH_GOLDENS = {
@@ -51,34 +37,6 @@ GRAPH_GOLDENS = {
     "random": (361, 363, "d6d48e69d0809b17"),
 }
 
-# the two drawn grammars of the benchmark's `random` population whose
-# summary graphs exceed the default cap of 4096 nodes
-CAPPED_TEXTS = {
-    "push_pair": """\
-start A
-terminals a b
-stack l
-D -> a
-A -> N + l
-N -> A + l
-D -> A
-A -> D b
-dfa K0 { states q0; init q0; final q0; }
-""",
-    "check": """\
-start U
-terminals a b
-stack s x
-U -> K + x
-S -> K check K0
-S -> b b U
-K -> S + s
-U -> b b S
-K -> a
-dfa K0 { states q0; init q0; final q0; q0 x q0; }
-""",
-}
-
 # (summaries created before the cap, sha256 prefix of summaries_fingerprint)
 CAP_GOLDENS = {
     "push_pair": (4096, "0e031972ccd450bb"),
@@ -87,11 +45,8 @@ CAP_GOLDENS = {
 
 
 def fresh_loop_factory():
-    g = g_loop_grammar()
-    an = Analysis(g)
-    ag = build_annotated(g, an)
-    m = StackMonoid(an, ag.letters)
-    return SummaryFactory(m), sorted(ag.letters, key=str)
+    m, letters = monoid_and_letters(grammar("loop"))
+    return SummaryFactory(m), sorted(letters, key=str)
 
 
 def monoid_and_letters(g):
@@ -101,28 +56,18 @@ def monoid_and_letters(g):
 
 
 def named_monoid(fixtures, name):
-    """The monoid and letters of a fixture grammar, of RANDOM_361_TEXT
-    ("random") or of a capped text."""
+    """The monoid and letters of a fixture grammar, of the random
+    grammar or of a capped text."""
     if name in fixtures:
         return fixtures[name].monoid, fixtures[name].annotated.letters
-    text = RANDOM_361_TEXT if name == "random" else CAPPED_TEXTS[name]
-    return monoid_and_letters(grammar_from_text(text))
+    return monoid_and_letters(grammar(name) if name == "random" else
+                              grammar_from_text(CAPPED_TEXTS[name]))
 
 
 def summary_graph(g):
     """The summary graph of g and the nonterminals its keys spell."""
     m, letters = monoid_and_letters(g)
     return build_summary_graph(SummaryFactory(m), letters), m.analysis.nts
-
-
-def canonical(x):
-    """Render a key or letter; frozensets sorted, so that the text does
-    not depend on PYTHONHASHSEED."""
-    if isinstance(x, frozenset):
-        return "{" + ",".join(sorted(map(canonical, x))) + "}"
-    if isinstance(x, tuple):
-        return "(" + ",".join(map(canonical, x)) + ")"
-    return repr(x)
 
 
 def graph_fingerprint(graph, nts):
@@ -212,8 +157,8 @@ def test_sizes_are_the_sums_over_the_parts(fixtures):
 def test_graph_fingerprint_goldens(fixtures):
     graphs = {name: (st_.graph, st_.analysis.nts)
               for name, st_ in fixtures.items()}
-    graphs["G_1"] = summary_graph(grammar_gn(1))
-    graphs["random"] = summary_graph(grammar_from_text(RANDOM_361_TEXT))
+    graphs["G_1"] = summary_graph(grammar("G_1"))
+    graphs["random"] = summary_graph(grammar("random"))
     assert {name: graph_fingerprint(*gr) for name, gr in graphs.items()} == \
         GRAPH_GOLDENS
 
@@ -222,10 +167,9 @@ def test_graph_fingerprint_does_not_depend_on_the_hash_seed():
     """The 361-node graph and its grammar's closure NFA, built in fresh
     interpreters under two hash seeds, have the same fingerprints both
     times."""
-    from test_nfa import CLOSURE_GOLDENS
     code = ("from test_summaries import *\n"
-            "from test_nfa import closure_fingerprint, run_pipeline\n"
-            "g = grammar_from_text(RANDOM_361_TEXT)\n"
+            "from nfa_reference import closure_fingerprint\n"
+            "g = grammar('random')\n"
             "print(graph_fingerprint(*summary_graph(g)))\n"
             "print(closure_fingerprint(run_pipeline(g).nfa))")
     path = [os.path.dirname(os.path.dirname(ixdcl.__file__)),
@@ -526,15 +470,9 @@ def test_cap_exit_goldens(name):
         CAP_GOLDENS[name]
 
 
-def reference_grammars():
-    """The grammars whose graphs are checked against the reference in
-    full, by name (imported here: test_differential imports this
-    module)."""
-    from test_differential import PARITY_TEXT, SAME_LEVEL_TEXT
-    return {"g1": g1_grammar(), "loop": g_loop_grammar(),
-            "square": square_grammar(), "G_1": grammar_gn(1),
-            "G_2": grammar_gn(2), "parity": grammar_from_text(PARITY_TEXT),
-            "same_level": grammar_from_text(SAME_LEVEL_TEXT)}
+# the grammars whose graphs are checked against the reference in full
+REFERENCE_NAMES = ["g1", "loop", "square", "G_1", "G_2", "parity",
+                   "same_level"]
 
 
 def assert_graph_matches_reference(m, letters, cap=4096):
@@ -566,10 +504,9 @@ def assert_graph_matches_reference(m, letters, cap=4096):
     return None
 
 
-@pytest.mark.parametrize("name", ["g1", "loop", "square", "G_1", "G_2",
-                                  "parity", "same_level"])
+@pytest.mark.parametrize("name", REFERENCE_NAMES)
 def test_graph_matches_reference(name):
-    m, letters = monoid_and_letters(reference_grammars()[name])
+    m, letters = monoid_and_letters(grammar(name))
     assert assert_graph_matches_reference(m, letters) is None
 
 
@@ -597,7 +534,7 @@ def test_pipeline_leaves_no_cyclic_garbage():
     # a summary, atom, block or word points only at what it was made
     # from, so the pipeline's results, cap exits included, are freed by
     # reference counting alone and the collector finds nothing
-    grammars = reference_grammars().values()
+    grammars = [grammar(name) for name in REFERENCE_NAMES]
     capped = [grammar_from_text(text) for text in CAPPED_TEXTS.values()]
     gc.collect()
     gc.disable()
