@@ -11,20 +11,22 @@ kinds:
 
 The surface syntax additionally allows general right-hand sides,
 pop rules with general right-hand sides, and "check" rules that run a
-collection of DFAs over the current stack content.  `desugar` rewrites
-all of these into the four kinds above.
+collection of DFAs over the current stack content.
 
-`grammar_from_text` is the one way from text to a grammar: a grammar it
+`grammar_from_text` is the one way from text to a grammar, and it
+rewrites each rule into the four kinds as it reads it: a grammar it
 returns is valid (in the four kinds, over its declared symbols, with one
 push rule per stack symbol), and every other input raises
 `GrammarError`.  Each terminal is a single character, and every letter
-of a quoted word is a declared terminal; nonterminals, terminals and
-stack symbols are pairwise disjoint.  The names that normalization generates are
-reserved: `W<i>.<n>`, `B<i>.<n>`, `C<i>.<n>`, `D<i>.<n>` and `P.<n>`
-(the helpers of rule number n), `E.<dfa>.<state>` (the DFA gadgets) and
-`<f>.<k>` (the copies of a stack symbol f pushed by several rules).  A
-generated name that equals a symbol already present is a `GrammarError`
-naming it, never a merge of the two.
+of a quoted word is a declared terminal; every letter of a DFA is a
+declared stack symbol, and a DFA block ends its line; nonterminals,
+terminals and stack symbols are pairwise disjoint.  The names that
+normalization generates are reserved: `W<i>.<n>`, `B<i>.<n>`,
+`C<i>.<n>`, `D<i>.<n>` and `P.<n>` (the helpers of rule number n),
+`E.<dfa>.<state>` (the DFA gadgets) and `<f>.<k>` (the copies of a
+stack symbol f pushed by several rules).  A generated name that equals
+a symbol already present is a `GrammarError` naming it, never a merge
+of the two.
 """
 
 from __future__ import annotations
@@ -115,41 +117,6 @@ class PopRule(Record, frozen=True):
     __slots__ = ("lhs", "sym", "rhs")
 
 
-CORE_KINDS = (TerminalRule, BinaryRule, PushRule, PopRule)
-
-
-# ---------------------------------------------------------------------------
-# sugared production kinds
-
-
-class PlainSugarRule(Record, frozen=True):
-    """A -> t1 t2 ... with an arbitrary mix of terminals and nonterminals."""
-
-    __slots__ = ("lhs", "rhs")
-
-
-class PopSugarRule(Record, frozen=True):
-    """A f -> t1 t2 ... : pop f, then behave like the general right-hand side."""
-
-    __slots__ = ("lhs", "sym", "rhs")
-
-
-class CheckRule(Record, frozen=True):
-    """A -> [D1..Dr] B : continue as B if every DFA accepts the stack content."""
-
-    __slots__ = ("lhs", "rhs", "dfa_names")
-
-
-class CheckDfa(Record, frozen=True):
-    """A (partial) DFA over stack symbols, used by check rules; its
-    transitions are a tuple of (state, letter, state)."""
-
-    __slots__ = ("name", "states", "init", "finals", "transitions")
-
-    def delta(self):
-        return {(p, a): q for (p, a, q) in self.transitions}
-
-
 # ---------------------------------------------------------------------------
 # grammars
 
@@ -182,16 +149,6 @@ class IndexedGrammar(Record):
         return n
 
 
-class SugaredGrammar(Record):
-    __slots__ = ("symbols", "start", "productions", "dfas")
-
-    def __init__(self, symbols, start, productions, dfas=None):
-        self.symbols = symbols
-        self.start = start
-        self.productions = productions
-        self.dfas = {} if dfas is None else dfas
-
-
 class GrammarError(ValueError):
     """Raised on unusable grammar input: a text that breaks a rule of the
     module docstring, or a file that cannot be read."""
@@ -212,38 +169,38 @@ def sort_key(sym):
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# from text to the four kinds
 
 
-def parse_grammar(text):
-    """Parse the textual grammar format into a SugaredGrammar."""
+class CheckDfa(Record, frozen=True):
+    """A (partial) DFA over stack symbols, used by check rules; its
+    transitions are a tuple of (state, letter, state)."""
+
+    __slots__ = ("name", "states", "init", "finals", "transitions")
+
+    def delta(self):
+        return {(p, a): q for (p, a, q) in self.transitions}
+
+
+def grammar_from_text(text):
+    """Parse the textual grammar format into an IndexedGrammar with the
+    four kinds, its pushes labeled by `label_pushes`.
+
+    Each rule line becomes core rules as it is read; n, in the names of
+    its helpers, is its index among the rule lines.  A general
+    right-hand side becomes a binary chain, and a pop rule with one pops
+    to the helper P.<n> that derives it.  A check rule becomes a chain
+    of binary rules whose right children run the DFAs over the stack
+    via pop rules.  Single-nonterminal right-hand sides are removed by
+    copying the productions of the target (unit elimination), so no
+    helper nonterminal is introduced for them.
+    """
     start = None
     terminals = []
     stack_syms = []
-    raw_rules = []
+    rule_lines = []
     dfas = {}
-
-    # join dfa blocks spanning several lines
-    lines = []
-    buf = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if buf is not None:
-            buf += " " + line.strip()
-            if "}" in line:
-                lines.append(buf)
-                buf = None
-            continue
-        if not line.strip():
-            continue
-        if line.strip().startswith("dfa ") and "}" not in line:
-            buf = line.strip()
-        else:
-            lines.append(line.strip())
-    if buf is not None:
-        raise GrammarError("unterminated dfa block")
-
-    for line in lines:
+    for line in _lines(text):
         toks = line.split()
         if toks[0] == "start":
             if len(toks) != 2 or start is not None:
@@ -259,161 +216,37 @@ def parse_grammar(text):
                 raise GrammarError(f"dfa {dfa.name} is declared twice")
             dfas[dfa.name] = dfa
         else:
-            raw_rules.append(line)
+            rule_lines.append(line)
 
     if start is None:
         raise GrammarError("missing start line")
-    terminals = list(dict.fromkeys(terminals))
-    stack_syms = list(dict.fromkeys(stack_syms))
     for t in terminals:
         if len(t) != 1:
             raise GrammarError(f"terminal {t!r} is not a single character")
 
     # first pass: left-hand sides declare the nonterminals
-    lhs_syms = []
-    for line in raw_rules:
+    declared = {start}
+    for line in rule_lines:
         if "->" not in line:
             raise GrammarError(f"malformed rule: {line!r}")
         lhs_part = line.split("->", 1)[0].split()
         if not lhs_part:
             raise GrammarError(f"missing left-hand side: {line!r}")
-        lhs_syms.append(lhs_part[0])
-    nonterminals = list(dict.fromkeys([start] + lhs_syms))
-    nts = set(nonterminals)
-    terms = set(terminals)
-    stacks = set(stack_syms)
-    for (a, b, kinds) in [(nts, terms, "nonterminal and a terminal"),
-                          (nts, stacks, "nonterminal and a stack symbol"),
+        declared.add(lhs_part[0])
+    terms = frozenset(terminals)
+    stacks = frozenset(stack_syms)
+    for (a, b, kinds) in [(declared, terms, "nonterminal and a terminal"),
+                          (declared, stacks, "nonterminal and a stack symbol"),
                           (terms, stacks, "terminal and a stack symbol")]:
         if a & b:
             raise GrammarError(f"{min(a & b)!r} is both a {kinds}")
+    for dfa in dfas.values():
+        for (p, a, q) in dfa.transitions:
+            if a not in stacks:
+                raise GrammarError(
+                    f"dfa {dfa.name}: letter {a!r} is not a stack symbol")
 
-    prods = []
-    for line in raw_rules:
-        lhs_part, rhs_part = (s.strip() for s in line.split("->", 1))
-        lhs_toks = lhs_part.split()
-        rhs_toks = rhs_part.split()
-        lhs = lhs_toks[0]
-
-        pop_sym = None
-        if len(lhs_toks) == 3 and lhs_toks[1] == "-":
-            pop_sym = lhs_toks[2]
-            if pop_sym not in stacks:
-                raise GrammarError(f"undeclared stack symbol {pop_sym!r}")
-        elif len(lhs_toks) != 1:
-            raise GrammarError(f"malformed left-hand side: {line!r}")
-
-        if len(rhs_toks) >= 2 and rhs_toks[1] == "check":
-            if pop_sym is not None:
-                raise GrammarError(f"check rule cannot pop: {line!r}")
-            tgt = rhs_toks[0]
-            names = rhs_toks[2:]
-            if tgt not in nts:
-                raise GrammarError(f"undeclared nonterminal {tgt!r}")
-            for nm in names:
-                if nm not in dfas:
-                    raise GrammarError(f"unknown dfa {nm!r}")
-            if not names:
-                raise GrammarError(f"check rule without dfas: {line!r}")
-            prods.append(CheckRule(lhs, tgt, tuple(names)))
-            continue
-
-        if len(rhs_toks) == 3 and rhs_toks[1] == "+":
-            tgt, sym = rhs_toks[0], rhs_toks[2]
-            if pop_sym is not None:
-                raise GrammarError(f"push rule cannot pop: {line!r}")
-            if tgt not in nts:
-                raise GrammarError(f"undeclared nonterminal {tgt!r}")
-            if sym not in stacks:
-                raise GrammarError(f"undeclared stack symbol {sym!r}")
-            prods.append(PushRule(lhs, tgt, sym))
-            continue
-
-        # general right-hand side: quoted words and bare symbols
-        rhs = []
-        for tok in rhs_toks:
-            if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-                for letter in tok[1:-1]:
-                    if letter not in terms:
-                        raise GrammarError(
-                            f"letter {letter!r} in {tok} is not a terminal")
-                    rhs.append(letter)
-            elif tok in terms:
-                rhs.append(tok)
-            elif tok in nts:
-                rhs.append(tok)
-            else:
-                raise GrammarError(f"undeclared symbol {tok!r} in {line!r}")
-        if pop_sym is not None:
-            prods.append(PopSugarRule(lhs, pop_sym, tuple(rhs)))
-        else:
-            prods.append(PlainSugarRule(lhs, tuple(rhs)))
-
-    table = SymbolTable(frozenset(nonterminals), frozenset(terminals),
-                        frozenset(stack_syms))
-    return SugaredGrammar(table, start, tuple(prods), dfas)
-
-
-def _parse_dfa(line):
-    # dfa name { states q0 q1; init q0; final q1; q0 f q1; }
-    head, brace, rest = line.partition("{")
-    name_toks = head.split()[1:]
-    if not brace or len(name_toks) != 1:
-        raise GrammarError(f"malformed dfa header: {line!r}")
-    name = name_toks[0]
-    body = rest.rsplit("}", 1)[0]
-    states = []
-    init = None
-    finals = []
-    transitions = []
-    for part in body.split(";"):
-        toks = part.split()
-        if not toks:
-            continue
-        if toks[0] == "states":
-            states.extend(toks[1:])
-        elif toks[0] == "init":
-            if len(toks) != 2:
-                raise GrammarError(f"malformed dfa clause: {part!r}")
-            init = toks[1]
-        elif toks[0] == "final":
-            finals.extend(toks[1:])
-        elif len(toks) == 3:
-            transitions.append((toks[0], toks[1], toks[2]))
-        else:
-            raise GrammarError(f"malformed dfa clause: {part!r}")
-    if init is None or init not in states:
-        raise GrammarError(f"dfa {name}: missing or undeclared init state")
-    for q in finals:
-        if q not in states:
-            raise GrammarError(f"dfa {name}: undeclared final state {q!r}")
-    seen = set()
-    for (p, a, q) in transitions:
-        if p not in states or q not in states:
-            raise GrammarError(f"dfa {name}: undeclared state in transition")
-        if (p, a) in seen:
-            raise GrammarError(f"dfa {name}: nondeterministic on ({p},{a})")
-        seen.add((p, a))
-    return CheckDfa(name, tuple(states), init, frozenset(finals),
-                    tuple(transitions))
-
-
-# ---------------------------------------------------------------------------
-# desugaring
-
-
-def desugar(sg):
-    """Rewrite a SugaredGrammar into an IndexedGrammar with the four kinds.
-
-    Check rules become a chain of binary rules whose right children run the
-    DFA over the stack via pop rules.  General right-hand sides become
-    binary chains.  Single-nonterminal right-hand sides are removed by
-    copying the productions of the target (unit elimination), so no helper
-    nonterminal is introduced for them.
-    """
-    terms = sg.symbols.terminals
-    nts = set(sg.symbols.nonterminals)
-    stacks = set(sg.symbols.stack_symbols)
+    nts = set(declared)  # and the generated names
     core = []        # core rules
     units = []       # (lhs, rhs) unit pairs awaiting elimination
     entered = set()  # the (dfa name, state) pairs with a gadget nonterminal
@@ -475,10 +308,6 @@ def desugar(sg):
 
         if (dfa.name, q) in entered:
             return nt(q)
-        for (p, a, r) in dfa.transitions:
-            if a not in stacks:
-                raise GrammarError(
-                    f"dfa {dfa.name}: letter {a!r} is not a stack symbol")
         out = {}
         for (p, a, r) in dfa.transitions:
             out.setdefault(p, []).append((a, r))
@@ -496,31 +325,76 @@ def desugar(sg):
                     core.append(TerminalRule(nt(p), ""))
         return nt(q)
 
-    for idx, prod in enumerate(sg.productions):
-        if isinstance(prod, CORE_KINDS):
-            core.append(prod)
-        elif isinstance(prod, PlainSugarRule):
-            add_general(prod.lhs, prod.rhs, idx)
-        elif isinstance(prod, PopSugarRule):
-            if len(prod.rhs) == 1 and prod.rhs[0] in nts:
-                core.append(PopRule(prod.lhs, prod.sym, prod.rhs[0]))
-            else:
-                cont = fresh(f"P.{idx}")
-                core.append(PopRule(prod.lhs, prod.sym, cont))
-                add_general(cont, prod.rhs, idx)
-        elif isinstance(prod, CheckRule):
-            r = len(prod.dfa_names)
+    for idx, line in enumerate(rule_lines):
+        lhs_part, rhs_part = line.split("->", 1)
+        lhs_toks = lhs_part.split()
+        rhs_toks = rhs_part.split()
+        lhs = lhs_toks[0]
+
+        pop_sym = None
+        if len(lhs_toks) == 3 and lhs_toks[1] == "-":
+            pop_sym = lhs_toks[2]
+            if pop_sym not in stacks:
+                raise GrammarError(f"undeclared stack symbol {pop_sym!r}")
+        elif len(lhs_toks) != 1:
+            raise GrammarError(f"malformed left-hand side: {line!r}")
+
+        if len(rhs_toks) >= 2 and rhs_toks[1] == "check":
+            if pop_sym is not None:
+                raise GrammarError(f"check rule cannot pop: {line!r}")
+            tgt = rhs_toks[0]
+            names = rhs_toks[2:]
+            if tgt not in declared:
+                raise GrammarError(f"undeclared nonterminal {tgt!r}")
+            for nm in names:
+                if nm not in dfas:
+                    raise GrammarError(f"unknown dfa {nm!r}")
+            if not names:
+                raise GrammarError(f"check rule without dfas: {line!r}")
+            r = len(names)
             d_names = [fresh(f"D{i}.{idx}") for i in range(1, r + 1)]
             c_names = [fresh(f"C{i}.{idx}") for i in range(1, r + 1)]
-            core.append(BinaryRule(prod.lhs, d_names[0], c_names[0]))
+            core.append(BinaryRule(lhs, d_names[0], c_names[0]))
             for i in range(1, r):
                 core.append(BinaryRule(d_names[i - 1], d_names[i], c_names[i]))
-            units.append((d_names[r - 1], prod.rhs))
-            for i, nm in enumerate(prod.dfa_names):
-                dfa = sg.dfas[nm]
+            units.append((d_names[r - 1], tgt))
+            for i, nm in enumerate(names):
+                dfa = dfas[nm]
                 units.append((c_names[i], dfa_state_nt(dfa, dfa.init)))
+            continue
+
+        if len(rhs_toks) == 3 and rhs_toks[1] == "+":
+            tgt, sym = rhs_toks[0], rhs_toks[2]
+            if pop_sym is not None:
+                raise GrammarError(f"push rule cannot pop: {line!r}")
+            if tgt not in declared:
+                raise GrammarError(f"undeclared nonterminal {tgt!r}")
+            if sym not in stacks:
+                raise GrammarError(f"undeclared stack symbol {sym!r}")
+            core.append(PushRule(lhs, tgt, sym))
+            continue
+
+        # general right-hand side: quoted words and bare symbols
+        rhs = []
+        for tok in rhs_toks:
+            if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
+                for letter in tok[1:-1]:
+                    if letter not in terms:
+                        raise GrammarError(
+                            f"letter {letter!r} in {tok} is not a terminal")
+                    rhs.append(letter)
+            elif tok in terms or tok in declared:
+                rhs.append(tok)
+            else:
+                raise GrammarError(f"undeclared symbol {tok!r} in {line!r}")
+        if pop_sym is None:
+            add_general(lhs, rhs, idx)
+        elif len(rhs) == 1 and rhs[0] in declared:
+            core.append(PopRule(lhs, pop_sym, rhs[0]))
         else:
-            raise GrammarError(f"unknown production kind: {prod!r}")
+            cont = fresh(f"P.{idx}")
+            core.append(PopRule(lhs, pop_sym, cont))
+            add_general(cont, rhs, idx)
 
     # unit elimination: each unit source copies the rules of every
     # nonterminal it reaches along unit pairs
@@ -544,8 +418,77 @@ def desugar(sg):
                 # every rule kind has lhs as its first field
                 final.append(p.__class__(a, *p._astuple(p)[1:]))
 
-    table = SymbolTable(frozenset(nts), terms, frozenset(stacks))
-    return IndexedGrammar(table, sg.start, tuple(final))
+    table = SymbolTable(frozenset(nts), terms, stacks)
+    return label_pushes(IndexedGrammar(table, start, tuple(final)))
+
+
+def _lines(text):
+    """The lines of a text without comments and blank lines, each DFA
+    block joined into one line."""
+    lines = []
+    buf = None
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if buf is not None:
+            buf += " " + line
+            if "}" in line:
+                lines.append(buf)
+                buf = None
+        elif line.startswith("dfa ") and "}" not in line:
+            buf = line
+        elif line:
+            lines.append(line)
+    if buf is not None:
+        raise GrammarError("unterminated dfa block")
+    return lines
+
+
+def _parse_dfa(line):
+    # dfa name { states q0 q1; init q0; final q1; q0 f q1; }
+    head, brace, rest = line.partition("{")
+    name_toks = head.split()[1:]
+    if not brace or len(name_toks) != 1:
+        raise GrammarError(f"malformed dfa header: {line!r}")
+    name = name_toks[0]
+    body, *after = rest.rsplit("}", 1)
+    if after and after[0].strip():
+        raise GrammarError(
+            f"dfa {name}: text after its closing brace: {after[0].strip()!r}")
+    states = []
+    init = None
+    finals = []
+    transitions = []
+    for part in body.split(";"):
+        toks = part.split()
+        if not toks:
+            continue
+        if toks[0] == "states":
+            states.extend(toks[1:])
+        elif toks[0] == "init":
+            if len(toks) != 2:
+                raise GrammarError(f"malformed dfa clause: {part!r}")
+            init = toks[1]
+        elif toks[0] == "final":
+            finals.extend(toks[1:])
+        elif len(toks) == 3:
+            transitions.append((toks[0], toks[1], toks[2]))
+        else:
+            raise GrammarError(f"malformed dfa clause: {part!r}")
+    if init is None or init not in states:
+        raise GrammarError(f"dfa {name}: missing or undeclared init state")
+    for q in finals:
+        if q not in states:
+            raise GrammarError(f"dfa {name}: undeclared final state {q!r}")
+    seen = set()
+    for (p, a, q) in transitions:
+        if p not in states or q not in states:
+            raise GrammarError(f"dfa {name}: undeclared state in transition")
+        if (p, a) in seen:
+            raise GrammarError(f"dfa {name}: nondeterministic on ({p},{a})")
+        seen.add((p, a))
+    return CheckDfa(name, tuple(states), init, frozenset(finals),
+                    tuple(transitions))
+
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +524,7 @@ def label_pushes(g):
         else:
             names = []
             for k, i in enumerate(idxs, start=1):
-                nf = f"{f}.{k}" if isinstance(f, str) else (f, k)
+                nf = f"{f}.{k}"
                 if nf in taken:
                     raise GrammarError(
                         f"copy name {nf!r} of stack symbol {f!r} is "
@@ -610,8 +553,3 @@ def label_pushes(g):
     table = SymbolTable(syms.nonterminals, syms.terminals,
                         frozenset(stack_syms))
     return IndexedGrammar(table, g.start, tuple(prods), labels)
-
-
-def grammar_from_text(text):
-    """Parse, desugar and label in one step."""
-    return label_pushes(desugar(parse_grammar(text)))

@@ -1,5 +1,7 @@
-"""Parsing, desugaring, push labeling, validation and printing."""
+"""Parsing into the four kinds, push labeling, validation and printing."""
 
+import hashlib
+import random
 import re
 from itertools import combinations_with_replacement
 
@@ -8,16 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from ixdcl.analysis import CapExceeded
 from ixdcl.cli import main
-from ixdcl.families import G1_TEXT, SQUARE_TEXT, grammar_gn
-from ixdcl.grammar import (BinaryRule, CheckDfa, GrammarError,
-                           IndexedGrammar, PopRule, PushRule, SymbolTable,
-                           TerminalRule, desugar, grammar_from_text,
-                           label_pushes, parse_grammar, sort_key)
+from ixdcl.families import (G1_TEXT, G_LOOP_TEXT, SQUARE_TEXT, grammar_gn,
+                            grammar_gn_text)
+from ixdcl.grammar import (BinaryRule, GrammarError, IndexedGrammar, PopRule,
+                           PushRule, SymbolTable, TerminalRule,
+                           grammar_from_text, sort_key)
 from ixdcl.nfa import _antichain
 from ixdcl.oracle import OracleBudget
 from ixdcl.pipeline import PipelineCaps, run_pipeline
+from corpus import (CAPPED_TEXTS, EMPTY_TEXT, PARITY_TEXT, RANDOM_361_TEXT,
+                    SAME_LEVEL_TEXT)
 from derivation_reference import enumerate_words
-from generated_grammars import generated_stages, small_grammars
+from generated_grammars import (draw_grammar, generated_stages, render,
+                                small_grammars)
 from grammar_helpers import validate
 
 
@@ -52,18 +57,19 @@ def print_grammar(g):
 
 
 def test_parse_g1_structure():
-    sg = parse_grammar(G1_TEXT)
-    assert sg.start == "S"
-    assert sg.symbols.terminals == frozenset("ab")
-    assert sg.symbols.stack_symbols == frozenset(["f"])
-    assert sg.symbols.nonterminals == frozenset(["S", "A", "B"])
-    assert len(sg.productions) == 3
+    g = grammar_from_text(G1_TEXT)
+    assert g.start == "S"
+    assert g.symbols.terminals == frozenset("ab")
+    assert g.symbols.stack_symbols == frozenset(["f"])
+    assert g.symbols.nonterminals == frozenset(["S", "A", "B"])
+    assert g.productions == (PushRule("S", "A", "f"), PopRule("A", "f", "B"),
+                             TerminalRule("B", "ab"))
 
 
 def test_parse_comments_and_blank_lines():
     text = G1_TEXT.replace("stack f", "stack f  # the only stack symbol\n")
-    sg = parse_grammar(text)
-    assert sg.symbols.stack_symbols == frozenset(["f"])
+    g = grammar_from_text(text)
+    assert g.symbols.stack_symbols == frozenset(["f"])
 
 
 def test_parse_errors():
@@ -81,22 +87,24 @@ def test_parse_errors():
              "malformed dfa clause: ' init'"),
             ("start S\ndfa D }\n", "malformed dfa header")]:  # no open brace
         with pytest.raises(GrammarError, match=re.escape(message)):
-            parse_grammar(text)
+            grammar_from_text(text)
 
 
 def test_dfa_block_over_several_lines():
     # a block left open on its first line closes on the line of its brace
-    rules = 'start S\nterminals a\nstack f\nS -> S check D\nS -> "a"\n'
+    rules = ('start S\nterminals a\nstack f\nS -> T + f\nT -> T check D\n'
+             'T -> "a"\n')
     one = "dfa D { states q0 q1; init q0; final q1; q0 f q1; }\n"
     many = ("dfa D {\n  states q0 q1;  # two states\n\n  init q0;\n"
             "  final q1; q0 f q1;\n}\n")
-    dfas = [parse_grammar(rules + block).dfas for block in (one, many)]
-    assert dfas[0] == dfas[1] == {"D": CheckDfa(
-        "D", ("q0", "q1"), "q0", frozenset({"q1"}), (("q0", "f", "q1"),))}
+    g, again = (grammar_from_text(rules + block) for block in (one, many))
+    assert g == again
+    assert PopRule("E.D.q0", "f", "E.D.q1") in g.productions
+    assert TerminalRule("E.D.q1", "") in g.productions
 
 
 def test_desugar_core_kinds_only():
-    g = desugar(parse_grammar(SQUARE_TEXT))
+    g = grammar_from_text(SQUARE_TEXT)
     for p in g.productions:
         assert isinstance(p, (TerminalRule, BinaryRule, PushRule, PopRule))
 
@@ -113,15 +121,15 @@ def test_desugar_mixed_rhs_preserves_language():
 
 def test_desugar_unit_elimination_copies_rules():
     # S -> A as a unit: S inherits A's productions, no helper nonterminal
-    g = desugar(parse_grammar(
-        "start S\nterminals a\nstack f\nS -> A\nA -> \"a\"\n"))
+    g = grammar_from_text(
+        "start S\nterminals a\nstack f\nS -> A\nA -> \"a\"\n")
     assert TerminalRule("S", "a") in g.productions
     assert g.symbols.nonterminals == frozenset(["S", "A"])
 
 
 def test_desugar_unit_chain_transitive():
-    g = desugar(parse_grammar(
-        "start S\nterminals a\nstack f\nS -> A\nA -> B\nB -> \"a\"\n"))
+    g = grammar_from_text(
+        "start S\nterminals a\nstack f\nS -> A\nA -> B\nB -> \"a\"\n")
     assert TerminalRule("S", "a") in g.productions
     assert TerminalRule("A", "a") in g.productions
 
@@ -136,9 +144,9 @@ def test_pop_sugar_general_rhs():
 
 
 def test_label_pushes_splits_shared_symbol():
-    g = label_pushes(desugar(parse_grammar(
+    g = grammar_from_text(
         "start S\nterminals a\nstack f\n"
-        "S -> A + f\nS -> B + f\nA - f -> T\nB - f -> T\nT -> \"a\"\n")))
+        "S -> A + f\nS -> B + f\nA - f -> T\nB - f -> T\nT -> \"a\"\n")
     assert g.symbols.stack_symbols == frozenset(["f.1", "f.2"])
     # every split copy has exactly one push rule and inherits all pops
     for sym in g.symbols.stack_symbols:
@@ -154,9 +162,9 @@ def test_label_pushes_splits_shared_symbol():
 
 
 def test_label_pushes_drops_unpushed_symbols():
-    g = label_pushes(desugar(parse_grammar(
+    g = grammar_from_text(
         "start S\nterminals a\nstack f g\n"
-        "S -> S + f\nS - g -> S\nS -> \"a\"\n")))
+        "S -> S + f\nS - g -> S\nS -> \"a\"\n")
     assert g.symbols.stack_symbols == frozenset(["f"])
     assert all(p.sym == "f" for p in g.productions
                if isinstance(p, (PushRule, PopRule)))
@@ -229,6 +237,35 @@ def test_check_rule_over_a_long_chain_dfa():
              if isinstance(p, PopRule) and p.lhs.startswith("E.D.")]
     assert chain == [(f"E.D.q{i}", f"E.D.q{i + 1}") for i in range(n - 1)]
     assert TerminalRule(f"E.D.q{n - 1}", "") in g.productions
+
+
+def fingerprint(texts):
+    """A sha256 over what `grammar_from_text` makes of each text: the
+    start symbol, the sorted symbol sets, the productions in order and
+    the push labels.  Nothing in it follows hash order, so it is the
+    same under every PYTHONHASHSEED."""
+    digest = hashlib.sha256()
+    for text in texts:
+        g = grammar_from_text(text)
+        syms = g.symbols
+        digest.update(repr((
+            g.start, sorted(syms.nonterminals), sorted(syms.terminals),
+            sorted(syms.stack_symbols), g.productions,
+            sorted(g.push_labels.items()))).encode())
+    return digest.hexdigest()
+
+
+def test_parsed_grammars_keep_their_fingerprint():
+    # names, rule order and push labels drive sort_key order, summary
+    # numbering and the goldens, so a change to the front end keeps them
+    texts = [G1_TEXT, G_LOOP_TEXT, SQUARE_TEXT, RANDOM_361_TEXT, PARITY_TEXT,
+             SAME_LEVEL_TEXT, EMPTY_TEXT, *CAPPED_TEXTS.values()]
+    texts += [grammar_gn_text(n) for n in (1, 2, 3)]
+    for seed in range(200):
+        rng = random.Random(seed)
+        texts.append(render(draw_grammar(rng), rng))
+    assert fingerprint(texts) == (
+        "269f86233ce161eac2dbda3bb9530bfaf035e41c0ab24b7481f68b4c627bd410")
 
 
 @given(small_grammars())
@@ -337,9 +374,11 @@ def test_union_closure_on_generated_grammars(g1, g2):
 # nonterminal without rules), a declared stack symbol with the name of
 # another symbol's copy, two DFA gadgets with one helper name, and a
 # name that is both a nonterminal and a terminal.  A second start line
-# or a second DFA of one name replaced the first without a word.  Then
-# one input for each of the parser's other checks on a rule or a DFA.
-# Each text comes with a fragment of its error message.
+# or a second DFA of one name replaced the first without a word, text
+# after a DFA block's closing brace was dropped, and a DFA that no rule
+# used was never checked for undeclared letters.  Then one input for
+# each of the parser's other checks on a rule or a DFA.  Each text
+# comes with a fragment of its error message.
 DFA_RULES = 'stack f\nS -> S check D\nS -> "a"\n'
 BAD_TEXTS = {
     "long terminal": ('start S\nterminals ab c\n'
@@ -389,6 +428,19 @@ BAD_TEXTS = {
     "dfa transition": ("start S\nterminals a\n"
                        "dfa D { states q; init q; q f p; }\n" + DFA_RULES,
                        "dfa D: undeclared state in transition"),
+    "dfa trailing text": ("start S\nterminals a\n"
+                          'dfa D { states q; init q; final q; } S -> "a"\n',
+                          """dfa D: text after its closing brace: 'S -> "a"'"""),
+    "dfa trailing line": ("start S\nterminals a\n"
+                          "dfa D {\n  states q; init q;\n  final q;\n"
+                          '} S -> "a"\n',
+                          """dfa D: text after its closing brace: 'S -> "a"'"""),
+    "dfa letter": ("start S\nterminals a\n"
+                   "dfa D { states q; init q; final q; q g q; }\n" + DFA_RULES,
+                   "dfa D: letter 'g' is not a stack symbol"),
+    "unused dfa letter": ('start S\nterminals a\nstack f\nS -> "a"\n'
+                          "dfa D { states q; init q; final q; q g q; }\n",
+                          "dfa D: letter 'g' is not a stack symbol"),
     "dfa nondeterministic": ("start S\nterminals a\n"
                              "dfa D { states q p; init q; q f q; q f p; }\n"
                              + DFA_RULES,

@@ -14,9 +14,8 @@ import pytest
 import ixdcl
 from ixdcl.annotate import AnnotatedGrammar
 from ixdcl.cfg import Cfg
-from ixdcl.grammar import (BinaryRule, CheckDfa, CheckRule, IndexedGrammar,
-                           PlainSugarRule, PopRule, PopSugarRule, PushRule,
-                           Record, SugaredGrammar, SymbolTable, TerminalRule)
+from ixdcl.grammar import (BinaryRule, CheckDfa, IndexedGrammar, PopRule,
+                           PushRule, Record, SymbolTable, TerminalRule)
 from ixdcl.monoid import Seg
 from ixdcl.nfa import Dfa, Nfa
 from ixdcl.oracle import DpResult, OracleBudget, Term
@@ -31,9 +30,6 @@ VALUES = [
     (BinaryRule, {"lhs": "A", "left": "B", "right": "C"}),
     (PushRule, {"lhs": "A", "rhs": "B", "sym": "f"}),
     (PopRule, {"lhs": "A", "sym": "f", "rhs": "B"}),
-    (PlainSugarRule, {"lhs": "A", "rhs": ("B", "a")}),
-    (PopSugarRule, {"lhs": "A", "sym": "f", "rhs": ("B",)}),
-    (CheckRule, {"lhs": "A", "rhs": "B", "dfa_names": ("D",)}),
     (CheckDfa, {"name": "D", "states": (0, 1), "init": 0,
                 "finals": frozenset({1}), "transitions": ((0, "f", 1),)}),
     (SymbolTable, {"nonterminals": frozenset({"A"}),
@@ -45,13 +41,13 @@ VALUES = [
 ]
 
 # the rule kinds and their numbers of fields
-RULE_KINDS = [(cls, len(fields)) for cls, fields in VALUES[:7]]
+RULE_KINDS = [(cls, len(cls.__slots__))
+              for cls in (TerminalRule, BinaryRule, PushRule, PopRule)]
 
 # each mutable record, made twice by the same call, and one of its fields
 MUTABLE = [
     (lambda: IndexedGrammar(TABLE, "A", (TerminalRule("A", "a"),)),
      "push_labels"),
-    (lambda: SugaredGrammar(TABLE, "A", ()), "dfas"),
     (lambda: AnnotatedGrammar(IndexedGrammar(TABLE, "A", ())), "grammar"),
     (lambda: Cfg([("A", 0)], frozenset("a"), [["a"]]), "rules"),
     (lambda: Nfa(frozenset("a"), 1, [(0, "a", 0)], {0}, {0}), "ideals"),
@@ -120,7 +116,7 @@ def records():
 
 
 def test_every_init_takes_the_fields_in_slot_order():
-    assert len(records()) == 22
+    assert len(records()) == 18
     for cls in records():
         code = cls.__init__.__code__
         assert code.co_varnames[1:code.co_argcount] == cls.__slots__
@@ -130,8 +126,8 @@ def test_only_records_with_defaults_write_their_init():
     # the others get theirs from Record, and take every field
     assert {cls.__name__ for cls in records()
             if cls.__init__.__defaults__} == {
-        "IndexedGrammar", "SugaredGrammar", "Nfa", "OracleBudget",
-        "PipelineCaps", "PipelineResult"}
+        "IndexedGrammar", "Nfa", "OracleBudget", "PipelineCaps",
+        "PipelineResult"}
 
 
 @pytest.mark.parametrize("make, message", [
